@@ -1,6 +1,6 @@
 """wordavoid benchmark: run one workload for a fixed time and report metrics.
 
-    python3 perfbench/run.py --workload scan --seed 1 --seconds 40 --trace 0
+    python3 perfbench/run.py --workload enumerate --seed 1 --seconds 60 --trace 0
 
 Every repetition runs in a fresh interpreter (perfbench/worker.py), one at a
 time, because users pay cold module caches on every CLI run and several
