@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the headline numbers: count tables, minimal forbidden sets,
-growth rates, and the two exponential family bounds."""
+growth upper bounds at each requested length, and the two exponential
+family bounds."""
 
 import argparse
 import sys
@@ -12,7 +13,9 @@ from wordavoid import (build_automaton, count_avoiding, growth_rate,
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--n-max", type=int, default=17)
-    parser.add_argument("--max-len", type=int, default=20)
+    parser.add_argument("--max-len", type=int, nargs="+", default=[20, 30, 40],
+                        help="lengths of the minimal forbidden sets behind"
+                             " the growth upper bounds")
     args = parser.parse_args()
 
     reg = load_registry()
@@ -23,12 +26,12 @@ def main() -> int:
         print(f"== {label}")
         table = count_avoiding(spec, args.n_max)
         print("   counts:", ", ".join(str(c) for c in table.counts))
-        derived = minimal_forbidden(spec, args.max_len)
-        estimate = growth_rate(build_automaton(derived))
-        print(f"   {len(derived.words)} minimal forbidden words up to"
-              f" length {args.max_len}")
-        print(f"   growth rate {estimate.eigenvalue:.6f}"
-              f" ({estimate.states} live states)")
+        for max_len in args.max_len:
+            derived = minimal_forbidden(spec, max_len)
+            estimate = growth_rate(build_automaton(derived))
+            print(f"   L={max_len}: {len(derived.words)} minimal forbidden"
+                  f" words, {estimate.states} live states,"
+                  f" growth upper bound {estimate.eigenvalue:.6f}")
 
     print("== lower-bound families")
     dek = lower_bound_family(reg.dekking_sub, reg.dekking_g,

@@ -80,6 +80,33 @@ def _spec_oneline(spec) -> str:
     return "; ".join(format_spec(spec).splitlines())
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an integer flag with a smallest usable value."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer, got {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"must be at least {minimum}, got {value}")
+        return value
+    return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type for a float flag that must be above zero."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number, got {text!r}") from None
+    if not value > 0:
+        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    return value
+
+
 def _emit(text: str) -> None:
     sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
@@ -354,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="fixed-point prefix of a morphism")
     p.add_argument("--morphism", required=True)
     p.add_argument("--seed-letter", type=int, default=0)
-    p.add_argument("--length", type=int, required=True)
+    p.add_argument("--length", type=_int_at_least(0), required=True)
     fmt(p, "text")
     p.set_defaults(run=_cmd_generate)
 
@@ -381,20 +408,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact counts of legal words by length")
     p.add_argument("--spec", required=True)
-    p.add_argument("--n-max", type=int, required=True)
+    p.add_argument("--n-max", type=_int_at_least(0), required=True)
     fmt(p, "csv", ("csv", "json", "text"))
     p.set_defaults(run=_cmd_count)
 
     p = sub.add_parser("forbidden", help="minimal forbidden words of a spec")
     p.add_argument("--spec", required=True)
-    p.add_argument("--max-len", type=int, required=True)
+    p.add_argument("--max-len", type=_int_at_least(1), required=True)
     fmt(p, "text")
     p.set_defaults(run=_cmd_forbidden)
 
     p = sub.add_parser("growth", help="growth rate from a forbidden list")
     p.add_argument("--forbidden", required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--alphabet", type=int, default=None)
+    p.add_argument("--tol", type=_positive_float, default=1e-9)
+    p.add_argument("--alphabet", type=_int_at_least(1), default=None)
     fmt(p, "json")
     p.set_defaults(run=_cmd_growth)
 

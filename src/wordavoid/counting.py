@@ -2,16 +2,20 @@
 
 Counting is a pruned depth-first search: a word is extended letter by letter
 and a branch dies as soon as the new suffix breaks the spec, which is the only
-place a fresh violation can appear.  Minimal forbidden words (both one-letter
-truncations legal) feed an Aho-Corasick factor automaton whose live part
-counts and bounds the language; its Perron root comes from power iteration,
-standing in for the symbolic characteristic polynomials.
+place a fresh violation can appear.  Every constraint (a forbidden factor, a
+forbidden square, a cube) is itself a factor, so legality is closed under
+taking factors and suffix checks alone decide both the walk and minimality.
+Minimal forbidden words (both one-letter truncations legal) feed an
+Aho-Corasick factor automaton whose live part counts and bounds the language;
+its Perron root comes from power iteration over the live edge list, standing
+in for the symbolic characteristic polynomials.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +63,8 @@ def count_avoiding(spec: AvoidanceSpec, n_max: int,
 
     With workers > 1 the subtrees below a fixed split depth are counted in
     parallel processes; counts merge by addition, so the result does not
-    depend on scheduling.
+    depend on scheduling.  The pool never exceeds the CPU count or the
+    number of subtrees.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
@@ -71,7 +76,8 @@ def count_avoiding(spec: AvoidanceSpec, n_max: int,
         frontier = [w + bytes([x]) for w in frontier
                     for x in range(spec.alphabet_size)
                     if suffix_legal(w + bytes([x]), spec)]
-    if workers > 1 and frontier:
+    workers = min(workers, os.cpu_count() or 1, len(frontier))
+    if workers > 1:
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_subtree_job,
                              [(w, spec, n_max) for w in frontier])
@@ -102,7 +108,10 @@ def minimal_forbidden(spec: AvoidanceSpec, max_length: int) -> MinimalForbiddenS
     Every proper factor of a candidate is a factor of one of its two
     truncations, so legality of both truncations is the whole minimality
     condition.  Candidates are one-letter extensions of legal words, which
-    keeps the left truncation legal by construction.
+    keeps the left truncation legal by construction.  The right truncation
+    needs only a suffix check: legality is closed under taking factors, so
+    with `word` legal, `word[1:]` and all its prefixes are legal, which is
+    exactly what `suffix_legal` requires of `ext[1:]`.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
@@ -116,7 +125,7 @@ def minimal_forbidden(spec: AvoidanceSpec, max_length: int) -> MinimalForbiddenS
             ext = word + bytes([letter])
             if suffix_legal(ext, spec):
                 stack.append(ext)
-            elif satisfies_spec(ext[1:], spec).ok:
+            elif suffix_legal(ext[1:], spec):
                 found.add(ext)
     return MinimalForbiddenSet(spec, max_length, frozenset(found))
 
@@ -185,16 +194,30 @@ class FactorAutomaton:
             counts.append(sum(weight.values()))
         return tuple(counts)
 
-    def transition_matrix(self) -> tuple[np.ndarray, tuple[int, ...]]:
-        """Adjacency counts between live states, with the state relabeling."""
+    def _live_edges(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+        """Live states and their edges as (source, target) index arrays.
+
+        Indices are positions in the live-state tuple.  There is one edge per
+        letter, so a pair may repeat; sources ascend, and targets ascend
+        within a source.
+        """
         live = tuple(s for s in range(len(self.dead)) if not self.dead[s])
         index = {s: i for i, s in enumerate(live)}
+        sources: list[int] = []
+        targets: list[int] = []
+        for i, s in enumerate(live):
+            succs = sorted(index[t] for t in self.transitions[s]
+                           if not self.dead[t])
+            sources += [i] * len(succs)
+            targets += succs
+        return (live, np.array(sources, dtype=np.intp),
+                np.array(targets, dtype=np.intp))
+
+    def transition_matrix(self) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Adjacency counts between live states, with the state relabeling."""
+        live, sources, targets = self._live_edges()
         matrix = np.zeros((len(live), len(live)))
-        for s in live:
-            for letter in range(self.alphabet_size):
-                succ = self.transitions[s][letter]
-                if not self.dead[succ]:
-                    matrix[index[s], index[succ]] += 1.0
+        np.add.at(matrix, (sources, targets), 1.0)
         return matrix, live
 
 
@@ -222,24 +245,33 @@ def growth_rate(automaton: FactorAutomaton, tol: float = 1e-9,
 
     Iteration runs on M + I, whose spectrum is the shifted one but which is
     aperiodic whenever the live part is nonempty, so the Rayleigh quotient
-    settles even on periodic languages.
+    settles even on periodic languages; (M + I)v >= v for the nonnegative
+    iterates, so their norm never vanishes.  The product walks the live edge
+    list instead of a dense matrix, one bincount per step: each row sums its
+    identity term first, then its successors in ascending order, the order a
+    dense row product takes.  The product that gives one step's Rayleigh
+    quotient is the next step's iterate.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    matrix, live = automaton.transition_matrix()
+    live, sources, targets = automaton._live_edges()
     n = len(live)
-    if n == 0 or not matrix.any():
+    if n == 0 or len(sources) == 0:
         return GrowthEstimate(0.0, n, 0, 0.0)
-    shifted = matrix + np.eye(n)
+    diagonal = np.arange(n)
+    rows = np.concatenate((diagonal, sources))
+    cols = np.concatenate((diagonal, targets))
+
+    def shifted(vec: np.ndarray) -> np.ndarray:
+        return np.bincount(rows, weights=vec[cols], minlength=n)
+
     vec = np.full(n, 1.0 / math.sqrt(n))
+    nxt = shifted(vec)
     previous = 0.0
     for iteration in range(1, max_iterations + 1):
-        nxt = shifted @ vec
-        norm = np.linalg.norm(nxt)
-        if norm == 0.0:
-            return GrowthEstimate(0.0, n, iteration, 0.0)
-        vec = nxt / norm
-        rayleigh = float(vec @ (shifted @ vec))
+        vec = nxt / np.linalg.norm(nxt)
+        nxt = shifted(vec)
+        rayleigh = float(vec @ nxt)
         residual = abs(rayleigh - previous)
         if residual < tol:
             return GrowthEstimate(rayleigh - 1.0, n, iteration, residual)

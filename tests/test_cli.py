@@ -175,6 +175,22 @@ def test_bad_flags_are_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("count", "--spec", "dekking", "--n-max", "-1"), "--n-max"),
+    (("forbidden", "--spec", "dekking", "--max-len", "0"), "--max-len"),
+    (("growth", "--forbidden", "README.md", "--tol", "0"), "--tol"),
+    (("growth", "--forbidden", "README.md", "--alphabet", "0"), "--alphabet"),
+    (("generate", "--morphism", "dekking_h", "--length", "-5"), "--length"),
+])
+def test_unusable_numeric_flags_are_usage_errors(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and flag in errors[0]
+    assert "Traceback" not in err
+
+
 def test_shuffle_round_trip(capsys, tmp_path, registry):
     left = tmp_path / "left.txt"
     right = tmp_path / "right.txt"

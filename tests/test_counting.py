@@ -1,5 +1,9 @@
 """Counting, minimal forbidden words, growth rates, families, exhaustion."""
 
+import math
+import multiprocessing
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,6 +35,39 @@ def test_count_workers_agree(registry):
     seq = count_avoiding(registry.fs_binary, 12)
     par = count_avoiding(registry.fs_binary, 12, workers=2)
     assert seq.counts == par.counts
+
+
+class RecordingPool:
+    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+
+    sizes = []
+
+    def __init__(self, processes):
+        self.sizes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return [fn(job) for job in jobs]
+
+
+@pytest.mark.parametrize("n_max, cpus, pool_size", [
+    (12, 4, 4),      # capped by the CPU count
+    (1, 8, 2),       # capped by the two one-letter subtrees
+    (0, 8, None),    # a single subtree needs no pool
+])
+def test_count_workers_are_clamped(registry, monkeypatch, n_max, cpus,
+                                   pool_size):
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    table = count_avoiding(registry.fs_binary, n_max, workers=10_000)
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert table.counts == H_TABLE[:n_max + 1]
 
 
 @given(st.integers(0, 7))
@@ -75,6 +112,37 @@ def test_minimal_forbidden_sizes_and_members(registry):
     assert word_from_text("0000") in fs.words
     assert word_from_text("1010") in fs.words
     assert word_from_text("1110001011100010") in fs.words
+
+
+@st.composite
+def small_specs(draw):
+    """Specs small enough to check every word up to the drawn length."""
+    alphabet = draw(st.integers(2, 3))
+    letters = st.integers(0, alphabet - 1)
+    factor = st.lists(letters, min_size=1, max_size=4).map(bytes)
+    forbidden = tuple(draw(st.lists(factor, max_size=3)))
+    root = st.lists(letters, min_size=1, max_size=2).map(bytes)
+    policy = draw(st.sampled_from(("min-root", "whitelist")))
+    if policy == "min-root":
+        squares = {"square_min_root": draw(st.integers(1, 4))}
+    else:
+        roots = draw(st.lists(root, max_size=3))
+        squares = {"square_whitelist": tuple(r + r for r in roots)}
+    spec = AvoidanceSpec(alphabet, forbidden, cubefree=draw(st.booleans()),
+                         **squares)
+    return spec, draw(st.integers(1, 10 if alphabet == 2 else 6))
+
+
+@given(small_specs())
+@settings(max_examples=60, deadline=None)
+def test_minimal_forbidden_matches_brute_force(case):
+    spec, max_length = case
+    legal = {w: naive_satisfies(w, spec)
+             for n in range(max_length + 1)
+             for w in all_words(spec.alphabet_size, n)}
+    expected = {w for w, ok in legal.items()
+                if not ok and legal[w[1:]] and legal[w[:-1]]}
+    assert minimal_forbidden(spec, max_length).words == expected
 
 
 def test_minimal_forbidden_lines_are_sorted(registry):
@@ -136,6 +204,66 @@ def test_growth_of_dead_language_is_zero():
     auto = FactorAutomaton(2, frozenset({b"\x00", b"\x01"}))
     est = growth_rate(auto)
     assert est.eigenvalue == 0.0
+
+
+def dense_growth_rate(automaton, tol=1e-9, max_iterations=200_000):
+    """Reference power iteration on the dense matrix M + I."""
+    matrix, live = automaton.transition_matrix()
+    n = len(live)
+    if n == 0 or not matrix.any():
+        return 0.0, n, 0
+    shifted = matrix + np.eye(n)
+    vec = np.full(n, 1.0 / math.sqrt(n))
+    previous = 0.0
+    for iteration in range(1, max_iterations + 1):
+        nxt = shifted @ vec
+        vec = nxt / np.linalg.norm(nxt)
+        rayleigh = float(vec @ (shifted @ vec))
+        if abs(rayleigh - previous) < tol:
+            return rayleigh - 1.0, n, iteration
+        previous = rayleigh
+    return previous - 1.0, n, max_iterations
+
+
+def assert_same_growth(automaton, **kwargs):
+    est = growth_rate(automaton, **kwargs)
+    eigenvalue, states, iterations = dense_growth_rate(automaton, **kwargs)
+    assert (est.states, est.iterations) == (states, iterations)
+    assert est.eigenvalue == pytest.approx(eigenvalue, abs=1e-12)
+    return est
+
+
+@given(st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.frozensets(st.lists(st.integers(0, k - 1), min_size=1,
+                           max_size=5).map(bytes), max_size=6))))
+@settings(max_examples=80, deadline=None)
+def test_growth_matches_dense_iteration(case):
+    alphabet, forbidden = case
+    assert_same_growth(FactorAutomaton(alphabet, forbidden),
+                       max_iterations=3000)
+
+
+def test_growth_matches_dense_iteration_on_derived_sets(registry):
+    for spec in (registry.dekking_binary, registry.fs_binary):
+        assert_same_growth(build_automaton(minimal_forbidden(spec, 20)))
+
+
+def test_growth_matches_dense_iteration_on_edge_cases():
+    dead = assert_same_growth(FactorAutomaton(2, frozenset({b"\x00",
+                                                             b"\x01"})))
+    assert dead.eigenvalue == 0.0
+    periodic = assert_same_growth(FactorAutomaton(
+        2, frozenset({word_from_text("00"), word_from_text("11")})))
+    assert periodic.eigenvalue == pytest.approx(1.0, abs=1e-6)
+
+
+def test_transition_matrix_counts_live_edges():
+    auto = FactorAutomaton(3, frozenset({word_from_text("00")}))
+    matrix, live = auto.transition_matrix()
+    assert len(live) == auto.live_states == 2
+    # root: 0 -> "0", 1 and 2 -> root; "0": 1 and 2 -> root
+    assert matrix.tolist() == [[2.0, 1.0], [2.0, 0.0]]
 
 
 def test_growth_estimate_serializes():
