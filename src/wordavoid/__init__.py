@@ -2,9 +2,9 @@
 
 from .words import (AvoidanceSpec, GapPattern, ParseError, SpecCheck,
                     Violation, contains_factor, contains_gap_pattern,
-                    factor_set, find_cube_at_least, find_cubes,
-                    find_gap_occurrences, find_square_at_least, find_squares,
-                    format_spec, max_square_root, parse_spec, perfect_shuffle,
+                    find_cube_at_least, find_cubes, find_gap_occurrences,
+                    find_square_at_least, find_squares, format_spec,
+                    max_square_root, parse_spec, perfect_shuffle,
                     satisfies_spec, scan_forbidden, suffix_legal,
                     word_from_text, word_to_text)
 from .morphisms import (FixedPointStream, Morphism, Substitution,
@@ -15,17 +15,16 @@ from .verify import (BoundedCaseReport, EmbeddingCase, GapEvidence,
                      InclusionWitness, InterchangeWitness, Refutation,
                      TransferCertificate, bounded_case_check,
                      find_inclusions, find_interchanges,
-                     first_legal_gap_word, prove_gap_pattern_absence,
-                     refute_inclusion, refute_interchange,
-                     verify_square_transfer, verify_substitution_transfer)
+                     prove_gap_pattern_absence, refute_inclusion,
+                     refute_interchange, verify_square_transfer,
+                     verify_substitution_transfer)
 from .counting import (CountTable, ExhaustReport, FactorAutomaton,
                        FamilyReport, GrowthEstimate, MinimalForbiddenSet,
                        build_automaton, count_avoiding, exhaust_max_length,
-                       growth_rate, lower_bound_family, minimal_forbidden)
+                       growth_rate, lower_bound_family, minimal_forbidden,
+                       walk_legal)
 from .instances import (InstanceRegistry, load_registry, with_image_letter)
 from .scenarios import (Check, ScenarioReport, SCENARIOS, run_all_scenarios,
                         run_scenario)
 
 __version__ = "0.1.0"
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -50,6 +50,9 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"cannot read {path}: non-ASCII byte at offset"
+                         f" {exc.start}") from None
 
 
 def _resolve_spec(token: str):
@@ -387,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="scan a word file for violations")
     p.add_argument("--word", required=True)
-    p.add_argument("--min-root", type=int, default=None)
+    p.add_argument("--min-root", type=_int_at_least(1), default=None)
     p.add_argument("--cubes", action="store_true")
     p.add_argument("--factors", default=None)
     p.add_argument("--gap-pattern", default=None, metavar="A,B,C")
@@ -399,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--root-cap", type=int, default=None)
+    p.add_argument("--root-cap", type=_int_at_least(1), default=None)
     p.add_argument("--fixed-point-morphism", default=None)
     p.add_argument("--fixed-point-seed", type=int, default=0)
     p.add_argument("--name", default=None)

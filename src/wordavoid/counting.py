@@ -1,10 +1,13 @@
 """Exact counting of avoiding words and growth-rate estimates.
 
-Counting is a pruned depth-first search: a word is extended letter by letter
-and a branch dies as soon as the new suffix breaks the spec, which is the only
-place a fresh violation can appear.  Every constraint (a forbidden factor, a
-forbidden square, a cube) is itself a factor, so legality is closed under
-taking factors and suffix checks alone decide both the walk and minimality.
+Every search over legal words goes through one walker, `walk_legal`: a
+word is extended letter by letter and a branch dies as soon as the new
+suffix breaks the spec, which is the only place a fresh violation can
+appear.  Counting tallies the walked words, exhaustion looks for the longest
+one, and minimality inspects the rejected extensions.  Every constraint (a
+forbidden factor, a forbidden square, a cube) is itself a factor, so
+legality is closed under taking factors and suffix checks alone decide both
+the walk and minimality.
 Minimal forbidden words (both one-letter truncations legal) feed an
 Aho-Corasick factor automaton whose live part counts and bounds the language;
 its Perron root comes from power iteration over the live edge list, standing
@@ -37,19 +40,37 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
 
-def _subtree_counts(prefix: bytes, spec: AvoidanceSpec, n_max: int) -> list[int]:
-    """Counts by length of legal words extending one legal prefix."""
-    counts = [0] * (n_max + 1)
+def walk_legal(spec: AvoidanceSpec, max_len: int, prefix: bytes = b""):
+    """Legal words extending a legal prefix, up to max_len letters.
+
+    Yields (word, rejected) in lexicographic preorder, starting with the
+    prefix itself.  `rejected` lists the one-letter extensions of `word` that
+    break the spec; it is empty at max_len, where no extension is tried.
+    Children are checked before their parent is yielded, one suffix check
+    each, so a word is never checked twice and every yielded word is legal.
+    """
+    letters = [bytes([x]) for x in range(spec.alphabet_size)]
     stack = [prefix]
     while stack:
         word = stack.pop()
+        rejected = []
+        if len(word) < max_len:
+            legal = []
+            for letter in letters:
+                ext = word + letter
+                if suffix_legal(ext, spec):
+                    legal.append(ext)
+                else:
+                    rejected.append(ext)
+            stack += reversed(legal)
+        yield word, rejected
+
+
+def _subtree_counts(prefix: bytes, spec: AvoidanceSpec, n_max: int) -> list[int]:
+    """Counts by length of legal words extending one legal prefix."""
+    counts = [0] * (n_max + 1)
+    for word, _ in walk_legal(spec, n_max, prefix):
         counts[len(word)] += 1
-        if len(word) == n_max:
-            continue
-        for letter in range(spec.alphabet_size - 1, -1, -1):
-            ext = word + bytes([letter])
-            if suffix_legal(ext, spec):
-                stack.append(ext)
     return counts
 
 
@@ -69,13 +90,13 @@ def count_avoiding(spec: AvoidanceSpec, n_max: int,
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
     split = min(6, n_max)
-    frontier = [b""]
     counts = [0] * (n_max + 1)
-    for depth in range(split):
-        counts[depth] += len(frontier)
-        frontier = [w + bytes([x]) for w in frontier
-                    for x in range(spec.alphabet_size)
-                    if suffix_legal(w + bytes([x]), spec)]
+    frontier = []
+    for word, _ in walk_legal(spec, split):
+        if len(word) == split:
+            frontier.append(word)
+        else:
+            counts[len(word)] += 1
     workers = min(workers, os.cpu_count() or 1, len(frontier))
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
@@ -107,25 +128,18 @@ def minimal_forbidden(spec: AvoidanceSpec, max_length: int) -> MinimalForbiddenS
 
     Every proper factor of a candidate is a factor of one of its two
     truncations, so legality of both truncations is the whole minimality
-    condition.  Candidates are one-letter extensions of legal words, which
-    keeps the left truncation legal by construction.  The right truncation
-    needs only a suffix check: legality is closed under taking factors, so
-    with `word` legal, `word[1:]` and all its prefixes are legal, which is
-    exactly what `suffix_legal` requires of `ext[1:]`.
+    condition.  Candidates are the walker's rejected extensions of legal
+    words, which keeps the left truncation legal by construction.  The
+    right truncation needs only a suffix check: legality is closed under
+    taking factors, so with `word` legal, `word[1:]` and all its prefixes
+    are legal, which is exactly what `suffix_legal` requires of `ext[1:]`.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     found = set()
-    stack = [b""]
-    while stack:
-        word = stack.pop()
-        if len(word) == max_length:
-            continue
-        for letter in range(spec.alphabet_size):
-            ext = word + bytes([letter])
-            if suffix_legal(ext, spec):
-                stack.append(ext)
-            elif suffix_legal(ext[1:], spec):
+    for _, rejected in walk_legal(spec, max_length):
+        for ext in rejected:
+            if suffix_legal(ext[1:], spec):
                 found.add(ext)
     return MinimalForbiddenSet(spec, max_length, frozenset(found))
 
@@ -354,15 +368,9 @@ def exhaust_max_length(spec: AvoidanceSpec, hard_cap: int) -> ExhaustReport:
     if hard_cap < 1:
         raise ValueError("hard_cap must be >= 1")
     best = b""
-    stack = [b""]
-    while stack:
-        word = stack.pop()
-        if len(word) > len(best):
-            best = word
+    for word, _ in walk_legal(spec, hard_cap):
         if len(word) == hard_cap:
             return ExhaustReport(None, None, True)
-        for letter in range(spec.alphabet_size - 1, -1, -1):
-            ext = word + bytes([letter])
-            if suffix_legal(ext, spec):
-                stack.append(ext)
+        if len(word) > len(best):
+            best = word
     return ExhaustReport(len(best), best, False)

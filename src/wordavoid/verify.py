@@ -4,14 +4,17 @@ Proves statements of the form "if a word satisfies the source spec, its image
 satisfies the target spec" by splitting any would-be violation into three
 exhaustive channels:
 
-* short violations, inside the image of a bounded source word (checked by
-  enumeration up to the root cap);
+* short violations, inside the image of a bounded source word (each image
+  is checked whole with `satisfies_spec`, squares and cubes capped at the
+  root cap; a cap below the default 2W leaves the roots above it as a
+  residual obligation);
 * inclusions, where one image sits inside the image of a pair with offcut
   affixes on both sides (refuted case by case through context letters and
   forced pullbacks);
 * interchanges, where two images share a prefix/suffix splitting of a third
   (refuted by proving a three-letter gap pattern absent from the source
-  language).
+  language; the bounded exhaustive search runs on the shared legal-word
+  walker).
 
 A `TransferCertificate` collects the witnesses, their refutations, and any
 residual obligations; it is complete when nothing is left open.
@@ -22,10 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .counting import walk_legal
 from .morphisms import Morphism, Substitution, fixed_point_prefix
-from .words import (AvoidanceSpec, GapPattern, Violation, find_cubes,
-                    find_gap_occurrences, find_squares, format_spec,
-                    satisfies_spec, scan_forbidden, suffix_legal, word_to_text)
+from .words import (AvoidanceSpec, GapPattern, Violation,
+                    find_gap_occurrences, format_spec, satisfies_spec,
+                    suffix_legal, word_to_text)
 
 FixedPoint = tuple[Morphism, int]
 
@@ -199,7 +203,7 @@ class Refutation:
     embeddings: tuple[EmbeddingCase, ...] = ()
 
     _CLOSED = ("pair-illegal", "no-right-extension", "no-left-extension",
-               "no-embedding", "trivial", "gap-pattern-absent")
+               "trivial", "gap-pattern-absent")
 
     @property
     def ok(self) -> bool:
@@ -366,9 +370,6 @@ def refute_inclusion(morphism: Morphism, witness: InclusionWitness,
         for d in succs:
             embeddings.append(_embedding_case(
                 morphism, source, classes, a, b, c, offset, e, d, depth))
-    if not embeddings:
-        # unreachable while the extension checks run first; kept for safety
-        return Refutation("no-embedding", "no context letters fit (vacuous)")
     open_count = sum(1 for e in embeddings if e.case == "open")
     detail = (f"{len(embeddings)} embeddings, all refuted" if open_count == 0
               else f"{open_count} of {len(embeddings)} embeddings open")
@@ -449,57 +450,23 @@ def _forced_case(source, classes, candidates, pair, side) -> str | None:
 # ---------------------------------------------------------------------------
 # Gap patterns.
 
-def first_legal_gap_word(pattern: GapPattern, spec: AvoidanceSpec,
-                         max_gap: int) -> bytes | None:
-    """Smallest spec-legal instance of the pattern with gap <= max_gap.
-
-    Prunes on the legality of the leading letter plus gap prefix, which is
-    sound because a violation inside a prefix survives every extension.
-    """
-    lead = bytes([pattern.first])
-
-    def rec(alpha: bytes) -> bytes | None:
-        word = pattern.word(alpha)
-        if _legal(word, spec):
-            return word
-        if len(alpha) == max_gap:
-            return None
-        for x in range(spec.alphabet_size):
-            ext = alpha + bytes([x])
-            if suffix_legal(lead + ext, spec):
-                hit = rec(ext)
-                if hit is not None:
-                    return hit
-        return None
-
-    return rec(b"")
-
-
 def _exhaustive_viability(pattern: GapPattern, spec: AvoidanceSpec,
                           max_gap: int):
-    """(complete, legal_instance): complete means every branch died early."""
-    lead = bytes([pattern.first])
+    """(complete, legal_instance) for gaps up to max_gap.
+
+    Walks the legal words first + alpha, which prunes soundly because a
+    violation inside a prefix survives every extension, and stops at the
+    first alpha whose pattern word is legal.  Complete means every branch
+    died before reaching max_gap.
+    """
     complete = True
-    instance = None
-
-    def rec(alpha: bytes):
-        nonlocal complete, instance
-        if instance is not None:
-            return
-        word = pattern.word(alpha)
-        if _legal(word, spec):
-            instance = word
-            return
-        if len(alpha) == max_gap:
+    for word, _ in walk_legal(spec, max_gap + 1, bytes([pattern.first])):
+        candidate = pattern.word(word[1:])
+        if _legal(candidate, spec):
+            return complete, candidate
+        if len(word) == max_gap + 1:
             complete = False
-            return
-        for x in range(spec.alphabet_size):
-            ext = alpha + bytes([x])
-            if suffix_legal(lead + ext, spec):
-                rec(ext)
-
-    rec(b"")
-    return complete, instance
+    return complete, None
 
 
 def _follower_proof_spec(pattern: GapPattern, spec: AvoidanceSpec) -> str | None:
@@ -679,43 +646,22 @@ def refute_interchange(witness: InterchangeWitness, source: AvoidanceSpec,
 # ---------------------------------------------------------------------------
 # Bounded case and certificates.
 
-def _image_violation(image: bytes, target: AvoidanceSpec,
-                     root_cap: int) -> Violation | None:
-    """First target violation with root at most root_cap.
-
-    Longer roots are exactly what the inclusion and interchange analysis
-    covers, so the bounded channel must not report them.
-    """
-    hit = scan_forbidden(image, target.forbidden)
-    if hit is not None:
-        return Violation("forbidden", hit[0], hit[1])
-    if target.square_min_root is not None:
-        occ = find_squares(image, target.square_min_root, root_cap)
-        if occ:
-            p, d = occ[0]
-            return Violation("square", p, image[p:p + 2 * d], d)
-    if target.square_whitelist is not None:
-        allowed = set(target.square_whitelist)
-        for p, d in find_squares(image, 1, root_cap):
-            if image[p:p + 2 * d] not in allowed:
-                return Violation("square", p, image[p:p + 2 * d], d)
-    if target.cubefree:
-        occ = find_cubes(image, 1, root_cap)
-        if occ:
-            p, d = occ[0]
-            return Violation("cube", p, image[p:p + 3 * d], d)
-    return None
-
-
 def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
                        target: AvoidanceSpec, root_cap: int,
                        classes: tuple[int, ...] | None = None
                        ) -> BoundedCaseReport:
     """Check images of every legal source word long enough to contain any
-    target violation of root at most root_cap."""
+    target violation of root at most root_cap.
+
+    Longer roots are what the inclusion and interchange analysis covers, so
+    they are not reported here; letters and forbidden factors are checked in
+    full.
+    """
     width = morphism.uniform_width
     if width is None:
         raise ValueError("bounded case needs a uniform morphism")
+    if root_cap < 0:
+        raise ValueError("root_cap must be >= 0")
     max_len = (2 * root_cap) // width + 2
     counts = [0] * (max_len + 1)
     violations: list[tuple[bytes, Violation]] = []
@@ -726,7 +672,8 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
         if word:
             counts[len(word)] += 1
             checked += 1
-            bad = _image_violation(morphism.apply(bytes(word)), target, root_cap)
+            bad = satisfies_spec(morphism.apply(bytes(word)), target,
+                                 max_root=root_cap).violation
             if bad is not None:
                 violations.append((bytes(word), bad))
                 return
@@ -798,7 +745,11 @@ def verify_square_transfer(morphism: Morphism, source: AvoidanceSpec,
                            name: str = "",
                            classes: tuple[int, ...] | None = None
                            ) -> TransferCertificate:
-    """Verify that images of source-legal words satisfy the target spec."""
+    """Verify that images of source-legal words satisfy the target spec.
+
+    The root cap defaults to 2W; a smaller one cannot give a complete
+    certificate, because the roots between it and 2W are checked nowhere.
+    """
     width = morphism.uniform_width
     if width is None:
         raise ValueError("transfer verification needs a uniform morphism")
@@ -808,7 +759,9 @@ def verify_square_transfer(morphism: Morphism, source: AvoidanceSpec,
     bounded = bounded_case_check(morphism, source, target, cap, classes)
 
     residual: list[str] = []
-    notes: list[str] = []
+    if cap < 2 * width:
+        residual.append(f"root cap {cap} is below 2W = {2 * width}:"
+                        f" roots {cap + 1}..{2 * width} unchecked")
     for w, v in bounded.violations:
         residual.append(f"bounded case: image of {word_to_text(w)}"
                         f" has {v.describe()}")
@@ -817,9 +770,6 @@ def verify_square_transfer(morphism: Morphism, source: AvoidanceSpec,
         out = []
         for wit in witnesses:
             r = refute_inclusion(morphism, wit, source, depth, classes)
-            if r.method == "no-embedding":
-                notes.append(f"inclusion ({wit.a},{wit.b})->{wit.c}"
-                             f"@{wit.offset} refuted vacuously")
             if not r.ok:
                 residual.append(f"inclusion ({wit.a},{wit.b})->{wit.c}"
                                 f"@{wit.offset} unresolved")
@@ -855,7 +805,7 @@ def verify_square_transfer(morphism: Morphism, source: AvoidanceSpec,
         bounded=bounded, inclusions=inclusions,
         equal_pair_inclusions=equal_pair, interchanges=tuple(checked),
         gap_evidence=tuple(evidence[p] for p in patterns),
-        residual=tuple(residual), notes=tuple(notes))
+        residual=tuple(residual))
 
 
 def verify_substitution_transfer(sub: Substitution, source: AvoidanceSpec,

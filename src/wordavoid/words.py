@@ -50,11 +50,6 @@ def perfect_shuffle(even: bytes, odd: bytes) -> bytes:
     return bytes(out)
 
 
-def factor_set(word: bytes, length: int) -> set[bytes]:
-    """All factors of the given length."""
-    return {word[i:i + length] for i in range(len(word) - length + 1)}
-
-
 def contains_factor(word: bytes, factor: bytes) -> bool:
     return word.find(factor) != -1
 
@@ -267,11 +262,6 @@ def find_gap_occurrences(word: bytes, pattern: GapPattern,
     return out
 
 
-def first_gap_occurrence(word: bytes, pattern: GapPattern) -> tuple[int, int] | None:
-    occ = find_gap_occurrences(word, pattern)
-    return occ[0] if occ else None
-
-
 def contains_gap_pattern(word: bytes, pattern: GapPattern) -> bool:
     return bool(find_gap_occurrences(word, pattern))
 
@@ -343,8 +333,15 @@ class AvoidanceSpec:
         return max((len(f) for f in self.forbidden), default=0)
 
 
-def satisfies_spec(word: bytes, spec: AvoidanceSpec) -> SpecCheck:
-    """Check a word against a spec, reporting the leftmost smallest violation."""
+def satisfies_spec(word: bytes, spec: AvoidanceSpec,
+                   max_root: int | None = None) -> SpecCheck:
+    """Check a whole word against a spec, reporting the first violation.
+
+    Checks run in a fixed order (letters, forbidden factors, squares, cubes)
+    and each reports its leftmost, then smallest, occurrence.  With max_root
+    set, squares and cubes whose root is longer are not reported; letters and
+    forbidden factors are always checked.
+    """
     if word:
         arr = np.frombuffer(word, dtype=np.uint8)
         if int(arr.max()) >= spec.alphabet_size:
@@ -354,19 +351,19 @@ def satisfies_spec(word: bytes, spec: AvoidanceSpec) -> SpecCheck:
     if hit is not None:
         return SpecCheck(False, Violation("forbidden", hit[0], hit[1]))
     if spec.square_min_root is not None:
-        occ = find_square_at_least(word, spec.square_min_root)
-        if occ is not None:
-            p, d = occ
+        occ = find_squares(word, spec.square_min_root, max_root)
+        if occ:
+            p, d = occ[0]
             return SpecCheck(False, Violation("square", p, word[p:p + 2 * d], d))
     if spec.square_whitelist is not None:
         allowed = set(spec.square_whitelist)
-        for p, d in find_squares(word):
+        for p, d in find_squares(word, 1, max_root):
             if word[p:p + 2 * d] not in allowed:
                 return SpecCheck(False, Violation("square", p, word[p:p + 2 * d], d))
     if spec.cubefree:
-        occ = find_cube_at_least(word)
-        if occ is not None:
-            p, d = occ
+        occ = find_cubes(word, 1, max_root)
+        if occ:
+            p, d = occ[0]
             return SpecCheck(False, Violation("cube", p, word[p:p + 3 * d], d))
     return SpecCheck(True, None)
 
@@ -446,9 +443,12 @@ def parse_spec(text: str) -> AvoidanceSpec:
             raise ParseError(f"line {lineno}: cannot parse {line!r}") from None
     if alphabet is None:
         raise ParseError("spec is missing an alphabet line")
-    return AvoidanceSpec(alphabet_size=alphabet, forbidden=tuple(forbidden),
-                         square_min_root=min_root, square_whitelist=whitelist,
-                         cubefree=cubefree)
+    try:
+        return AvoidanceSpec(alphabet_size=alphabet, forbidden=tuple(forbidden),
+                             square_min_root=min_root,
+                             square_whitelist=whitelist, cubefree=cubefree)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
 
 
 def format_spec(spec: AvoidanceSpec) -> str:

@@ -32,10 +32,11 @@ def naive_squares(word, min_root=1, max_root=None):
     return out
 
 
-def naive_cubes(word, min_root=1):
+def naive_cubes(word, min_root=1, max_root=None):
     out = []
+    top = len(word) // 3 if max_root is None else max_root
     for pos in range(len(word)):
-        for root in range(min_root, len(word) // 3 + 1):
+        for root in range(min_root, top + 1):
             if pos + 3 * root > len(word):
                 break
             if (word[pos:pos + root] == word[pos + root:pos + 2 * root]
@@ -59,21 +60,22 @@ def naive_gap_occurrences(word, pattern):
     return sorted(out)
 
 
-def naive_satisfies(word, spec: AvoidanceSpec) -> bool:
+def naive_satisfies(word, spec: AvoidanceSpec, max_root=None) -> bool:
+    """Legality by definition; max_root ignores longer squares and cubes."""
     if any(letter >= spec.alphabet_size for letter in word):
         return False
     for factor in spec.forbidden:
         if factor and factor in word:
             return False
     if spec.square_min_root is not None:
-        if naive_squares(word, spec.square_min_root):
+        if naive_squares(word, spec.square_min_root, max_root):
             return False
     if spec.square_whitelist is not None:
         allowed = set(spec.square_whitelist)
-        for pos, root in naive_squares(word):
+        for pos, root in naive_squares(word, 1, max_root):
             if word[pos:pos + 2 * root] not in allowed:
                 return False
-    if spec.cubefree and naive_cubes(word):
+    if spec.cubefree and naive_cubes(word, 1, max_root):
         return False
     return True
 

@@ -1,5 +1,6 @@
 """Command line behavior: outputs, determinism, exit statuses."""
 
+import hashlib
 import json
 import shutil
 import subprocess
@@ -181,6 +182,11 @@ def test_bad_flags_are_usage_errors(capsys):
     (("growth", "--forbidden", "README.md", "--tol", "0"), "--tol"),
     (("growth", "--forbidden", "README.md", "--alphabet", "0"), "--alphabet"),
     (("generate", "--morphism", "dekking_h", "--length", "-5"), "--length"),
+    (("scan", "--word", "README.md", "--min-root", "0"), "--min-root"),
+    (("verify", "--morphism", "dekking_h", "--source", "dekking_h_source",
+      "--target", "squarefree4", "--root-cap", "0"), "--root-cap"),
+    (("verify", "--morphism", "dekking_h", "--source", "dekking_h_source",
+      "--target", "squarefree4", "--root-cap", "-3"), "--root-cap"),
 ])
 def test_unusable_numeric_flags_are_usage_errors(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
@@ -189,6 +195,39 @@ def test_unusable_numeric_flags_are_usage_errors(capsys, argv, flag):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and flag in errors[0]
     assert "Traceback" not in err
+
+
+COUNT = ("count", "--spec", "{path}", "--n-max", "4")
+
+
+@pytest.mark.parametrize("argv, content", [
+    (COUNT, b"alphabet 2\nsquares whitelist 01\n"),
+    (COUNT, b"alphabet 2\nsquares min-root 0\n"),
+    (COUNT, b"alphabet 0\n"),
+    (COUNT, "alphabet 2  # f\u00fcr\n".encode()),
+    (("scan", "--word", "{path}", "--cubes"), "0101\u00e9".encode()),
+], ids=["whitelist-entry-not-a-square", "min-root-0", "alphabet-0",
+        "non-ascii-spec", "non-ascii-word"])
+def test_malformed_files_are_usage_errors(capsys, tmp_path, argv, content):
+    path = tmp_path / "input.txt"
+    path.write_bytes(content)
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "Traceback" not in err
+
+
+def test_verify_catches_images_outside_the_target_alphabet(capsys, tmp_path):
+    morphism = tmp_path / "m.txt"
+    morphism.write_text("0 -> 02\n1 -> 12\n")
+    any2 = tmp_path / "any2.txt"
+    any2.write_text("alphabet 2\n")
+    code, out, _ = run_cli(capsys, "verify", "--morphism", str(morphism),
+                           "--source", str(any2), "--target", str(any2))
+    assert code == 1
+    assert "INCOMPLETE" in out and "letter at 1: 2" in out
 
 
 def test_shuffle_round_trip(capsys, tmp_path, registry):
@@ -246,3 +285,11 @@ def test_scenario_all_passes_quickly(capsys):
                            "--prefix-length", "2000")
     assert code == 0
     assert out.count("PASS") == 6
+
+
+def test_scenario_json_digest_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "scenario", "--all", "--format", "json",
+                           "--prefix-length", "2000")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "e2164396bc3b28a9ccf30d96059e930a3125e950f0edf6bf2006d25e3861f6ae")

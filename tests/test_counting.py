@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from wordavoid import (AvoidanceSpec, FactorAutomaton, build_automaton,
                        count_avoiding, exhaust_max_length, growth_rate,
                        lower_bound_family, minimal_forbidden, satisfies_spec,
-                       word_from_text, word_to_text)
+                       walk_legal, word_from_text, word_to_text)
 
 from conftest import all_words, naive_count, naive_satisfies
 
@@ -143,6 +143,27 @@ def test_minimal_forbidden_matches_brute_force(case):
     expected = {w for w, ok in legal.items()
                 if not ok and legal[w[1:]] and legal[w[:-1]]}
     assert minimal_forbidden(spec, max_length).words == expected
+
+
+@given(small_specs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_walk_legal_matches_brute_force(case, data):
+    """From any legal prefix the walk yields exactly the legal words that
+    extend it, in sorted (lexicographic preorder) order, each with exactly
+    its illegal one-letter extensions below max_len."""
+    spec, max_len = case
+    legal = [w for n in range(max_len + 1)
+             for w in all_words(spec.alphabet_size, n)
+             if naive_satisfies(w, spec)]
+    prefix = data.draw(st.sampled_from(legal))
+    walked = list(walk_legal(spec, max_len, prefix))
+    assert [w for w, _ in walked] == sorted(w for w in legal
+                                            if w.startswith(prefix))
+    for word, rejected in walked:
+        extensions = [word + bytes([x]) for x in range(spec.alphabet_size)]
+        expected = [] if len(word) == max_len else [
+            ext for ext in extensions if not naive_satisfies(ext, spec)]
+        assert rejected == expected
 
 
 def test_minimal_forbidden_lines_are_sorted(registry):

@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from wordavoid import (AvoidanceSpec, GapPattern, Morphism,
                        bounded_case_check, find_inclusions, find_interchanges,
-                       first_legal_gap_word, prove_gap_pattern_absence,
-                       refute_inclusion, verify_square_transfer,
+                       prove_gap_pattern_absence, refute_inclusion,
+                       satisfies_spec, verify_square_transfer,
                        verify_substitution_transfer, with_image_letter,
                        word_from_text, word_to_text)
+from wordavoid.verify import _exhaustive_viability
 
 from conftest import naive_inclusions, naive_interchanges
 
@@ -119,14 +120,18 @@ def test_interchange_gap_pattern_descent(registry):
     assert evidence.scope == "fixed-point"
     assert evidence.complete
     # exhaustive cross-check at small gap lengths
-    assert first_legal_gap_word(pattern, registry.dekking_g_source, 8) is None
+    _, instance = _exhaustive_viability(pattern, registry.dekking_g_source, 8)
+    assert instance is None
 
 
 def test_realizable_gap_pattern_is_found():
     spec = AvoidanceSpec(4, square_min_root=1)
     pattern = GapPattern(0, 1, 0)
-    word = first_legal_gap_word(pattern, spec, 4)
+    _, word = _exhaustive_viability(pattern, spec, 4)
     assert word is not None
+    gap = (len(word) - 3) // 2
+    assert word == pattern.word(word[1:gap + 1])
+    assert satisfies_spec(word, spec).ok
     evidence = prove_gap_pattern_absence(pattern, spec)
     assert not evidence.complete
 
@@ -336,6 +341,40 @@ def test_bounded_case_counts_agree_with_certificate(registry):
     assert report.words_checked == sum(report.legal_counts)
     assert report.legal_counts[5] == 49
     assert not report.violations
+
+
+def test_bounded_case_rejects_negative_root_cap(registry):
+    with pytest.raises(ValueError):
+        bounded_case_check(registry.dekking_h, registry.dekking_h_source,
+                           registry.squarefree4, -1)
+
+
+# 0 -> 0010, 1 -> 0111: every image holds the square 00.
+SQUARE_IMAGES = Morphism(2, 2, (word_from_text("0010"), word_from_text("0111")))
+
+
+@pytest.mark.parametrize("cap", [0, 4, 7])
+def test_root_cap_below_twice_the_width_is_never_complete(cap):
+    cert = verify_square_transfer(SQUARE_IMAGES, AvoidanceSpec(2),
+                                  AvoidanceSpec(2, square_min_root=1),
+                                  root_cap=cap)
+    assert not cert.complete
+    assert f"roots {cap + 1}..8 unchecked" in cert.residual[0]
+
+
+def test_root_cap_of_one_width_hides_a_long_square():
+    """With the cap at W the bounded case misses a root-5 square, which the
+    inclusion and interchange channels do not cover either."""
+    m = Morphism(3, 2, tuple(word_from_text(t) for t in ("000", "101", "111")))
+    source = AvoidanceSpec(3, square_min_root=1)
+    target = AvoidanceSpec(2, square_min_root=3)
+    image = m.apply(word_from_text("2120"))
+    assert satisfies_spec(image, target).violation.root_length == 5
+    capped = verify_square_transfer(m, source, target, root_cap=3)
+    assert not capped.bounded.violations
+    assert capped.residual == ("root cap 3 is below 2W = 6: roots 4..6"
+                               " unchecked",)
+    assert not verify_square_transfer(m, source, target).complete
 
 
 def test_bounded_case_rejects_nonuniform():

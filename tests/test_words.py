@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordavoid import (AvoidanceSpec, GapPattern, ParseError, contains_factor,
-                       contains_gap_pattern, factor_set, find_cube_at_least,
-                       find_cubes, find_gap_occurrences, find_square_at_least,
+                       contains_gap_pattern, find_cube_at_least, find_cubes,
+                       find_gap_occurrences, find_square_at_least,
                        find_squares, format_spec, max_square_root, parse_spec,
                        perfect_shuffle, satisfies_spec, scan_forbidden,
                        suffix_legal, word_from_text, word_to_text)
@@ -32,10 +32,8 @@ def test_perfect_shuffle_interleaves():
         perfect_shuffle(b"\x00", b"\x00\x01")
 
 
-def test_factor_set_and_contains():
+def test_contains_factor():
     word = word_from_text("010011")
-    assert factor_set(word, 2) == {word_from_text(t)
-                                   for t in ("01", "10", "00", "11")}
     assert contains_factor(word, word_from_text("100"))
     assert not contains_factor(word, word_from_text("111"))
 
@@ -105,10 +103,11 @@ SPECS = [
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=range(len(SPECS)))
-@given(word=words2)
+@given(word=words2, max_root=st.none() | st.integers(0, 8))
 @settings(max_examples=80)
-def test_satisfies_spec_matches_naive(spec, word):
-    assert satisfies_spec(word, spec).ok == naive_satisfies(word, spec)
+def test_satisfies_spec_matches_naive(spec, word, max_root):
+    assert (satisfies_spec(word, spec, max_root=max_root).ok
+            == naive_satisfies(word, spec, max_root))
 
 
 @given(words2)
@@ -145,3 +144,15 @@ def test_spec_parse_errors_carry_line_numbers():
         parse_spec("alphabet 2\nsquares min-root x\n")
     with pytest.raises(ParseError, match="alphabet"):
         parse_spec("forbid 00\n")
+
+
+def test_root_cap_never_hides_letters_or_factors():
+    spec = AvoidanceSpec(2, forbidden=(word_from_text("11"),),
+                         square_min_root=1)
+    assert satisfies_spec(word_from_text("0120"), spec,
+                          max_root=0).violation.kind == "letter"
+    assert satisfies_spec(word_from_text("0110"), spec,
+                          max_root=0).violation.kind == "forbidden"
+    assert satisfies_spec(word_from_text("0101"), spec, max_root=1).ok
+    assert satisfies_spec(word_from_text("0101"), spec,
+                          max_root=2).violation.root_length == 2
