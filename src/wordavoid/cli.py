@@ -240,15 +240,17 @@ def _cmd_verify(args) -> int:
         fixed_point = (_resolve_morphism(args.fixed_point_morphism),
                        args.fixed_point_seed)
     if _looks_like_substitution(args.morphism):
-        cert = verify_substitution_transfer(
-            _resolve_substitution(args.morphism), source, target,
-            depth=args.depth, root_cap=args.root_cap,
-            fixed_point=fixed_point, name=args.name or args.morphism)
+        verifier = verify_substitution_transfer
+        morphism = _resolve_substitution(args.morphism)
     else:
-        cert = verify_square_transfer(
-            _resolve_morphism(args.morphism), source, target,
-            depth=args.depth, root_cap=args.root_cap,
-            fixed_point=fixed_point, name=args.name or args.morphism)
+        verifier = verify_square_transfer
+        morphism = _resolve_morphism(args.morphism)
+    try:
+        cert = verifier(morphism, source, target, depth=args.depth,
+                        root_cap=args.root_cap, fixed_point=fixed_point,
+                        name=args.name or args.morphism)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     if args.format == "json":
         _emit(json.dumps(cert.to_dict(), sort_keys=True))
     else:
@@ -401,7 +403,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--morphism", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=_int_at_least(0), default=2)
     p.add_argument("--root-cap", type=_int_at_least(1), default=None)
     p.add_argument("--fixed-point-morphism", default=None)
     p.add_argument("--fixed-point-seed", type=int, default=0)
@@ -433,9 +435,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--outer", required=True)
     p.add_argument("--seed-word", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--denominator", type=int, default=None)
-    p.add_argument("--cap", type=int, default=1 << 16)
-    p.add_argument("--samples", type=int, default=64)
+    p.add_argument("--denominator", type=_int_at_least(1), default=None)
+    p.add_argument("--cap", type=_int_at_least(0), default=1 << 16)
+    p.add_argument("--samples", type=_int_at_least(1), default=64)
     p.add_argument("--seed", type=int, default=0)
     fmt(p, "json")
     p.set_defaults(run=_cmd_family)
@@ -449,7 +451,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="run packaged scenarios")
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--prefix-length", type=int, default=100_000)
+    p.add_argument("--prefix-length", type=_int_at_least(1), default=100_000)
     fmt(p, "text")
     p.set_defaults(run=_cmd_scenario)
     return parser

@@ -755,6 +755,11 @@ def verify_square_transfer(morphism: Morphism, source: AvoidanceSpec,
         raise ValueError("transfer verification needs a uniform morphism")
     if not morphism.injective_on_letters:
         raise ValueError("transfer verification needs distinct images")
+    if fixed_point is not None:
+        fp, seed = fixed_point
+        if fp.source_size != fp.target_size or not fp.is_prolongable(seed):
+            raise ValueError("the fixed point needs an endomorphism"
+                             f" prolongable at its seed {seed}")
     cap = 2 * width if root_cap is None else root_cap
     bounded = bounded_case_check(morphism, source, target, cap, classes)
 

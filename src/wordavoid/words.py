@@ -1,16 +1,21 @@
 """Square, cube, and gap scanning over words stored as bytes of small letters.
 
 A word is a ``bytes`` object whose values are letters 0, 1, 2, ... of a small
-alphabet.  Scanners are exact and deterministic; results are sorted by
-(position, size).  Shift sweeps run in numpy for small shifts, and an anchored
-block search covers large shifts, so scanning a clean word of length n costs
-roughly n log n byte operations.  Worst-case output size is quadratic on
-highly repetitive input, which the intended avoidance words never are.
+alphabet.  Every scanner filters one stream, ``_repeats``: for each shift d,
+the sorted starts j with word[j:j+span(d)] == word[j+d:j+d+span(d)].  Span d
+gives squares of root d, span 2d cubes, and span d-1 the repeated gap of a gap
+pattern.  Numpy sweeps cover small shifts and an anchored block search large
+ones, so scanning a clean word of length n costs roughly n log n byte
+operations.  Full scans sort their occurrences by (position, size); first-hit
+checks take the least (first start, shift) and build no occurrence list.
+Worst-case output size is quadratic on highly repetitive input, which the
+intended avoidance words never are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -128,82 +133,78 @@ def _shift_classes(lo: int, hi: int):
         lo *= 2
 
 
+def _repeats(word: bytes, lo: int, hi: int, span):
+    """Yield (d, starts) for each shift d in lo..hi, ascending, with a repeat.
+
+    starts is the ascending array of every j with
+    word[j:j+span(d)] == word[j+d:j+d+span(d)]; shifts without one are
+    skipped, and span(d) must be at least 1.  Shifts up to _SWEEP_CUT are
+    swept; larger ones come from the anchored block search, which finds every
+    repeat only when span(d) >= d - 1 (see _long_runs).
+    """
+    if lo < 1:
+        raise ValueError("min_root must be >= 1")
+    arr = np.frombuffer(word, dtype=np.uint8)
+    for d in range(lo, min(hi, _SWEEP_CUT) + 1):
+        runs = _equal_runs(arr, d)
+        if runs is None:
+            return
+        s = span(d)
+        starts = np.nonzero(runs[s - 1:] >= s)[0]
+        if starts.size:
+            yield d, starts
+    for clo, chi in _shift_classes(max(lo, _SWEEP_CUT + 1), hi):
+        # Maximal runs of one shift are disjoint, so in order of their left
+        # ends they list the starts in ascending order.
+        runs = sorted(_long_runs(arr, word, clo, chi, span))
+        for d, group in groupby(runs, key=lambda run: run[0]):
+            yield d, np.concatenate([np.arange(left, right - span(d) + 1)
+                                     for _, left, right in group])
+
+
+def _first_repeat(word: bytes, lo: int, hi: int, span) -> tuple[int, int] | None:
+    """Smallest (start, shift) over the repeats of _repeats, or None."""
+    return min(((int(starts[0]), d) for d, starts in _repeats(word, lo, hi, span)),
+               default=None)
+
+
+def _top(word: bytes, power: int, max_root: int | None) -> int:
+    """Largest root a power-th power can have in word, capped by max_root."""
+    top = len(word) // power
+    return top if max_root is None else min(top, max_root)
+
+
+def _occurrences(word: bytes, lo: int, hi: int, span) -> list[tuple[int, int]]:
+    return sorted((p, d) for d, starts in _repeats(word, lo, hi, span)
+                  for p in starts.tolist())
+
+
 def find_squares(word: bytes, min_root: int = 1, max_root: int | None = None) -> list[tuple[int, int]]:
     """All square occurrences as (position, root length), sorted.
 
     A square of root d at position p means word[p:p+d] == word[p+d:p+2d].
     """
-    n = len(word)
-    hi = n // 2 if max_root is None else min(max_root, n // 2)
-    if min_root < 1:
-        raise ValueError("min_root must be >= 1")
-    if hi < min_root:
-        return []
-    arr = np.frombuffer(word, dtype=np.uint8)
-    out = []
-    for d in range(min_root, min(hi, _SWEEP_CUT) + 1):
-        runs = _equal_runs(arr, d)
-        if runs is None:
-            break
-        starts = np.nonzero(runs[d - 1:] >= d)[0]
-        out.extend((int(p), d) for p in starts)
-    for clo, chi in _shift_classes(max(min_root, _SWEEP_CUT + 1), hi):
-        for d, left, right in _long_runs(arr, word, clo, chi, lambda d: d):
-            out.extend((p, d) for p in range(left, right - d + 1))
-    out.sort()
-    return out
+    return _occurrences(word, min_root, _top(word, 2, max_root), lambda d: d)
 
 
 def find_cubes(word: bytes, min_root: int = 1, max_root: int | None = None) -> list[tuple[int, int]]:
     """All cube occurrences as (position, root length), sorted."""
-    n = len(word)
-    hi = n // 3 if max_root is None else min(max_root, n // 3)
-    if min_root < 1:
-        raise ValueError("min_root must be >= 1")
-    if hi < min_root:
-        return []
-    arr = np.frombuffer(word, dtype=np.uint8)
-    out = []
-    for d in range(min_root, min(hi, _SWEEP_CUT) + 1):
-        runs = _equal_runs(arr, d)
-        if runs is None or runs.size < 2 * d:
-            break
-        starts = np.nonzero(runs[2 * d - 1:] >= 2 * d)[0]
-        out.extend((int(p), d) for p in starts)
-    for clo, chi in _shift_classes(max(min_root, _SWEEP_CUT + 1), hi):
-        for d, left, right in _long_runs(arr, word, clo, chi, lambda d: 2 * d):
-            out.extend((p, d) for p in range(left, right - 2 * d + 1))
-    out.sort()
-    return out
+    return _occurrences(word, min_root, _top(word, 3, max_root), lambda d: 2 * d)
 
 
 def find_square_at_least(word: bytes, min_root: int) -> tuple[int, int] | None:
     """First (position, root) square with root >= min_root, or None."""
-    occ = find_squares(word, min_root=min_root)
-    return occ[0] if occ else None
+    return _first_repeat(word, min_root, _top(word, 2, None), lambda d: d)
 
 
 def find_cube_at_least(word: bytes, min_root: int = 1) -> tuple[int, int] | None:
-    occ = find_cubes(word, min_root=min_root)
-    return occ[0] if occ else None
+    return _first_repeat(word, min_root, _top(word, 3, None), lambda d: 2 * d)
 
 
 def max_square_root(word: bytes) -> int:
     """Largest root length of any square in the word, 0 if square free."""
-    n = len(word)
-    arr = np.frombuffer(word, dtype=np.uint8)
-    classes = list(_shift_classes(_SWEEP_CUT + 1, n // 2))
-    for clo, chi in reversed(classes):
-        found = [d for d, _, _ in _long_runs(arr, word, clo, chi, lambda d: d)]
-        if found:
-            return max(found)
-    for d in range(min(_SWEEP_CUT, n // 2), 0, -1):
-        runs = _equal_runs(arr, d)
-        if runs is None or runs.size < d:
-            continue
-        if int(runs[d - 1:].max()) >= d:
-            return d
-    return 0
+    return max((d for d, _ in _repeats(word, 1, len(word) // 2, lambda d: d)),
+               default=0)
 
 
 @dataclass(frozen=True)
@@ -235,29 +236,14 @@ def find_gap_occurrences(word: bytes, pattern: GapPattern,
         return []
     arr = np.frombuffer(word, dtype=np.uint8)
     first, middle, last = pattern.letters()
-    out = []
-    for g in range(0, min(gmax, _SWEEP_CUT - 1) + 1):
-        d = g + 1
-        m = n - 2 * d
-        if m <= 0:
-            break
-        ok = (arr[:m] == first) & (arr[d:d + m] == middle) & (arr[2 * d:] == last)
-        if g > 0:
-            runs = _equal_runs(arr, d)
-            ok &= runs[g:g + m] >= g
-        out.extend((int(i), g) for i in np.nonzero(ok)[0])
-    for clo, chi in _shift_classes(_SWEEP_CUT + 1, gmax + 1):
-        for d, left, right in _long_runs(arr, word, clo, chi, lambda d: d - 1):
-            g = d - 1
-            ilo = max(left - 1, 0)
-            ihi = min(right - d, n - 1 - 2 * d)
-            if ihi < ilo:
-                continue
-            m = ihi - ilo + 1
-            ok = ((arr[ilo:ilo + m] == first)
-                  & (arr[ilo + d:ilo + d + m] == middle)
-                  & (arr[ilo + 2 * d:ilo + 2 * d + m] == last))
-            out.extend((ilo + int(k), g) for k in np.nonzero(ok)[0])
+    ok = (arr[:-2] == first) & (arr[1:-1] == middle) & (arr[2:] == last)
+    out = [(i, 0) for i in np.nonzero(ok)[0].tolist()]
+    # A gap g >= 1 at position i is a repeat of span g and shift g + 1 that
+    # starts at i + 1; in word[1:-1] it starts at i and fits whole patterns.
+    for d, starts in _repeats(word[1:-1], 2, gmax + 1, lambda d: d - 1):
+        ok = ((arr[starts] == first) & (arr[starts + d] == middle)
+              & (arr[starts + 2 * d] == last))
+        out.extend((i, d - 1) for i in starts[ok].tolist())
     out.sort()
     return out
 
@@ -350,20 +336,22 @@ def satisfies_spec(word: bytes, spec: AvoidanceSpec,
     hit = scan_forbidden(word, spec.forbidden)
     if hit is not None:
         return SpecCheck(False, Violation("forbidden", hit[0], hit[1]))
+    hit = None
+    top = _top(word, 2, max_root)
     if spec.square_min_root is not None:
-        occ = find_squares(word, spec.square_min_root, max_root)
-        if occ:
-            p, d = occ[0]
-            return SpecCheck(False, Violation("square", p, word[p:p + 2 * d], d))
-    if spec.square_whitelist is not None:
+        hit = _first_repeat(word, spec.square_min_root, top, lambda d: d)
+    elif spec.square_whitelist is not None:
         allowed = set(spec.square_whitelist)
-        for p, d in find_squares(word, 1, max_root):
-            if word[p:p + 2 * d] not in allowed:
-                return SpecCheck(False, Violation("square", p, word[p:p + 2 * d], d))
+        hit = min(((p, d) for d, starts in _repeats(word, 1, top, lambda d: d)
+                   for p in starts.tolist() if word[p:p + 2 * d] not in allowed),
+                  default=None)
+    if hit is not None:
+        p, d = hit
+        return SpecCheck(False, Violation("square", p, word[p:p + 2 * d], d))
     if spec.cubefree:
-        occ = find_cubes(word, 1, max_root)
-        if occ:
-            p, d = occ[0]
+        hit = _first_repeat(word, 1, _top(word, 3, max_root), lambda d: 2 * d)
+        if hit is not None:
+            p, d = hit
             return SpecCheck(False, Violation("cube", p, word[p:p + 3 * d], d))
     return SpecCheck(True, None)
 

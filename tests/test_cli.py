@@ -176,6 +176,10 @@ def test_bad_flags_are_usage_errors(capsys):
     assert main(["no-such-command"]) == 2
 
 
+FAMILY = ("family", "--sub", "dekking_sub", "--outer", "dekking_g",
+          "--seed-word", "0310201023", "--target", "dekking")
+
+
 @pytest.mark.parametrize("argv, flag", [
     (("count", "--spec", "dekking", "--n-max", "-1"), "--n-max"),
     (("forbidden", "--spec", "dekking", "--max-len", "0"), "--max-len"),
@@ -187,6 +191,12 @@ def test_bad_flags_are_usage_errors(capsys):
       "--target", "squarefree4", "--root-cap", "0"), "--root-cap"),
     (("verify", "--morphism", "dekking_h", "--source", "dekking_h_source",
       "--target", "squarefree4", "--root-cap", "-3"), "--root-cap"),
+    (("verify", "--morphism", "dekking_h", "--source", "dekking_h_source",
+      "--target", "squarefree4", "--depth", "-1"), "--depth"),
+    (("scenario", "pu-shuffle", "--prefix-length", "-5"), "--prefix-length"),
+    (FAMILY + ("--samples", "-1"), "--samples"),
+    (FAMILY + ("--cap", "-1"), "--cap"),
+    (FAMILY + ("--denominator", "0"), "--denominator"),
 ])
 def test_unusable_numeric_flags_are_usage_errors(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
@@ -211,6 +221,31 @@ COUNT = ("count", "--spec", "{path}", "--n-max", "4")
 def test_malformed_files_are_usage_errors(capsys, tmp_path, argv, content):
     path = tmp_path / "input.txt"
     path.write_bytes(content)
+    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "Traceback" not in err
+
+
+VERIFY_G = ("verify", "--morphism", "dekking_g", "--source",
+            "dekking_g_source", "--target", "dekking")
+
+
+@pytest.mark.parametrize("argv", [
+    VERIFY_G + ("--fixed-point-morphism", "dekking_h",
+                "--fixed-point-seed", "9"),
+    VERIFY_G + ("--fixed-point-morphism", "dekking_h",
+                "--fixed-point-seed", "-1"),
+    VERIFY_G + ("--fixed-point-morphism", "dekking_g"),
+    ("verify", "--morphism", "{path}", "--source", "dekking_g_source",
+     "--target", "dekking"),
+], ids=["seed-outside-alphabet", "negative-seed", "not-an-endomorphism",
+        "non-uniform-morphism"])
+def test_unusable_verify_requests_are_usage_errors(capsys, tmp_path, argv):
+    path = tmp_path / "m.txt"
+    path.write_text("0 -> 01\n1 -> 100\n")
     code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
     assert code == 2
     assert out == ""

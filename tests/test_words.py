@@ -1,9 +1,12 @@
 """Word-level scanners against brute-force oracles."""
 
+from contextlib import contextmanager
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wordavoid import words
 from wordavoid import (AvoidanceSpec, GapPattern, ParseError, contains_factor,
                        contains_gap_pattern, find_cube_at_least, find_cubes,
                        find_gap_occurrences, find_square_at_least,
@@ -15,7 +18,32 @@ from conftest import (naive_cubes, naive_gap_occurrences, naive_satisfies,
                       naive_squares)
 
 words2 = st.binary(max_size=40).map(lambda b: bytes(x & 1 for x in b))
-words3 = st.binary(max_size=36).map(lambda b: bytes(x % 3 for x in b))
+
+
+@st.composite
+def planted(draw, alphabet):
+    """Up to 80 letters: a random word with a block repeated 1-3 times inside."""
+    letters = st.binary(max_size=32).map(
+        lambda b: bytes(x % alphabet for x in b))
+    base = draw(letters)
+    block = draw(letters.filter(len).map(lambda b: b[:16]))
+    at = draw(st.integers(0, len(base)))
+    return base[:at] + block * draw(st.integers(1, 3)) + base[at:]
+
+
+# Small cuts send most shifts through the anchored block search, which the
+# default cut reaches only on words longer than 256 letters.
+cuts = st.sampled_from([1, 2, 3, 128])
+
+
+@contextmanager
+def sweep_cut(cut):
+    saved = words._SWEEP_CUT
+    words._SWEEP_CUT = cut
+    try:
+        yield
+    finally:
+        words._SWEEP_CUT = saved
 
 
 def test_word_text_round_trip():
@@ -38,44 +66,57 @@ def test_contains_factor():
     assert not contains_factor(word, word_from_text("111"))
 
 
-@given(words2)
+@given(planted(2), cuts)
 @settings(max_examples=150)
-def test_find_squares_matches_naive(word):
-    assert find_squares(word, 1) == naive_squares(word, 1)
-    assert find_squares(word, 2) == naive_squares(word, 2)
+def test_find_squares_matches_naive(word, cut):
+    with sweep_cut(cut):
+        assert find_squares(word, 1) == naive_squares(word, 1)
+        assert find_squares(word, 2) == naive_squares(word, 2)
 
 
-@given(words3)
+@given(planted(3), cuts)
 @settings(max_examples=100)
-def test_find_cubes_matches_naive(word):
-    assert find_cubes(word, 1) == naive_cubes(word, 1)
+def test_find_cubes_matches_naive(word, cut):
+    with sweep_cut(cut):
+        assert find_cubes(word, 1) == naive_cubes(word, 1)
 
 
-@given(words2)
+@given(planted(2), cuts)
 @settings(max_examples=100)
-def test_first_hits_agree_with_full_scans(word):
+def test_first_hits_agree_with_full_scans(word, cut):
     sq = naive_squares(word, 2)
-    assert find_square_at_least(word, 2) == (min(sq) if sq else None)
     cu = naive_cubes(word, 1)
-    assert find_cube_at_least(word, 1) == (min(cu) if cu else None)
+    allowed = (word_from_text("00"), word_from_text("11"))
+    unlisted = [(p, d) for p, d in naive_squares(word, 1)
+                if word[p:p + 2 * d] not in allowed]
+    with sweep_cut(cut):
+        assert find_square_at_least(word, 2) == min(sq, default=None)
+        assert find_cube_at_least(word, 1) == min(cu, default=None)
+        for spec, occ in ((AvoidanceSpec(2, square_min_root=2), sq),
+                          (AvoidanceSpec(2, cubefree=True), cu),
+                          (AvoidanceSpec(2, square_whitelist=allowed), unlisted)):
+            v = satisfies_spec(word, spec).violation
+            assert (v and (v.position, v.root_length)) == min(occ, default=None)
 
 
-@given(words2)
+@given(planted(2), cuts)
 @settings(max_examples=100)
-def test_max_square_root_matches_naive(word):
+def test_max_square_root_matches_naive(word, cut):
     occ = naive_squares(word, 1)
     expected = max((root for _, root in occ), default=0)
-    assert max_square_root(word) == expected
+    with sweep_cut(cut):
+        assert max_square_root(word) == expected
 
 
-@given(words3, st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
+@given(planted(3), cuts, st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 2))
 @settings(max_examples=150)
-def test_gap_occurrences_match_naive(word, first, middle, last):
+def test_gap_occurrences_match_naive(word, cut, first, middle, last):
     pattern = GapPattern(first, middle, last)
-    got = find_gap_occurrences(word, pattern)
     expected = naive_gap_occurrences(word, pattern)
-    assert sorted(got) == expected
-    assert contains_gap_pattern(word, pattern) == bool(expected)
+    with sweep_cut(cut):
+        assert find_gap_occurrences(word, pattern) == expected
+        assert contains_gap_pattern(word, pattern) == bool(expected)
 
 
 def test_gap_pattern_word_builder():
@@ -103,11 +144,12 @@ SPECS = [
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=range(len(SPECS)))
-@given(word=words2, max_root=st.none() | st.integers(0, 8))
+@given(word=planted(2), max_root=st.none() | st.integers(0, 8), cut=cuts)
 @settings(max_examples=80)
-def test_satisfies_spec_matches_naive(spec, word, max_root):
-    assert (satisfies_spec(word, spec, max_root=max_root).ok
-            == naive_satisfies(word, spec, max_root))
+def test_satisfies_spec_matches_naive(spec, word, max_root, cut):
+    with sweep_cut(cut):
+        check = satisfies_spec(word, spec, max_root=max_root)
+    assert check.ok == naive_satisfies(word, spec, max_root)
 
 
 @given(words2)
