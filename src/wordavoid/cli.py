@@ -154,9 +154,12 @@ def _cmd_scan(args) -> int:
                          None if hit is None else
                          {"position": hit[0], "factor": word_to_text(hit[1])}))
     if args.gap_pattern is not None:
-        parts = args.gap_pattern.split(",")
-        if len(parts) != 3 or not all(p.strip().isdigit() for p in parts):
-            raise ParseError("gap pattern must be three letters `a,b,c`")
+        # One decimal digit per letter, the letters a word file can hold.
+        parts = [p.strip() for p in args.gap_pattern.split(",")]
+        if len(parts) != 3 or not all(len(p) == 1 and "0" <= p <= "9"
+                                      for p in parts):
+            raise ParseError("gap pattern must be three one-digit letters"
+                             " `a,b,c`")
         pattern = GapPattern(*(int(p) for p in parts))
         occ = find_gap_occurrences(word, pattern)
         findings.append(("gap pattern %d.%d.%d" % pattern.letters(),
@@ -320,10 +323,13 @@ def _cmd_family(args) -> int:
     outer = _resolve_morphism(args.outer)
     target = _resolve_spec(args.target)
     seed_word = word_from_text(args.seed_word)
-    report = lower_bound_family(sub, outer, seed_word, target,
-                                exponent_denominator=args.denominator,
-                                enumeration_cap=args.cap,
-                                samples=args.samples, seed=args.seed)
+    try:
+        report = lower_bound_family(sub, outer, seed_word, target,
+                                    exponent_denominator=args.denominator,
+                                    enumeration_cap=args.cap,
+                                    samples=args.samples, seed=args.seed)
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     expected = report.family_size if report.enumerated else args.samples
     ok = report.verified_count == expected and report.exponent_check
     if args.format == "text":

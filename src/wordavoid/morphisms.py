@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 
@@ -125,29 +126,29 @@ class Substitution:
         widths = {len(img) for choices in self.image_sets for img in choices}
         return widths.pop() if len(widths) == 1 else None
 
-    def base_morphism(self) -> Morphism:
-        """The morphism taking the first listed image of every letter."""
-        return Morphism(self.source_size, self.target_size,
-                        tuple(choices[0] for choices in self.image_sets))
+    def _choices(self, word: bytes) -> list[tuple[bytes, ...]]:
+        try:
+            return [self.image_sets[a] for a in word]
+        except IndexError:
+            raise ValueError("word uses letters outside the source alphabet"
+                             ) from None
 
     def count_images(self, word: bytes) -> int:
-        count = 1
-        for a in word:
-            count *= len(self.image_sets[a])
-        return count
+        return math.prod(len(choices) for choices in self._choices(word))
 
     def iter_images(self, word: bytes, cap: int = 1 << 20):
         """All images of `word`, in lexicographic choice order."""
-        if self.count_images(word) > cap:
-            raise ValueError("image family larger than cap")
-        pools = [self.image_sets[a] for a in word]
-        for picks in itertools.product(*pools):
+        count = self.count_images(word)
+        if count > cap:
+            raise ValueError(f"image family of {count} words is larger than"
+                             f" the enumeration limit {cap}")
+        for picks in itertools.product(*self._choices(word)):
             yield b"".join(picks)
 
     def sample_image(self, word: bytes, seed: int) -> bytes:
         """One image of `word`, choices drawn from a fresh seeded generator."""
         rng = random.Random(seed)
-        return b"".join(rng.choice(self.image_sets[a]) for a in word)
+        return b"".join(rng.choice(choices) for choices in self._choices(word))
 
     def to_annotated(self) -> tuple[Morphism, tuple[int, ...]]:
         """Flatten to a plain morphism over an alphabet of (letter, choice) ids.

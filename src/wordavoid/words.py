@@ -15,6 +15,7 @@ intended avoidance words never are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import groupby
 
 import numpy as np
@@ -35,7 +36,7 @@ def word_from_text(text: str) -> bytes:
     for ch in text:
         if ch.isspace():
             continue
-        if not ch.isdigit():
+        if not "0" <= ch <= "9":
             raise ParseError(f"bad letter {ch!r} in word")
         out.append(int(ch))
     return bytes(out)
@@ -162,20 +163,22 @@ def _repeats(word: bytes, lo: int, hi: int, span):
                                      for _, left, right in group])
 
 
-def _first_repeat(word: bytes, lo: int, hi: int, span) -> tuple[int, int] | None:
-    """Smallest (start, shift) over the repeats of _repeats, or None."""
-    return min(((int(starts[0]), d) for d, starts in _repeats(word, lo, hi, span)),
-               default=None)
+def _first_repeat(word: bytes, lo: int, hi: int, power: int,
+                  allowed: frozenset = frozenset()) -> tuple[int, int] | None:
+    """Least (start, root) of a power-th power with root in lo..hi that is not
+    an allowed word, or None; with none allowed, only starts[:1] is read."""
+    return min(((p, d) for d, starts in _repeats(word, lo, hi, lambda d: (power - 1) * d)
+                for p in (starts.tolist() if allowed else starts[:1].tolist())
+                if word[p:p + power * d] not in allowed), default=None)
 
 
-def _top(word: bytes, power: int, max_root: int | None) -> int:
-    """Largest root a power-th power can have in word, capped by max_root."""
-    top = len(word) // power
-    return top if max_root is None else min(top, max_root)
+def _top(word: bytes, power: int, *caps: int | None) -> int:
+    """Largest root a power-th power can have in word, within the given caps."""
+    return min([len(word) // power, *(c for c in caps if c is not None)])
 
 
-def _occurrences(word: bytes, lo: int, hi: int, span) -> list[tuple[int, int]]:
-    return sorted((p, d) for d, starts in _repeats(word, lo, hi, span)
+def _occurrences(word: bytes, lo: int, hi: int, power: int) -> list[tuple[int, int]]:
+    return sorted((p, d) for d, starts in _repeats(word, lo, hi, lambda d: (power - 1) * d)
                   for p in starts.tolist())
 
 
@@ -184,21 +187,21 @@ def find_squares(word: bytes, min_root: int = 1, max_root: int | None = None) ->
 
     A square of root d at position p means word[p:p+d] == word[p+d:p+2d].
     """
-    return _occurrences(word, min_root, _top(word, 2, max_root), lambda d: d)
+    return _occurrences(word, min_root, _top(word, 2, max_root), 2)
 
 
 def find_cubes(word: bytes, min_root: int = 1, max_root: int | None = None) -> list[tuple[int, int]]:
     """All cube occurrences as (position, root length), sorted."""
-    return _occurrences(word, min_root, _top(word, 3, max_root), lambda d: 2 * d)
+    return _occurrences(word, min_root, _top(word, 3, max_root), 3)
 
 
 def find_square_at_least(word: bytes, min_root: int) -> tuple[int, int] | None:
     """First (position, root) square with root >= min_root, or None."""
-    return _first_repeat(word, min_root, _top(word, 2, None), lambda d: d)
+    return _first_repeat(word, min_root, _top(word, 2), 2)
 
 
 def find_cube_at_least(word: bytes, min_root: int = 1) -> tuple[int, int] | None:
-    return _first_repeat(word, min_root, _top(word, 3, None), lambda d: 2 * d)
+    return _first_repeat(word, min_root, _top(word, 3), 3)
 
 
 def max_square_root(word: bytes) -> int:
@@ -315,18 +318,32 @@ class AvoidanceSpec:
             if len(w) == 0 or len(w) % 2 or w[:h] != w[h:]:
                 raise ValueError(f"whitelist entry {word_to_text(w)} is not a square")
 
-    def max_forbidden_length(self) -> int:
-        return max((len(f) for f in self.forbidden), default=0)
+    @cached_property
+    def repetition_rules(self) -> tuple[tuple[str, int, int, int | None, frozenset], ...]:
+        """(kind, power, least root, greatest root or None, allowed words) of
+        each forbidden repetition, in the order violations are reported.  A
+        cube of root d begins with a square of root d, so cubes stop at the
+        longest root that has an allowed square."""
+        rules, cube_top = [], None
+        if self.square_min_root is not None:
+            rules.append(("square", 2, self.square_min_root, None, frozenset()))
+            cube_top = self.square_min_root - 1
+        elif self.square_whitelist is not None:
+            rules.append(("square", 2, 1, None, frozenset(self.square_whitelist)))
+            cube_top = max((len(w) // 2 for w in self.square_whitelist), default=0)
+        if self.cubefree:
+            rules.append(("cube", 3, 1, cube_top, frozenset()))
+        return tuple(rules)
 
 
 def satisfies_spec(word: bytes, spec: AvoidanceSpec,
                    max_root: int | None = None) -> SpecCheck:
     """Check a whole word against a spec, reporting the first violation.
 
-    Checks run in a fixed order (letters, forbidden factors, squares, cubes)
-    and each reports its leftmost, then smallest, occurrence.  With max_root
-    set, squares and cubes whose root is longer are not reported; letters and
-    forbidden factors are always checked.
+    Checks run in a fixed order (letters, forbidden factors, then the spec's
+    repetition rules) and each reports its leftmost, then smallest,
+    occurrence.  With max_root set, squares and cubes whose root is longer
+    are not reported; letters and forbidden factors are always checked.
     """
     if word:
         arr = np.frombuffer(word, dtype=np.uint8)
@@ -336,23 +353,11 @@ def satisfies_spec(word: bytes, spec: AvoidanceSpec,
     hit = scan_forbidden(word, spec.forbidden)
     if hit is not None:
         return SpecCheck(False, Violation("forbidden", hit[0], hit[1]))
-    hit = None
-    top = _top(word, 2, max_root)
-    if spec.square_min_root is not None:
-        hit = _first_repeat(word, spec.square_min_root, top, lambda d: d)
-    elif spec.square_whitelist is not None:
-        allowed = set(spec.square_whitelist)
-        hit = min(((p, d) for d, starts in _repeats(word, 1, top, lambda d: d)
-                   for p in starts.tolist() if word[p:p + 2 * d] not in allowed),
-                  default=None)
-    if hit is not None:
-        p, d = hit
-        return SpecCheck(False, Violation("square", p, word[p:p + 2 * d], d))
-    if spec.cubefree:
-        hit = _first_repeat(word, 1, _top(word, 3, max_root), lambda d: 2 * d)
+    for kind, power, lo, hi, allowed in spec.repetition_rules:
+        hit = _first_repeat(word, lo, _top(word, power, hi, max_root), power, allowed)
         if hit is not None:
             p, d = hit
-            return SpecCheck(False, Violation("cube", p, word[p:p + 3 * d], d))
+            return SpecCheck(False, Violation(kind, p, word[p:p + power * d], d))
     return SpecCheck(True, None)
 
 
@@ -371,18 +376,10 @@ def suffix_legal(word: bytes, spec: AvoidanceSpec) -> bool:
     for f in spec.forbidden:
         if n >= len(f) and word.endswith(f):
             return False
-    if spec.square_min_root is not None:
-        for d in range(spec.square_min_root, n // 2 + 1):
-            if word[n - 2 * d:n - d] == word[n - d:]:
-                return False
-    if spec.square_whitelist is not None:
-        allowed = set(spec.square_whitelist)
-        for d in range(1, n // 2 + 1):
-            if word[n - 2 * d:n - d] == word[n - d:] and word[n - 2 * d:] not in allowed:
-                return False
-    if spec.cubefree:
-        for d in range(1, n // 3 + 1):
-            if word[n - 3 * d:n - 2 * d] == word[n - 2 * d:n - d] == word[n - d:]:
+    for _, power, lo, hi, allowed in spec.repetition_rules:
+        for d in range(lo, (n // power if hi is None else min(n // power, hi)) + 1):
+            start = n - power * d
+            if word[start:n - d] == word[start + d:] and word[start:] not in allowed:
                 return False
     return True
 
@@ -390,8 +387,8 @@ def suffix_legal(word: bytes, spec: AvoidanceSpec) -> bool:
 def parse_spec(text: str) -> AvoidanceSpec:
     """Read a spec from its text form.
 
-    Lines are `alphabet N`, `squares min-root N | whitelist W... | all-forbidden`,
-    `cubes forbidden`, and `forbid W...`; # starts a comment.
+    Lines are `alphabet N`, `squares min-root N | whitelist W... | all-forbidden
+    | any`, `cubes forbidden | any`, and `forbid W...`; # starts a comment.
     """
     alphabet = None
     forbidden: list[bytes] = []

@@ -116,6 +116,9 @@ def test_scan_reports_and_exit_codes(capsys, tmp_path, registry):
 
     code, _, err = run_cli(capsys, "scan", "--word", str(dirty))
     assert code == 2 and "nothing to scan" in err
+    code, out, err = run_cli(capsys, "scan", "--word", str(dirty),
+                             "--gap-pattern", "300,1,1")
+    assert code == 2 and out == "" and "one-digit letters" in err
 
 
 def test_verify_exit_codes_follow_completeness(capsys, tmp_path, registry):
@@ -204,6 +207,19 @@ def test_unusable_numeric_flags_are_usage_errors(capsys, argv, flag):
     assert out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1 and flag in errors[0]
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    FAMILY + ("--seed-word", "9"),
+    FAMILY + ("--seed-word", "1" * 21, "--cap", "3000000"),
+], ids=["seed-outside-alphabet", "family-above-enumeration-limit"])
+def test_unusable_family_requests_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1
     assert "Traceback" not in err
 
 

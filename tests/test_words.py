@@ -49,8 +49,9 @@ def sweep_cut(cut):
 def test_word_text_round_trip():
     assert word_from_text("0102 31") == bytes([0, 1, 0, 2, 3, 1])
     assert word_to_text(bytes([0, 1, 0, 2])) == "0102"
-    with pytest.raises(ParseError):
-        word_from_text("01a2")
+    for text in ("01a2", "0\u00b2", "0\u0663"):
+        with pytest.raises(ParseError):
+            word_from_text(text)
 
 
 def test_perfect_shuffle_interleaves():
@@ -92,9 +93,14 @@ def test_first_hits_agree_with_full_scans(word, cut):
     with sweep_cut(cut):
         assert find_square_at_least(word, 2) == min(sq, default=None)
         assert find_cube_at_least(word, 1) == min(cu, default=None)
+        # Squares are reported before cubes of any root.
         for spec, occ in ((AvoidanceSpec(2, square_min_root=2), sq),
                           (AvoidanceSpec(2, cubefree=True), cu),
-                          (AvoidanceSpec(2, square_whitelist=allowed), unlisted)):
+                          (AvoidanceSpec(2, square_whitelist=allowed), unlisted),
+                          (AvoidanceSpec(2, square_min_root=2, cubefree=True),
+                           sq or cu),
+                          (AvoidanceSpec(2, square_whitelist=allowed,
+                                         cubefree=True), unlisted or cu)):
             v = satisfies_spec(word, spec).violation
             assert (v and (v.position, v.root_length)) == min(occ, default=None)
 
@@ -140,6 +146,10 @@ SPECS = [
                                        word_from_text("0101"))),
     AvoidanceSpec(3, square_min_root=1),
     AvoidanceSpec(2, forbidden=(word_from_text("000"), word_from_text("111"))),
+    AvoidanceSpec(2, square_whitelist=tuple(word_from_text(w) for w in
+                                            ("00", "11", "0101", "1010")),
+                  cubefree=True),
+    AvoidanceSpec(2, square_min_root=1, cubefree=True),
 ]
 
 
