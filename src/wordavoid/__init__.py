@@ -24,7 +24,6 @@ from .counting import (CountTable, ExhaustReport, FactorAutomaton,
                        growth_rate, lower_bound_family, minimal_forbidden,
                        walk_legal)
 from .instances import (InstanceRegistry, load_registry, with_image_letter)
-from .scenarios import (Check, ScenarioReport, SCENARIOS, run_all_scenarios,
-                        run_scenario)
+from .scenarios import Check, ScenarioReport, SCENARIOS, run_scenario
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Every search over legal words goes through one walker, `walk_legal`: a
 word is extended letter by letter and a branch dies as soon as the new
 suffix breaks the spec, which is the only place a fresh violation can
 appear.  Counting tallies the walked words, exhaustion looks for the longest
-one, and minimality inspects the rejected extensions.  Every constraint (a
-forbidden factor, a forbidden square, a cube) is itself a factor, so
+one, minimality inspects the rejected extensions, and the verifier's
+bounded case prunes below each source word whose image fails.  Every
+constraint (a forbidden factor, a forbidden square, a cube) is a factor, so
 legality is closed under taking factors and suffix checks alone decide both
 the walk and minimality.
 Minimal forbidden words (both one-letter truncations legal) feed an
@@ -40,36 +41,41 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
 
-def walk_legal(spec: AvoidanceSpec, max_len: int, prefix: bytes = b""):
+def walk_legal(spec: AvoidanceSpec, max_len: int, prefix: bytes = b"",
+               classes: tuple[int, ...] | None = None):
     """Legal words extending a legal prefix, up to max_len letters.
 
-    Yields (word, rejected) in lexicographic preorder, starting with the
-    prefix itself.  `rejected` lists the one-letter extensions of `word` that
-    break the spec; it is empty at max_len, where no extension is tried.
-    Children are checked before their parent is yielded, one suffix check
-    each, so a word is never checked twice and every yielded word is legal.
+    Yields (word, children, rejected) in lexicographic preorder from the
+    prefix itself: the one-letter extensions of `word` that satisfy and that
+    break the spec, both empty at max_len.  They are checked before `word`
+    is yielded, one suffix check each, so every yielded word is legal;
+    children are walked once the consumer resumes, so `children.clear()`
+    prunes the subtree (as with `os.walk`).  With `classes`, the letters are
+    0..len(classes)-1 and letter x is checked as classes[x].
     """
-    letters = [bytes([x]) for x in range(spec.alphabet_size)]
+    size = spec.alphabet_size if classes is None else len(classes)
+    letters = [bytes([x]) for x in range(size)]
+    table = None if classes is None else bytes(classes).ljust(256, b"\0")
     stack = [prefix]
     while stack:
         word = stack.pop()
-        rejected = []
+        children, rejected = [], []
         if len(word) < max_len:
-            legal = []
             for letter in letters:
                 ext = word + letter
-                if suffix_legal(ext, spec):
-                    legal.append(ext)
+                if suffix_legal(ext if table is None
+                                else ext.translate(table), spec):
+                    children.append(ext)
                 else:
                     rejected.append(ext)
-            stack += reversed(legal)
-        yield word, rejected
+        yield word, children, rejected
+        stack += reversed(children)
 
 
 def _subtree_counts(prefix: bytes, spec: AvoidanceSpec, n_max: int) -> list[int]:
     """Counts by length of legal words extending one legal prefix."""
     counts = [0] * (n_max + 1)
-    for word, _ in walk_legal(spec, n_max, prefix):
+    for word, _, _ in walk_legal(spec, n_max, prefix):
         counts[len(word)] += 1
     return counts
 
@@ -92,7 +98,7 @@ def count_avoiding(spec: AvoidanceSpec, n_max: int,
     split = min(6, n_max)
     counts = [0] * (n_max + 1)
     frontier = []
-    for word, _ in walk_legal(spec, split):
+    for word, _, _ in walk_legal(spec, split):
         if len(word) == split:
             frontier.append(word)
         else:
@@ -137,7 +143,7 @@ def minimal_forbidden(spec: AvoidanceSpec, max_length: int) -> MinimalForbiddenS
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     found = set()
-    for _, rejected in walk_legal(spec, max_length):
+    for _, _, rejected in walk_legal(spec, max_length):
         for ext in rejected:
             if suffix_legal(ext[1:], spec):
                 found.add(ext)
@@ -321,7 +327,10 @@ def lower_bound_family(sub: Substitution, outer: Morphism, seed_word: bytes,
     The family size is exact regardless of size; beyond the enumeration cap
     only a deterministic sample is verified.  The exponent check compares
     family_size against 2^(word_length / denominator) in exact integers.
+    An empty seed word leaves nothing to check and is rejected.
     """
+    if not seed_word:
+        raise ValueError("the seed word is empty")
     family_size = sub.count_images(seed_word)
     first = outer.apply(next(iter(sub.iter_images(seed_word))))
     length = len(first)
@@ -368,7 +377,7 @@ def exhaust_max_length(spec: AvoidanceSpec, hard_cap: int) -> ExhaustReport:
     if hard_cap < 1:
         raise ValueError("hard_cap must be >= 1")
     best = b""
-    for word, _ in walk_legal(spec, hard_cap):
+    for word, _, _ in walk_legal(spec, hard_cap):
         if len(word) == hard_cap:
             return ExhaustReport(None, None, True)
         if len(word) > len(best):

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .words import ParseError, word_from_text, word_to_text
 
@@ -67,8 +68,8 @@ class FixedPointStream:
 
     Each request extends an internal buffer by re-expanding only the source
     letters not yet covered, so successive prefixes cost amortized linear
-    time.  Streams are memoized per (morphism, seed); use `fixed_point_prefix`
-    unless you need to hold the stream itself.
+    time.  `fixed_point_prefix` keeps the `_STREAMS_KEPT` most recently used
+    streams; use it unless you need to hold the stream itself.
     """
 
     def __init__(self, morphism: Morphism, seed: int):
@@ -91,16 +92,18 @@ class FixedPointStream:
         return bytes(self._buf[:length])
 
 
-_streams: dict[tuple[Morphism, int], FixedPointStream] = {}
+# A full scenario run reads four fixed points.
+_STREAMS_KEPT = 16
+
+
+@lru_cache(maxsize=_STREAMS_KEPT)
+def _stream(morphism: Morphism, seed: int) -> FixedPointStream:
+    return FixedPointStream(morphism, seed)
 
 
 def fixed_point_prefix(morphism: Morphism, seed: int, length: int) -> bytes:
     """First `length` letters of the fixed point starting at `seed`."""
-    key = (morphism, seed)
-    stream = _streams.get(key)
-    if stream is None:
-        stream = _streams[key] = FixedPointStream(morphism, seed)
-    return stream.prefix(length)
+    return _stream(morphism, seed).prefix(length)
 
 
 @dataclass(frozen=True)

@@ -546,8 +546,3 @@ def run_scenario(name: str, registry: InstanceRegistry | None = None,
                               (Check("scenario setup", False,
                                      f"raised {exc!r}"),), {})
 
-
-def run_all_scenarios(registry: InstanceRegistry | None = None,
-                      prefix_length: int = 100_000) -> list[ScenarioReport]:
-    return [run_scenario(name, registry, prefix_length)
-            for name in SCENARIOS]

@@ -4,10 +4,10 @@ Proves statements of the form "if a word satisfies the source spec, its image
 satisfies the target spec" by splitting any would-be violation into three
 exhaustive channels:
 
-* short violations, inside the image of a bounded source word (each image
-  is checked whole with `satisfies_spec`, squares and cubes capped at the
-  root cap; a cap below the default 2W leaves the roots above it as a
-  residual obligation);
+* short violations, inside the image of a bounded source word (the shared
+  legal-word walker yields the words and skips the extensions of a failed
+  one; each image is checked whole with `satisfies_spec`, roots capped at
+  the root cap; a cap below 2W leaves the roots above it as a residual);
 * inclusions, where one image sits inside the image of a pair with offcut
   affixes on both sides (refuted case by case through context letters and
   forced pullbacks);
@@ -29,7 +29,7 @@ from .counting import walk_legal
 from .morphisms import Morphism, Substitution, fixed_point_prefix
 from .words import (AvoidanceSpec, GapPattern, Violation,
                     find_gap_occurrences, format_spec, satisfies_spec,
-                    suffix_legal, word_to_text)
+                    word_to_text)
 
 FixedPoint = tuple[Morphism, int]
 
@@ -58,7 +58,12 @@ def _find_all(hay: bytes, needle: bytes):
 # ---------------------------------------------------------------------------
 # Exact factors of a fixed point.
 
-@lru_cache(maxsize=None)
+# A full scenario run uses 2 + 2 closures and 32 factor sets.
+_CLOSURES_KEPT = 16
+_FACTOR_SETS_KEPT = 256
+
+
+@lru_cache(maxsize=_CLOSURES_KEPT)
 def letter_closure(morphism: Morphism, seed: int) -> frozenset[int]:
     """Letters occurring in the fixed point of `morphism` at `seed`."""
     seen = {seed}
@@ -72,7 +77,7 @@ def letter_closure(morphism: Morphism, seed: int) -> frozenset[int]:
     return frozenset(seen)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CLOSURES_KEPT)
 def pair_closure(morphism: Morphism, seed: int) -> frozenset[bytes]:
     """Two-letter factors of the fixed point.
 
@@ -97,7 +102,7 @@ def pair_closure(morphism: Morphism, seed: int) -> frozenset[bytes]:
     return frozenset(pairs)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_FACTOR_SETS_KEPT)
 def exact_factors(morphism: Morphism, seed: int, length: int) -> frozenset[bytes]:
     """All factors of the given length of the fixed point, computed exactly.
 
@@ -271,16 +276,16 @@ def find_inclusions(morphism: Morphism, classes: tuple[int, ...] | None = None,
     """All ways an image sits strictly inside the image of a two-letter word.
 
     `pairs` selects which (a, b) to scan: "distinct" keeps pairs whose
-    letters differ (as classes, when given), "equal" keeps the rest, "all"
-    keeps everything.  When `source` is given, pairs whose two-letter word
-    already violates it are skipped: such pairs never occur in a conforming
-    word, so their inclusions threaten nothing.  Offsets 0 and W would make
-    c a copy of a or b and are not inclusions.
+    letters differ (as classes, when given), "equal" keeps the rest.  When
+    `source` is given, pairs whose two-letter word already violates it are
+    skipped: such pairs never occur in a conforming word, so their
+    inclusions threaten nothing.  Offsets 0 and W would make c a copy of a
+    or b and are not inclusions.
     """
     width = morphism.uniform_width
     if width is None:
         raise ValueError("inclusion search needs a uniform morphism")
-    if pairs not in ("distinct", "equal", "all"):
+    if pairs not in ("distinct", "equal"):
         raise ValueError(f"bad pairs selector {pairs!r}")
     cls = classes or tuple(range(morphism.source_size))
     out = []
@@ -460,7 +465,7 @@ def _exhaustive_viability(pattern: GapPattern, spec: AvoidanceSpec,
     died before reaching max_gap.
     """
     complete = True
-    for word, _ in walk_legal(spec, max_gap + 1, bytes([pattern.first])):
+    for word, _, _ in walk_legal(spec, max_gap + 1, bytes([pattern.first])):
         candidate = pattern.word(word[1:])
         if _legal(candidate, spec):
             return complete, candidate
@@ -627,10 +632,8 @@ def refute_interchange(witness: InterchangeWitness, source: AvoidanceSpec,
                        classes: tuple[int, ...] | None = None) -> Refutation:
     """An interchange forces b..c..a with equal gaps in the source word, so
     evidence that the gap pattern is absent refutes it."""
-    cls = classes or None
-    a = _project(bytes([witness.a]), cls)[0]
-    b = _project(bytes([witness.b]), cls)[0]
-    c = _project(bytes([witness.c]), cls)[0]
+    a, b, c = _project(bytes([witness.a, witness.b, witness.c]),
+                       classes or None)
     if a == c or b == c:
         return Refutation("trivial", "interchange letters collapse")
     pattern = GapPattern(b, c, a)
@@ -665,31 +668,18 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     max_len = (2 * root_cap) // width + 2
     counts = [0] * (max_len + 1)
     violations: list[tuple[bytes, Violation]] = []
-    checked = 0
-
-    def rec(word: bytearray, projected: bytearray):
-        nonlocal checked
+    # An image violation survives every extension, so it prunes the subtree.
+    letters = classes or tuple(range(morphism.source_size))
+    for word, children, _ in walk_legal(source, max_len, classes=letters):
         if word:
             counts[len(word)] += 1
-            checked += 1
-            bad = satisfies_spec(morphism.apply(bytes(word)), target,
+            bad = satisfies_spec(morphism.apply(word), target,
                                  max_root=root_cap).violation
             if bad is not None:
-                violations.append((bytes(word), bad))
-                return
-        if len(word) == max_len:
-            return
-        for letter in range(morphism.source_size):
-            cls = letter if classes is None else classes[letter]
-            projected.append(cls)
-            if suffix_legal(bytes(projected), source):
-                word.append(letter)
-                rec(word, projected)
-                word.pop()
-            projected.pop()
-
-    rec(bytearray(), bytearray())
-    return BoundedCaseReport(max_len, checked, tuple(counts), tuple(violations))
+                violations.append((word, bad))
+                children.clear()
+    return BoundedCaseReport(max_len, sum(counts), tuple(counts),
+                             tuple(violations))
 
 
 @dataclass(frozen=True)

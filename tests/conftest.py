@@ -7,6 +7,7 @@ the package are checked against something that cannot share their bugs.
 import itertools
 
 import pytest
+from hypothesis import strategies as st
 
 from wordavoid import AvoidanceSpec, load_registry
 
@@ -14,6 +15,24 @@ from wordavoid import AvoidanceSpec, load_registry
 @pytest.fixture(scope="session")
 def registry():
     return load_registry()
+
+
+@st.composite
+def specs(draw, alphabet, max_min_root=4):
+    """Small random specs: a few forbidden factors, one square policy and
+    maybe cubes."""
+    letters = st.integers(0, alphabet - 1)
+    factor = st.lists(letters, min_size=1, max_size=4).map(bytes)
+    forbidden = tuple(draw(st.lists(factor, max_size=3)))
+    root = st.lists(letters, min_size=1, max_size=2).map(bytes)
+    policy = draw(st.sampled_from(("min-root", "whitelist")))
+    if policy == "min-root":
+        squares = {"square_min_root": draw(st.integers(1, max_min_root))}
+    else:
+        roots = draw(st.lists(root, max_size=3))
+        squares = {"square_whitelist": tuple(r + r for r in roots)}
+    return AvoidanceSpec(alphabet, forbidden, cubefree=draw(st.booleans()),
+                         **squares)
 
 
 # ---------------------------------------------------------------------------

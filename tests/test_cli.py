@@ -213,7 +213,10 @@ def test_unusable_numeric_flags_are_usage_errors(capsys, argv, flag):
 @pytest.mark.parametrize("argv", [
     FAMILY + ("--seed-word", "9"),
     FAMILY + ("--seed-word", "1" * 21, "--cap", "3000000"),
-], ids=["seed-outside-alphabet", "family-above-enumeration-limit"])
+    FAMILY + ("--seed-word", ""),
+    FAMILY + ("--seed-word", "  "),
+], ids=["seed-outside-alphabet", "family-above-enumeration-limit",
+        "empty-seed", "whitespace-seed"])
 def test_unusable_family_requests_are_usage_errors(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -13,7 +13,7 @@ from wordavoid import (AvoidanceSpec, FactorAutomaton, build_automaton,
                        lower_bound_family, minimal_forbidden, satisfies_spec,
                        walk_legal, word_from_text, word_to_text)
 
-from conftest import all_words, naive_count, naive_satisfies
+from conftest import all_words, naive_count, naive_satisfies, specs
 
 G_TABLE = (1, 2, 4, 6, 10, 16, 24, 36, 52, 72, 90, 116, 142, 178, 220, 264,
            332, 414)
@@ -118,18 +118,7 @@ def test_minimal_forbidden_sizes_and_members(registry):
 def small_specs(draw):
     """Specs small enough to check every word up to the drawn length."""
     alphabet = draw(st.integers(2, 3))
-    letters = st.integers(0, alphabet - 1)
-    factor = st.lists(letters, min_size=1, max_size=4).map(bytes)
-    forbidden = tuple(draw(st.lists(factor, max_size=3)))
-    root = st.lists(letters, min_size=1, max_size=2).map(bytes)
-    policy = draw(st.sampled_from(("min-root", "whitelist")))
-    if policy == "min-root":
-        squares = {"square_min_root": draw(st.integers(1, 4))}
-    else:
-        roots = draw(st.lists(root, max_size=3))
-        squares = {"square_whitelist": tuple(r + r for r in roots)}
-    spec = AvoidanceSpec(alphabet, forbidden, cubefree=draw(st.booleans()),
-                         **squares)
+    spec = draw(specs(alphabet))
     return spec, draw(st.integers(1, 10 if alphabet == 2 else 6))
 
 
@@ -146,24 +135,43 @@ def test_minimal_forbidden_matches_brute_force(case):
 
 
 @given(small_specs(), st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 def test_walk_legal_matches_brute_force(case, data):
     """From any legal prefix the walk yields exactly the legal words that
-    extend it, in sorted (lexicographic preorder) order, each with exactly
-    its illegal one-letter extensions below max_len."""
+    extend it and have no pruned proper prefix, in sorted (lexicographic
+    preorder) order, each with its legal and its illegal one-letter
+    extensions below max_len.  Under a class map, a word is legal when its
+    letter-by-letter projection is."""
     spec, max_len = case
-    legal = [w for n in range(max_len + 1)
-             for w in all_words(spec.alphabet_size, n)
-             if naive_satisfies(w, spec)]
-    prefix = data.draw(st.sampled_from(legal))
-    walked = list(walk_legal(spec, max_len, prefix))
-    assert [w for w, _ in walked] == sorted(w for w in legal
-                                            if w.startswith(prefix))
-    for word, rejected in walked:
-        extensions = [word + bytes([x]) for x in range(spec.alphabet_size)]
-        expected = [] if len(word) == max_len else [
-            ext for ext in extensions if not naive_satisfies(ext, spec)]
-        assert rejected == expected
+    classes = data.draw(st.none() | st.lists(
+        st.integers(0, spec.alphabet_size - 1), min_size=1,
+        max_size=spec.alphabet_size + 2).map(tuple))
+    size = spec.alphabet_size if classes is None else len(classes)
+    while size ** max_len > 2048:
+        max_len -= 1
+
+    def legal(word):
+        projected = word if classes is None else bytes(classes[x] for x in word)
+        return naive_satisfies(projected, spec)
+
+    words = sorted(w for n in range(max_len + 1)
+                   for w in all_words(size, n) if legal(w))
+    prefix = data.draw(st.sampled_from(words))
+    below = [w for w in words if w.startswith(prefix)]
+    pruned = data.draw(st.sets(st.sampled_from(below), max_size=4))
+    walked = []
+    for word, children, rejected in walk_legal(spec, max_len, prefix,
+                                               classes):
+        walked.append(word)
+        extensions = [] if len(word) == max_len else [
+            word + bytes([x]) for x in range(size)]
+        assert children == [ext for ext in extensions if legal(ext)]
+        assert rejected == [ext for ext in extensions if not legal(ext)]
+        if word in pruned:
+            children.clear()
+    assert walked == [w for w in below
+                      if not any(w[:k] in pruned
+                                 for k in range(len(prefix), len(w)))]
 
 
 def test_minimal_forbidden_lines_are_sorted(registry):

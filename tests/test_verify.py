@@ -15,9 +15,12 @@ from wordavoid import (AvoidanceSpec, GapPattern, Morphism,
                        satisfies_spec, verify_square_transfer,
                        verify_substitution_transfer, with_image_letter,
                        word_from_text, word_to_text)
-from wordavoid.verify import _exhaustive_viability
+from wordavoid.morphisms import _stream, fixed_point_prefix
+from wordavoid.verify import (_exhaustive_viability, exact_factors,
+                              letter_closure, pair_closure)
 
-from conftest import naive_inclusions, naive_interchanges
+from conftest import (all_words, naive_inclusions, naive_interchanges,
+                      naive_satisfies, specs)
 
 
 @st.composite
@@ -34,13 +37,11 @@ def uniform_morphisms(draw):
 @given(uniform_morphisms())
 @settings(max_examples=120)
 def test_inclusion_finder_matches_brute_force(morphism):
-    got = sorted((w.a, w.b, w.c, w.offset)
-                 for w in find_inclusions(morphism, pairs="all"))
-    assert got == sorted(naive_inclusions(morphism))
     # the two pair selectors partition the full inventory
     split = (find_inclusions(morphism, pairs="distinct")
              + find_inclusions(morphism, pairs="equal"))
-    assert sorted((w.a, w.b, w.c, w.offset) for w in split) == got
+    got = sorted((w.a, w.b, w.c, w.offset) for w in split)
+    assert got == sorted(naive_inclusions(morphism))
 
 
 @given(uniform_morphisms())
@@ -343,6 +344,49 @@ def test_bounded_case_counts_agree_with_certificate(registry):
     assert not report.violations
 
 
+@given(uniform_morphisms(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_bounded_case_matches_brute_force(morphism, data):
+    """Every source word up to the bounded-case depth, kept when its
+    projection is source-legal and the images of its proper prefixes are
+    clean; the kept words with a dirty image are the violations, in
+    lexicographic preorder."""
+    width = morphism.uniform_width
+    if data.draw(st.booleans()):
+        alphabet = data.draw(st.integers(2, 3))
+        classes = tuple(data.draw(st.lists(
+            st.integers(0, alphabet - 1), min_size=morphism.source_size,
+            max_size=morphism.source_size)))
+    else:
+        alphabet, classes = morphism.source_size, None
+    source = data.draw(specs(alphabet))
+    target = data.draw(specs(morphism.target_size, 2 * width + 3))
+    caps = [cap for cap in (1, width, 2 * width, 2 * width + 3)
+            if morphism.source_size ** ((2 * cap) // width + 2) <= 4096]
+    cap = data.draw(st.sampled_from(caps))
+    max_len = (2 * cap) // width + 2
+
+    def project(word):
+        return word if classes is None else bytes(classes[x] for x in word)
+
+    def clean(word):
+        return naive_satisfies(morphism.apply(word), target, max_root=cap)
+
+    kept = sorted(w for n in range(1, max_len + 1)
+                  for w in all_words(morphism.source_size, n)
+                  if naive_satisfies(project(w), source)
+                  and all(clean(w[:k]) for k in range(1, len(w))))
+    report = bounded_case_check(morphism, source, target, cap, classes)
+    assert report.max_source_length == max_len
+    assert report.legal_counts == tuple(
+        sum(1 for w in kept if len(w) == n) for n in range(max_len + 1))
+    assert report.words_checked == len(kept)
+    assert report.violations == tuple(
+        (w, satisfies_spec(morphism.apply(w), target,
+                           max_root=cap).violation)
+        for w in kept if not clean(w))
+
+
 def test_bounded_case_rejects_negative_root_cap(registry):
     with pytest.raises(ValueError):
         bounded_case_check(registry.dekking_h, registry.dekking_h_source,
@@ -381,3 +425,21 @@ def test_bounded_case_rejects_nonuniform():
     ragged = Morphism(2, 2, (b"\x00\x01", b"\x01"))
     with pytest.raises(ValueError):
         bounded_case_check(ragged, AvoidanceSpec(2), AvoidanceSpec(2), 4)
+
+
+def test_module_caches_stay_bounded(registry):
+    """Enough distinct fixed points to fill every module cache past its
+    bound; each keeps at most maxsize entries."""
+    caches = (_stream, letter_closure, pair_closure, exact_factors)
+    for cache in caches:
+        cache.cache_clear()
+    variants = {with_image_letter(registry.dekking_h, 1, position, letter)
+                for position in range(10) for letter in range(4)}
+    for morphism in variants:
+        fixed_point_prefix(morphism, 0, 100)
+        for length in range(1, 12):
+            exact_factors(morphism, 0, length)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.misses > info.maxsize
+        assert info.currsize <= info.maxsize
