@@ -38,21 +38,21 @@ class InstanceRegistry:
 
     def __init__(self):
         root = resources.files(__package__) / "scenarios"
-        self.texts: dict[str, str] = {}
+        texts: dict[str, str] = {}
         for name in MORPHISM_NAMES + SUBSTITUTION_NAMES + SPEC_NAMES:
-            self.texts[name] = (root / f"{name}.txt").read_text()
+            texts[name] = (root / f"{name}.txt").read_text()
         for name in DATA_NAMES:
-            self.texts[name] = (root / f"{name}.json").read_text()
+            texts[name] = (root / f"{name}.json").read_text()
         for name in MORPHISM_NAMES:
-            setattr(self, name, parse_morphism(self.texts[name]))
+            setattr(self, name, parse_morphism(texts[name]))
         for name in SUBSTITUTION_NAMES:
-            setattr(self, name, parse_substitution(self.texts[name]))
+            setattr(self, name, parse_substitution(texts[name]))
         for name in SPEC_NAMES:
-            setattr(self, name, parse_spec(self.texts[name]))
+            setattr(self, name, parse_spec(texts[name]))
         self.reference_prefixes: dict[str, str] = json.loads(
-            self.texts["reference_prefixes"])
+            texts["reference_prefixes"])
         self.coder_case_atlas: tuple[dict, ...] = tuple(
-            json.loads(self.texts["shuffle_coder_cases"]))
+            json.loads(texts["shuffle_coder_cases"]))
 
     @property
     def set_A(self) -> frozenset[bytes]:

@@ -348,12 +348,14 @@ def _scenario_pu_shuffle(reg: InstanceRegistry, prefix_length: int
     col.run("shuffling the tracks rebuilds the base word",
             lambda: (perfect_shuffle(even, odd) == base[:2 * len(even)],
                      f"{2 * len(even)} symbols compared"))
-    col.run("even track squares have roots below 4",
-            lambda: (max_square_root(even) <= 3,
-                     f"max root {max_square_root(even)}"))
-    col.run("odd track squares have roots below 4",
-            lambda: (max_square_root(odd) <= 3,
-                     f"max root {max_square_root(odd)}"))
+
+    def roots_below_4(track):
+        root = max_square_root(track)
+        return root <= 3, f"max root {root}"
+
+    for label, track in (("even", even), ("odd", odd)):
+        col.run(f"{label} track squares have roots below 4",
+                lambda track=track: roots_below_4(track))
     return ScenarioReport(
         "pu-shuffle", ("pu_f", "pu_h", "pu_g1", "pu_g2"),
         tuple(col.checks), col.artifacts)

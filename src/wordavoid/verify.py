@@ -16,6 +16,10 @@ exhaustive channels:
   language; the bounded exhaustive search runs on the shared legal-word
   walker).
 
+Every question of the form "can this short word occur?" goes to one of two
+oracles: `_forbids` for the source spec, and `exact_factors` for the factors
+of a fixed point.
+
 A `TransferCertificate` collects the witnesses, their refutations, and any
 residual obligations; it is complete when nothing is left open.
 """
@@ -33,9 +37,16 @@ from .words import (AvoidanceSpec, GapPattern, Violation,
 
 FixedPoint = tuple[Morphism, int]
 
+# Gap-pattern evidence: block descent checks gaps below this many letters
+# against the exact factors, the exhaustive search walks gaps up to this
+# many letters, and the empirical scan reads this long a fixed-point prefix.
+_DESCENT_BASE = 12
+_EXHAUST_GAP = 8
+_SCAN_LENGTH = 100_000
 
-def _pattern_key(pattern: GapPattern) -> tuple[int, int, int]:
-    return (pattern.first, pattern.middle, pattern.last)
+
+def _name(pattern: GapPattern) -> str:
+    return word_to_text(bytes(pattern.letters()))
 
 
 def _project(word: bytes, classes: tuple[int, ...] | None) -> bytes:
@@ -44,8 +55,13 @@ def _project(word: bytes, classes: tuple[int, ...] | None) -> bytes:
     return bytes(classes[b] for b in word)
 
 
-def _legal(word: bytes, spec: AvoidanceSpec) -> bool:
-    return satisfies_spec(word, spec).ok
+def _forbids(spec: AvoidanceSpec, word: bytes,
+             classes: tuple[int, ...] | None = None) -> str | None:
+    """Why the spec forbids the word (projected through `classes`), as
+    "<word> (<kind>)", or None when the word is legal."""
+    word = _project(word, classes)
+    bad = satisfies_spec(word, spec).violation
+    return None if bad is None else f"{word_to_text(word)} ({bad.kind})"
 
 
 def _find_all(hay: bytes, needle: bytes):
@@ -58,48 +74,8 @@ def _find_all(hay: bytes, needle: bytes):
 # ---------------------------------------------------------------------------
 # Exact factors of a fixed point.
 
-# A full scenario run uses 2 + 2 closures and 32 factor sets.
-_CLOSURES_KEPT = 16
+# A full scenario run uses 32 factor sets.
 _FACTOR_SETS_KEPT = 256
-
-
-@lru_cache(maxsize=_CLOSURES_KEPT)
-def letter_closure(morphism: Morphism, seed: int) -> frozenset[int]:
-    """Letters occurring in the fixed point of `morphism` at `seed`."""
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        a = frontier.pop()
-        for b in morphism.image(a):
-            if b not in seen:
-                seen.add(b)
-                frontier.append(b)
-    return frozenset(seen)
-
-
-@lru_cache(maxsize=_CLOSURES_KEPT)
-def pair_closure(morphism: Morphism, seed: int) -> frozenset[bytes]:
-    """Two-letter factors of the fixed point.
-
-    Least fixpoint: pairs interior to an image all occur, and every occurring
-    pair of blocks contributes its boundary pair.  Interior pairs seed the
-    iteration because each image is itself a factor.
-    """
-    letters = letter_closure(morphism, seed)
-    pairs: set[bytes] = set()
-    for a in sorted(letters):
-        img = morphism.image(a)
-        for i in range(len(img) - 1):
-            pairs.add(img[i:i + 2])
-    changed = True
-    while changed:
-        changed = False
-        for p in sorted(pairs):
-            boundary = bytes([morphism.image(p[0])[-1], morphism.image(p[1])[0]])
-            if boundary not in pairs:
-                pairs.add(boundary)
-                changed = True
-    return frozenset(pairs)
 
 
 @lru_cache(maxsize=_FACTOR_SETS_KEPT)
@@ -108,35 +84,47 @@ def exact_factors(morphism: Morphism, seed: int, length: int) -> frozenset[bytes
 
     A factor of length k starts inside the first block of a window of
     j = 1 + ceil((k-1)/W) consecutive blocks, and the block word of a window
-    is itself a factor of the fixed point, so the recursion bottoms out at
-    the letter and pair closures.
+    is itself a factor of the fixed point.  For k = 2 the window is a pair
+    again: every pair but the first starts in the first block of the image
+    of an earlier pair, so the pairs are the least set that holds the first
+    one and is closed under that step.  Every letter starts a pair.
     """
     if morphism.source_size != morphism.target_size:
         raise ValueError("exact factors need an endomorphism")
     width = morphism.uniform_width
     if width is None or width < 2:
         raise ValueError("exact factors need uniform width >= 2")
+    if not morphism.is_prolongable(seed):
+        raise ValueError(f"morphism is not prolongable at {seed}")
     if length < 1:
         raise ValueError("length must be positive")
     if length == 1:
-        return frozenset(bytes([a]) for a in letter_closure(morphism, seed))
-    if length == 2:
-        return pair_closure(morphism, seed)
-    blocks = 1 + -(-(length - 1) // width)
-    out: set[bytes] = set()
-    for source in exact_factors(morphism, seed, blocks):
+        return frozenset(pair[:1] for pair in exact_factors(morphism, seed, 2))
+
+    def in_first_block(source: bytes) -> list[bytes]:
         window = morphism.apply(source)
-        for i in range(width):
-            if i + length <= len(window):
-                out.add(window[i:i + length])
-    return frozenset(out)
+        return [window[i:i + length] for i in range(width)
+                if i + length <= len(window)]
+
+    if length == 2:
+        pairs: set[bytes] = set()
+        frontier = [morphism.image(seed)[:2]]
+        while frontier:
+            pair = frontier.pop()
+            if pair not in pairs:
+                pairs.add(pair)
+                frontier.extend(in_first_block(pair))
+        return frozenset(pairs)
+    blocks = 1 + -(-(length - 1) // width)
+    return frozenset(factor for source in exact_factors(morphism, seed, blocks)
+                     for factor in in_first_block(source))
 
 
 def _fixed_point_phases(morphism: Morphism, seed: int, word: bytes) -> set[int]:
     """Positions mod width at which `word` can start in the fixed point."""
     width = morphism.uniform_width
     phases: set[int] = set()
-    for pair in pair_closure(morphism, seed):
+    for pair in exact_factors(morphism, seed, 2):
         window = morphism.apply(pair)
         for i in _find_all(window, word):
             if i < width:
@@ -240,11 +228,9 @@ class GapEvidence:
     detail: str
 
     def to_dict(self) -> dict:
-        return {"pattern": word_to_text(bytes([self.pattern.first,
-                                                self.pattern.middle,
-                                                self.pattern.last])),
-                "kind": self.kind, "scope": self.scope,
-                "complete": self.complete, "detail": self.detail}
+        return {"pattern": _name(self.pattern), "kind": self.kind,
+                "scope": self.scope, "complete": self.complete,
+                "detail": self.detail}
 
 
 @dataclass(frozen=True)
@@ -295,7 +281,7 @@ def find_inclusions(morphism: Morphism, classes: tuple[int, ...] | None = None,
                 continue
             if pairs == "equal" and cls[a] != cls[b]:
                 continue
-            if source is not None and not _legal(bytes((cls[a], cls[b])), source):
+            if source is not None and _forbids(source, bytes((a, b)), classes):
                 continue
             combined = morphism.image(a) + morphism.image(b)
             for offset in range(1, width):
@@ -351,12 +337,9 @@ def refute_inclusion(morphism: Morphism, witness: InclusionWitness,
     a, b, c, offset = witness.a, witness.b, witness.c, witness.offset
     t, u = witness.t, witness.u
 
-    pair = _project(bytes([a, b]), classes)
-    check = satisfies_spec(pair, source)
-    if not check.ok:
-        return Refutation("pair-illegal",
-                          f"source forbids {word_to_text(pair)}"
-                          f" ({check.violation.kind})")
+    reason = _forbids(source, bytes([a, b]), classes)
+    if reason is not None:
+        return Refutation("pair-illegal", f"source forbids {reason}")
     preds = [e for e in range(morphism.source_size)
              if morphism.image(e).endswith(t)]
     succs = [d for d in range(morphism.source_size)
@@ -384,20 +367,11 @@ def refute_inclusion(morphism: Morphism, witness: InclusionWitness,
 def _embedding_case(morphism, source, classes, a, b, c, offset, e, d,
                     depth) -> EmbeddingCase:
     width = morphism.uniform_width
-    left_pair = _project(bytes([e, c]), classes)
-    right_pair = _project(bytes([c, d]), classes)
-    for p in (left_pair, right_pair):
-        check = satisfies_spec(p, source)
-        if not check.ok:
-            return EmbeddingCase(e, d, "context-pair",
-                                 f"source forbids {word_to_text(p)}"
-                                 f" ({check.violation.kind})")
-    triple = _project(bytes([e, c, d]), classes)
-    check = satisfies_spec(triple, source)
-    if not check.ok:
-        return EmbeddingCase(e, d, "context-triple",
-                             f"source forbids {word_to_text(triple)}"
-                             f" ({check.violation.kind})")
+    for case, context in (("context-pair", (e, c)), ("context-pair", (c, d)),
+                          ("context-triple", (e, c, d))):
+        reason = _forbids(source, bytes(context), classes)
+        if reason is not None:
+            return EmbeddingCase(e, d, case, f"source forbids {reason}")
 
     # v·image(ab)·w = image(ecd) leaves v = image(e)[:W-o] hanging on the
     # left and w = image(d)[W-o:] on the right; both are nonempty for any
@@ -409,28 +383,27 @@ def _embedding_case(morphism, source, classes, a, b, c, offset, e, d,
     k_left = [k for k in range(morphism.source_size)
               if morphism.image(k).endswith(v)]
 
+    left = right = None
     if depth >= 2:
-        if offset == 1:
-            case = _forced_case(source, classes, k_left, (a, b), "left")
-            if case is not None:
-                return EmbeddingCase(e, d, "left-pullback-forced", case)
-        if width - offset == 1:
-            case = _forced_case(source, classes, k_right, (a, b), "right")
-            if case is not None:
-                return EmbeddingCase(e, d, "right-pullback-forced", case)
+        left = _forced_case(source, classes, k_left, (a, b), "left")
+        right = _forced_case(source, classes, k_right, (a, b), "right")
+    # The certificate records the first case that applies, in this order:
+    # the one-letter-offcut forced cases, the missing pullbacks, then the
+    # general forced cases.
+    if offset == 1 and left is not None:
+        return EmbeddingCase(e, d, "left-pullback-forced", left)
+    if width - offset == 1 and right is not None:
+        return EmbeddingCase(e, d, "right-pullback-forced", right)
     if not k_right:
         return EmbeddingCase(e, d, "no-right-pullback",
                              f"{word_to_text(w)} is not a prefix of any image")
     if not k_left:
         return EmbeddingCase(e, d, "no-left-pullback",
                              f"{word_to_text(v)} is not a suffix of any image")
-    if depth >= 2:
-        case = _forced_case(source, classes, k_left, (a, b), "left")
-        if case is not None:
-            return EmbeddingCase(e, d, "left-pullback-forced-general", case)
-        case = _forced_case(source, classes, k_right, (a, b), "right")
-        if case is not None:
-            return EmbeddingCase(e, d, "right-pullback-forced-general", case)
+    if left is not None:
+        return EmbeddingCase(e, d, "left-pullback-forced-general", left)
+    if right is not None:
+        return EmbeddingCase(e, d, "right-pullback-forced-general", right)
     return EmbeddingCase(e, d, "open", "no case applies")
 
 
@@ -440,14 +413,11 @@ def _forced_case(source, classes, candidates, pair, side) -> str | None:
         return None
     reasons = []
     for k in candidates:
-        if side == "left":
-            triple = _project(bytes([k, *pair]), classes)
-        else:
-            triple = _project(bytes([*pair, k]), classes)
-        check = satisfies_spec(triple, source)
-        if check.ok:
+        triple = bytes([k, *pair] if side == "left" else [*pair, k])
+        reason = _forbids(source, triple, classes)
+        if reason is None:
             return None
-        reasons.append(f"{word_to_text(triple)} ({check.violation.kind})")
+        reasons.append(reason)
     return f"forced {side} letter in {{{','.join(str(k) for k in candidates)}}}: " \
            + "; ".join(reasons)
 
@@ -467,7 +437,7 @@ def _exhaustive_viability(pattern: GapPattern, spec: AvoidanceSpec,
     complete = True
     for word, _, _ in walk_legal(spec, max_gap + 1, bytes([pattern.first])):
         candidate = pattern.word(word[1:])
-        if _legal(candidate, spec):
+        if _forbids(spec, candidate) is None:
             return complete, candidate
         if len(word) == max_gap + 1:
             complete = False
@@ -476,12 +446,12 @@ def _exhaustive_viability(pattern: GapPattern, spec: AvoidanceSpec,
 
 def _follower_proof_spec(pattern: GapPattern, spec: AvoidanceSpec) -> str | None:
     b, c, a = pattern.first, pattern.middle, pattern.last
-    if _legal(bytes([b, c, a]), spec):
+    if _forbids(spec, bytes([b, c, a])) is None:
         return None
     followers = [d for d in range(spec.alphabet_size)
-                 if _legal(bytes([c, d]), spec)]
+                 if _forbids(spec, bytes([c, d])) is None]
     for d in followers:
-        if _legal(bytes([b, d]), spec):
+        if _forbids(spec, bytes([b, d])) is None:
             return None
     return (f"{b}{c}{a} illegal; followers of {c} are "
             f"{{{','.join(str(d) for d in followers)}}} and none may follow {b}")
@@ -493,8 +463,8 @@ def _follower_proof_fixed_point(pattern: GapPattern,
     b, c, a = pattern.first, pattern.middle, pattern.last
     if bytes([b, c, a]) in exact_factors(m, seed, 3):
         return None
-    pairs = pair_closure(m, seed)
-    followers = [d for d in sorted(letter_closure(m, seed))
+    pairs = exact_factors(m, seed, 2)
+    followers = [d for (d,) in sorted(exact_factors(m, seed, 1))
                  if bytes([c, d]) in pairs]
     for d in followers:
         if bytes([b, d]) in pairs:
@@ -516,7 +486,7 @@ def _pattern_in_exact_factors(pattern: GapPattern, fixed_point: FixedPoint,
 
 
 def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
-                   fixed_point: FixedPoint, base_bound: int) -> str | None:
+                   fixed_point: FixedPoint) -> str | None:
     """Prove the pattern absent from the fixed point by block descent.
 
     For a large-gap occurrence, the middle letter sits at some phase i of
@@ -532,8 +502,8 @@ def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
     if (width is None or width < 2 or m.source_size != m.target_size
             or not m.injective_on_letters):
         return None
-    base = max(base_bound, width - 1)
-    letters = sorted(letter_closure(m, seed))
+    base = max(_DESCENT_BASE, width - 1)
+    letters = [x for (x,) in sorted(exact_factors(m, seed, 1))]
 
     todo = [pattern]
     resolved: dict[GapPattern, list[str]] = {}
@@ -550,11 +520,11 @@ def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
                 before, after = img[:i], img[i + 1:]
                 lead = bytes([pat.first]) + after
                 trail = before + bytes([pat.last])
-                if (not _legal(lead, spec)
+                if (_forbids(spec, lead)
                         or lead not in exact_factors(m, seed, len(lead))):
                     cases.append(f"{tag} lead {word_to_text(lead)} impossible")
                     continue
-                if (not _legal(trail, spec)
+                if (_forbids(spec, trail)
                         or trail not in exact_factors(m, seed, len(trail))):
                     cases.append(f"{tag} trail {word_to_text(trail)} impossible")
                     continue
@@ -564,11 +534,9 @@ def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
                 ys = [y for y in letters if m.image(y)[i:] == lead]
                 zs = [z for z in letters if m.image(z)[:i + 1] == trail]
                 nxt = sorted((GapPattern(y, x, z) for y in ys for z in zs),
-                             key=_pattern_key)
-                for q in nxt:
-                    todo.append(q)
-                names = ",".join(
-                    word_to_text(bytes([q.first, q.middle, q.last])) for q in nxt)
+                             key=GapPattern.letters)
+                todo.extend(nxt)
+                names = ",".join(_name(q) for q in nxt)
                 cases.append(f"{tag} descends to {names or 'nothing'}")
 
     for pat in resolved:
@@ -577,16 +545,14 @@ def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
                 return None
 
     parts = []
-    for pat in sorted(resolved, key=_pattern_key):
-        name = word_to_text(bytes([pat.first, pat.middle, pat.last]))
-        parts.append(f"{name}: " + "; ".join(resolved[pat]))
+    for pat in sorted(resolved, key=GapPattern.letters):
+        parts.append(f"{_name(pat)}: " + "; ".join(resolved[pat]))
     return f"gaps < {base} absent by exact factors; " + " | ".join(parts)
 
 
 def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
-                              fixed_point: FixedPoint | None = None,
-                              base_bound: int = 12, exhaust_gap: int = 8,
-                              scan_length: int = 100_000) -> GapEvidence:
+                              fixed_point: FixedPoint | None = None
+                              ) -> GapEvidence:
     """Best available evidence that the pattern cannot occur.
 
     Tries, in order: a trivial square, the follower argument at spec level,
@@ -594,7 +560,8 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
     exhaustive search (complete only when every branch dies early), and
     finally an empirical scan of a fixed point prefix.
     """
-    if (spec.square_min_root == 1
+    # Every square forbidden: min-root 1, or a whitelist with no entry.
+    if (("square", 2, 1, None, frozenset()) in spec.repetition_rules
             and (pattern.first == pattern.middle
                  or pattern.middle == pattern.last)):
         return GapEvidence(pattern, "trivial", "spec", True,
@@ -606,16 +573,16 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
         detail = _follower_proof_fixed_point(pattern, fixed_point)
         if detail is not None:
             return GapEvidence(pattern, "follower", "fixed-point", True, detail)
-        detail = _descent_proof(pattern, spec, fixed_point, base_bound)
+        detail = _descent_proof(pattern, spec, fixed_point)
         if detail is not None:
             return GapEvidence(pattern, "descent", "fixed-point", True, detail)
-    complete, instance = _exhaustive_viability(pattern, spec, exhaust_gap)
+    complete, instance = _exhaustive_viability(pattern, spec, _EXHAUST_GAP)
     if instance is None and complete:
         return GapEvidence(pattern, "exhaustive", "spec", True,
-                           f"every branch dies within gap {exhaust_gap}")
+                           f"every branch dies within gap {_EXHAUST_GAP}")
     if fixed_point is not None:
         m, seed = fixed_point
-        prefix = fixed_point_prefix(m, seed, scan_length)
+        prefix = fixed_point_prefix(m, seed, _SCAN_LENGTH)
         occ = find_gap_occurrences(prefix, pattern)
         if occ:
             pos, gap = occ[0]
@@ -624,7 +591,7 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
         return GapEvidence(pattern, "scan", "fixed-point", False,
                            f"absent from the first {len(prefix)} letters")
     return GapEvidence(pattern, "exhaustive", "spec", False,
-                       f"only gaps <= {exhaust_gap} checked")
+                       f"only gaps <= {_EXHAUST_GAP} checked")
 
 
 def refute_interchange(witness: InterchangeWitness, source: AvoidanceSpec,
@@ -641,9 +608,9 @@ def refute_interchange(witness: InterchangeWitness, source: AvoidanceSpec,
     if evidence is not None and evidence.kind != "present":
         return Refutation(
             "gap-pattern-absent",
-            f"pattern {b}{c}{a} ruled out by {evidence.kind}"
+            f"pattern {_name(pattern)} ruled out by {evidence.kind}"
             f" ({evidence.scope} scope)")
-    return Refutation("open", f"no evidence against pattern {b}{c}{a}")
+    return Refutation("open", f"no evidence against pattern {_name(pattern)}")
 
 
 # ---------------------------------------------------------------------------
@@ -745,6 +712,10 @@ def verify_square_transfer(morphism: Morphism, source: AvoidanceSpec,
         raise ValueError("transfer verification needs a uniform morphism")
     if not morphism.injective_on_letters:
         raise ValueError("transfer verification needs distinct images")
+    letters = max(classes) + 1 if classes else morphism.source_size
+    if source.alphabet_size > letters:
+        raise ValueError(f"the source spec has {source.alphabet_size} letters"
+                         f" but only {letters} have an image")
     if fixed_point is not None:
         fp, seed = fixed_point
         if fp.source_size != fp.target_size or not fp.is_prolongable(seed):
@@ -779,7 +750,7 @@ def verify_square_transfer(morphism: Morphism, source: AvoidanceSpec,
     interchanges = find_interchanges(morphism, classes)
     cls = classes or tuple(range(morphism.source_size))
     patterns = sorted({GapPattern(cls[w.b], cls[w.c], cls[w.a])
-                       for w in interchanges}, key=_pattern_key)
+                       for w in interchanges}, key=GapPattern.letters)
     evidence = {p: prove_gap_pattern_absence(p, source, fixed_point)
                 for p in patterns}
     checked = []
@@ -791,8 +762,8 @@ def verify_square_transfer(morphism: Morphism, source: AvoidanceSpec,
     for p in patterns:
         ev = evidence[p]
         if not ev.complete and ev.kind != "present":
-            residual.append(f"gap pattern {word_to_text(bytes([p.first, p.middle, p.last]))}"
-                            f" absence is empirical ({ev.kind})")
+            residual.append(f"gap pattern {_name(p)} absence is empirical"
+                            f" ({ev.kind})")
 
     return TransferCertificate(
         name=name, width=width, depth=depth, root_cap=cap,

@@ -225,16 +225,12 @@ class GapPattern:
         return (self.first, self.middle, self.last)
 
 
-def find_gap_occurrences(word: bytes, pattern: GapPattern,
-                         max_gap: int | None = None) -> list[tuple[int, int]]:
+def find_gap_occurrences(word: bytes, pattern: GapPattern) -> list[tuple[int, int]]:
     """Occurrences of pattern.word(alpha) as (position, len(alpha)), sorted.
 
     The gap may be empty; position is where the first letter sits.
     """
-    n = len(word)
-    gmax = (n - 3) // 2
-    if max_gap is not None:
-        gmax = min(gmax, max_gap)
+    gmax = (len(word) - 3) // 2
     if gmax < 0:
         return []
     arr = np.frombuffer(word, dtype=np.uint8)

@@ -260,12 +260,17 @@ VERIFY_G = ("verify", "--morphism", "dekking_g", "--source",
     VERIFY_G + ("--fixed-point-morphism", "dekking_g"),
     ("verify", "--morphism", "{path}", "--source", "dekking_g_source",
      "--target", "dekking"),
+    ("verify", "--morphism", "{uniform}", "--source", "squarefree4",
+     "--target", "dekking"),
 ], ids=["seed-outside-alphabet", "negative-seed", "not-an-endomorphism",
-        "non-uniform-morphism"])
+        "non-uniform-morphism", "source-letter-without-image"])
 def test_unusable_verify_requests_are_usage_errors(capsys, tmp_path, argv):
     path = tmp_path / "m.txt"
     path.write_text("0 -> 01\n1 -> 100\n")
-    code, out, err = run_cli(capsys, *(a.format(path=path) for a in argv))
+    uniform = tmp_path / "u.txt"
+    uniform.write_text("0 -> 0000\n1 -> 0101\n")
+    code, out, err = run_cli(capsys, *(a.format(path=path, uniform=uniform)
+                                       for a in argv))
     assert code == 2
     assert out == ""
     errors = [line for line in err.splitlines() if "error:" in line]

@@ -16,8 +16,7 @@ from wordavoid import (AvoidanceSpec, GapPattern, Morphism,
                        verify_substitution_transfer, with_image_letter,
                        word_from_text, word_to_text)
 from wordavoid.morphisms import _stream, fixed_point_prefix
-from wordavoid.verify import (_exhaustive_viability, exact_factors,
-                              letter_closure, pair_closure)
+from wordavoid.verify import _exhaustive_viability, exact_factors
 
 from conftest import (all_words, naive_inclusions, naive_interchanges,
                       naive_satisfies, specs)
@@ -123,6 +122,14 @@ def test_interchange_gap_pattern_descent(registry):
     # exhaustive cross-check at small gap lengths
     _, instance = _exhaustive_viability(pattern, registry.dekking_g_source, 8)
     assert instance is None
+
+
+def test_gap_pattern_repeating_a_letter_is_trivial_without_squares():
+    # an empty whitelist forbids every square, like min-root 1
+    for spec in (AvoidanceSpec(2, square_min_root=1),
+                 AvoidanceSpec(2, square_whitelist=())):
+        evidence = prove_gap_pattern_absence(GapPattern(0, 0, 1), spec)
+        assert (evidence.kind, evidence.complete) == ("trivial", True)
 
 
 def test_realizable_gap_pattern_is_found():
@@ -421,16 +428,55 @@ def test_root_cap_of_one_width_hides_a_long_square():
     assert not verify_square_transfer(m, source, target).complete
 
 
+def test_source_letters_without_an_image_are_rejected():
+    # the ternary source word 012 has no image under a binary morphism
+    m = Morphism(2, 2, (word_from_text("0000"), word_from_text("0101")))
+    with pytest.raises(ValueError, match="only 2 have an image"):
+        verify_square_transfer(m, AvoidanceSpec(3, square_min_root=1),
+                               AvoidanceSpec(2, square_min_root=3))
+
+
+@pytest.mark.xfail(strict=True, reason="the depth-2 forced-pullback cases"
+                   " claim context that a root-(2W+1) square does not hold")
+def test_default_cap_misses_a_root_past_twice_the_width():
+    m = Morphism(4, 3, tuple(word_from_text(t)
+                             for t in ("01", "00", "12", "22")))
+    source = AvoidanceSpec(4, square_min_root=1)
+    target = AvoidanceSpec(3, square_min_root=4)
+    word = word_from_text("323103123")
+    assert satisfies_spec(word, source).ok
+    bad = satisfies_spec(m.apply(word), target).violation
+    assert (bad.position, bad.root_length) == (7, 5)
+    cert = verify_square_transfer(m, source, target)
+    assert cert.root_cap == 4
+    assert not cert.complete
+
+
 def test_bounded_case_rejects_nonuniform():
     ragged = Morphism(2, 2, (b"\x00\x01", b"\x01"))
     with pytest.raises(ValueError):
         bounded_case_check(ragged, AvoidanceSpec(2), AvoidanceSpec(2), 4)
 
 
+@pytest.mark.parametrize("name", ["dekking_h", "fs_h", "pu_h", "pu_f"])
+def test_exact_factors_match_a_long_prefix(registry, name):
+    morphism = getattr(registry, name)
+    prefix = fixed_point_prefix(morphism, 0, 20_000)
+    for k in range(1, 13):
+        seen = {prefix[i:i + k] for i in range(len(prefix) - k + 1)}
+        assert exact_factors(morphism, 0, k) == seen
+
+
+def test_exact_factors_need_a_fixed_point(registry):
+    # 1 -> 0310230102 does not start with 1, so no fixed point starts at 1
+    with pytest.raises(ValueError, match="not prolongable at 1"):
+        exact_factors(registry.dekking_h, 1, 2)
+
+
 def test_module_caches_stay_bounded(registry):
     """Enough distinct fixed points to fill every module cache past its
     bound; each keeps at most maxsize entries."""
-    caches = (_stream, letter_closure, pair_closure, exact_factors)
+    caches = (_stream, exact_factors)
     for cache in caches:
         cache.cache_clear()
     variants = {with_image_letter(registry.dekking_h, 1, position, letter)
