@@ -4,9 +4,9 @@ from .words import (AvoidanceSpec, GapPattern, ParseError, SpecCheck,
                     Violation, contains_factor, contains_gap_pattern,
                     find_cube_at_least, find_cubes, find_gap_occurrences,
                     find_square_at_least, find_squares, format_spec,
-                    max_square_root, parse_spec, perfect_shuffle,
-                    satisfies_spec, scan_forbidden, suffix_legal,
-                    word_from_text, word_to_text)
+                    gap_occurrences, max_square_root, parse_spec,
+                    perfect_shuffle, satisfies_spec, scan_forbidden,
+                    suffix_legal, word_from_text, word_to_text)
 from .morphisms import (FixedPointStream, Morphism, Substitution,
                         fixed_point_prefix, format_morphism,
                         format_substitution, parse_morphism,

@@ -324,9 +324,10 @@ def lower_bound_family(sub: Substitution, outer: Morphism, seed_word: bytes,
                        samples: int = 64, seed: int = 0) -> FamilyReport:
     """Check every word of outer(sub(seed_word)) against the target spec.
 
-    The family size is exact regardless of size; beyond the enumeration cap
-    only a deterministic sample is verified.  The exponent check compares
-    family_size against 2^(word_length / denominator) in exact integers.
+    The family size is exact regardless of size; a family larger than both
+    the enumeration cap and the sample count is checked on a deterministic
+    sample only.  The exponent check compares family_size against
+    2^(word_length / denominator) in exact integers.
     An empty seed word leaves nothing to check and is rejected.
     """
     if not seed_word:
@@ -335,7 +336,7 @@ def lower_bound_family(sub: Substitution, outer: Morphism, seed_word: bytes,
     first = outer.apply(next(iter(sub.iter_images(seed_word))))
     length = len(first)
     verified = 0
-    enumerated = family_size <= enumeration_cap
+    enumerated = family_size <= max(enumeration_cap, samples)
     if enumerated:
         for image in sub.iter_images(seed_word):
             word = outer.apply(image)

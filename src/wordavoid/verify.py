@@ -5,9 +5,11 @@ satisfies the target spec" by splitting any would-be violation into three
 exhaustive channels:
 
 * short violations, inside the image of a bounded source word (the shared
-  legal-word walker yields the words and skips the extensions of a failed
-  one; each image is checked whole with `satisfies_spec`, roots capped at
-  the root cap; a cap below 2W leaves the roots above it as a residual);
+  legal-word walker gives the words one length at a time and skips the
+  extensions of a failed one; one array screen per chunk of words flags the
+  images that may violate, and each flagged image is checked whole with
+  `satisfies_spec`, roots capped at the root cap; a cap below 2W leaves the
+  roots above it as a residual);
 * inclusions, where one image sits inside the image of a pair with offcut
   affixes on both sides (refuted case by case through context letters and
   forced pullbacks);
@@ -28,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .counting import walk_legal
 from .morphisms import Morphism, Substitution, fixed_point_prefix
@@ -616,6 +620,45 @@ def refute_interchange(witness: InterchangeWitness, source: AvoidanceSpec,
 # ---------------------------------------------------------------------------
 # Bounded case and certificates.
 
+# Byte budget of one screen array.  A level is screened in chunks of rows
+# that fit it, and a chunk holds at least one row whatever the root cap.
+_SCREEN_BYTES = 1 << 20
+
+
+def _chunk_rows(columns: int) -> int:
+    """Rows per screen chunk; the widest screen array holds columns + 1
+    int32 prefix sums a row."""
+    return max(1, _SCREEN_BYTES // (4 * (columns + 1)))
+
+
+def _screen(tails, new: int, target: AvoidanceSpec, root_cap: int):
+    """Flag the rows of `tails` that may hold a target violation ending at
+    column `new` or later: a letter outside the alphabet, a forbidden factor,
+    or a power of a repetition rule with root at most root_cap, allowed or
+    not.  Every row with such a violation is flagged."""
+    n = tails.shape[1]
+    flagged = tails.max(axis=1) >= target.alphabet_size
+    for factor in target.forbidden:
+        first, last = max(0, new - len(factor) + 1), n - len(factor)
+        if first <= last:
+            hit = np.ones((len(tails), last - first + 1), dtype=bool)
+            for i, letter in enumerate(factor):
+                hit &= tails[:, first + i:last + i + 1] == letter
+            flagged |= hit.any(axis=1)
+    for _, power, lo, hi, _ in target.repetition_rules:
+        top = min(root_cap, n // power, root_cap if hi is None else hi)
+        for d in range(lo, top + 1):
+            # A power of root d at p repeats for (power-1)·d letters from p
+            # and is new when it ends at p + power·d - 1 >= new.
+            span = (power - 1) * d
+            first = max(0, new - power * d + 1)
+            equal = tails[:, first:n - d] == tails[:, first + d:]
+            sums = np.zeros((len(tails), equal.shape[1] + 1), dtype=np.int32)
+            np.cumsum(equal, axis=1, dtype=np.int32, out=sums[:, 1:])
+            flagged |= (sums[:, span:] - sums[:, :-span] == span).any(axis=1)
+    return flagged
+
+
 def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
                        target: AvoidanceSpec, root_cap: int,
                        classes: tuple[int, ...] | None = None
@@ -625,7 +668,19 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
 
     Longer roots are what the inclusion and interchange analysis covers, so
     they are not reported here; letters and forbidden factors are checked in
-    full.
+    full.  An image violation survives every extension, so a word whose image
+    violates is reported and its extensions are not visited.
+
+    Words are checked one length at a time, in chunks that fit
+    `_SCREEN_BYTES`, and the legal-word walker gives each clean word's
+    children.  A word's parent has a clean image, which is a prefix of the
+    word's image, so a violation can only end in the last block; the screen
+    stacks the tails that such a violation can reach and flags, in one array
+    pass per rule and root, every row that has a letter, factor or power
+    ending there.  Each flagged image is checked whole by `satisfies_spec`,
+    which gives the exact violation, or none for an allowed square.  The
+    violations are sorted by source word, which is the walker's preorder
+    because no reported word is a prefix of another.
     """
     width = morphism.uniform_width
     if width is None:
@@ -635,16 +690,46 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     max_len = (2 * root_cap) // width + 2
     counts = [0] * (max_len + 1)
     violations: list[tuple[bytes, Violation]] = []
-    # An image violation survives every extension, so it prunes the subtree.
     letters = classes or tuple(range(morphism.source_size))
-    for word, children, _ in walk_legal(source, max_len, classes=letters):
-        if word:
-            counts[len(word)] += 1
-            bad = satisfies_spec(morphism.apply(word), target,
-                                 max_root=root_cap).violation
+
+    def children(word: bytes) -> list[bytes]:
+        return next(walk_legal(source, max_len, word, letters))[1]
+
+    # A violation is at most `reach` letters long, so one that ends in the
+    # last block lies in the last width + reach - 1 letters, which the images
+    # of the last `blocks` source letters cover.
+    reach = max([1, *map(len, target.forbidden),
+                 *(power * (root_cap if hi is None else min(hi, root_cap))
+                   for _, power, _, hi, _ in target.repetition_rules)])
+    blocks = 1 + -(-(reach - 1) // width)
+    first = children(b"")
+    batches = [first] if first else []
+    while batches:
+        batch = batches[-1]
+        length = len(batch[0])
+        tail = min(length, blocks)
+        chunk = batch[-_chunk_rows(tail * width):]
+        del batch[-len(chunk):]
+        if not batch:
+            batches.pop()
+        counts[length] += len(chunk)
+        image = morphism.apply(b"".join(word[-tail:] for word in chunk))
+        tails = np.frombuffer(image, dtype=np.uint8).reshape(len(chunk), -1)
+        tails = tails[:, max(0, tail * width - width - reach + 1):]
+        flagged = _screen(tails, tails.shape[1] - width, target, root_cap)
+        clean = []
+        for word, flag in zip(chunk, flagged.tolist()):
+            bad = None
+            if flag:
+                bad = satisfies_spec(morphism.apply(word), target,
+                                     max_root=root_cap).violation
             if bad is not None:
                 violations.append((word, bad))
-                children.clear()
+            elif length < max_len:
+                clean += children(word)
+        if clean:
+            batches.append(clean)
+    violations.sort(key=lambda item: item[0])
     return BoundedCaseReport(max_len, sum(counts), tuple(counts),
                              tuple(violations))
 

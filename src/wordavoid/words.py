@@ -8,6 +8,7 @@ pattern.  Numpy sweeps cover small shifts and an anchored block search large
 ones, so scanning a clean word of length n costs roughly n log n byte
 operations.  Full scans sort their occurrences by (position, size); first-hit
 checks take the least (first start, shift) and build no occurrence list.
+`gap_occurrences` answers any number of gap patterns from one stream.
 Worst-case output size is quadratic on highly repetitive input, which the
 intended avoidance words never are.
 """
@@ -225,26 +226,40 @@ class GapPattern:
         return (self.first, self.middle, self.last)
 
 
-def find_gap_occurrences(word: bytes, pattern: GapPattern) -> list[tuple[int, int]]:
-    """Occurrences of pattern.word(alpha) as (position, len(alpha)), sorted.
+def gap_occurrences(word: bytes, patterns
+                    ) -> dict[GapPattern, list[tuple[int, int]]]:
+    """For each pattern, the occurrences of pattern.word(alpha) as sorted
+    (position, len(alpha)) pairs, all from one sweep of the word.
 
     The gap may be empty; position is where the first letter sits.
     """
+    out = {pattern: [] for pattern in patterns}
     gmax = (len(word) - 3) // 2
-    if gmax < 0:
-        return []
+    if gmax < 0 or not out:
+        return out
     arr = np.frombuffer(word, dtype=np.uint8)
-    first, middle, last = pattern.letters()
-    ok = (arr[:-2] == first) & (arr[1:-1] == middle) & (arr[2:] == last)
-    out = [(i, 0) for i in np.nonzero(ok)[0].tolist()]
-    # A gap g >= 1 at position i is a repeat of span g and shift g + 1 that
-    # starts at i + 1; in word[1:-1] it starts at i and fits whole patterns.
+
+    def flank(d: int, starts: np.ndarray) -> None:
+        first, middle, last = arr[starts], arr[starts + d], arr[starts + 2 * d]
+        for pattern, occ in out.items():
+            ok = ((first == pattern.first) & (middle == pattern.middle)
+                  & (last == pattern.last))
+            occ.extend((i, d - 1) for i in starts[ok].tolist())
+
+    # Gap 0 is shift 1 from every position.  A gap g >= 1 at position i is a
+    # repeat of span g and shift g + 1 that starts at i + 1; in word[1:-1] it
+    # starts at i and fits whole patterns.
+    flank(1, np.arange(len(word) - 2))
     for d, starts in _repeats(word[1:-1], 2, gmax + 1, lambda d: d - 1):
-        ok = ((arr[starts] == first) & (arr[starts + d] == middle)
-              & (arr[starts + 2 * d] == last))
-        out.extend((i, d - 1) for i in starts[ok].tolist())
-    out.sort()
+        flank(d, starts)
+    for occ in out.values():
+        occ.sort()
     return out
+
+
+def find_gap_occurrences(word: bytes, pattern: GapPattern) -> list[tuple[int, int]]:
+    """Occurrences of pattern.word(alpha) as (position, len(alpha)), sorted."""
+    return gap_occurrences(word, (pattern,))[pattern]
 
 
 def contains_gap_pattern(word: bytes, pattern: GapPattern) -> bool:

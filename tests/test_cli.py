@@ -317,6 +317,16 @@ def test_family_subcommand(capsys):
     assert payload["verified_count"] == 4
 
 
+def test_family_never_verifies_more_words_than_it_has(capsys):
+    code, out, _ = run_cli(capsys, "family", "--sub", "dekking_sub",
+                           "--outer", "dekking_g", "--seed-word", "0",
+                           "--target", "dekking_binary", "--cap", "0")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["family_size"] == payload["verified_count"] == 1
+    assert payload["enumerated"]
+
+
 def test_scenario_subcommand_exit_codes(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "scenario", "pu-shuffle",
                            "--prefix-length", "2000")

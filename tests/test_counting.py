@@ -340,6 +340,21 @@ def test_family_sampling_path_is_deterministic(registry):
     assert a.verified_count == 6
 
 
+def test_family_no_larger_than_the_sample_is_enumerated(registry):
+    # one word, cap 0: the 64 samples would all be that word
+    single = lower_bound_family(registry.dekking_sub, registry.dekking_g,
+                                b"\x00", registry.dekking_binary,
+                                enumeration_cap=0)
+    assert (single.family_size, single.verified_count) == (1, 1)
+    assert single.enumerated
+    sampled = lower_bound_family(registry.dekking_sub, registry.dekking_g,
+                                 registry.dekking_h.image(0),
+                                 registry.dekking_binary,
+                                 enumeration_cap=0, samples=3)
+    assert (sampled.family_size, sampled.verified_count) == (4, 3)
+    assert not sampled.enumerated
+
+
 # ---------------------------------------------------------------------------
 # Exhaustion of finite avoidance languages.
 

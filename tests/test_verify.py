@@ -6,15 +6,16 @@ regressions in either the finders or the refuters surface as diffs here.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from wordavoid import (AvoidanceSpec, GapPattern, Morphism,
+from wordavoid import (AvoidanceSpec, BoundedCaseReport, GapPattern, Morphism,
                        bounded_case_check, find_inclusions, find_interchanges,
                        prove_gap_pattern_absence, refute_inclusion,
                        satisfies_spec, verify_square_transfer,
-                       verify_substitution_transfer, with_image_letter,
-                       word_from_text, word_to_text)
+                       verify_substitution_transfer, walk_legal,
+                       with_image_letter, word_from_text, word_to_text)
+from wordavoid import verify
 from wordavoid.morphisms import _stream, fixed_point_prefix
 from wordavoid.verify import _exhaustive_viability, exact_factors
 
@@ -392,6 +393,96 @@ def test_bounded_case_matches_brute_force(morphism, data):
         (w, satisfies_spec(morphism.apply(w), target,
                            max_root=cap).violation)
         for w in kept if not clean(w))
+
+
+def dfs_bounded_case(morphism, source, target, root_cap, classes=None):
+    """The bounded case as one walk: each legal word's image is checked
+    whole, and a violation prunes the word's extensions."""
+    max_len = (2 * root_cap) // morphism.uniform_width + 2
+    counts = [0] * (max_len + 1)
+    violations = []
+    letters = classes or tuple(range(morphism.source_size))
+    for word, children, _ in walk_legal(source, max_len, classes=letters):
+        if word:
+            counts[len(word)] += 1
+            bad = satisfies_spec(morphism.apply(word), target,
+                                 max_root=root_cap).violation
+            if bad is not None:
+                violations.append((word, bad))
+                children.clear()
+    return BoundedCaseReport(max_len, sum(counts), tuple(counts),
+                             tuple(violations))
+
+
+@st.composite
+def block_targets(draw, morphism, cap):
+    """Target specs cut from images so that they hit: forbidden factors
+    spanning two or three image blocks, whitelist roots up to the cap, maybe
+    cubes, and maybe one image letter too many."""
+    width = morphism.uniform_width
+    alphabet = draw(st.integers(morphism.target_size - 1, morphism.target_size))
+    source = st.lists(st.integers(0, morphism.source_size - 1),
+                      min_size=4, max_size=4).map(bytes)
+
+    def cut(shortest, longest):
+        image = morphism.apply(draw(source))
+        n = draw(st.integers(shortest, longest))
+        at = draw(st.integers(0, len(image) - n))
+        return image[at:at + n]
+
+    forbidden = tuple(cut(width + 1, 2 * width + 1)
+                      for _ in range(draw(st.integers(0, 2))))
+    cubefree = draw(st.booleans())
+    policy = draw(st.sampled_from(("min-root", "whitelist", "any")))
+    if policy == "min-root":
+        squares = {"square_min_root": draw(st.integers(1, cap + 1))}
+    elif policy == "whitelist":
+        roots = [cut(1, cap) for _ in range(draw(st.integers(0, 3)))]
+        squares = {"square_whitelist": tuple(r + r for r in roots)}
+    else:
+        squares = {}
+    return AvoidanceSpec(alphabet, forbidden, cubefree=cubefree, **squares)
+
+
+@seed(8)
+@given(uniform_morphisms(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_bounded_case_matches_the_walk_across_blocks(morphism, data):
+    width = morphism.uniform_width
+    if data.draw(st.booleans()):
+        alphabet = data.draw(st.integers(2, 3))
+        classes = tuple(data.draw(st.lists(
+            st.integers(0, alphabet - 1), min_size=morphism.source_size,
+            max_size=morphism.source_size)))
+    else:
+        alphabet, classes = morphism.source_size, None
+    caps = [cap for cap in (1, width, 2 * width, 2 * width + 3)
+            if morphism.source_size ** ((2 * cap) // width + 2) <= 4096]
+    cap = data.draw(st.sampled_from(caps))
+    source = data.draw(specs(alphabet))
+    target = data.draw(block_targets(morphism, cap))
+    assert (bounded_case_check(morphism, source, target, cap, classes)
+            == dfs_bounded_case(morphism, source, target, cap, classes))
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_bounded_case_is_the_same_in_small_chunks(registry, monkeypatch,
+                                                  rows):
+    fs_sub, classes = registry.fs_sub.to_annotated()
+    cases = [(registry.dekking_h, registry.dekking_h_source,
+              registry.squarefree4, 20, None),
+             (registry.pu_g1, registry.pu_source, registry.pu_binary, 9, None),
+             (fs_sub, registry.fs_h_target, registry.fs_g_source, 48, classes)]
+    expected = [bounded_case_check(*case) for case in cases]
+    assert len(expected[1].violations) == 16
+    for case, report in zip(cases, expected):
+        width, cap = case[0].uniform_width, case[3]
+        widest = width * ((2 * cap) // width + 2)
+        # `rows` rows a chunk at the widest screen, and more at narrower ones
+        monkeypatch.setattr(verify, "_SCREEN_BYTES",
+                            1 if rows == 1 else rows * 4 * (widest + 1))
+        assert verify._chunk_rows(widest) == rows
+        assert bounded_case_check(*case) == report
 
 
 def test_bounded_case_rejects_negative_root_cap(registry):

@@ -1,6 +1,7 @@
 """Word-level scanners against brute-force oracles."""
 
 from contextlib import contextmanager
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from wordavoid import words
 from wordavoid import (AvoidanceSpec, GapPattern, ParseError, contains_factor,
                        contains_gap_pattern, find_cube_at_least, find_cubes,
                        find_gap_occurrences, find_square_at_least,
-                       find_squares, format_spec, max_square_root, parse_spec,
+                       find_squares, format_spec, gap_occurrences, max_square_root, parse_spec,
                        perfect_shuffle, satisfies_spec, scan_forbidden,
                        suffix_legal, word_from_text, word_to_text)
 
@@ -123,6 +124,15 @@ def test_gap_occurrences_match_naive(word, cut, first, middle, last):
     with sweep_cut(cut):
         assert find_gap_occurrences(word, pattern) == expected
         assert contains_gap_pattern(word, pattern) == bool(expected)
+
+
+@given(planted(3), cuts)
+@settings(max_examples=100)
+def test_one_sweep_answers_every_gap_pattern(word, cut):
+    patterns = [GapPattern(*letters) for letters in product(range(3), repeat=3)]
+    with sweep_cut(cut):
+        found = gap_occurrences(word, patterns)
+    assert found == {p: naive_gap_occurrences(word, p) for p in patterns}
 
 
 def test_gap_pattern_word_builder():
