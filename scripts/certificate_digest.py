@@ -32,7 +32,9 @@ def certificate_digest() -> tuple[int, str]:
     digest = hashlib.sha256()
     count = 0
     for name, morphism, verifier in jobs:
-        width = morphism.uniform_width
+        flat = (morphism.to_annotated()[0] if name in SUBSTITUTION_NAMES
+                else morphism)
+        width = flat.uniform_width
         for source_name, source in specs:
             if source.alphabet_size != morphism.source_size:
                 continue

@@ -12,12 +12,11 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from .counting import (FactorAutomaton, count_avoiding, growth_rate,
                        lower_bound_family, minimal_forbidden)
 from .instances import (MORPHISM_NAMES, SUBSTITUTION_NAMES, load_registry)
-from .morphisms import (fixed_point_prefix, parse_morphism,
+from .morphisms import (Substitution, fixed_point_prefix, parse_morphism,
                         parse_substitution)
 from .scenarios import SCENARIOS, run_scenario
 from .verify import verify_square_transfer, verify_substitution_transfer
@@ -25,23 +24,6 @@ from .words import (GapPattern, ParseError, find_cube_at_least,
                     find_gap_occurrences, find_square_at_least, format_spec,
                     parse_spec, perfect_shuffle, scan_forbidden,
                     word_from_text, word_to_text)
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Resolved invocation, echoed to stderr before any work runs."""
-
-    subcommand: str
-    inputs: dict
-    output_format: str
-    knobs: dict
-    seed: int
-
-    def echo(self) -> None:
-        payload = {"subcommand": self.subcommand, "format": self.output_format,
-                   "seed": self.seed, **self.inputs, **self.knobs}
-        print("config: " + json.dumps(payload, sort_keys=True),
-              file=sys.stderr)
 
 
 def _read(path: str) -> str:
@@ -63,20 +45,22 @@ def _resolve_spec(token: str):
     return parse_spec(_read(token))
 
 
-def _resolve_morphism(token: str):
-    if token in MORPHISM_NAMES:
+def _resolve_map(token: str, names, parse):
+    """The packaged map named `token` if it is among `names`, else the map
+    file at `token`, read once and parsed by `parse`."""
+    if token in names:
         return getattr(load_registry(), token)
-    return parse_morphism(_read(token))
-
-
-def _resolve_substitution(token: str):
-    if token in SUBSTITUTION_NAMES:
-        return getattr(load_registry(), token)
-    return parse_substitution(_read(token))
+    return parse(_read(token))
 
 
 def _read_word(path: str) -> bytes:
     return word_from_text(_read(path))
+
+
+def _read_words(path: str) -> list[bytes]:
+    """One word a line; `#` starts a comment, as in spec and map files."""
+    lines = (line.split("#", 1)[0] for line in _read(path).splitlines())
+    return [word_from_text(line) for line in lines if line.strip()]
 
 
 def _spec_oneline(spec) -> str:
@@ -118,11 +102,8 @@ def _emit(text: str) -> None:
 # Subcommand bodies.  Each returns the exit status.
 
 def _cmd_generate(args) -> int:
-    morphism = _resolve_morphism(args.morphism)
-    try:
-        word = fixed_point_prefix(morphism, args.seed_letter, args.length)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    morphism = _resolve_map(args.morphism, MORPHISM_NAMES, parse_morphism)
+    word = fixed_point_prefix(morphism, args.seed_letter, args.length)
     if args.format == "json":
         _emit(json.dumps({"length": len(word), "word": word_to_text(word)},
                          sort_keys=True))
@@ -146,10 +127,7 @@ def _cmd_scan(args) -> int:
                          None if hit is None else
                          {"position": hit[0], "root": hit[1]}))
     if args.factors is not None:
-        factors = [word_from_text(line) for line in
-                   _read(args.factors).splitlines()
-                   if line.split("#", 1)[0].strip()]
-        hit = scan_forbidden(word, tuple(factors))
+        hit = scan_forbidden(word, tuple(_read_words(args.factors)))
         findings.append(("forbidden factor",
                          None if hit is None else
                          {"position": hit[0], "factor": word_to_text(hit[1])}))
@@ -224,36 +202,24 @@ def _render_certificate(cert) -> str:
     return "\n".join(lines)
 
 
-def _looks_like_substitution(token: str) -> bool:
-    if token in SUBSTITUTION_NAMES:
-        return True
-    if token in MORPHISM_NAMES:
-        return False
-    text = _read(token)
-    return any("," in line.split("->", 1)[1]
-               for line in text.splitlines()
-               if "->" in line.split("#", 1)[0])
-
-
 def _cmd_verify(args) -> int:
     source = _resolve_spec(args.source)
     target = _resolve_spec(args.target)
     fixed_point = None
     if args.fixed_point_morphism is not None:
-        fixed_point = (_resolve_morphism(args.fixed_point_morphism),
+        fixed_point = (_resolve_map(args.fixed_point_morphism,
+                                    MORPHISM_NAMES, parse_morphism),
                        args.fixed_point_seed)
-    if _looks_like_substitution(args.morphism):
-        verifier = verify_substitution_transfer
-        morphism = _resolve_substitution(args.morphism)
-    else:
-        verifier = verify_square_transfer
-        morphism = _resolve_morphism(args.morphism)
-    try:
-        cert = verifier(morphism, source, target, depth=args.depth,
-                        root_cap=args.root_cap, fixed_point=fixed_point,
-                        name=args.name or args.morphism)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    # A map file parses as a substitution; one with one image per letter
+    # certifies as the morphism it is (see `Substitution.to_annotated`).
+    morphism = _resolve_map(args.morphism, MORPHISM_NAMES + SUBSTITUTION_NAMES,
+                            parse_substitution)
+    verifier = (verify_substitution_transfer
+                if isinstance(morphism, Substitution)
+                else verify_square_transfer)
+    cert = verifier(morphism, source, target, depth=args.depth,
+                    root_cap=args.root_cap, fixed_point=fixed_point,
+                    name=args.name or args.morphism)
     if args.format == "json":
         _emit(json.dumps(cert.to_dict(), sort_keys=True))
     else:
@@ -298,8 +264,7 @@ def _cmd_forbidden(args) -> int:
 
 
 def _cmd_growth(args) -> int:
-    words = [word_from_text(line) for line in _read(args.forbidden).splitlines()
-             if line.split("#", 1)[0].strip()]
+    words = _read_words(args.forbidden)
     if args.alphabet is not None:
         alphabet = args.alphabet
     elif words:
@@ -319,17 +284,13 @@ def _cmd_growth(args) -> int:
 
 
 def _cmd_family(args) -> int:
-    sub = _resolve_substitution(args.sub)
-    outer = _resolve_morphism(args.outer)
+    sub = _resolve_map(args.sub, SUBSTITUTION_NAMES, parse_substitution)
+    outer = _resolve_map(args.outer, MORPHISM_NAMES, parse_morphism)
     target = _resolve_spec(args.target)
-    seed_word = word_from_text(args.seed_word)
-    try:
-        report = lower_bound_family(sub, outer, seed_word, target,
-                                    exponent_denominator=args.denominator,
-                                    enumeration_cap=args.cap,
-                                    samples=args.samples, seed=args.seed)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    report = lower_bound_family(sub, outer, word_from_text(args.seed_word),
+                                target, exponent_denominator=args.denominator,
+                                enumeration_cap=args.cap,
+                                samples=args.samples, seed=args.seed)
     expected = report.family_size if report.enumerated else args.samples
     ok = report.verified_count == expected and report.exponent_check
     if args.format == "text":
@@ -345,10 +306,7 @@ def _cmd_family(args) -> int:
 def _cmd_shuffle(args) -> int:
     left = _read_word(args.left)
     right = _read_word(args.right)
-    try:
-        word = perfect_shuffle(left, right)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    word = perfect_shuffle(left, right)
     if args.format == "json":
         _emit(json.dumps({"length": len(word), "word": word_to_text(word)},
                          sort_keys=True))
@@ -364,11 +322,8 @@ def _cmd_scenario(args) -> int:
         names = [args.name]
     else:
         raise ParseError("pass a scenario name or --all")
-    try:
-        reports = [run_scenario(name, prefix_length=args.prefix_length)
-                   for name in names]
-    except ValueError as exc:
-        raise ParseError(str(exc)) from None
+    reports = [run_scenario(name, prefix_length=args.prefix_length)
+               for name in names]
     if args.format == "json":
         _emit(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     else:
@@ -463,29 +418,19 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> CliConfig:
-    skip = {"subcommand", "run", "format", "seed"}
-    inputs = {}
-    knobs = {}
-    for key, value in sorted(vars(args).items()):
-        if key in skip or value is None:
-            continue
-        target = inputs if isinstance(value, str) else knobs
-        target[key] = value
-    return CliConfig(args.subcommand, inputs, args.format, knobs,
-                     getattr(args, "seed", 0))
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    _config_from_args(args).echo()
+    # The resolved invocation, echoed before any work runs.
+    config = {"seed": 0, **{key: value for key, value in vars(args).items()
+                            if key != "run" and value is not None}}
+    print("config: " + json.dumps(config, sort_keys=True), file=sys.stderr)
     try:
         return args.run(args)
-    except ParseError as exc:
+    except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -333,8 +333,9 @@ def lower_bound_family(sub: Substitution, outer: Morphism, seed_word: bytes,
     if not seed_word:
         raise ValueError("the seed word is empty")
     family_size = sub.count_images(seed_word)
-    first = outer.apply(next(iter(sub.iter_images(seed_word))))
-    length = len(first)
+    # The first-choice image, without enumerating a family of any size.
+    length = len(outer.apply(b"".join(sub.image_sets[a][0]
+                                      for a in seed_word)))
     verified = 0
     enumerated = family_size <= max(enumeration_cap, samples)
     if enumerated:

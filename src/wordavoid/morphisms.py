@@ -124,11 +124,6 @@ class Substitution:
                 if any(b >= self.target_size for b in img):
                     raise ValueError("image letter outside target alphabet")
 
-    @property
-    def uniform_width(self) -> int | None:
-        widths = {len(img) for choices in self.image_sets for img in choices}
-        return widths.pop() if len(widths) == 1 else None
-
     def _choices(self, word: bytes) -> list[tuple[bytes, ...]]:
         try:
             return [self.image_sets[a] for a in word]
@@ -153,12 +148,13 @@ class Substitution:
         rng = random.Random(seed)
         return b"".join(rng.choice(choices) for choices in self._choices(word))
 
-    def to_annotated(self) -> tuple[Morphism, tuple[int, ...]]:
+    def to_annotated(self) -> tuple[Morphism, tuple[int, ...] | None]:
         """Flatten to a plain morphism over an alphabet of (letter, choice) ids.
 
         Ids 0..source_size-1 keep each letter's first image; extra choices get
         fresh ids in (letter, choice) order.  Returns the morphism and the map
-        from new id back to the underlying letter.
+        from new id back to the underlying letter, or None when no letter has
+        an alternate image and the morphism is the substitution itself.
         """
         images = [choices[0] for choices in self.image_sets]
         classes = list(range(self.source_size))
@@ -167,7 +163,7 @@ class Substitution:
                 images.append(img)
                 classes.append(letter)
         return (Morphism(len(images), self.target_size, tuple(images)),
-                tuple(classes))
+                tuple(classes) if len(classes) > self.source_size else None)
 
 
 def parse_morphism(text: str) -> Morphism:

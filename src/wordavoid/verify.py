@@ -631,19 +631,19 @@ def _chunk_rows(columns: int) -> int:
     return max(1, _SCREEN_BYTES // (4 * (columns + 1)))
 
 
-def _screen(tails, new: int, target: AvoidanceSpec, root_cap: int):
-    """Flag the rows of `tails` that may hold a target violation ending at
+def _screen(images, new: int, target: AvoidanceSpec, root_cap: int):
+    """Flag the rows of `images` that may hold a target violation ending at
     column `new` or later: a letter outside the alphabet, a forbidden factor,
     or a power of a repetition rule with root at most root_cap, allowed or
     not.  Every row with such a violation is flagged."""
-    n = tails.shape[1]
-    flagged = tails.max(axis=1) >= target.alphabet_size
+    n = images.shape[1]
+    flagged = images.max(axis=1) >= target.alphabet_size
     for factor in target.forbidden:
         first, last = max(0, new - len(factor) + 1), n - len(factor)
         if first <= last:
-            hit = np.ones((len(tails), last - first + 1), dtype=bool)
+            hit = np.ones((len(images), last - first + 1), dtype=bool)
             for i, letter in enumerate(factor):
-                hit &= tails[:, first + i:last + i + 1] == letter
+                hit &= images[:, first + i:last + i + 1] == letter
             flagged |= hit.any(axis=1)
     for _, power, lo, hi, _ in target.repetition_rules:
         top = min(root_cap, n // power, root_cap if hi is None else hi)
@@ -652,8 +652,8 @@ def _screen(tails, new: int, target: AvoidanceSpec, root_cap: int):
             # and is new when it ends at p + power·d - 1 >= new.
             span = (power - 1) * d
             first = max(0, new - power * d + 1)
-            equal = tails[:, first:n - d] == tails[:, first + d:]
-            sums = np.zeros((len(tails), equal.shape[1] + 1), dtype=np.int32)
+            equal = images[:, first:n - d] == images[:, first + d:]
+            sums = np.zeros((len(images), equal.shape[1] + 1), dtype=np.int32)
             np.cumsum(equal, axis=1, dtype=np.int32, out=sums[:, 1:])
             flagged |= (sums[:, span:] - sums[:, :-span] == span).any(axis=1)
     return flagged
@@ -675,16 +675,17 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     `_SCREEN_BYTES`, and the legal-word walker gives each clean word's
     children.  A word's parent has a clean image, which is a prefix of the
     word's image, so a violation can only end in the last block; the screen
-    stacks the tails that such a violation can reach and flags, in one array
-    pass per rule and root, every row that has a letter, factor or power
-    ending there.  Each flagged image is checked whole by `satisfies_spec`,
-    which gives the exact violation, or none for an allowed square.  The
-    violations are sorted by source word, which is the walker's preorder
-    because no reported word is a prefix of another.
+    stacks the images and flags, in one array pass per rule and root, every
+    row that has a letter, factor or power ending there.  Each flagged image
+    is checked whole by `satisfies_spec`, which gives the exact violation, or
+    none for an allowed square.  The violations are sorted by source word,
+    which is the walker's preorder because no reported word is a prefix of
+    another.
     """
     width = morphism.uniform_width
-    if width is None:
-        raise ValueError("bounded case needs a uniform morphism")
+    if not width:
+        raise ValueError("bounded case needs a uniform morphism with"
+                         " nonempty images")
     if root_cap < 0:
         raise ValueError("root_cap must be >= 0")
     max_len = (2 * root_cap) // width + 2
@@ -695,28 +696,19 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     def children(word: bytes) -> list[bytes]:
         return next(walk_legal(source, max_len, word, letters))[1]
 
-    # A violation is at most `reach` letters long, so one that ends in the
-    # last block lies in the last width + reach - 1 letters, which the images
-    # of the last `blocks` source letters cover.
-    reach = max([1, *map(len, target.forbidden),
-                 *(power * (root_cap if hi is None else min(hi, root_cap))
-                   for _, power, _, hi, _ in target.repetition_rules)])
-    blocks = 1 + -(-(reach - 1) // width)
     first = children(b"")
     batches = [first] if first else []
     while batches:
         batch = batches[-1]
         length = len(batch[0])
-        tail = min(length, blocks)
-        chunk = batch[-_chunk_rows(tail * width):]
+        chunk = batch[-_chunk_rows(length * width):]
         del batch[-len(chunk):]
         if not batch:
             batches.pop()
         counts[length] += len(chunk)
-        image = morphism.apply(b"".join(word[-tail:] for word in chunk))
-        tails = np.frombuffer(image, dtype=np.uint8).reshape(len(chunk), -1)
-        tails = tails[:, max(0, tail * width - width - reach + 1):]
-        flagged = _screen(tails, tails.shape[1] - width, target, root_cap)
+        image = morphism.apply(b"".join(chunk))
+        images = np.frombuffer(image, dtype=np.uint8).reshape(len(chunk), -1)
+        flagged = _screen(images, images.shape[1] - width, target, root_cap)
         clean = []
         for word, flag in zip(chunk, flagged.tolist()):
             bad = None

@@ -94,6 +94,19 @@ def test_growth_needs_alphabet_for_empty_lists(capsys, tmp_path):
     assert json.loads(out)["eigenvalue"] == pytest.approx(2.0, abs=1e-6)
 
 
+def test_word_lists_take_comments(capsys, tmp_path):
+    runs = tmp_path / "runs.txt"
+    runs.write_text("# runs of three\n111  # runs\n000\n")
+    word = tmp_path / "word.txt"
+    word.write_text("0011100")
+    code, out, _ = run_cli(capsys, "scan", "--word", str(word),
+                           "--factors", str(runs))
+    assert code == 1 and "forbidden factor: factor 111, position 2" in out
+    code, out, _ = run_cli(capsys, "growth", "--forbidden", str(runs))
+    assert code == 0
+    assert json.loads(out)["eigenvalue"] == pytest.approx((1 + 5 ** 0.5) / 2)
+
+
 def test_scan_reports_and_exit_codes(capsys, tmp_path, registry):
     clean = tmp_path / "clean.txt"
     clean.write_text(registry.reference_prefixes["dekking_core_50"])
@@ -148,6 +161,20 @@ def test_verify_substitution_files_are_detected(capsys):
     assert payload["classes"] == [0, 1, 2, 3, 4, 0]
 
 
+def test_a_comma_in_a_comment_keeps_a_morphism_file_a_morphism(
+        capsys, tmp_path, registry):
+    plain = tmp_path / "plain.txt"
+    plain.write_text(format_morphism(registry.dekking_h))
+    commented = tmp_path / "commented.txt"
+    commented.write_text(format_morphism(registry.dekking_h)
+                         .replace("\n", "  # image, core\n", 1))
+    args = ("verify", "--source", "dekking_h_source", "--target",
+            "squarefree4", "--name", "dekking_h", "--format", "json")
+    code, out, _ = run_cli(capsys, *args, "--morphism", str(plain))
+    assert code == 0 and json.loads(out)["classes"] is None
+    assert run_cli(capsys, *args, "--morphism", str(commented))[:2] == (0, out)
+
+
 def test_verify_with_fixed_point_evidence(capsys):
     code, out, _ = run_cli(capsys, "verify", "--morphism", "dekking_g",
                            "--source", "dekking_g_source",
@@ -181,6 +208,19 @@ def test_bad_flags_are_usage_errors(capsys):
 
 FAMILY = ("family", "--sub", "dekking_sub", "--outer", "dekking_g",
           "--seed-word", "0310201023", "--target", "dekking")
+
+
+def test_config_line_is_pinned(capsys):
+    _, _, err = run_cli(capsys, "generate", "--morphism", "dekking_h",
+                        "--length", "50")
+    assert err.splitlines()[0] == (
+        'config: {"format": "text", "length": 50, "morphism": "dekking_h",'
+        ' "seed": 0, "seed_letter": 0, "subcommand": "generate"}')
+    _, _, err = run_cli(capsys, *FAMILY, "--seed", "7")
+    assert err.splitlines()[0] == (
+        'config: {"cap": 65536, "format": "json", "outer": "dekking_g",'
+        ' "samples": 64, "seed": 7, "seed_word": "0310201023",'
+        ' "sub": "dekking_sub", "subcommand": "family", "target": "dekking"}')
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -262,14 +302,25 @@ VERIFY_G = ("verify", "--morphism", "dekking_g", "--source",
      "--target", "dekking"),
     ("verify", "--morphism", "{uniform}", "--source", "squarefree4",
      "--target", "dekking"),
+    ("verify", "--morphism", "{empty}", "--source", "{unary}",
+     "--target", "{squares}"),
 ], ids=["seed-outside-alphabet", "negative-seed", "not-an-endomorphism",
-        "non-uniform-morphism", "source-letter-without-image"])
+        "non-uniform-morphism", "source-letter-without-image",
+        "empty-images"])
 def test_unusable_verify_requests_are_usage_errors(capsys, tmp_path, argv):
     path = tmp_path / "m.txt"
     path.write_text("0 -> 01\n1 -> 100\n")
     uniform = tmp_path / "u.txt"
     uniform.write_text("0 -> 0000\n1 -> 0101\n")
-    code, out, err = run_cli(capsys, *(a.format(path=path, uniform=uniform)
+    empty = tmp_path / "e.txt"
+    empty.write_text("0 -> \n")
+    unary = tmp_path / "a1.txt"
+    unary.write_text("alphabet 1\n")
+    squares = tmp_path / "sq.txt"
+    squares.write_text("alphabet 2\nsquares min-root 1\n")
+    code, out, err = run_cli(capsys, *(a.format(path=path, uniform=uniform,
+                                                 empty=empty, unary=unary,
+                                                 squares=squares)
                                        for a in argv))
     assert code == 2
     assert out == ""

@@ -9,9 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordavoid import (AvoidanceSpec, FactorAutomaton, build_automaton,
-                       count_avoiding, exhaust_max_length, growth_rate,
-                       lower_bound_family, minimal_forbidden, satisfies_spec,
-                       walk_legal, word_from_text, word_to_text)
+                       count_avoiding, exhaust_max_length, fixed_point_prefix,
+                       growth_rate, lower_bound_family, minimal_forbidden,
+                       satisfies_spec, walk_legal, word_from_text,
+                       word_to_text)
 
 from conftest import all_words, naive_count, naive_satisfies, specs
 
@@ -353,6 +354,18 @@ def test_family_no_larger_than_the_sample_is_enumerated(registry):
                                  enumeration_cap=0, samples=3)
     assert (sampled.family_size, sampled.verified_count) == (4, 3)
     assert not sampled.enumerated
+
+
+def test_family_above_the_enumeration_limit_is_sampled(registry):
+    # 40 letters with two images each: a family of 2^40, far past what
+    # `Substitution.iter_images` would list
+    seed_word = fixed_point_prefix(registry.dekking_h, 0, 200)
+    report = lower_bound_family(registry.dekking_sub, registry.dekking_g,
+                                seed_word, registry.dekking_binary,
+                                samples=8)
+    assert report.family_size == 1 << 40
+    assert report.word_length == 200 * 60
+    assert (report.verified_count, report.enumerated) == (8, False)
 
 
 # ---------------------------------------------------------------------------
