@@ -6,8 +6,11 @@ packaged morphism or substitution, against every packaged source spec whose
 alphabet matches its source alphabet and every target spec wide enough for
 its images, at the default root cap and at 2W+3.  The next two lines hash the
 stdout of `wordavoid scenario --all --format json`, at the default prefix
-length and at 2000.  Two trees whose lines agree produce the same
-certificates and scenario reports.
+length and at 2000.  The fourth hashes what the legal-word walker produces:
+the count tables to length 36 and the minimal forbidden sets to length 30 of
+the Dekking and Fraenkel-Simpson binary specs.  Two trees whose lines agree
+produce the same certificates, scenario reports, count tables and minimal
+sets.
 """
 
 import contextlib
@@ -18,8 +21,8 @@ import sys
 
 from wordavoid import cli
 from wordavoid.instances import MORPHISM_NAMES, SPEC_NAMES, SUBSTITUTION_NAMES
-from wordavoid import (load_registry, verify_square_transfer,
-                       verify_substitution_transfer)
+from wordavoid import (count_avoiding, load_registry, minimal_forbidden,
+                       verify_square_transfer, verify_substitution_transfer)
 
 
 def certificate_digest() -> tuple[int, str]:
@@ -58,12 +61,22 @@ def scenario_digest(*argv: str) -> str:
     return hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
+def tables_digest() -> str:
+    reg = load_registry()
+    digest = hashlib.sha256()
+    for spec in (reg.dekking_binary, reg.fs_binary):
+        digest.update(repr(count_avoiding(spec, 36).counts).encode() + b"\n")
+        digest.update(minimal_forbidden(spec, 30).to_lines().encode())
+    return digest.hexdigest()
+
+
 def main() -> int:
     count, digest = certificate_digest()
     print(f"certificates {count} {digest}")
     print(f"scenario --all {scenario_digest()}")
     print(f"scenario --all --prefix-length 2000"
           f" {scenario_digest('--prefix-length', '2000')}")
+    print(f"tables {tables_digest()}")
     return 0
 
 

@@ -1,14 +1,14 @@
 """Exact counting of avoiding words and growth-rate estimates.
 
-Every search over legal words goes through one walker, `walk_legal`: a
-word is extended letter by letter and a branch dies as soon as the new
-suffix breaks the spec, which is the only place a fresh violation can
-appear.  Counting tallies the walked words, exhaustion looks for the longest
-one, minimality inspects the rejected extensions, and the verifier's
-bounded case prunes below each source word whose image fails.  Every
-constraint (a forbidden factor, a forbidden square, a cube) is a factor, so
-legality is closed under taking factors and suffix checks alone decide both
-the walk and minimality.
+Every search over legal words goes through one walker, `walk_legal`: it
+extends a chunk of words of one length by every letter at once, and one 2-D
+`suffix_screen` of the extensions decides which die, since the new letter
+is the only place a fresh violation can end.  Counting tallies the chunks'
+rows, exhaustion looks for the longest word, minimality screens the
+rejected extensions' right truncations, and the verifier's bounded case
+prunes the rows whose image fails.  Every constraint (a forbidden factor, a
+forbidden square, a cube) is a factor, so legality is closed under taking
+factors and suffix screens alone decide both the walk and minimality.
 Minimal forbidden words (both one-letter truncations legal) feed an
 Aho-Corasick factor automaton whose live part counts and bounds the language;
 its Perron root comes from power iteration over the live edge list, standing
@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .morphisms import Morphism, Substitution
-from .words import AvoidanceSpec, satisfies_spec, suffix_legal, word_to_text
+from .words import (AvoidanceSpec, satisfies_spec, suffix_screen,
+                    word_to_text)
 
 
 @dataclass(frozen=True)
@@ -41,75 +42,108 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
 
-def walk_legal(spec: AvoidanceSpec, max_len: int, prefix: bytes = b"",
-               classes: tuple[int, ...] | None = None):
-    """Legal words extending a legal prefix, up to max_len letters.
+# Byte budget of one screen array.  Chunks hold as many words as fit it,
+# and at least one whatever their length.
+_SCREEN_BYTES = 1 << 20
 
-    Yields (word, children, rejected) in lexicographic preorder from the
-    prefix itself: the one-letter extensions of `word` that satisfy and that
-    break the spec, both empty at max_len.  They are checked before `word`
-    is yielded, one suffix check each, so every yielded word is legal;
-    children are walked once the consumer resumes, so `children.clear()`
-    prunes the subtree (as with `os.walk`).  With `classes`, the letters are
-    0..len(classes)-1 and letter x is checked as classes[x].
+
+def _chunk_rows(columns: int) -> int:
+    """Words per chunk when each is screened as `columns` letters, counting
+    the columns + 1 int32 prefix sums of the widest screen array."""
+    return max(1, _SCREEN_BYTES // (4 * (columns + 1)))
+
+
+def walk_legal(spec: AvoidanceSpec, max_len: int,
+               prefixes: np.ndarray | None = None,
+               classes: tuple[int, ...] | None = None, width: int = 1):
+    """Legal words extending legal prefixes, up to max_len letters, one chunk
+    of words of one length at a time.
+
+    `prefixes` is a 2-D uint8 array of legal words of one length, the empty
+    word by default.  Yields (words, rejected, keep): a B x k array of legal
+    words, the array of their one-letter extensions that break the spec
+    (empty at max_len), and a mask of B True values.  The extensions are
+    checked by one `suffix_screen` before the chunk is yielded, so every
+    yielded word is legal; the legal ones of the rows still kept are walked
+    once the consumer resumes, so clearing keep[i] prunes the subtree of row
+    i.  The walk is a preorder of chunks: a chunk's subtrees are walked
+    before the next chunk of its length, and rows run in lexicographic order
+    when the prefixes do.  A chunk of k-letter words has at most
+    `_chunk_rows((k + 1) * max(alphabet, width))` rows, where `width` is the
+    columns a caller screens per letter (the bounded case's image width), so
+    at most about max_len x alphabet x `_SCREEN_BYTES` is live.  With
+    `classes`, the letters are 0..len(classes)-1 and letter x is checked as
+    classes[x].
     """
     size = spec.alphabet_size if classes is None else len(classes)
-    letters = [bytes([x]) for x in range(size)]
-    table = None if classes is None else bytes(classes).ljust(256, b"\0")
-    stack = [prefix]
+    table = None if classes is None else np.array(classes, dtype=np.uint8)
+    letters = np.arange(size, dtype=np.uint8)
+    stack = [np.zeros((1, 0), dtype=np.uint8) if prefixes is None
+             else prefixes]
     while stack:
-        word = stack.pop()
-        children, rejected = [], []
-        if len(word) < max_len:
-            for letter in letters:
-                ext = word + letter
-                if suffix_legal(ext if table is None
-                                else ext.translate(table), spec):
-                    children.append(ext)
-                else:
-                    rejected.append(ext)
-        yield word, children, rejected
-        stack += reversed(children)
+        batch = stack.pop()
+        k = batch.shape[1]
+        rows = _chunk_rows((k + 1) * max(size, width))
+        words = batch[:rows]
+        if len(batch) > rows:
+            stack.append(batch[rows:])
+        keep = np.ones(len(words), dtype=bool)
+        if k == max_len:
+            yield words, np.empty((0, k + 1), dtype=np.uint8), keep
+            continue
+        ext = np.empty((len(words) * size, k + 1), dtype=np.uint8)
+        ext[:, :k] = np.repeat(words, size, axis=0)
+        ext[:, k] = np.tile(letters, len(words))
+        bad = suffix_screen(ext if table is None else table[ext], spec)
+        yield words, ext[bad], keep
+        children = ext[~bad & np.repeat(keep, size)]
+        if len(children):
+            stack.append(children)
 
 
-def _subtree_counts(prefix: bytes, spec: AvoidanceSpec, n_max: int) -> list[int]:
-    """Counts by length of legal words extending one legal prefix."""
+def _tally(prefixes: np.ndarray | None, spec: AvoidanceSpec,
+           n_max: int) -> list[int]:
+    """Counts by length of legal words extending the prefixes."""
     counts = [0] * (n_max + 1)
-    for word, _, _ in walk_legal(spec, n_max, prefix):
-        counts[len(word)] += 1
+    for words, _, _ in walk_legal(spec, n_max, prefixes):
+        counts[words.shape[1]] += len(words)
     return counts
 
 
-def _subtree_job(args: tuple[bytes, AvoidanceSpec, int]) -> list[int]:
-    return _subtree_counts(*args)
+def _tally_job(args: tuple[np.ndarray, AvoidanceSpec, int]) -> list[int]:
+    return _tally(*args)
 
 
 def count_avoiding(spec: AvoidanceSpec, n_max: int,
                    workers: int = 1) -> CountTable:
-    """Count legal words of each length 0..n_max by pruned DFS.
+    """Count legal words of each length 0..n_max by one pruned walk.
 
-    With workers > 1 the subtrees below a fixed split depth are counted in
-    parallel processes; counts merge by addition, so the result does not
-    depend on scheduling.  The pool never exceeds the CPU count or the
-    number of subtrees.
+    With workers > 1 the legal words of a fixed split length are dealt into
+    one group per process, and each group is walked as one batch; counts
+    merge by addition, so the result does not depend on scheduling.  The
+    pool never exceeds the CPU count or the number of words at the split.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
+    workers = min(workers, os.cpu_count() or 1)
+    if workers <= 1:
+        return CountTable(spec, tuple(_tally(None, spec, n_max)))
     split = min(6, n_max)
     counts = [0] * (n_max + 1)
-    frontier = []
-    for word, _, _ in walk_legal(spec, split):
-        if len(word) == split:
-            frontier.append(word)
+    frontier = [np.empty((0, split), dtype=np.uint8)]
+    for words, _, _ in walk_legal(spec, split):
+        if words.shape[1] == split:
+            frontier.append(words)
         else:
-            counts[len(word)] += 1
-    workers = min(workers, os.cpu_count() or 1, len(frontier))
+            counts[words.shape[1]] += len(words)
+    frontier = np.concatenate(frontier)
+    workers = min(workers, len(frontier))
+    jobs = [(frontier[i::workers], spec, n_max) for i in range(workers)]
     if workers > 1:
         with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_subtree_job,
-                             [(w, spec, n_max) for w in frontier])
+            parts = pool.map(_tally_job, jobs)
     else:
-        parts = [_subtree_counts(w, spec, n_max) for w in frontier]
+        parts = [_tally_job(job) for job in jobs]
     for part in parts:
         for n, c in enumerate(part):
             counts[n] += c
@@ -136,17 +170,16 @@ def minimal_forbidden(spec: AvoidanceSpec, max_length: int) -> MinimalForbiddenS
     truncations, so legality of both truncations is the whole minimality
     condition.  Candidates are the walker's rejected extensions of legal
     words, which keeps the left truncation legal by construction.  The
-    right truncation needs only a suffix check: legality is closed under
+    right truncation needs only a suffix screen: legality is closed under
     taking factors, so with `word` legal, `word[1:]` and all its prefixes
-    are legal, which is exactly what `suffix_legal` requires of `ext[1:]`.
+    are legal, which is exactly what the screen of `ext[1:]` requires.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     found = set()
-    for _, _, rejected in walk_legal(spec, max_length):
-        for ext in rejected:
-            if suffix_legal(ext[1:], spec):
-                found.add(ext)
+    for _, rejected, _ in walk_legal(spec, max_length):
+        minimal = rejected[~suffix_screen(rejected[:, 1:], spec)]
+        found.update(row.tobytes() for row in minimal)
     return MinimalForbiddenSet(spec, max_length, frozenset(found))
 
 
@@ -370,18 +403,19 @@ class ExhaustReport:
 
 
 def exhaust_max_length(spec: AvoidanceSpec, hard_cap: int) -> ExhaustReport:
-    """Longest legal word, or a cap report when the DFS still has room.
+    """Longest legal word, or a cap report when the walk still has room.
 
-    Hitting a legal word of length hard_cap means the language may well be
-    infinite, so the search stops and says so rather than pretending the cap
-    is an answer.
+    The witness is the lexicographically least legal word of the greatest
+    length, the first one a preorder walk meets.  Hitting a legal word of
+    length hard_cap means the language may well be infinite, so the search
+    stops and says so rather than pretending the cap is an answer.
     """
     if hard_cap < 1:
         raise ValueError("hard_cap must be >= 1")
     best = b""
-    for word, _, _ in walk_legal(spec, hard_cap):
-        if len(word) == hard_cap:
+    for words, _, _ in walk_legal(spec, hard_cap):
+        if words.shape[1] == hard_cap:
             return ExhaustReport(None, None, True)
-        if len(word) > len(best):
-            best = word
+        # Rows of a chunk are sorted, so its first row is its least.
+        best = min(best, words[0].tobytes(), key=lambda w: (-len(w), w))
     return ExhaustReport(len(best), best, False)

@@ -5,11 +5,11 @@ satisfies the target spec" by splitting any would-be violation into three
 exhaustive channels:
 
 * short violations, inside the image of a bounded source word (the shared
-  legal-word walker gives the words one length at a time and skips the
-  extensions of a failed one; one array screen per chunk of words flags the
-  images that may violate, and each flagged image is checked whole with
-  `satisfies_spec`, roots capped at the root cap; a cap below 2W leaves the
-  roots above it as a residual);
+  legal-word walker gives the words in chunks of one length and skips the
+  extensions of a failed one; the same suffix screen that drives the walk
+  flags the violating images of a chunk, roots capped at the root cap, and
+  `satisfies_spec` names each violation; a cap below 2W leaves the roots
+  above it as a residual);
 * inclusions, where one image sits inside the image of a pair with offcut
   affixes on both sides (refuted case by case through context letters and
   forced pullbacks);
@@ -37,7 +37,7 @@ from .counting import walk_legal
 from .morphisms import Morphism, Substitution, fixed_point_prefix
 from .words import (AvoidanceSpec, GapPattern, Violation,
                     find_gap_occurrences, format_spec, satisfies_spec,
-                    word_to_text)
+                    suffix_screen, word_to_text)
 
 FixedPoint = tuple[Morphism, int]
 
@@ -434,18 +434,28 @@ def _exhaustive_viability(pattern: GapPattern, spec: AvoidanceSpec,
     """(complete, legal_instance) for gaps up to max_gap.
 
     Walks the legal words first + alpha, which prunes soundly because a
-    violation inside a prefix survives every extension, and stops at the
-    first alpha whose pattern word is legal.  Complete means every branch
-    died before reaching max_gap.
+    violation inside a prefix survives every extension.  The instance is
+    the one with the lexicographically least alpha, the first a preorder
+    walk meets: once one is found, every word after it is pruned.  Complete
+    means every branch died before reaching max_gap; it is read only when
+    there is no instance.
     """
-    complete = True
-    for word, _, _ in walk_legal(spec, max_gap + 1, bytes([pattern.first])):
-        candidate = pattern.word(word[1:])
-        if _forbids(spec, candidate) is None:
-            return complete, candidate
-        if len(word) == max_gap + 1:
+    complete, best = True, None
+    for words, _, keep in walk_legal(spec, max_gap + 1,
+                                     np.array([[pattern.first]], np.uint8)):
+        if words.shape[1] == max_gap + 1:
             complete = False
-    return complete, None
+        # Rows run in lexicographic order, and a word's extensions follow it.
+        for i, word in enumerate(words):
+            word = word.tobytes()
+            if best is not None and word > best:
+                keep[i:] = False
+                break
+            if _forbids(spec, pattern.word(word[1:])) is None:
+                best = word
+                keep[i:] = False
+                break
+    return complete, None if best is None else pattern.word(best[1:])
 
 
 def _follower_proof_spec(pattern: GapPattern, spec: AvoidanceSpec) -> str | None:
@@ -620,45 +630,6 @@ def refute_interchange(witness: InterchangeWitness, source: AvoidanceSpec,
 # ---------------------------------------------------------------------------
 # Bounded case and certificates.
 
-# Byte budget of one screen array.  A level is screened in chunks of rows
-# that fit it, and a chunk holds at least one row whatever the root cap.
-_SCREEN_BYTES = 1 << 20
-
-
-def _chunk_rows(columns: int) -> int:
-    """Rows per screen chunk; the widest screen array holds columns + 1
-    int32 prefix sums a row."""
-    return max(1, _SCREEN_BYTES // (4 * (columns + 1)))
-
-
-def _screen(images, new: int, target: AvoidanceSpec, root_cap: int):
-    """Flag the rows of `images` that may hold a target violation ending at
-    column `new` or later: a letter outside the alphabet, a forbidden factor,
-    or a power of a repetition rule with root at most root_cap, allowed or
-    not.  Every row with such a violation is flagged."""
-    n = images.shape[1]
-    flagged = images.max(axis=1) >= target.alphabet_size
-    for factor in target.forbidden:
-        first, last = max(0, new - len(factor) + 1), n - len(factor)
-        if first <= last:
-            hit = np.ones((len(images), last - first + 1), dtype=bool)
-            for i, letter in enumerate(factor):
-                hit &= images[:, first + i:last + i + 1] == letter
-            flagged |= hit.any(axis=1)
-    for _, power, lo, hi, _ in target.repetition_rules:
-        top = min(root_cap, n // power, root_cap if hi is None else hi)
-        for d in range(lo, top + 1):
-            # A power of root d at p repeats for (power-1)·d letters from p
-            # and is new when it ends at p + power·d - 1 >= new.
-            span = (power - 1) * d
-            first = max(0, new - power * d + 1)
-            equal = images[:, first:n - d] == images[:, first + d:]
-            sums = np.zeros((len(images), equal.shape[1] + 1), dtype=np.int32)
-            np.cumsum(equal, axis=1, dtype=np.int32, out=sums[:, 1:])
-            flagged |= (sums[:, span:] - sums[:, :-span] == span).any(axis=1)
-    return flagged
-
-
 def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
                        target: AvoidanceSpec, root_cap: int,
                        classes: tuple[int, ...] | None = None
@@ -671,16 +642,15 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     full.  An image violation survives every extension, so a word whose image
     violates is reported and its extensions are not visited.
 
-    Words are checked one length at a time, in chunks that fit
-    `_SCREEN_BYTES`, and the legal-word walker gives each clean word's
-    children.  A word's parent has a clean image, which is a prefix of the
-    word's image, so a violation can only end in the last block; the screen
-    stacks the images and flags, in one array pass per rule and root, every
-    row that has a letter, factor or power ending there.  Each flagged image
-    is checked whole by `satisfies_spec`, which gives the exact violation, or
-    none for an allowed square.  The violations are sorted by source word,
-    which is the walker's preorder because no reported word is a prefix of
-    another.
+    The source words come from the legal-word walker, one chunk of one
+    length at a time, and their images from one table lookup.  A word's
+    parent has a clean image, which is a prefix of the word's image, so a
+    violation can only end in the last block: `suffix_screen` from that
+    block, with roots capped at root_cap, flags exactly the violating images.
+    Each is checked whole by `satisfies_spec` for the reported violation, and
+    pruned through the chunk's mask.  The violations are sorted by source
+    word, which is the walker's preorder because no reported word is a prefix
+    of another.
     """
     width = morphism.uniform_width
     if not width:
@@ -692,35 +662,21 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     counts = [0] * (max_len + 1)
     violations: list[tuple[bytes, Violation]] = []
     letters = classes or tuple(range(morphism.source_size))
-
-    def children(word: bytes) -> list[bytes]:
-        return next(walk_legal(source, max_len, word, letters))[1]
-
-    first = children(b"")
-    batches = [first] if first else []
-    while batches:
-        batch = batches[-1]
-        length = len(batch[0])
-        chunk = batch[-_chunk_rows(length * width):]
-        del batch[-len(chunk):]
-        if not batch:
-            batches.pop()
-        counts[length] += len(chunk)
-        image = morphism.apply(b"".join(chunk))
-        images = np.frombuffer(image, dtype=np.uint8).reshape(len(chunk), -1)
-        flagged = _screen(images, images.shape[1] - width, target, root_cap)
-        clean = []
-        for word, flag in zip(chunk, flagged.tolist()):
-            bad = None
-            if flag:
-                bad = satisfies_spec(morphism.apply(word), target,
-                                     max_root=root_cap).violation
-            if bad is not None:
-                violations.append((word, bad))
-            elif length < max_len:
-                clean += children(word)
-        if clean:
-            batches.append(clean)
+    table = np.frombuffer(b"".join(morphism.images), dtype=np.uint8
+                          ).reshape(morphism.source_size, width)
+    for words, _, keep in walk_legal(source, max_len, classes=letters,
+                                     width=width):
+        length = words.shape[1]
+        if not length:
+            continue
+        counts[length] += len(words)
+        images = table[words].reshape(len(words), length * width)
+        flagged = suffix_screen(images, target, (length - 1) * width,
+                                root_cap)
+        for i in np.flatnonzero(flagged).tolist():
+            violations.append((words[i].tobytes(), satisfies_spec(
+                images[i].tobytes(), target, max_root=root_cap).violation))
+            keep[i] = False
     violations.sort(key=lambda item: item[0])
     return BoundedCaseReport(max_len, sum(counts), tuple(counts),
                              tuple(violations))

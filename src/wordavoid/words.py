@@ -173,9 +173,9 @@ def _first_repeat(word: bytes, lo: int, hi: int, power: int,
                 if word[p:p + power * d] not in allowed), default=None)
 
 
-def _top(word: bytes, power: int, *caps: int | None) -> int:
-    """Largest root a power-th power can have in word, within the given caps."""
-    return min([len(word) // power, *(c for c in caps if c is not None)])
+def _top(n: int, power: int, *caps: int | None) -> int:
+    """Largest root a power-th power can have in n letters, within the caps."""
+    return min([n // power, *(c for c in caps if c is not None)])
 
 
 def _occurrences(word: bytes, lo: int, hi: int, power: int) -> list[tuple[int, int]]:
@@ -188,21 +188,21 @@ def find_squares(word: bytes, min_root: int = 1, max_root: int | None = None) ->
 
     A square of root d at position p means word[p:p+d] == word[p+d:p+2d].
     """
-    return _occurrences(word, min_root, _top(word, 2, max_root), 2)
+    return _occurrences(word, min_root, _top(len(word), 2, max_root), 2)
 
 
 def find_cubes(word: bytes, min_root: int = 1, max_root: int | None = None) -> list[tuple[int, int]]:
     """All cube occurrences as (position, root length), sorted."""
-    return _occurrences(word, min_root, _top(word, 3, max_root), 3)
+    return _occurrences(word, min_root, _top(len(word), 3, max_root), 3)
 
 
 def find_square_at_least(word: bytes, min_root: int) -> tuple[int, int] | None:
     """First (position, root) square with root >= min_root, or None."""
-    return _first_repeat(word, min_root, _top(word, 2), 2)
+    return _first_repeat(word, min_root, _top(len(word), 2), 2)
 
 
 def find_cube_at_least(word: bytes, min_root: int = 1) -> tuple[int, int] | None:
-    return _first_repeat(word, min_root, _top(word, 3), 3)
+    return _first_repeat(word, min_root, _top(len(word), 3), 3)
 
 
 def max_square_root(word: bytes) -> int:
@@ -365,34 +365,71 @@ def satisfies_spec(word: bytes, spec: AvoidanceSpec,
     if hit is not None:
         return SpecCheck(False, Violation("forbidden", hit[0], hit[1]))
     for kind, power, lo, hi, allowed in spec.repetition_rules:
-        hit = _first_repeat(word, lo, _top(word, power, hi, max_root), power, allowed)
+        hit = _first_repeat(word, lo, _top(len(word), power, hi, max_root), power, allowed)
         if hit is not None:
             p, d = hit
             return SpecCheck(False, Violation(kind, p, word[p:p + power * d], d))
     return SpecCheck(True, None)
 
 
+def _starts(rows: np.ndarray, factor: bytes, first: int,
+            last: int) -> np.ndarray:
+    """hit[i, p - first] says whether row i holds `factor` at column p, for
+    p in first..last."""
+    hit = np.ones((len(rows), last - first + 1), dtype=bool)
+    for i, letter in enumerate(factor):
+        hit &= rows[:, first + i:last + i + 1] == letter
+    return hit
+
+
+def suffix_screen(rows: np.ndarray, spec: AvoidanceSpec, new: int | None = None,
+                  max_root: int | None = None) -> np.ndarray:
+    """Flag the rows of a 2-D uint8 array of words that break the spec with
+    a violation ending at column `new` (default: the last column) or later.
+
+    A violation is a letter outside the alphabet, a forbidden factor, or a
+    power of a repetition rule that is not an allowed word, with root at most
+    max_root when it is set.  Each factor, and each rule and root, takes one
+    array compare over the windows that end at `new` or later.  When every
+    row's prefix before column `new` satisfies the spec, a row is flagged
+    exactly when the whole row breaks it.
+    """
+    count, n = rows.shape
+    new = n - 1 if new is None else new
+    flagged = (rows[:, new:] >= spec.alphabet_size).any(axis=1)
+    for factor in spec.forbidden:
+        first, last = max(0, new - len(factor) + 1), n - len(factor)
+        if first <= last:
+            flagged |= _starts(rows, factor, first, last).any(axis=1)
+    for _, power, lo, hi, allowed in spec.repetition_rules:
+        for d in range(lo, _top(n, power, hi, max_root) + 1):
+            # A power of root d at p repeats for (power-1)·d letters from p
+            # and ends at p + power·d - 1, so p runs from first to last.
+            span = (power - 1) * d
+            first, last = max(0, new - power * d + 1), n - power * d
+            equal = rows[:, first:n - d] == rows[:, first + d:]
+            if first == last:  # one window, as in the walker
+                hit = equal.all(axis=1, keepdims=True)
+            else:
+                sums = np.zeros((count, equal.shape[1] + 1), dtype=np.int32)
+                np.cumsum(equal, axis=1, dtype=np.int32, out=sums[:, 1:])
+                hit = sums[:, span:] - sums[:, :-span] == span
+            for word in allowed:
+                if len(word) == power * d:
+                    hit &= ~_starts(rows, word, first, last)
+            flagged |= hit.any(axis=1)
+    return flagged
+
+
 def suffix_legal(word: bytes, spec: AvoidanceSpec) -> bool:
     """Check only the constraints that end at the last letter.
 
     Sound for incremental search: if every proper prefix passed this check,
-    the word satisfies the spec exactly when this check passes.  Pure python,
-    meant for the short words a depth-first enumeration visits.
+    the word satisfies the spec exactly when this check passes.  It is the
+    one-row case of `suffix_screen`.
     """
-    n = len(word)
-    if n == 0:
-        return True
-    if word[-1] >= spec.alphabet_size:
-        return False
-    for f in spec.forbidden:
-        if n >= len(f) and word.endswith(f):
-            return False
-    for _, power, lo, hi, allowed in spec.repetition_rules:
-        for d in range(lo, (n // power if hi is None else min(n // power, hi)) + 1):
-            start = n - power * d
-            if word[start:n - d] == word[start + d:] and word[start:] not in allowed:
-                return False
-    return True
+    row = np.frombuffer(word, dtype=np.uint8).reshape(1, len(word))
+    return not suffix_screen(row, spec)[0]
 
 
 def parse_spec(text: str) -> AvoidanceSpec:

@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from wordavoid import (AvoidanceSpec, FactorAutomaton, build_automaton,
                        growth_rate, lower_bound_family, minimal_forbidden,
                        satisfies_spec, walk_legal, word_from_text,
                        word_to_text)
+from wordavoid import counting
 
 from conftest import all_words, naive_count, naive_satisfies, specs
 
@@ -69,6 +71,14 @@ def test_count_workers_are_clamped(registry, monkeypatch, n_max, cpus,
     table = count_avoiding(registry.fs_binary, n_max, workers=10_000)
     assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
     assert table.counts == H_TABLE[:n_max + 1]
+
+
+def test_count_workers_on_a_finite_language(monkeypatch):
+    # squarefree binary words stop at length 3, before the split length
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    spec = AvoidanceSpec(2, square_min_root=1)
+    assert count_avoiding(spec, 8, workers=4).counts == (1, 2, 2, 2) + (0,) * 5
 
 
 @given(st.integers(0, 7))
@@ -135,14 +145,21 @@ def test_minimal_forbidden_matches_brute_force(case):
     assert minimal_forbidden(spec, max_length).words == expected
 
 
+def as_rows(words, length):
+    """Words of one length as the walker's 2-D uint8 array."""
+    return np.frombuffer(b"".join(words), dtype=np.uint8).reshape(
+        len(words), length)
+
+
 @given(small_specs(), st.data())
 @settings(max_examples=80, deadline=None)
 def test_walk_legal_matches_brute_force(case, data):
-    """From any legal prefix the walk yields exactly the legal words that
-    extend it and have no pruned proper prefix, in sorted (lexicographic
-    preorder) order, each with its legal and its illegal one-letter
-    extensions below max_len.  Under a class map, a word is legal when its
-    letter-by-letter projection is."""
+    """From any batch of legal prefixes of one length the walk yields, in
+    chunks of one length, exactly the legal words that extend a prefix and
+    have no pruned proper prefix, each once.  Each chunk's rows are sorted
+    and come with exactly their illegal one-letter extensions below max_len.
+    With one row a chunk the walk is the lexicographic preorder.  Under a
+    class map, a word is legal when its letter-by-letter projection is."""
     spec, max_len = case
     classes = data.draw(st.none() | st.lists(
         st.integers(0, spec.alphabet_size - 1), min_size=1,
@@ -157,22 +174,58 @@ def test_walk_legal_matches_brute_force(case, data):
 
     words = sorted(w for n in range(max_len + 1)
                    for w in all_words(size, n) if legal(w))
-    prefix = data.draw(st.sampled_from(words))
-    below = [w for w in words if w.startswith(prefix)]
+    length = data.draw(st.sampled_from(sorted({len(w) for w in words})))
+    prefixes = sorted(data.draw(st.sets(
+        st.sampled_from([w for w in words if len(w) == length]),
+        min_size=1)))
+    below = [w for w in words if w[:length] in prefixes]
     pruned = data.draw(st.sets(st.sampled_from(below), max_size=4))
+    budget = data.draw(st.sampled_from([1, 64, counting._SCREEN_BYTES]))
     walked = []
-    for word, children, rejected in walk_legal(spec, max_len, prefix,
-                                               classes):
-        walked.append(word)
-        extensions = [] if len(word) == max_len else [
-            word + bytes([x]) for x in range(size)]
-        assert children == [ext for ext in extensions if legal(ext)]
-        assert rejected == [ext for ext in extensions if not legal(ext)]
-        if word in pruned:
-            children.clear()
-    assert walked == [w for w in below
-                      if not any(w[:k] in pruned
-                                 for k in range(len(prefix), len(w)))]
+    with patch.object(counting, "_SCREEN_BYTES", budget):
+        for chunk, rejected, keep in walk_legal(
+                spec, max_len, as_rows(prefixes, length), classes):
+            rows = [row.tobytes() for row in chunk]
+            assert rows == sorted(rows)
+            assert list(keep) == [True] * len(rows)
+            walked += rows
+            extensions = [] if chunk.shape[1] == max_len else [
+                w + bytes([x]) for w in rows for x in range(size)]
+            assert rejected.shape[1] == chunk.shape[1] + 1
+            assert [row.tobytes() for row in rejected] == [
+                ext for ext in extensions if not legal(ext)]
+            keep[:] = [w not in pruned for w in rows]
+    expected = [w for w in below
+                if not any(w[:k] in pruned for k in range(length, len(w)))]
+    assert sorted(walked) == expected
+    if budget == 1:
+        assert walked == expected
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_walk_is_the_same_in_small_chunks(registry, monkeypatch, rows):
+    """Count tables, minimal sets and exhaustion witnesses do not depend on
+    how many words a chunk holds."""
+    calls = [(count_avoiding, registry.dekking_binary, 20),
+             (count_avoiding, registry.fs_binary, 20),
+             (minimal_forbidden, registry.dekking_binary, 16),
+             (minimal_forbidden, registry.fs_binary, 16),
+             (exhaust_max_length, registry.ejs3, 40)]
+    expected = [call(spec, n) for call, spec, n in calls]
+    for (call, spec, n), result in zip(calls, expected):
+        # `rows` words a chunk of length n, and more in shorter chunks
+        widest = (n + 1) * spec.alphabet_size
+        monkeypatch.setattr(counting, "_SCREEN_BYTES",
+                            1 if rows == 1 else rows * 4 * (widest + 1))
+        assert counting._chunk_rows(widest) == rows
+        sizes = {}
+        for words, _, _ in walk_legal(spec, n):
+            length = words.shape[1]
+            sizes[length] = max(sizes.get(length, 0), len(words))
+        assert sizes.get(n, rows) == rows
+        assert all(size <= counting._chunk_rows((k + 1) * spec.alphabet_size)
+                   for k, size in sizes.items())
+        assert call(spec, n) == result
 
 
 def test_minimal_forbidden_lines_are_sorted(registry):

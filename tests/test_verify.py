@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from wordavoid import (AvoidanceSpec, BoundedCaseReport, GapPattern, Morphism,
                        bounded_case_check, find_inclusions, find_interchanges,
                        prove_gap_pattern_absence, refute_inclusion,
-                       satisfies_spec, verify_square_transfer,
-                       verify_substitution_transfer, walk_legal,
-                       with_image_letter, word_from_text, word_to_text)
-from wordavoid import verify
+                       satisfies_spec, suffix_legal, verify_square_transfer,
+                       verify_substitution_transfer, with_image_letter,
+                       word_from_text, word_to_text)
+from wordavoid import counting
 from wordavoid.morphisms import _stream, fixed_point_prefix
 from wordavoid.verify import _exhaustive_viability, exact_factors
 
@@ -143,6 +143,29 @@ def test_realizable_gap_pattern_is_found():
     assert satisfies_spec(word, spec).ok
     evidence = prove_gap_pattern_absence(pattern, spec)
     assert not evidence.complete
+
+
+@pytest.mark.parametrize("budget", [1, 1 << 20])
+@pytest.mark.parametrize("spec, pattern", [
+    (AvoidanceSpec(4, square_min_root=1), GapPattern(0, 1, 0)),
+    (AvoidanceSpec(3, (word_from_text("021"),), square_min_root=2,
+                   cubefree=True), GapPattern(0, 2, 1)),
+    (AvoidanceSpec(2, square_min_root=1), GapPattern(0, 0, 1)),
+])
+def test_gap_instance_has_the_least_gap_word(monkeypatch, budget, spec,
+                                             pattern):
+    """The instance is the one whose alpha is least in lexicographic order,
+    however many words a chunk of the walk holds."""
+    monkeypatch.setattr(counting, "_SCREEN_BYTES", budget)
+    max_gap = 4
+    alphas = sorted(alpha for n in range(max_gap + 1)
+                    for alpha in all_words(spec.alphabet_size, n)
+                    if naive_satisfies(bytes([pattern.first]) + alpha, spec))
+    found = [a for a in alphas if naive_satisfies(pattern.word(a), spec)]
+    complete, instance = _exhaustive_viability(pattern, spec, max_gap)
+    assert instance == (pattern.word(found[0]) if found else None)
+    if not found:
+        assert complete == all(len(a) < max_gap for a in alphas)
 
 
 def test_core_certificate(registry):
@@ -396,20 +419,28 @@ def test_bounded_case_matches_brute_force(morphism, data):
 
 
 def dfs_bounded_case(morphism, source, target, root_cap, classes=None):
-    """The bounded case as one walk: each legal word's image is checked
-    whole, and a violation prunes the word's extensions."""
+    """The bounded case as one word-by-word walk in lexicographic preorder:
+    an extension is legal when its projection passes `suffix_legal`, each
+    legal word's image is checked whole, and a violation prunes the word's
+    extensions."""
     max_len = (2 * root_cap) // morphism.uniform_width + 2
     counts = [0] * (max_len + 1)
     violations = []
     letters = classes or tuple(range(morphism.source_size))
-    for word, children, _ in walk_legal(source, max_len, classes=letters):
+    stack = [b""]
+    while stack:
+        word = stack.pop()
         if word:
             counts[len(word)] += 1
             bad = satisfies_spec(morphism.apply(word), target,
                                  max_root=root_cap).violation
             if bad is not None:
                 violations.append((word, bad))
-                children.clear()
+                continue
+        if len(word) < max_len:
+            children = [word + bytes([x]) for x in range(len(letters))]
+            stack += reversed([ext for ext in children if suffix_legal(
+                bytes(letters[x] for x in ext), source)])
     return BoundedCaseReport(max_len, sum(counts), tuple(counts),
                              tuple(violations))
 
@@ -476,12 +507,13 @@ def test_bounded_case_is_the_same_in_small_chunks(registry, monkeypatch,
     expected = [bounded_case_check(*case) for case in cases]
     assert len(expected[1].violations) == 16
     for case, report in zip(cases, expected):
-        width, cap = case[0].uniform_width, case[3]
-        widest = width * ((2 * cap) // width + 2)
-        # `rows` rows a chunk at the widest screen, and more at narrower ones
-        monkeypatch.setattr(verify, "_SCREEN_BYTES",
+        morphism, cap = case[0], case[3]
+        width = morphism.uniform_width
+        # `rows` source words a chunk of the longest, and more at shorter ones
+        widest = ((2 * cap) // width + 3) * max(morphism.source_size, width)
+        monkeypatch.setattr(counting, "_SCREEN_BYTES",
                             1 if rows == 1 else rows * 4 * (widest + 1))
-        assert verify._chunk_rows(widest) == rows
+        assert counting._chunk_rows(widest) == rows
         assert bounded_case_check(*case) == report
 
 
