@@ -62,43 +62,48 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
     `prefixes` is a 2-D uint8 array of legal words of one length, the empty
     word by default.  Yields (words, rejected, keep): a B x k array of legal
     words, the array of their one-letter extensions that break the spec
-    (empty at max_len), and a mask of B True values.  The extensions are
-    checked by one `suffix_screen` before the chunk is yielded, so every
-    yielded word is legal; the legal ones of the rows still kept are walked
-    once the consumer resumes, so clearing keep[i] prunes the subtree of row
-    i.  The walk is a preorder of chunks: a chunk's subtrees are walked
-    before the next chunk of its length, and rows run in lexicographic order
-    when the prefixes do.  A chunk of k-letter words has at most
-    `_chunk_rows((k + 1) * max(alphabet, width))` rows, where `width` is the
-    columns a caller screens per letter (the bounded case's image width), so
-    at most about max_len x alphabet x `_SCREEN_BYTES` is live.  With
-    `classes`, the letters are 0..len(classes)-1 and letter x is checked as
-    classes[x].
+    (empty from max_len letters on, where no word is extended), and a mask
+    of B True values.  The extensions are checked by one `suffix_screen`
+    before the chunk is yielded, so every yielded word is legal; the legal
+    ones of the rows still kept are walked once the consumer resumes, so
+    clearing keep[i] prunes the subtree of row i.  The walk is a preorder of
+    chunks: a chunk's subtrees are walked before the next chunk of its
+    length, and rows run in lexicographic order when the prefixes do.  A
+    chunk of k-letter words has at most `_chunk_rows((k + 1) * max(alphabet,
+    width))` rows, where `width` is the columns a caller screens per letter
+    (the bounded case's image width), so at most about max_len x alphabet x
+    `_SCREEN_BYTES` is live.  With `classes`, the letters are
+    0..len(classes)-1 and letter x is checked as classes[x].
     """
     size = spec.alphabet_size if classes is None else len(classes)
     table = None if classes is None else np.array(classes, dtype=np.uint8)
     letters = np.arange(size, dtype=np.uint8)
-    stack = [np.zeros((1, 0), dtype=np.uint8) if prefixes is None
-             else prefixes]
+
+    def chunks(batch):
+        # The pieces of a split batch are copies, so that no pending piece
+        # keeps a walked one alive.  The first piece goes on top.
+        rows = _chunk_rows((batch.shape[1] + 1) * max(size, width))
+        starts = range(0, len(batch), rows)[::-1]
+        if len(starts) == 1:
+            return [batch]
+        return [batch[i:i + rows].copy() for i in starts]
+
+    stack = chunks(np.zeros((1, 0), dtype=np.uint8) if prefixes is None
+                   else prefixes)
     while stack:
-        batch = stack.pop()
-        k = batch.shape[1]
-        rows = _chunk_rows((k + 1) * max(size, width))
-        words = batch[:rows]
-        if len(batch) > rows:
-            stack.append(batch[rows:])
+        words = stack.pop()
+        k = words.shape[1]
         keep = np.ones(len(words), dtype=bool)
-        if k == max_len:
+        if k >= max_len:
             yield words, np.empty((0, k + 1), dtype=np.uint8), keep
             continue
-        ext = np.empty((len(words) * size, k + 1), dtype=np.uint8)
-        ext[:, :k] = np.repeat(words, size, axis=0)
-        ext[:, k] = np.tile(letters, len(words))
+        ext = np.empty((len(words), size, k + 1), dtype=np.uint8)
+        ext[:, :, :k] = words[:, None]
+        ext[:, :, k] = letters
+        ext = ext.reshape(-1, k + 1)
         bad = suffix_screen(ext if table is None else table[ext], spec)
         yield words, ext[bad], keep
-        children = ext[~bad & np.repeat(keep, size)]
-        if len(children):
-            stack.append(children)
+        stack += chunks(ext[~bad & np.repeat(keep, size)])
 
 
 def _tally(prefixes: np.ndarray | None, spec: AvoidanceSpec,

@@ -674,8 +674,12 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
         flagged = suffix_screen(images, target, (length - 1) * width,
                                 root_cap)
         for i in np.flatnonzero(flagged).tolist():
-            violations.append((words[i].tobytes(), satisfies_spec(
-                images[i].tobytes(), target, max_root=root_cap).violation))
+            found = satisfies_spec(images[i].tobytes(), target,
+                                   max_root=root_cap).violation
+            if found is None:
+                raise AssertionError("suffix_screen flagged the clean image"
+                                     f" of {words[i].tobytes()!r}")
+            violations.append((words[i].tobytes(), found))
             keep[i] = False
     violations.sort(key=lambda item: item[0])
     return BoundedCaseReport(max_len, sum(counts), tuple(counts),

@@ -2,6 +2,7 @@
 
 import math
 import multiprocessing
+from itertools import islice
 from unittest.mock import patch
 
 import numpy as np
@@ -200,6 +201,20 @@ def test_walk_legal_matches_brute_force(case, data):
     assert sorted(walked) == expected
     if budget == 1:
         assert walked == expected
+
+
+def test_walk_does_not_extend_prefixes_past_max_len(registry):
+    """Prefixes at or past max_len are yielded once, with no extensions,
+    also in a language with words of every length."""
+    spec = registry.dekking_binary
+    prefixes = as_rows(sorted(w for w in all_words(2, 5)
+                              if naive_satisfies(w, spec)), 5)
+    for max_len in (3, 5):
+        chunks = list(islice(walk_legal(spec, max_len, prefixes), 2))
+        assert len(chunks) == 1
+        words, rejected, keep = chunks[0]
+        assert np.array_equal(words, prefixes)
+        assert rejected.shape == (0, 6) and keep.all()
 
 
 @pytest.mark.parametrize("rows", [1, 3])

@@ -5,6 +5,7 @@ The expected inventories below were frozen from brute-force enumeration
 regressions in either the finders or the refuters surface as diffs here.
 """
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -15,7 +16,7 @@ from wordavoid import (AvoidanceSpec, BoundedCaseReport, GapPattern, Morphism,
                        satisfies_spec, suffix_legal, verify_square_transfer,
                        verify_substitution_transfer, with_image_letter,
                        word_from_text, word_to_text)
-from wordavoid import counting
+from wordavoid import counting, verify
 from wordavoid.morphisms import _stream, fixed_point_prefix
 from wordavoid.verify import _exhaustive_viability, exact_factors
 
@@ -515,6 +516,16 @@ def test_bounded_case_is_the_same_in_small_chunks(registry, monkeypatch,
                             1 if rows == 1 else rows * 4 * (widest + 1))
         assert counting._chunk_rows(widest) == rows
         assert bounded_case_check(*case) == report
+
+
+def test_bounded_case_refuses_a_flagged_clean_image(registry, monkeypatch):
+    """A screen that flags an image the whole-word check passes is an
+    error, not a violation without a kind."""
+    monkeypatch.setattr(verify, "suffix_screen",
+                        lambda rows, *args: np.ones(len(rows), dtype=bool))
+    with pytest.raises(AssertionError, match="clean image"):
+        bounded_case_check(registry.dekking_h, registry.dekking_h_source,
+                           registry.squarefree4, 20)
 
 
 def test_bounded_case_rejects_negative_root_cap(registry):
