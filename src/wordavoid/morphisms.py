@@ -6,7 +6,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+
+import numpy as np
 
 from .words import ParseError, word_from_text, word_to_text
 
@@ -38,8 +40,17 @@ class Morphism:
     def image(self, letter: int) -> bytes:
         return self.images[letter]
 
+    @cached_property
+    def table(self) -> np.ndarray | None:
+        """The images as the rows of a uint8 array; None unless uniform."""
+        width = self.uniform_width
+        flat = np.frombuffer(b"".join(self.images), dtype=np.uint8)
+        return None if width is None else flat.reshape(self.source_size, width)
+
     def apply(self, word: bytes) -> bytes:
         try:
+            if self.table is not None:  # one lookup for uniform images
+                return self.table[np.frombuffer(word, dtype=np.uint8)].tobytes()
             return b"".join(self.images[a] for a in word)
         except IndexError:
             raise ValueError("word uses letters outside the source alphabet"
@@ -66,10 +77,10 @@ def power(morphism: Morphism, n: int, word: bytes) -> bytes:
 class FixedPointStream:
     """Growing prefix of the fixed point of a morphism prolongable at `seed`.
 
-    Each request extends an internal buffer by re-expanding only the source
-    letters not yet covered, so successive prefixes cost amortized linear
-    time.  `fixed_point_prefix` keeps the `_STREAMS_KEPT` most recently used
-    streams; use it unless you need to hold the stream itself.
+    Each request applies the morphism to as many not yet expanded letters of
+    an internal buffer as it needs, so successive prefixes cost amortized
+    linear time.  `fixed_point_prefix` keeps the `_STREAMS_KEPT` most recently
+    used streams; use it unless you need to hold the stream itself.
     """
 
     def __init__(self, morphism: Morphism, seed: int):
@@ -83,12 +94,14 @@ class FixedPointStream:
         self._expanded = 1  # letters of the buffer already pushed through
 
     def prefix(self, length: int) -> bytes:
+        width = self.morphism.uniform_width or 1
         while len(self._buf) < length:
             if self._expanded >= len(self._buf):
                 raise ValueError("morphism erases letters; fixed point is finite")
-            a = self._buf[self._expanded]
-            self._expanded += 1
-            self._buf.extend(self.morphism.image(a))
+            stop = min(len(self._buf),
+                       self._expanded - (len(self._buf) - length) // width)
+            self._buf += self.morphism.apply(self._buf[self._expanded:stop])
+            self._expanded = stop
         return bytes(self._buf[:length])
 
 

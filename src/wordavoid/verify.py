@@ -68,13 +68,6 @@ def _forbids(spec: AvoidanceSpec, word: bytes,
     return None if bad is None else f"{word_to_text(word)} ({bad.kind})"
 
 
-def _find_all(hay: bytes, needle: bytes):
-    i = hay.find(needle)
-    while i != -1:
-        yield i
-        i = hay.find(needle, i + 1)
-
-
 # ---------------------------------------------------------------------------
 # Exact factors of a fixed point.
 
@@ -126,14 +119,9 @@ def exact_factors(morphism: Morphism, seed: int, length: int) -> frozenset[bytes
 
 def _fixed_point_phases(morphism: Morphism, seed: int, word: bytes) -> set[int]:
     """Positions mod width at which `word` can start in the fixed point."""
-    width = morphism.uniform_width
-    phases: set[int] = set()
-    for pair in exact_factors(morphism, seed, 2):
-        window = morphism.apply(pair)
-        for i in _find_all(window, word):
-            if i < width:
-                phases.add(i)
-    return phases
+    windows = [morphism.apply(pair) for pair in exact_factors(morphism, seed, 2)]
+    return {i for window in windows for i in range(morphism.uniform_width)
+            if window.startswith(word, i)}
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +517,7 @@ def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
         resolved[pat] = cases
         for x in letters:
             img = m.image(x)
-            for i in _find_all(img, bytes([pat.middle])):
+            for i in [i for i, a in enumerate(img) if a == pat.middle]:
                 tag = f"(x={x},i={i})"
                 before, after = img[:i], img[i + 1:]
                 lead = bytes([pat.first]) + after
@@ -662,15 +650,13 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     counts = [0] * (max_len + 1)
     violations: list[tuple[bytes, Violation]] = []
     letters = classes or tuple(range(morphism.source_size))
-    table = np.frombuffer(b"".join(morphism.images), dtype=np.uint8
-                          ).reshape(morphism.source_size, width)
     for words, _, keep in walk_legal(source, max_len, classes=letters,
                                      width=width):
         length = words.shape[1]
         if not length:
             continue
         counts[length] += len(words)
-        images = table[words].reshape(len(words), length * width)
+        images = morphism.table[words].reshape(len(words), length * width)
         flagged = suffix_screen(images, target, (length - 1) * width,
                                 root_cap)
         for i in np.flatnonzero(flagged).tolist():

@@ -1,13 +1,14 @@
 """Square, cube, and gap scanning over words stored as bytes of small letters.
 
 A word is a ``bytes`` object whose values are letters 0, 1, 2, ... of a small
-alphabet.  Every scanner filters one stream, ``_repeats``: for each shift d,
-the sorted starts j with word[j:j+span(d)] == word[j+d:j+d+span(d)].  Span d
-gives squares of root d, span 2d cubes, and span d-1 the repeated gap of a gap
-pattern.  Numpy sweeps cover small shifts and an anchored block search large
-ones, so scanning a clean word of length n costs roughly n log n byte
-operations.  Full scans sort their occurrences by (position, size); first-hit
-checks take the least (first start, shift) and build no occurrence list.
+alphabet.  Every scanner reads one stream, ``_repeats``: for each shift d,
+the maximal runs (left, right) of word[j] == word[j+d] with right - left >=
+span(d), whose starts j with word[j:j+span(d)] == word[j+d:j+d+span(d)] are
+left..right-span(d).  Span d gives squares of root d, span 2d cubes, and span
+d-1 the repeated gap of a gap pattern.  A byte search covers small shifts and
+an anchored block search large ones, so scanning a clean word of length n
+costs roughly n log n byte operations.  First-hit checks read the first run of
+each shift, gap patterns the run ends, and full scans every start.
 `gap_occurrences` answers any number of gap patterns from one stream.
 Worst-case output size is quadratic on highly repetitive input, which the
 intended avoidance words never are.
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby
+from itertools import islice
 
 import numpy as np
 
 # Shifts up to this bound are swept directly; larger shifts go through the
-# anchored block search.
+# anchored block search, which extends runs in doubling chunks from _CHUNK.
 _SWEEP_CUT = 128
 _CHUNK = 256
 
@@ -61,116 +62,111 @@ def contains_factor(word: bytes, factor: bytes) -> bool:
     return word.find(factor) != -1
 
 
-def _equal_runs(arr: np.ndarray, shift: int) -> np.ndarray | None:
-    """runs[i] = length of the arr[j] == arr[j+shift] run ending at j = i."""
-    if shift <= 0 or shift >= arr.size:
-        return None
-    eq = arr[:-shift] == arr[shift:]
-    idx = np.arange(eq.size)
-    last_bad = np.maximum.accumulate(np.where(eq, -1, idx))
-    return idx - last_bad
-
-
 def _extend_left(arr: np.ndarray, shift: int, left: int) -> int:
+    c = _CHUNK
     while left > 0:
-        c = min(_CHUNK, left)
+        c = min(c, left)
         bad = np.nonzero(arr[left - c:left] != arr[left - c + shift:left + shift])[0]
         if bad.size:
             return left - c + int(bad[-1]) + 1
         left -= c
+        c *= 2
     return left
 
 
 def _extend_right(arr: np.ndarray, shift: int, right: int) -> int:
     limit = arr.size - shift
+    c = _CHUNK
     while right < limit:
-        c = min(_CHUNK, limit - right)
+        c = min(c, limit - right)
         bad = np.nonzero(arr[right:right + c] != arr[right + shift:right + shift + c])[0]
         if bad.size:
             return right + int(bad[0])
         right += c
+        c *= 2
     return right
 
 
-def _long_runs(arr, word, lo, hi, need):
-    """Maximal equal runs (shift, left, right) with lo <= shift <= hi.
+def _long_runs(arr, word, lo, hi, need) -> dict[int, list[tuple[int, int]]]:
+    """Maximal equal runs {shift: [(left, right), ...]} with lo <= shift <= hi
+    and right - left >= need(shift), each list from left to right.
 
-    Only runs with right - left >= need(shift) are returned.  Completeness
-    relies on any window of length >= 2*(lo//2) - 1 containing a block that
-    starts on a multiple of lo//2, so need(shift) must be at least lo - 1.
+    Completeness relies on any window of length >= 2*(lo//2) - 1 containing a
+    block that starts on a multiple of lo//2, so need(shift) must be at least
+    lo - 1.  Anchors reach a shift's runs from left to right, so an occurrence
+    left of the last run's right end lies in that run and is not extended.
     """
     n = len(word)
     s = lo // 2
-    out = []
+    runs = {}
     if s == 0 or n < lo + s:
-        return out
-    visited = set()
-    emitted = set()
-    for js in range(0, n - s + 1, s):
-        if js - lo < 0:
-            continue
+        return runs
+    reach: dict[int, int] = {}  # shift -> right end of its last run found
+    for js in range(lo + -lo % s, n - s + 1, s):
         pat = word[js:js + s]
         wlo = max(0, js - hi)
         whi = js - lo + s
         pos = word.find(pat, wlo, whi)
         while pos != -1:
             shift = js - pos
-            if (shift, pos) not in visited:
+            if pos >= reach.get(shift, 0):
                 left = _extend_left(arr, shift, pos)
                 right = _extend_right(arr, shift, pos + s)
-                # Mark the run start so later anchors skip the extension.
-                visited.add((shift, pos))
-                visited.add((shift, left))
-                if right - left >= need(shift) and (shift, left) not in emitted:
-                    emitted.add((shift, left))
-                    out.append((shift, left, right))
+                reach[shift] = right
+                if right - left >= need(shift):
+                    runs.setdefault(shift, []).append((left, right))
             pos = word.find(pat, pos + 1, whi)
-    return out
+    return runs
 
 
-def _shift_classes(lo: int, hi: int):
-    """Doubling ranges [lo, 2lo) clipped to [lo, hi], for the anchored search."""
-    while lo <= hi:
-        yield lo, min(2 * lo - 1, hi)
-        lo *= 2
+def _mask_runs(eq: bytes, probe: bytes, left: int):
+    """Maximal runs of 1 bytes in eq at least len(probe) long, from the one
+    at left, which must be the first."""
+    while left != -1:
+        right = eq.find(b"\0", left + len(probe))
+        yield left, len(eq) if right == -1 else right
+        left = -1 if right == -1 else eq.find(probe, right)
 
 
 def _repeats(word: bytes, lo: int, hi: int, span):
-    """Yield (d, starts) for each shift d in lo..hi, ascending, with a repeat.
+    """Yield (d, runs) for each shift d in lo..hi, ascending, with a repeat.
 
-    starts is the ascending array of every j with
-    word[j:j+span(d)] == word[j+d:j+d+span(d)]; shifts without one are
-    skipped, and span(d) must be at least 1.  Shifts up to _SWEEP_CUT are
-    swept; larger ones come from the anchored block search, which finds every
-    repeat only when span(d) >= d - 1 (see _long_runs).
+    runs iterates, left to right, the maximal (left, right) with
+    word[j] == word[j+d] for j in left..right-1 and right - left >= span(d),
+    where span(d) >= 1.  Runs of shifts up to _SWEEP_CUT come lazily from a
+    byte search over the equality mask, so a clean shift costs one compare
+    and one skipping search; the anchored block search finds the runs of
+    larger shifts when span(d) >= d - 1 (see _long_runs).
     """
     if lo < 1:
         raise ValueError("min_root must be >= 1")
     arr = np.frombuffer(word, dtype=np.uint8)
     for d in range(lo, min(hi, _SWEEP_CUT) + 1):
-        runs = _equal_runs(arr, d)
-        if runs is None:
-            return
-        s = span(d)
-        starts = np.nonzero(runs[s - 1:] >= s)[0]
-        if starts.size:
-            yield d, starts
-    for clo, chi in _shift_classes(max(lo, _SWEEP_CUT + 1), hi):
-        # Maximal runs of one shift are disjoint, so in order of their left
-        # ends they list the starts in ascending order.
-        runs = sorted(_long_runs(arr, word, clo, chi, span))
-        for d, group in groupby(runs, key=lambda run: run[0]):
-            yield d, np.concatenate([np.arange(left, right - span(d) + 1)
-                                     for _, left, right in group])
+        eq = (arr[:-d] == arr[d:]).tobytes()
+        probe = b"\1" * span(d)
+        left = eq.find(probe)
+        if left != -1:
+            yield d, _mask_runs(eq, probe, left)
+    clo = max(lo, _SWEEP_CUT + 1)
+    while clo <= hi:  # doubling shift classes [clo, 2clo) for the block search
+        yield from sorted(_long_runs(arr, word, clo, min(2 * clo - 1, hi),
+                                     span).items())
+        clo *= 2
 
 
 def _first_repeat(word: bytes, lo: int, hi: int, power: int,
                   allowed: frozenset = frozenset()) -> tuple[int, int] | None:
     """Least (start, root) of a power-th power with root in lo..hi that is not
-    an allowed word, or None; with none allowed, only starts[:1] is read."""
-    return min(((p, d) for d, starts in _repeats(word, lo, hi, lambda d: (power - 1) * d)
-                for p in (starts.tolist() if allowed else starts[:1].tolist())
-                if word[p:p + power * d] not in allowed), default=None)
+    an allowed word, or None.  In a run of shift d the power at p + d is the
+    one at p, so at most d starts a run are compared with the allowed words.
+    """
+    hits = []
+    for d, runs in _repeats(word, lo, hi, lambda d: (power - 1) * d):
+        size = power * d
+        hits += islice(((p, d) for left, right in runs
+                        for p in range(left, min(left + d, right + d - size + 1))
+                        if word[p:p + size] not in allowed), 1)
+    return min(hits, default=None)
 
 
 def _top(n: int, power: int, *caps: int | None) -> int:
@@ -179,8 +175,9 @@ def _top(n: int, power: int, *caps: int | None) -> int:
 
 
 def _occurrences(word: bytes, lo: int, hi: int, power: int) -> list[tuple[int, int]]:
-    return sorted((p, d) for d, starts in _repeats(word, lo, hi, lambda d: (power - 1) * d)
-                  for p in starts.tolist())
+    return sorted((p, d) for d, runs in _repeats(word, lo, hi, lambda d: (power - 1) * d)
+                  for left, right in runs
+                  for p in range(left, right + d - power * d + 1))
 
 
 def find_squares(word: bytes, min_root: int = 1, max_root: int | None = None) -> list[tuple[int, int]]:
@@ -238,6 +235,7 @@ def gap_occurrences(word: bytes, patterns
     if gmax < 0 or not out:
         return out
     arr = np.frombuffer(word, dtype=np.uint8)
+    every = any(p.first == p.middle == p.last for p in out)
 
     def flank(d: int, starts: np.ndarray) -> None:
         first, middle, last = arr[starts], arr[starts + d], arr[starts + 2 * d]
@@ -248,10 +246,14 @@ def gap_occurrences(word: bytes, patterns
 
     # Gap 0 is shift 1 from every position.  A gap g >= 1 at position i is a
     # repeat of span g and shift g + 1 that starts at i + 1; in word[1:-1] it
-    # starts at i and fits whole patterns.
+    # starts at i and fits whole patterns.  A start past its run's left end
+    # has first == middle and one short of its right end middle == last, so
+    # unless a pattern is a,a,a only the starts at the run ends are read.
     flank(1, np.arange(len(word) - 2))
-    for d, starts in _repeats(word[1:-1], 2, gmax + 1, lambda d: d - 1):
-        flank(d, starts)
+    for d, runs in _repeats(word[1:-1], 2, gmax + 1, lambda d: d - 1):
+        flank(d, np.array([j for left, right in runs
+                           for j in (range(left, right - d + 2) if every
+                                     else {left, right - d + 1})]))
     for occ in out.values():
         occ.sort()
     return out
@@ -268,16 +270,11 @@ def contains_gap_pattern(word: bytes, pattern: GapPattern) -> bool:
 
 def scan_forbidden(word: bytes, forbidden) -> tuple[int, bytes] | None:
     """Leftmost occurrence of any forbidden factor, ties to the shortest."""
-    best = None
-    for f in forbidden:
-        p = word.find(f)
-        if p != -1:
-            key = (p, len(f), f)
-            if best is None or key < best:
-                best = key
-    if best is None:
+    hits = [(p, len(f), f) for f in forbidden if (p := word.find(f)) != -1]
+    if not hits:
         return None
-    return best[0], best[2]
+    p, _, f = min(hits)
+    return p, f
 
 
 @dataclass(frozen=True)

@@ -31,10 +31,20 @@ def test_apply_is_a_homomorphism(morphism, raw):
                                         + morphism.apply(word[cut:]))
 
 
+@given(morphisms(), st.integers(1, 4), st.binary(max_size=12))
+@settings(max_examples=100)
+def test_uniform_apply_concatenates_images(morphism, width, raw):
+    uniform = Morphism(morphism.source_size, morphism.target_size,
+                       tuple((img * width)[:width] for img in morphism.images))
+    word = bytes(x % uniform.source_size for x in raw)
+    assert uniform.apply(word) == b"".join(uniform.image(a) for a in word)
+
+
 def test_apply_rejects_foreign_letters():
-    m = Morphism(2, 2, (b"\x00\x01", b"\x01"))
-    with pytest.raises(ValueError):
-        m.apply(b"\x02")
+    for m in (Morphism(2, 2, (b"\x00\x01", b"\x01")),
+              Morphism(2, 2, (b"\x00\x01", b"\x01\x01"))):
+        with pytest.raises(ValueError):
+            m.apply(b"\x02")
 
 
 @given(st.integers(0, 3), st.integers(0, 3))
@@ -75,6 +85,38 @@ def test_fixed_point_prefixes_nest(registry):
         long = fixed_point_prefix(m, 0, 800)
         assert fixed_point_prefix(m, 0, 300) == long[:300]
         assert m.apply(long)[:800] == long
+
+
+@given(morphisms(), st.none() | st.integers(2, 4),
+       st.lists(st.integers(0, 300), max_size=4))
+@settings(max_examples=100)
+def test_stream_prefixes_are_prefixes_of_the_fixed_point(morphism, width,
+                                                         lengths):
+    """Letter 0 is prolongable; other letters may be erased (non-uniform) or
+    all images cut to one width (uniform)."""
+    k = morphism.source_size
+    images = [bytes(x % k for x in img) for img in morphism.images]
+    images = [b"\x00" + images[0]] + [img[1:] for img in images[1:]]
+    if width is not None:
+        images = [(img + bytes(width))[:width] for img in images]
+    m = Morphism(k, k, tuple(images))
+    stream = FixedPointStream(m, 0)
+    for length in lengths:
+        word = b"\x00"
+        while len(word) < length and m.apply(word) != word:
+            word = m.apply(word)
+        if len(word) < length:
+            with pytest.raises(ValueError, match="erases"):
+                stream.prefix(length)
+        else:
+            assert stream.prefix(length) == word[:length]
+
+
+def test_stream_of_an_erasing_morphism_is_finite():
+    stream = FixedPointStream(Morphism(2, 2, (b"\x00\x01", b"")), 0)
+    assert stream.prefix(2) == b"\x00\x01"
+    with pytest.raises(ValueError, match="erases"):
+        stream.prefix(3)
 
 
 def test_stream_matches_one_shot_prefix(registry):

@@ -5,6 +5,8 @@ The expected inventories below were frozen from brute-force enumeration
 regressions in either the finders or the refuters surface as diffs here.
 """
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -144,6 +146,33 @@ def test_realizable_gap_pattern_is_found():
     assert satisfies_spec(word, spec).ok
     evidence = prove_gap_pattern_absence(pattern, spec)
     assert not evidence.complete
+
+
+def test_repetitive_fixed_point_is_scanned_in_seconds():
+    """2 -> 22 fills the fixed point with long one-letter runs, which the
+    gap scan of its 100,000-letter prefix once took about 90 s over."""
+    def images(*texts):
+        return tuple(word_from_text(t) for t in texts)
+
+    start = time.perf_counter()
+    cert = verify_square_transfer(
+        Morphism(4, 2, images("11110", "11001", "01110", "00011")),
+        AvoidanceSpec(4, square_whitelist=(), cubefree=True),
+        AvoidanceSpec(2, forbidden=images("100", "00"), cubefree=True),
+        depth=1, fixed_point=(Morphism(4, 4, images("01", "02", "22", "13")),
+                              0))
+    elapsed = time.perf_counter() - start
+    assert not cert.complete
+    assert [e.to_dict() for e in cert.gap_evidence] == [
+        {"pattern": "023", "kind": "descent", "scope": "fixed-point",
+         "complete": True,
+         "detail": "gaps < 12 absent by exact factors; 023: (x=1,i=1) trail"
+                   " 03 impossible; (x=2,i=0) trail 3 impossible; (x=2,i=1)"
+                   " trail 23 impossible"},
+        {"pattern": "201", "kind": "present", "scope": "fixed-point",
+         "complete": False, "detail": "occurs at position 3 with gap 0"}]
+    assert cert.residual[-1] == "interchange (1,2,0) unresolved"
+    assert elapsed < 15
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 20])

@@ -135,6 +135,72 @@ def test_one_sweep_answers_every_gap_pattern(word, cut):
     assert found == {p: naive_gap_occurrences(word, p) for p in patterns}
 
 
+def naive_runs(word, d, span):
+    """Maximal (left, right) with word[j] == word[j+d] for j in left..right-1
+    and right - left >= span, by the definition."""
+    runs, left = [], 0
+    for j in range(len(word) - d + 1):
+        if j == len(word) - d or word[j] != word[j + d]:
+            if j - left >= span:
+                runs.append((left, j))
+            left = j + 1
+    return runs
+
+
+SPANS = {"square": (1, lambda d: d), "cube": (1, lambda d: 2 * d),
+         "gap": (2, lambda d: d - 1)}
+
+
+@given(planted(2), cuts, st.sampled_from(sorted(SPANS)))
+@settings(max_examples=150)
+def test_repeats_yield_the_maximal_runs(word, cut, kind):
+    lo, span = SPANS[kind]
+    expected = [(d, naive_runs(word, d, span(d)))
+                for d in range(lo, len(word) + 1)]
+    with sweep_cut(cut):
+        found = [(d, list(runs))
+                 for d, runs in words._repeats(word, lo, len(word), span)]
+    assert found == [(d, runs) for d, runs in expected if runs]
+
+
+@pytest.mark.parametrize("cut", [1, 2, 128])
+@pytest.mark.parametrize("text", ["2010102", "201010102"])
+def test_allowed_square_does_not_hide_its_rotation(cut, text):
+    """0101 is allowed and 1010 is not, so in a run of period 2 longer than
+    4 letters the square reported is the one right of the run's left end."""
+    spec = AvoidanceSpec(3, square_whitelist=(word_from_text("0101"),))
+    with sweep_cut(cut):
+        v = satisfies_spec(word_from_text(text), spec).violation
+    assert (v.kind, v.position, v.root_length) == ("square", 2, 2)
+
+
+@pytest.mark.parametrize("cut", [1, 128])
+def test_anchored_search_extends_each_run_once(monkeypatch, cut):
+    """Anchors land many times inside each long run of 0^300 1 0^300; each
+    run, emitted or too short, is extended once."""
+    word = bytes(300) + b"\1" + bytes(300)
+    extend = words._extend_right
+    ends = []
+
+    def counted(arr, shift, right):
+        ends.append((shift, extend(arr, shift, right)))
+        return ends[-1][1]
+
+    monkeypatch.setattr(words, "_extend_right", counted)
+    patterns = (GapPattern(0, 0, 0), GapPattern(0, 1, 0))
+    with sweep_cut(cut):
+        for scan, expected in (
+                (find_squares, lambda: naive_squares(word)),
+                (find_cubes, lambda: naive_cubes(word)),
+                (lambda w: gap_occurrences(w, patterns),
+                 lambda: {p: naive_gap_occurrences(word, p)
+                          for p in patterns})):
+            ends.clear()
+            assert scan(word) == expected()
+            # Distinct runs of one shift have distinct right ends.
+            assert ends and len(ends) == len(set(ends))
+
+
 def test_gap_pattern_word_builder():
     pattern = GapPattern(1, 3, 2)
     assert pattern.word(word_from_text("00")) == word_from_text("1003002")
