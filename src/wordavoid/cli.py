@@ -21,7 +21,7 @@ from .morphisms import (Substitution, fixed_point_prefix, parse_morphism,
 from .scenarios import SCENARIOS, run_scenario
 from .verify import verify_square_transfer, verify_substitution_transfer
 from .words import (GapPattern, ParseError, find_cube_at_least,
-                    find_gap_occurrences, find_square_at_least, format_spec,
+                    find_square_at_least, format_spec, gap_first_and_count,
                     parse_spec, perfect_shuffle, scan_forbidden,
                     word_from_text, word_to_text)
 
@@ -139,11 +139,11 @@ def _cmd_scan(args) -> int:
             raise ParseError("gap pattern must be three one-digit letters"
                              " `a,b,c`")
         pattern = GapPattern(*(int(p) for p in parts))
-        occ = find_gap_occurrences(word, pattern)
+        hit, count = gap_first_and_count(word, pattern)
         findings.append(("gap pattern %d.%d.%d" % pattern.letters(),
-                         None if not occ else
-                         {"position": occ[0][0], "gap": occ[0][1],
-                          "occurrences": len(occ)}))
+                         None if hit is None else
+                         {"position": hit[0], "gap": hit[1],
+                          "occurrences": count}))
     if not findings:
         raise ParseError("nothing to scan for; pass --min-root, --cubes,"
                          " --factors, or --gap-pattern")

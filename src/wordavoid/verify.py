@@ -36,7 +36,7 @@ import numpy as np
 from .counting import walk_legal
 from .morphisms import Morphism, Substitution, fixed_point_prefix
 from .words import (AvoidanceSpec, GapPattern, Violation,
-                    find_gap_occurrences, format_spec, satisfies_spec,
+                    format_spec, gap_first_and_count, satisfies_spec,
                     suffix_screen, word_to_text)
 
 FixedPoint = tuple[Morphism, int]
@@ -585,9 +585,9 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
     if fixed_point is not None:
         m, seed = fixed_point
         prefix = fixed_point_prefix(m, seed, _SCAN_LENGTH)
-        occ = find_gap_occurrences(prefix, pattern)
-        if occ:
-            pos, gap = occ[0]
+        hit, _ = gap_first_and_count(prefix, pattern)
+        if hit is not None:
+            pos, gap = hit
             return GapEvidence(pattern, "present", "fixed-point", False,
                                f"occurs at position {pos} with gap {gap}")
         return GapEvidence(pattern, "scan", "fixed-point", False,

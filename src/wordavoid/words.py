@@ -8,8 +8,11 @@ left..right-span(d).  Span d gives squares of root d, span 2d cubes, and span
 d-1 the repeated gap of a gap pattern.  A byte search covers small shifts and
 an anchored block search large ones, so scanning a clean word of length n
 costs roughly n log n byte operations.  First-hit checks read the first run of
-each shift, gap patterns the run ends, and full scans every start.
-`gap_occurrences` answers any number of gap patterns from one stream.
+each shift; with allowed words, `_power_starts` (shared with `suffix_screen`)
+checks every start of a small shift in windowed array compares, and at most
+d starts of each run of a larger one.  Gap patterns read the run ends, and
+full scans every start.  `gap_occurrences` answers any number of gap
+patterns from one stream; `gap_first_and_count` counts one without listing.
 Worst-case output size is quadratic on highly repetitive input, which the
 intended avoidance words never are.
 """
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 
 import numpy as np
 
@@ -26,6 +29,8 @@ import numpy as np
 # anchored block search, which extends runs in doubling chunks from _CHUNK.
 _SWEEP_CUT = 128
 _CHUNK = 256
+# Starts per _power_starts call of a first-hit check, which bounds its arrays.
+_STARTS = 1 << 16
 
 
 class ParseError(ValueError):
@@ -157,15 +162,35 @@ def _repeats(word: bytes, lo: int, hi: int, span):
 def _first_repeat(word: bytes, lo: int, hi: int, power: int,
                   allowed: frozenset = frozenset()) -> tuple[int, int] | None:
     """Least (start, root) of a power-th power with root in lo..hi that is not
-    an allowed word, or None.  In a run of shift d the power at p + d is the
-    one at p, so at most d starts a run are compared with the allowed words.
+    an allowed word, or None.
+
+    A shift with no allowed word of its power's length reads its first run's
+    left end.  A swept shift with one is checked at every start by
+    `_power_starts`, one array compare per window of _STARTS starts up to
+    the first hit.  A larger shift, whose runs are few, compares
+    at most d starts a run with the allowed words, since in a run of shift
+    d the power at p + d is the one at p.
     """
+    sizes = {len(w) for w in allowed}
     hits = []
     for d, runs in _repeats(word, lo, hi, lambda d: (power - 1) * d):
         size = power * d
-        hits += islice(((p, d) for left, right in runs
-                        for p in range(left, min(left + d, right + d - size + 1))
-                        if word[p:p + size] not in allowed), 1)
+        if size not in sizes:
+            hits.append((next(iter(runs))[0], d))
+        elif d <= _SWEEP_CUT:
+            row = np.frombuffer(word, dtype=np.uint8).reshape(1, len(word))
+            top = len(word) - size
+            for first in range(0, top + 1, _STARTS):
+                hit = _power_starts(row, power, d, allowed, first,
+                                    min(first + _STARTS - 1, top))[0]
+                p = int(hit.argmax())
+                if hit[p]:
+                    hits.append((first + p, d))
+                    break
+        else:
+            hits += islice(((p, d) for left, right in runs
+                            for p in range(left, min(left + d, right + d - size + 1))
+                            if word[p:p + size] not in allowed), 1)
     return min(hits, default=None)
 
 
@@ -223,6 +248,39 @@ class GapPattern:
         return (self.first, self.middle, self.last)
 
 
+def _gap_starts(word: bytes):
+    """Yield (d, ends, letters, lo, hi) for gaps d - 1 from 0 up: a pattern
+    word with gap d - 1 can start only at a position in `ends`, whose
+    flanking letters are `letters` (first, middle, last), or at an i with
+    lo[k] <= i < hi[k], where all three equal word[i].
+
+    Gap 0 is shift 1 from every position.  A gap g >= 1 at position i is a
+    repeat of span g and shift g + 1 that starts at i + 1; in word[1:-1] it
+    starts at i and fits whole patterns.  A start past its run's left end
+    has first == middle and one short of its right end middle == last, so
+    `ends` holds the starts at each run's two ends and lo..hi the ones between.
+    """
+    arr = np.frombuffer(word, dtype=np.uint8)
+    none = np.zeros(0, dtype=np.int64)
+    # Gap 0's starts are the largest array of a sweep; int32 halves it.
+    yield (1, np.arange(len(word) - 2, dtype=np.int32),
+           (arr[:-2], arr[1:-1], arr[2:]), none, none)
+    for d, runs in _repeats(word[1:-1], 2, (len(word) - 1) // 2, lambda d: d - 1):
+        left, right = np.fromiter(chain.from_iterable(runs),
+                                  dtype=np.int64).reshape(-1, 2).T
+        last = right - d + 1
+        ends = np.sort(np.concatenate((left, last[last > left])))
+        yield (d, ends, (arr[ends], arr[ends + d], arr[ends + 2 * d]),
+               left + 1, np.maximum(last, left + 1))
+
+
+def _flanked(letters: tuple[np.ndarray, ...], pattern: GapPattern) -> np.ndarray:
+    """Mask of the starts whose flanking letters are the pattern's."""
+    first, middle, last = letters
+    return ((first == pattern.first) & (middle == pattern.middle)
+            & (last == pattern.last))
+
+
 def gap_occurrences(word: bytes, patterns
                     ) -> dict[GapPattern, list[tuple[int, int]]]:
     """For each pattern, the occurrences of pattern.word(alpha) as sorted
@@ -231,32 +289,45 @@ def gap_occurrences(word: bytes, patterns
     The gap may be empty; position is where the first letter sits.
     """
     out = {pattern: [] for pattern in patterns}
-    gmax = (len(word) - 3) // 2
-    if gmax < 0 or not out:
+    if not out:
         return out
-    arr = np.frombuffer(word, dtype=np.uint8)
-    every = any(p.first == p.middle == p.last for p in out)
-
-    def flank(d: int, starts: np.ndarray) -> None:
-        first, middle, last = arr[starts], arr[starts + d], arr[starts + 2 * d]
+    for d, ends, letters, lo, hi in _gap_starts(word):
         for pattern, occ in out.items():
-            ok = ((first == pattern.first) & (middle == pattern.middle)
-                  & (last == pattern.last))
-            occ.extend((i, d - 1) for i in starts[ok].tolist())
-
-    # Gap 0 is shift 1 from every position.  A gap g >= 1 at position i is a
-    # repeat of span g and shift g + 1 that starts at i + 1; in word[1:-1] it
-    # starts at i and fits whole patterns.  A start past its run's left end
-    # has first == middle and one short of its right end middle == last, so
-    # unless a pattern is a,a,a only the starts at the run ends are read.
-    flank(1, np.arange(len(word) - 2))
-    for d, runs in _repeats(word[1:-1], 2, gmax + 1, lambda d: d - 1):
-        flank(d, np.array([j for left, right in runs
-                           for j in (range(left, right - d + 2) if every
-                                     else {left, right - d + 1})]))
+            occ.extend((i, d - 1) for i in ends[_flanked(letters, pattern)].tolist())
+            if pattern.first == pattern.middle == pattern.last:
+                occ.extend((i, d - 1) for a, b in zip(lo.tolist(), hi.tolist())
+                           for i in range(a, b) if word[i] == pattern.first)
     for occ in out.values():
         occ.sort()
     return out
+
+
+def gap_first_and_count(word: bytes, pattern: GapPattern
+                        ) -> tuple[tuple[int, int] | None, int]:
+    """The first occurrence of pattern.word(alpha) as (position, len(alpha)),
+    or None, and the number of occurrences, without listing them.
+
+    Only an a,a,a pattern occurs strictly inside a run, at each start that
+    holds a, so one prefix sum over the letter counts those starts.
+    """
+    letter = pattern.first
+    inside = pattern.first == pattern.middle == pattern.last
+    if inside:
+        held = np.zeros(len(word) + 1, dtype=np.int64)
+        np.cumsum(np.frombuffer(word, dtype=np.uint8) == letter, out=held[1:])
+    first, count = None, 0
+    for d, ends, letters, lo, hi in _gap_starts(word):
+        hits = ends[_flanked(letters, pattern)]
+        count += hits.size
+        found = hits[:1].tolist()
+        if inside:
+            per_run = held[hi] - held[lo]
+            count += int(per_run.sum())
+            runs = np.flatnonzero(per_run)[:1]
+            found += [word.index(letter, lo[k], hi[k]) for k in runs]
+        if found and (first is None or min(found) < first[0]):
+            first = (min(found), d - 1)
+    return first, count
 
 
 def find_gap_occurrences(word: bytes, pattern: GapPattern) -> list[tuple[int, int]]:
@@ -265,7 +336,7 @@ def find_gap_occurrences(word: bytes, pattern: GapPattern) -> list[tuple[int, in
 
 
 def contains_gap_pattern(word: bytes, pattern: GapPattern) -> bool:
-    return bool(find_gap_occurrences(word, pattern))
+    return gap_first_and_count(word, pattern)[0] is not None
 
 
 def scan_forbidden(word: bytes, forbidden) -> tuple[int, bytes] | None:
@@ -379,6 +450,25 @@ def _starts(rows: np.ndarray, factor: bytes, first: int,
     return hit
 
 
+def _power_starts(rows: np.ndarray, power: int, d: int, allowed: frozenset,
+                  first: int, last: int) -> np.ndarray:
+    """hit[i, p - first] says whether row i holds at column p, for p in
+    first..last, a power-th power of root d that is not an allowed word."""
+    # A power of root d at p repeats for (power-1)·d letters from p.
+    span = (power - 1) * d
+    equal = rows[:, first:last + span] == rows[:, first + d:last + span + d]
+    if first == last:  # one window, as in the walker
+        hit = equal.all(axis=1, keepdims=True)
+    else:
+        sums = np.zeros((len(rows), equal.shape[1] + 1), dtype=np.int32)
+        np.cumsum(equal, axis=1, dtype=np.int32, out=sums[:, 1:])
+        hit = sums[:, span:] - sums[:, :-span] == span
+    for word in allowed:
+        if len(word) == power * d:
+            hit &= ~_starts(rows, word, first, last)
+    return hit
+
+
 def suffix_screen(rows: np.ndarray, spec: AvoidanceSpec, new: int | None = None,
                   max_root: int | None = None) -> np.ndarray:
     """Flag the rows of a 2-D uint8 array of words that break the spec with
@@ -391,7 +481,7 @@ def suffix_screen(rows: np.ndarray, spec: AvoidanceSpec, new: int | None = None,
     row's prefix before column `new` satisfies the spec, a row is flagged
     exactly when the whole row breaks it.
     """
-    count, n = rows.shape
+    n = rows.shape[1]
     new = n - 1 if new is None else new
     flagged = (rows[:, new:] >= spec.alphabet_size).any(axis=1)
     for factor in spec.forbidden:
@@ -400,21 +490,10 @@ def suffix_screen(rows: np.ndarray, spec: AvoidanceSpec, new: int | None = None,
             flagged |= _starts(rows, factor, first, last).any(axis=1)
     for _, power, lo, hi, allowed in spec.repetition_rules:
         for d in range(lo, _top(n, power, hi, max_root) + 1):
-            # A power of root d at p repeats for (power-1)·d letters from p
-            # and ends at p + power·d - 1, so p runs from first to last.
-            span = (power - 1) * d
-            first, last = max(0, new - power * d + 1), n - power * d
-            equal = rows[:, first:n - d] == rows[:, first + d:]
-            if first == last:  # one window, as in the walker
-                hit = equal.all(axis=1, keepdims=True)
-            else:
-                sums = np.zeros((count, equal.shape[1] + 1), dtype=np.int32)
-                np.cumsum(equal, axis=1, dtype=np.int32, out=sums[:, 1:])
-                hit = sums[:, span:] - sums[:, :-span] == span
-            for word in allowed:
-                if len(word) == power * d:
-                    hit &= ~_starts(rows, word, first, last)
-            flagged |= hit.any(axis=1)
+            # A power of root d at p ends at p + power·d - 1.
+            first = max(0, new - power * d + 1)
+            flagged |= _power_starts(rows, power, d, allowed, first,
+                                     n - power * d).any(axis=1)
     return flagged
 
 

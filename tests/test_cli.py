@@ -5,10 +5,13 @@ import json
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import pytest
 
-from wordavoid import format_morphism, with_image_letter, word_to_text
+from wordavoid import (Morphism, fixed_point_prefix, format_morphism,
+                       with_image_letter, word_from_text, word_to_text)
 from wordavoid.cli import main
 
 
@@ -132,6 +135,28 @@ def test_scan_reports_and_exit_codes(capsys, tmp_path, registry):
     code, out, err = run_cli(capsys, "scan", "--word", str(dirty),
                              "--gap-pattern", "300,1,1")
     assert code == 2 and out == "" and "one-digit letters" in err
+
+
+def test_repeated_letter_gap_scan_counts_without_listing(capsys, tmp_path):
+    """2,2,2 occurs 2,626,340 times in this 10,000-letter prefix; the scan
+    reports the first and the count in seconds, in memory that does not
+    grow with the count."""
+    m = Morphism(4, 4, tuple(word_from_text(t) for t in ("01", "02", "22", "13")))
+    word = tmp_path / "word.txt"
+    word.write_text(word_to_text(fixed_point_prefix(m, 0, 10_000)))
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        code, out, _ = run_cli(capsys, "scan", "--word", str(word),
+                               "--gap-pattern", "2,2,2", "--format", "json")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert time.perf_counter() - start < 5
+    assert peak < 16 * 2**20
+    assert code == 1
+    assert json.loads(out)["checks"][0]["finding"] == {
+        "position": 11, "gap": 0, "occurrences": 2_626_340}
 
 
 def test_verify_exit_codes_follow_completeness(capsys, tmp_path, registry):

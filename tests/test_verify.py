@@ -599,19 +599,47 @@ def test_source_letters_without_an_image_are_rejected():
                                AvoidanceSpec(2, square_min_root=3))
 
 
-@pytest.mark.xfail(strict=True, reason="the depth-2 forced-pullback cases"
-                   " claim context that a root-(2W+1) square does not hold")
-def test_default_cap_misses_a_root_past_twice_the_width():
-    m = Morphism(4, 3, tuple(word_from_text(t)
-                             for t in ("01", "00", "12", "22")))
-    source = AvoidanceSpec(4, square_min_root=1)
-    target = AvoidanceSpec(3, square_min_root=4)
-    word = word_from_text("323103123")
+# The known false COMPLETEs: images, target alphabet, target min-root, a
+# squarefree source word whose image holds a square of root 2W + 1, and where.
+FALSE_COMPLETE = [
+    ("01 00 12 22", 3, 4, "323103123", (7, 5)),
+    ("0000 1010 0110 1111", 2, 8, "20302", (1, 9)),
+    ("1101 0000 1010", 2, 9, "02101", (2, 9)),
+    ("0000 1101 1010", 2, 9, "12010", (2, 9)),
+    ("11 12 00 20", 3, 5, "012032", (1, 5)),
+    ("22 10 00 21", 3, 5, "032012", (1, 5)),
+]
+
+
+def _false_complete_case(images, target_size, min_root):
+    m = Morphism(len(images.split()), target_size,
+                 tuple(word_from_text(t) for t in images.split()))
+    return (m, AvoidanceSpec(m.source_size, square_min_root=1),
+            AvoidanceSpec(target_size, square_min_root=min_root))
+
+
+@pytest.mark.parametrize("images,target_size,min_root,text,where",
+                         FALSE_COMPLETE, ids=[r[0] for r in FALSE_COMPLETE])
+def test_false_complete_rows_break_the_target(images, target_size, min_root,
+                                              text, where):
+    m, source, target = _false_complete_case(images, target_size, min_root)
+    word = word_from_text(text)
     assert satisfies_spec(word, source).ok
     bad = satisfies_spec(m.apply(word), target).violation
-    assert (bad.position, bad.root_length) == (7, 5)
+    assert (bad.position, bad.root_length) == where
+    assert where[1] == 2 * m.uniform_width + 1
+
+
+@pytest.mark.xfail(strict=True, reason="the long-root argument claims a"
+                   " root-(2W+1) square the bounded case does not check")
+@pytest.mark.parametrize("images,target_size,min_root",
+                         [r[:3] for r in FALSE_COMPLETE],
+                         ids=[r[0] for r in FALSE_COMPLETE])
+def test_default_cap_misses_a_root_past_twice_the_width(images, target_size,
+                                                        min_root):
+    m, source, target = _false_complete_case(images, target_size, min_root)
     cert = verify_square_transfer(m, source, target)
-    assert cert.root_cap == 4
+    assert cert.root_cap == 2 * m.uniform_width
     assert not cert.complete
 
 

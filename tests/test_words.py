@@ -3,6 +3,7 @@
 from contextlib import contextmanager
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -124,6 +125,8 @@ def test_gap_occurrences_match_naive(word, cut, first, middle, last):
     with sweep_cut(cut):
         assert find_gap_occurrences(word, pattern) == expected
         assert contains_gap_pattern(word, pattern) == bool(expected)
+        assert words.gap_first_and_count(word, pattern) == (
+            min(expected, default=None), len(expected))
 
 
 @given(planted(3), cuts)
@@ -132,7 +135,10 @@ def test_one_sweep_answers_every_gap_pattern(word, cut):
     patterns = [GapPattern(*letters) for letters in product(range(3), repeat=3)]
     with sweep_cut(cut):
         found = gap_occurrences(word, patterns)
+        summaries = {p: words.gap_first_and_count(word, p) for p in patterns}
     assert found == {p: naive_gap_occurrences(word, p) for p in patterns}
+    assert summaries == {p: (min(occ, default=None), len(occ))
+                         for p, occ in found.items()}
 
 
 def naive_runs(word, d, span):
@@ -161,6 +167,37 @@ def test_repeats_yield_the_maximal_runs(word, cut, kind):
         found = [(d, list(runs))
                  for d, runs in words._repeats(word, lo, len(word), span)]
     assert found == [(d, runs) for d, runs in expected if runs]
+
+
+@st.composite
+def whitelisted(draw):
+    """A planted word and a whitelist of some of its own squares, of any
+    root, so allowed roots fall on both sides of every cut."""
+    word = draw(planted(2))
+    own = sorted({word[p:p + 2 * d] for p, d in naive_squares(word)})
+    allowed = draw(st.lists(st.sampled_from(own), unique=True)) if own else []
+    return word, AvoidanceSpec(2, square_whitelist=tuple(allowed))
+
+
+@given(whitelisted(), cuts, st.sampled_from([1, 3, 1 << 16]))
+@settings(max_examples=150)
+def test_whitelist_reports_the_least_unlisted_square(case, cut, starts):
+    """Small start windows split each array check into several calls."""
+    word, spec = case
+    allowed = set(spec.square_whitelist)
+    unlisted = [(p, d) for p, d in naive_squares(word)
+                if word[p:p + 2 * d] not in allowed]
+    saved = words._STARTS
+    words._STARTS = starts
+    try:
+        with sweep_cut(cut):
+            check = satisfies_spec(word, spec)
+    finally:
+        words._STARTS = saved
+    v = check.violation
+    assert (v and (v.position, v.root_length)) == min(unlisted, default=None)
+    row = np.frombuffer(word, dtype=np.uint8).reshape(1, len(word))
+    assert bool(words.suffix_screen(row, spec, new=0)[0]) == (not check.ok)
 
 
 @pytest.mark.parametrize("cut", [1, 2, 128])
