@@ -1,15 +1,16 @@
 """Exact counting of avoiding words and growth-rate estimates.
 
 Every search over legal words goes through one walker, `walk_legal`: it
-extends a chunk of words of one length by every letter at once, and one 2-D
-`suffix_screen` of the extensions decides which die, since the new letter
-is the only place a fresh violation can end.  Counting tallies the chunks'
-rows, exhaustion looks for the longest word, minimality screens the
-rejected extensions' right truncations, and the verifier's bounded case
-prunes the rows whose image fails.  Every constraint (a forbidden factor, a
-forbidden square, a cube) is a factor, so legality is closed under taking
-factors and suffix screens alone decide both the walk and minimality.
-Minimal forbidden words (both one-letter truncations legal) feed an
+extends a chunk of words of one length by every letter at once and carries,
+per word, the runs of equal letters at each shift that end at its last
+letter, so one `ColumnStep` of the extensions decides which die: the new
+letter is the only place a fresh violation can end.  The same step says
+which of the dead are minimal forbidden words, since every constraint (a
+forbidden factor, a forbidden square, a cube) is a factor and legality is
+closed under taking factors.  Counting tallies the chunks' rows,
+exhaustion looks for the longest word, minimality collects the minimal
+extensions, and the verifier's bounded case prunes the rows whose image
+fails.  Minimal forbidden words (both one-letter truncations legal) feed an
 Aho-Corasick factor automaton whose live part counts and bounds the language;
 its Perron root comes from power iteration over the live edge list, standing
 in for the symbolic characteristic polynomials.
@@ -18,15 +19,13 @@ in for the symbolic characteristic polynomials.
 from __future__ import annotations
 
 import math
-import multiprocessing
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .morphisms import Morphism, Substitution
-from .words import (AvoidanceSpec, satisfies_spec, suffix_screen,
-                    word_to_text)
+from .words import AvoidanceSpec, ColumnStep, satisfies_spec, word_to_text
 
 
 @dataclass(frozen=True)
@@ -42,14 +41,15 @@ class CountTable:
         return "\n".join(lines) + "\n"
 
 
-# Byte budget of one screen array.  Chunks hold as many words as fit it,
+# Byte budget of one chunk's step.  Chunks hold as many words as fit it,
 # and at least one whatever their length.
 _SCREEN_BYTES = 1 << 20
 
 
 def _chunk_rows(columns: int) -> int:
     """Words per chunk when each is screened as `columns` letters, counting
-    the columns + 1 int32 prefix sums of the widest screen array."""
+    4 bytes a letter: the letter, its class, and the step's runs and its one
+    compare, which hold at most one byte a letter below 256 letters."""
     return max(1, _SCREEN_BYTES // (4 * (columns + 1)))
 
 
@@ -60,50 +60,69 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
     of words of one length at a time.
 
     `prefixes` is a 2-D uint8 array of legal words of one length, the empty
-    word by default.  Yields (words, rejected, keep): a B x k array of legal
-    words, the array of their one-letter extensions that break the spec
-    (empty from max_len letters on, where no word is extended), and a mask
-    of B True values.  The extensions are checked by one `suffix_screen`
-    before the chunk is yielded, so every yielded word is legal; the legal
-    ones of the rows still kept are walked once the consumer resumes, so
-    clearing keep[i] prunes the subtree of row i.  The walk is a preorder of
-    chunks: a chunk's subtrees are walked before the next chunk of its
-    length, and rows run in lexicographic order when the prefixes do.  A
-    chunk of k-letter words has at most `_chunk_rows((k + 1) * max(alphabet,
-    width))` rows, where `width` is the columns a caller screens per letter
-    (the bounded case's image width), so at most about max_len x alphabet x
-    `_SCREEN_BYTES` is live.  With `classes`, the letters are
-    0..len(classes)-1 and letter x is checked as classes[x].
+    word by default.  Yields (words, minimal, keep): a B x k array of legal
+    words, the array of their one-letter extensions that are minimal
+    forbidden words (empty from max_len letters on, where no word is
+    extended), and a mask of B True values.  A chunk is stored column by
+    column with each word's `ColumnStep` runs, folded once from the
+    prefixes, so one step of the extensions decides which die and which of
+    those are minimal.  The legal extensions of the rows still kept are
+    walked once the consumer resumes, so clearing keep[i] prunes the
+    subtree of row i.  The
+    walk is a preorder of chunks: a chunk's subtrees are walked before the
+    next chunk of its length, and rows run in lexicographic order when the
+    prefixes do.  A chunk of k-letter words has at most `_chunk_rows((k + 1)
+    * max(alphabet, width))` rows, where `width` is the columns a caller
+    screens per letter (the bounded case's image width), so at most about
+    max_len x alphabet x `_SCREEN_BYTES` is live.  With `classes`, the
+    letters are 0..len(classes)-1 and letter x is checked as classes[x].
     """
     size = spec.alphabet_size if classes is None else len(classes)
     table = None if classes is None else np.array(classes, dtype=np.uint8)
     letters = np.arange(size, dtype=np.uint8)
+    step = ColumnStep(spec, max_len)
 
-    def chunks(batch):
-        # The pieces of a split batch are copies, so that no pending piece
-        # keeps a walked one alive.  The first piece goes on top.
-        rows = _chunk_rows((batch.shape[1] + 1) * max(size, width))
-        starts = range(0, len(batch), rows)[::-1]
-        if len(starts) == 1:
-            return [batch]
-        return [batch[i:i + rows].copy() for i in starts]
+    def project(cols):
+        return cols if table is None else table[cols]
 
-    stack = chunks(np.zeros((1, 0), dtype=np.uint8) if prefixes is None
-                   else prefixes)
+    def chunks(batch, runs, live):
+        # Each piece gathers its words of the batch, so that no pending
+        # piece keeps a walked batch alive.  The first piece goes on top.
+        rows = _chunk_rows((len(batch) + 1) * max(size, width))
+        return [(batch[:, live[i:i + rows]], runs[:, live[i:i + rows]])
+                for i in range(0, len(live), rows)[::-1]]
+
+    def in_order(mask, batch):
+        # Extension x of word i is column x * batch + i of a flat chunk;
+        # list the masked ones word by word, each by letter.
+        i = np.flatnonzero(mask.reshape(size, batch).T)
+        return i % size * batch + i // size
+
+    # Chunks hold their words column by column, as the step reads them.
+    cols = (np.zeros((0, 1), dtype=np.uint8) if prefixes is None
+            else np.ascontiguousarray(prefixes.T))
+    runs = np.zeros((0, cols.shape[1]), step.dtype)
+    if len(cols) < max_len:
+        runs = step.fold(project(cols), 1, max_len)[0]
+    stack = chunks(cols, runs, np.arange(cols.shape[1]))
     while stack:
-        words = stack.pop()
-        k = words.shape[1]
-        keep = np.ones(len(words), dtype=bool)
+        cols, runs = stack.pop()
+        k = len(cols)
+        keep = np.ones(cols.shape[1], dtype=bool)
         if k >= max_len:
-            yield words, np.empty((0, k + 1), dtype=np.uint8), keep
+            yield cols.T, np.empty((0, k + 1), dtype=np.uint8), keep
             continue
-        ext = np.empty((len(words), size, k + 1), dtype=np.uint8)
-        ext[:, :, :k] = words[:, None]
-        ext[:, :, k] = letters
-        ext = ext.reshape(-1, k + 1)
-        bad = suffix_screen(ext if table is None else table[ext], spec)
-        yield words, ext[bad], keep
-        stack += chunks(ext[~bad & np.repeat(keep, size)])
+        batch = cols.shape[1]
+        ext = np.empty((k + 1, size, batch), dtype=np.uint8)
+        ext[:k] = cols[:, None]
+        ext[k] = letters[:, None]
+        cols = ext[:k, 0]  # lets the popped chunk go
+        runs, bad, minimal = step(project(ext), runs[:, None])
+        ext = ext.reshape(k + 1, -1)
+        yield cols.T, ext[:, in_order(minimal, batch)].T, keep
+        live = in_order(~bad & np.tile(keep, size), batch)
+        stack += chunks(ext, runs.reshape(len(runs), ext.shape[1]), live)
+        del ext, runs
 
 
 def _tally(prefixes: np.ndarray | None, spec: AvoidanceSpec,
@@ -145,6 +164,8 @@ def count_avoiding(spec: AvoidanceSpec, n_max: int,
     workers = min(workers, len(frontier))
     jobs = [(frontier[i::workers], spec, n_max) for i in range(workers)]
     if workers > 1:
+        import multiprocessing  # costs every import of the package otherwise
+
         with multiprocessing.Pool(workers) as pool:
             parts = pool.map(_tally_job, jobs)
     else:
@@ -173,17 +194,13 @@ def minimal_forbidden(spec: AvoidanceSpec, max_length: int) -> MinimalForbiddenS
 
     Every proper factor of a candidate is a factor of one of its two
     truncations, so legality of both truncations is the whole minimality
-    condition.  Candidates are the walker's rejected extensions of legal
-    words, which keeps the left truncation legal by construction.  The
-    right truncation needs only a suffix screen: legality is closed under
-    taking factors, so with `word` legal, `word[1:]` and all its prefixes
-    are legal, which is exactly what the screen of `ext[1:]` requires.
+    condition.  Legality is closed under taking factors, so the walker's
+    minimal extensions of legal words are exactly these words.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     found = set()
-    for _, rejected, _ in walk_legal(spec, max_length):
-        minimal = rejected[~suffix_screen(rejected[:, 1:], spec)]
+    for _, minimal, _ in walk_legal(spec, max_length):
         found.update(row.tobytes() for row in minimal)
     return MinimalForbiddenSet(spec, max_length, frozenset(found))
 

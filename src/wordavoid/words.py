@@ -8,20 +8,26 @@ left..right-span(d).  Span d gives squares of root d, span 2d cubes, and span
 d-1 the repeated gap of a gap pattern.  A byte search covers small shifts and
 an anchored block search large ones, so scanning a clean word of length n
 costs roughly n log n byte operations.  First-hit checks read the first run of
-each shift; with allowed words, `_power_starts` (shared with `suffix_screen`)
-checks every start of a small shift in windowed array compares, and at most
-d starts of each run of a larger one.  Gap patterns read the run ends, and
+each shift; with allowed words, `_power_starts` checks every start of a
+small shift in windowed array compares, and at most d starts of each run of
+a larger one.  Once a hit is held, later shifts read only the letters that a
+power starting before it can occupy.  Gap patterns read the run ends, and
 full scans every start.  `gap_occurrences` answers any number of gap
 patterns from one stream; `gap_first_and_count` counts one without listing.
 Worst-case output size is quadratic on highly repetitive input, which the
 intended avoidance words never are.
+
+Batches of words grown one letter at a time (the legal-word walk and
+`suffix_screen`) are checked by `ColumnStep`, which carries for each shift
+the run of equal letters that ends at the last column and decides from it
+alone whether a forbidden power ends there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -133,7 +139,7 @@ def _mask_runs(eq: bytes, probe: bytes, left: int):
         left = -1 if right == -1 else eq.find(probe, right)
 
 
-def _repeats(word: bytes, lo: int, hi: int, span):
+def _repeats(word: bytes, lo: int, hi: int, span, stop=None):
     """Yield (d, runs) for each shift d in lo..hi, ascending, with a repeat.
 
     runs iterates, left to right, the maximal (left, right) with
@@ -141,21 +147,31 @@ def _repeats(word: bytes, lo: int, hi: int, span):
     where span(d) >= 1.  Runs of shifts up to _SWEEP_CUT come lazily from a
     byte search over the equality mask, so a clean shift costs one compare
     and one skipping search; the anchored block search finds the runs of
-    larger shifts when span(d) >= d - 1 (see _long_runs).
+    larger shifts when span(d) >= d - 1 (see _long_runs).  `stop`, when
+    given, is called before each shift or class of shifts for a bound on
+    the starts still wanted: only the prefix that a repeat starting below
+    it can occupy is read, and runs are those of that prefix.
     """
     if lo < 1:
         raise ValueError("min_root must be >= 1")
+    n = len(word)
     arr = np.frombuffer(word, dtype=np.uint8)
+
+    def prefix(d):  # letters a repeat of shift d starting below stop() needs
+        return n if stop is None else min(n, stop() + span(d) + d - 1)
+
     for d in range(lo, min(hi, _SWEEP_CUT) + 1):
-        eq = (arr[:-d] == arr[d:]).tobytes()
+        m = prefix(d) - d
+        eq = (arr[:m] == arr[d:d + m]).tobytes()
         probe = b"\1" * span(d)
         left = eq.find(probe)
         if left != -1:
             yield d, _mask_runs(eq, probe, left)
     clo = max(lo, _SWEEP_CUT + 1)
     while clo <= hi:  # doubling shift classes [clo, 2clo) for the block search
-        yield from sorted(_long_runs(arr, word, clo, min(2 * clo - 1, hi),
-                                     span).items())
+        chi = min(2 * clo - 1, hi)
+        m = prefix(chi)
+        yield from sorted(_long_runs(arr[:m], word[:m], clo, chi, span).items())
         clo *= 2
 
 
@@ -169,29 +185,36 @@ def _first_repeat(word: bytes, lo: int, hi: int, power: int,
     `_power_starts`, one array compare per window of _STARTS starts up to
     the first hit.  A larger shift, whose runs are few, compares
     at most d starts a run with the allowed words, since in a run of shift
-    d the power at p + d is the one at p.
+    d the power at p + d is the one at p.  Once a hit is held, later shifts
+    look only at the starts below it.
     """
     sizes = {len(w) for w in allowed}
-    hits = []
-    for d, runs in _repeats(word, lo, hi, lambda d: (power - 1) * d):
+    arr = np.frombuffer(word, dtype=np.uint8)
+    best = None
+
+    def stop():
+        return len(word) if best is None else best[0]
+
+    for d, runs in _repeats(word, lo, hi, lambda d: (power - 1) * d, stop):
         size = power * d
+        p = None
         if size not in sizes:
-            hits.append((next(iter(runs))[0], d))
+            p = next(iter(runs))[0]
         elif d <= _SWEEP_CUT:
-            row = np.frombuffer(word, dtype=np.uint8).reshape(1, len(word))
-            top = len(word) - size
+            top = min(len(word) - size, stop() - 1)
             for first in range(0, top + 1, _STARTS):
-                hit = _power_starts(row, power, d, allowed, first,
-                                    min(first + _STARTS - 1, top))[0]
-                p = int(hit.argmax())
-                if hit[p]:
-                    hits.append((first + p, d))
+                hit = _power_starts(arr, power, d, allowed, first,
+                                    min(first + _STARTS - 1, top))
+                if hit.any():
+                    p = first + int(hit.argmax())
                     break
         else:
-            hits += islice(((p, d) for left, right in runs
-                            for p in range(left, min(left + d, right + d - size + 1))
-                            if word[p:p + size] not in allowed), 1)
-    return min(hits, default=None)
+            p = next((p for left, right in runs
+                      for p in range(left, min(left + d, right + d - size + 1))
+                      if word[p:p + size] not in allowed), None)
+        if p is not None and p < stop():
+            best = (p, d)
+    return best
 
 
 def _top(n: int, power: int, *caps: int | None) -> int:
@@ -440,33 +463,146 @@ def satisfies_spec(word: bytes, spec: AvoidanceSpec,
     return SpecCheck(True, None)
 
 
-def _starts(rows: np.ndarray, factor: bytes, first: int,
+def _starts(letters: np.ndarray, factor: bytes, first: int,
             last: int) -> np.ndarray:
-    """hit[i, p - first] says whether row i holds `factor` at column p, for
-    p in first..last."""
-    hit = np.ones((len(rows), last - first + 1), dtype=bool)
+    """hit[p - first] says whether `factor` starts at index p of the first
+    axis of `letters`, for p in first..last, across its other axes."""
+    hit = np.ones((last - first + 1,) + letters.shape[1:], dtype=bool)
     for i, letter in enumerate(factor):
-        hit &= rows[:, first + i:last + i + 1] == letter
+        hit &= letters[first + i:last + i + 1] == letter
     return hit
 
 
-def _power_starts(rows: np.ndarray, power: int, d: int, allowed: frozenset,
+def _power_starts(arr: np.ndarray, power: int, d: int, allowed: frozenset,
                   first: int, last: int) -> np.ndarray:
-    """hit[i, p - first] says whether row i holds at column p, for p in
+    """hit[p - first] says whether the word `arr` holds at p, for p in
     first..last, a power-th power of root d that is not an allowed word."""
     # A power of root d at p repeats for (power-1)·d letters from p.
     span = (power - 1) * d
-    equal = rows[:, first:last + span] == rows[:, first + d:last + span + d]
-    if first == last:  # one window, as in the walker
-        hit = equal.all(axis=1, keepdims=True)
-    else:
-        sums = np.zeros((len(rows), equal.shape[1] + 1), dtype=np.int32)
-        np.cumsum(equal, axis=1, dtype=np.int32, out=sums[:, 1:])
-        hit = sums[:, span:] - sums[:, :-span] == span
+    equal = arr[first:last + span] == arr[first + d:last + span + d]
+    sums = np.zeros(equal.size + 1, dtype=np.int32)
+    np.cumsum(equal, dtype=np.int32, out=sums[1:])
+    hit = sums[span:] - sums[:-span] == span
     for word in allowed:
         if len(word) == power * d:
-            hit &= ~_starts(rows, word, first, last)
+            hit &= ~_starts(arr, word, first, last)
     return hit
+
+
+class ColumnStep:
+    """What a spec forbids to end at one new column of a batch of words.
+
+    A batch is stored column by column: cols[j] holds letter j of every
+    word.  Its runs at a column hold, for each shift d = 1..D with D =
+    min(column, top), the length of the run of word[j] == word[j - d] that
+    ends there; runs[D - d] holds shift d, in the order of the letters
+    compared.  A power of root d ends at the column exactly when its run is
+    at least (power - 1)·d.  `thresholds` holds, per root, the least such
+    length over the rules without an allowed word of that power's length,
+    or the dtype's largest value, which no run reaches; the powers that
+    have one are in `allowed` as (root, power, words).
+    """
+
+    def __init__(self, spec: AvoidanceSpec, n: int, max_root: int | None = None):
+        """The step for words of at most n letters, roots capped at max_root."""
+        self.alphabet_size = spec.alphabet_size
+        self.forbidden = spec.forbidden
+        self.dtype = np.min_scalar_type(n)
+        never = np.iinfo(self.dtype).max
+        rules = [(power, lo, _top(n, power, hi, max_root), allowed)
+                 for _, power, lo, hi, allowed in spec.repetition_rules]
+        self.top = max((top for _, _, top, _ in rules), default=0)
+        thresholds = np.full(self.top, never, self.dtype)
+        self.allowed = []
+        for power, lo, top, allowed in rules:
+            rule = (power - 1) * np.arange(lo, top + 1, dtype=self.dtype)
+            for size in sorted({len(w) for w in allowed if len(w) % power == 0}):
+                if lo <= size // power <= top:
+                    rule[size // power - lo] = never
+                    words = [list(w) for w in allowed if len(w) == size]
+                    self.allowed.append((size // power, power,
+                                         np.array(words, np.uint8).T[:, :, None]))
+            window = thresholds[lo - 1:top]
+            np.minimum(window, rule, out=window)
+        # Shift by shift in the runs' order, from the top root down.
+        self.thresholds = thresholds[::-1, None].copy()
+        # fills[m]: the roots whose least power is m letters long, so that
+        # in an m-letter word it starts at column 0.
+        self.fills: dict[int, list[int]] = {}
+        for d, t in enumerate(thresholds.tolist(), start=1):
+            if t != never:
+                self.fills.setdefault(t + d, []).append(d)
+        # The longest run a violation needs: a fold that starts reach - 1
+        # columns before a column sees every violation ending there.
+        self.reach = max([1, *thresholds[thresholds != never].tolist(),
+                          *((power - 1) * d for d, power, _ in self.allowed)])
+
+    def advance(self, cols: np.ndarray, runs: np.ndarray) -> np.ndarray:
+        """The runs at the last column of `cols`, shaped (D, ...), from those
+        at the one before, which broadcast against its other axes: one
+        compare of the last letter with the D before it resets or extends
+        every run."""
+        n = len(cols)
+        width = min(n - 1, self.top)
+        out = np.empty((width,) + cols.shape[1:], self.dtype)
+        np.equal(cols[n - 1 - width:n - 1], cols[n - 1], out=out)
+        grown = np.ones((width,) + runs.shape[1:], self.dtype)
+        grown[width - len(runs):] += runs  # the new shifts come first
+        return np.multiply(out, grown, out=out)
+
+    def powers(self, cols: np.ndarray, runs: np.ndarray,
+               start: int = 0) -> np.ndarray:
+        """Words of a 2-D batch in which a forbidden power ends at the last
+        column and starts at column `start` (0 or 1) or later, from the 2-D
+        runs at that column."""
+        n, width = len(cols), len(runs)
+        hit = runs >= self.thresholds[self.top - width:]
+        if start:  # the powers that fill the word start at column 0
+            hit[[width - d for d in self.fills.get(n, ())]] = False
+        found = hit.any(axis=0)
+        for d, power, words in self.allowed:
+            if power * d <= n - start:
+                at = np.flatnonzero(runs[width - d] >= (power - 1) * d)
+                tail = cols[n - power * d:, at]
+                found[at[~(tail[:, None] == words).all(axis=0).any(axis=0)]] = True
+        return found
+
+    def factors(self, cols: np.ndarray, new: int, start: int = 0) -> np.ndarray:
+        """Words of a 2-D batch with a letter outside the alphabet at a
+        column from `new` on, or a forbidden factor that ends there, that
+        starts at column `start` or later, by one compare per factor."""
+        n = len(cols)
+        found = (cols[max(new, start):] >= self.alphabet_size).any(axis=0)
+        for factor in self.forbidden:
+            first, last = max(new - len(factor) + 1, start), n - len(factor)
+            if first <= last:
+                found |= _starts(cols, factor, first, last).any(axis=0)
+        return found
+
+    def __call__(self, cols: np.ndarray, runs: np.ndarray):
+        """The runs at the last column of `cols`, and two flat masks over its
+        words: `bad`, a violation ends at that column, and `minimal`, one
+        does and each that does starts at column 0, so that the word without
+        its first letter is legal when the word without its last one is."""
+        runs = self.advance(cols, runs)
+        n = len(cols)
+        flat = cols.reshape(n, -1)
+        lengths = runs.reshape(len(runs), flat.shape[1])
+        bad = self.powers(flat, lengths) | self.factors(flat, n - 1)
+        short = self.powers(flat, lengths, 1) | self.factors(flat, n - 1, 1)
+        return runs, bad, bad & ~short
+
+    def fold(self, cols: np.ndarray, first: int, new: int):
+        """Step a 2-D batch through columns first..n-1 from empty runs: the
+        runs at the last column, counted from column `first`, and the mask
+        of words with a violation ending at column `new` or later."""
+        runs = np.zeros((0, cols.shape[1]), self.dtype)
+        flagged = self.factors(cols, new)
+        for j in range(first, len(cols)):
+            runs = self.advance(cols[:j + 1], runs)
+            if j >= new:
+                flagged |= self.powers(cols[:j + 1], runs)
+        return runs, flagged
 
 
 def suffix_screen(rows: np.ndarray, spec: AvoidanceSpec, new: int | None = None,
@@ -476,25 +612,17 @@ def suffix_screen(rows: np.ndarray, spec: AvoidanceSpec, new: int | None = None,
 
     A violation is a letter outside the alphabet, a forbidden factor, or a
     power of a repetition rule that is not an allowed word, with root at most
-    max_root when it is set.  Each factor, and each rule and root, takes one
-    array compare over the windows that end at `new` or later.  When every
-    row's prefix before column `new` satisfies the spec, a row is flagged
-    exactly when the whole row breaks it.
+    max_root when it is set.  Each factor takes one array compare over the
+    windows that end at `new` or later; `ColumnStep` is folded over the
+    columns from the first that a power ending at `new` can need.  When
+    every row's prefix before column `new` satisfies the spec, a row is
+    flagged exactly when the whole row breaks it.
     """
     n = rows.shape[1]
     new = n - 1 if new is None else new
-    flagged = (rows[:, new:] >= spec.alphabet_size).any(axis=1)
-    for factor in spec.forbidden:
-        first, last = max(0, new - len(factor) + 1), n - len(factor)
-        if first <= last:
-            flagged |= _starts(rows, factor, first, last).any(axis=1)
-    for _, power, lo, hi, allowed in spec.repetition_rules:
-        for d in range(lo, _top(n, power, hi, max_root) + 1):
-            # A power of root d at p ends at p + power·d - 1.
-            first = max(0, new - power * d + 1)
-            flagged |= _power_starts(rows, power, d, allowed, first,
-                                     n - power * d).any(axis=1)
-    return flagged
+    step = ColumnStep(spec, n, max_root)
+    return step.fold(np.ascontiguousarray(rows.T), max(0, new - step.reach + 1),
+                     new)[1]
 
 
 def suffix_legal(word: bytes, spec: AvoidanceSpec) -> bool:

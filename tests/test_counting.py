@@ -158,9 +158,10 @@ def test_walk_legal_matches_brute_force(case, data):
     """From any batch of legal prefixes of one length the walk yields, in
     chunks of one length, exactly the legal words that extend a prefix and
     have no pruned proper prefix, each once.  Each chunk's rows are sorted
-    and come with exactly their illegal one-letter extensions below max_len.
-    With one row a chunk the walk is the lexicographic preorder.  Under a
-    class map, a word is legal when its letter-by-letter projection is."""
+    and come with exactly their minimal forbidden one-letter extensions
+    below max_len: illegal, with a legal right truncation.  With one row a
+    chunk the walk is the lexicographic preorder.  Under a class map, a
+    word is legal when its letter-by-letter projection is."""
     spec, max_len = case
     classes = data.draw(st.none() | st.lists(
         st.integers(0, spec.alphabet_size - 1), min_size=1,
@@ -184,7 +185,7 @@ def test_walk_legal_matches_brute_force(case, data):
     budget = data.draw(st.sampled_from([1, 64, counting._SCREEN_BYTES]))
     walked = []
     with patch.object(counting, "_SCREEN_BYTES", budget):
-        for chunk, rejected, keep in walk_legal(
+        for chunk, minimal, keep in walk_legal(
                 spec, max_len, as_rows(prefixes, length), classes):
             rows = [row.tobytes() for row in chunk]
             assert rows == sorted(rows)
@@ -192,9 +193,10 @@ def test_walk_legal_matches_brute_force(case, data):
             walked += rows
             extensions = [] if chunk.shape[1] == max_len else [
                 w + bytes([x]) for w in rows for x in range(size)]
-            assert rejected.shape[1] == chunk.shape[1] + 1
-            assert [row.tobytes() for row in rejected] == [
-                ext for ext in extensions if not legal(ext)]
+            assert minimal.shape[1] == chunk.shape[1] + 1
+            assert [row.tobytes() for row in minimal] == [
+                ext for ext in extensions
+                if not legal(ext) and legal(ext[1:])]
             keep[:] = [w not in pruned for w in rows]
     expected = [w for w in below
                 if not any(w[:k] in pruned for k in range(length, len(w)))]
@@ -212,9 +214,9 @@ def test_walk_does_not_extend_prefixes_past_max_len(registry):
     for max_len in (3, 5):
         chunks = list(islice(walk_legal(spec, max_len, prefixes), 2))
         assert len(chunks) == 1
-        words, rejected, keep = chunks[0]
+        words, minimal, keep = chunks[0]
         assert np.array_equal(words, prefixes)
-        assert rejected.shape == (0, 6) and keep.all()
+        assert minimal.shape == (0, 6) and keep.all()
 
 
 @pytest.mark.parametrize("rows", [1, 3])

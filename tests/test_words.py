@@ -12,12 +12,13 @@ from wordavoid import words
 from wordavoid import (AvoidanceSpec, GapPattern, ParseError, contains_factor,
                        contains_gap_pattern, find_cube_at_least, find_cubes,
                        find_gap_occurrences, find_square_at_least,
-                       find_squares, format_spec, gap_occurrences, max_square_root, parse_spec,
+                       find_squares, fixed_point_prefix, format_spec,
+                       gap_occurrences, max_square_root, parse_spec,
                        perfect_shuffle, satisfies_spec, scan_forbidden,
                        suffix_legal, word_from_text, word_to_text)
 
 from conftest import (naive_cubes, naive_gap_occurrences, naive_satisfies,
-                      naive_squares)
+                      naive_squares, specs)
 
 words2 = st.binary(max_size=40).map(lambda b: bytes(x & 1 for x in b))
 
@@ -238,6 +239,39 @@ def test_anchored_search_extends_each_run_once(monkeypatch, cut):
             assert ends and len(ends) == len(set(ends))
 
 
+@pytest.mark.parametrize("whitelist", [None, ("00", "11", "011011")])
+def test_first_hit_bounds_the_later_shifts(registry, monkeypatch, whitelist):
+    """Once a violation at p is held, a later shift reads only the letters
+    that a power starting before p can occupy: its equality mask, the
+    prefix its anchored class searches, and its allowed-square windows.
+    Flipping letter 3 of the 100,000-letter Dekking binary prefix puts the
+    square 0101 at position 0."""
+    n = 100_000
+    word = bytearray(registry.dekking_g.apply(
+        fixed_point_prefix(registry.dekking_h, 0, n // 6 + 1))[:n])
+    word[3] ^= 1
+    spec = (registry.ejs2 if whitelist is None else AvoidanceSpec(
+        2, square_whitelist=tuple(map(word_from_text, whitelist))))
+    reads = []
+    for name, record in (
+            # A square sweep of shift d compares len(eq) + d letters.
+            ("_mask_runs", lambda eq, probe, left:
+             (2 * len(probe), len(eq) + len(probe))),
+            ("_long_runs", lambda arr, word, lo, hi, need: (2 * hi, len(word))),
+            ("_power_starts", lambda arr, power, d, allowed, first, last:
+             (power * d, last + power * d))):
+        def recorded(*args, fn=getattr(words, name), record=record):
+            reads.append(record(*args))
+            return fn(*args)
+        monkeypatch.setattr(words, name, recorded)
+    v = satisfies_spec(bytes(word), spec).violation
+    assert (v.position, v.root_length) == (0, 2)
+    # (letters a power of the shift spans, letters read) past the hit
+    later = [(size, read) for size, read in reads if size > 4]
+    assert any(size > 2 * words._SWEEP_CUT for size, _ in later)
+    assert all(read <= v.position + size - 1 for size, read in later)
+
+
 def test_gap_pattern_word_builder():
     pattern = GapPattern(1, 3, 2)
     assert pattern.word(word_from_text("00")) == word_from_text("1003002")
@@ -286,6 +320,33 @@ def test_violation_is_reported_with_its_window(word):
         root = v.root_length
         assert word[v.position:v.position + 2 * root] == v.factor
         assert v.factor[:root] == v.factor[root:]
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_screen_flags_exactly_the_rows_that_break_the_spec(data):
+    """The bounded case's shape: for every column `new`, the rows of a batch
+    that are legal before it, with roots maybe capped, are flagged exactly
+    where the whole row breaks the spec.  Periodic rows put powers of the
+    longest roots at every column, and one letter past the alphabet may
+    occur."""
+    alphabet = data.draw(st.integers(2, 3))
+    spec = data.draw(specs(alphabet))
+    max_root = data.draw(st.none() | st.integers(1, 3))
+    n = data.draw(st.integers(1, 12))
+    letter = st.integers(0, alphabet)
+    periodic = st.integers(1, max(1, n // 2)).flatmap(
+        lambda p: st.lists(letter, min_size=p, max_size=p))
+    row = periodic.map(lambda w: bytes((w * n)[:n])) | st.lists(
+        letter, min_size=n, max_size=n).map(bytes)
+    rows = data.draw(st.lists(row, min_size=1, max_size=6))
+    broken = {r: not naive_satisfies(r, spec, max_root) for r in rows}
+    for new in range(n):
+        legal = [r for r in rows if naive_satisfies(r[:new], spec, max_root)]
+        if legal:
+            batch = np.array([list(r) for r in legal], dtype=np.uint8)
+            flagged = words.suffix_screen(batch, spec, new, max_root)
+            assert flagged.tolist() == [broken[r] for r in legal], new
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=range(len(SPECS)))
