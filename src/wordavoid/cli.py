@@ -12,13 +12,15 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
 from .counting import (FactorAutomaton, count_avoiding, growth_rate,
                        lower_bound_family, minimal_forbidden)
 from .instances import (MORPHISM_NAMES, SUBSTITUTION_NAMES, load_registry)
 from .morphisms import (Substitution, fixed_point_prefix, parse_morphism,
                         parse_substitution)
-from .scenarios import SCENARIOS, run_scenario
+from .pool import process_map
+from .scenarios import SCENARIOS, failed_report, run_scenario
 from .verify import verify_square_transfer, verify_substitution_transfer
 from .words import (GapPattern, ParseError, find_cube_at_least,
                     find_square_at_least, format_spec, gap_first_and_count,
@@ -322,8 +324,11 @@ def _cmd_scenario(args) -> int:
         names = [args.name]
     else:
         raise ParseError("pass a scenario name or --all")
-    reports = [run_scenario(name, prefix_length=args.prefix_length)
-               for name in names]
+    # The scenarios are independent, so they share out the usable CPUs; a
+    # dead worker fails the scenarios it had not finished.
+    reports = process_map(
+        partial(run_scenario, prefix_length=args.prefix_length), names,
+        failed=lambda name, exc: failed_report(name, "scenario worker", exc))
     if args.format == "json":
         _emit(json.dumps([r.to_dict() for r in reports], sort_keys=True))
     else:

@@ -19,12 +19,13 @@ in for the symbolic characteristic polynomials.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .morphisms import Morphism, Substitution
+from .pool import process_map, usable_cpus
 from .words import AvoidanceSpec, ColumnStep, satisfies_spec, word_to_text
 
 
@@ -134,22 +135,19 @@ def _tally(prefixes: np.ndarray | None, spec: AvoidanceSpec,
     return counts
 
 
-def _tally_job(args: tuple[np.ndarray, AvoidanceSpec, int]) -> list[int]:
-    return _tally(*args)
-
-
 def count_avoiding(spec: AvoidanceSpec, n_max: int,
                    workers: int = 1) -> CountTable:
     """Count legal words of each length 0..n_max by one pruned walk.
 
     With workers > 1 the legal words of a fixed split length are dealt into
-    one group per process, and each group is walked as one batch; counts
-    merge by addition, so the result does not depend on scheduling.  The
-    pool never exceeds the CPU count or the number of words at the split.
+    one group per process, and each group is walked as one batch in
+    `process_map`'s pool; counts merge by addition, so the result does not
+    depend on scheduling.  The pool never exceeds the usable CPUs (the
+    affinity set) or the number of words at the split.
     """
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    workers = min(workers, os.cpu_count() or 1)
+    workers = min(workers, usable_cpus())
     if workers <= 1:
         return CountTable(spec, tuple(_tally(None, spec, n_max)))
     split = min(6, n_max)
@@ -161,16 +159,9 @@ def count_avoiding(spec: AvoidanceSpec, n_max: int,
         else:
             counts[words.shape[1]] += len(words)
     frontier = np.concatenate(frontier)
-    workers = min(workers, len(frontier))
-    jobs = [(frontier[i::workers], spec, n_max) for i in range(workers)]
-    if workers > 1:
-        import multiprocessing  # costs every import of the package otherwise
-
-        with multiprocessing.Pool(workers) as pool:
-            parts = pool.map(_tally_job, jobs)
-    else:
-        parts = [_tally_job(job) for job in jobs]
-    for part in parts:
+    groups = min(workers, len(frontier))
+    jobs = [frontier[i::groups] for i in range(groups)]
+    for part in process_map(partial(_tally, spec=spec, n_max=n_max), jobs):
         for n, c in enumerate(part):
             counts[n] += c
     return CountTable(spec, tuple(counts))

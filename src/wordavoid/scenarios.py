@@ -544,7 +544,11 @@ def run_scenario(name: str, registry: InstanceRegistry | None = None,
     try:
         return SCENARIOS[name](reg, prefix_length)
     except Exception as exc:
-        return ScenarioReport(name, (),
-                              (Check("scenario setup", False,
-                                     f"raised {exc!r}"),), {})
+        return failed_report(name, "scenario setup", exc)
+
+
+def failed_report(name: str, check: str, exc: BaseException) -> ScenarioReport:
+    """The report of a scenario that stopped when `check` raised `exc`."""
+    return ScenarioReport(name, (), (Check(check, False, f"raised {exc!r}"),),
+                          {})
 

@@ -11,9 +11,10 @@ costs roughly n log n byte operations.  First-hit checks read the first run of
 each shift; with allowed words, `_power_starts` checks every start of a
 small shift in windowed array compares, and at most d starts of each run of
 a larger one.  Once a hit is held, later shifts read only the letters that a
-power starting before it can occupy.  Gap patterns read the run ends, and
-full scans every start.  `gap_occurrences` answers any number of gap
-patterns from one stream; `gap_first_and_count` counts one without listing.
+power starting before it can occupy.  Gap patterns read the ends of every
+run, taking a small shift's runs from one array pass, and full scans every
+start.  `gap_occurrences` answers any number of gap patterns from one
+stream; `gap_first_and_count` counts one without listing.
 Worst-case output size is quadratic on highly repetitive input, which the
 intended avoidance words never are.
 
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
@@ -73,32 +73,36 @@ def contains_factor(word: bytes, factor: bytes) -> bool:
     return word.find(factor) != -1
 
 
-def _extend_left(arr: np.ndarray, shift: int, left: int) -> int:
+def _extend_left(word: bytes, shift: int, left: int) -> int:
     c = _CHUNK
     while left > 0:
         c = min(c, left)
-        bad = np.nonzero(arr[left - c:left] != arr[left - c + shift:left + shift])[0]
-        if bad.size:
-            return left - c + int(bad[-1]) + 1
+        # Little-endian, so the last letter that differs is the top set bit.
+        x = (int.from_bytes(word[left - c:left], "little")
+             ^ int.from_bytes(word[left - c + shift:left + shift], "little"))
+        if x:
+            return left - c + (x.bit_length() + 7) // 8
         left -= c
         c *= 2
     return left
 
 
-def _extend_right(arr: np.ndarray, shift: int, right: int) -> int:
-    limit = arr.size - shift
+def _extend_right(word: bytes, shift: int, right: int) -> int:
+    limit = len(word) - shift
     c = _CHUNK
     while right < limit:
         c = min(c, limit - right)
-        bad = np.nonzero(arr[right:right + c] != arr[right + shift:right + shift + c])[0]
-        if bad.size:
-            return right + int(bad[0])
+        # Big-endian, so the first letter that differs is the top set bit.
+        x = (int.from_bytes(word[right:right + c], "big")
+             ^ int.from_bytes(word[right + shift:right + shift + c], "big"))
+        if x:
+            return right + c - (x.bit_length() + 7) // 8
         right += c
         c *= 2
     return right
 
 
-def _long_runs(arr, word, lo, hi, need) -> dict[int, list[tuple[int, int]]]:
+def _long_runs(word, lo, hi, need) -> dict[int, list[tuple[int, int]]]:
     """Maximal equal runs {shift: [(left, right), ...]} with lo <= shift <= hi
     and right - left >= need(shift), each list from left to right.
 
@@ -121,8 +125,8 @@ def _long_runs(arr, word, lo, hi, need) -> dict[int, list[tuple[int, int]]]:
         while pos != -1:
             shift = js - pos
             if pos >= reach.get(shift, 0):
-                left = _extend_left(arr, shift, pos)
-                right = _extend_right(arr, shift, pos + s)
+                left = _extend_left(word, shift, pos)
+                right = _extend_right(word, shift, pos + s)
                 reach[shift] = right
                 if right - left >= need(shift):
                     runs.setdefault(shift, []).append((left, right))
@@ -139,7 +143,15 @@ def _mask_runs(eq: bytes, probe: bytes, left: int):
         left = -1 if right == -1 else eq.find(probe, right)
 
 
-def _repeats(word: bytes, lo: int, hi: int, span, stop=None):
+def _mask_edges(equal: np.ndarray, span: int) -> np.ndarray:
+    """All maximal runs of True in `equal` at least span long, as the rows
+    (left, right) of a (k, 2) array, from one pass over its edges."""
+    edges = np.flatnonzero(np.diff(equal, prepend=False, append=False))
+    edges = edges.reshape(-1, 2)
+    return edges[edges[:, 1] - edges[:, 0] >= span]
+
+
+def _repeats(word: bytes, lo: int, hi: int, span, stop=None, every=False):
     """Yield (d, runs) for each shift d in lo..hi, ascending, with a repeat.
 
     runs iterates, left to right, the maximal (left, right) with
@@ -150,7 +162,9 @@ def _repeats(word: bytes, lo: int, hi: int, span, stop=None):
     larger shifts when span(d) >= d - 1 (see _long_runs).  `stop`, when
     given, is called before each shift or class of shifts for a bound on
     the starts still wanted: only the prefix that a repeat starting below
-    it can occupy is read, and runs are those of that prefix.
+    it can occupy is read, and runs are those of that prefix.  With
+    `every`, for readers of every run, runs is instead a (k, 2) array, so
+    a swept shift's runs come from one array pass over the mask's edges.
     """
     if lo < 1:
         raise ValueError("min_root must be >= 1")
@@ -162,16 +176,19 @@ def _repeats(word: bytes, lo: int, hi: int, span, stop=None):
 
     for d in range(lo, min(hi, _SWEEP_CUT) + 1):
         m = prefix(d) - d
-        eq = (arr[:m] == arr[d:d + m]).tobytes()
+        equal = arr[:m] == arr[d:d + m]
+        eq = equal.tobytes()
         probe = b"\1" * span(d)
         left = eq.find(probe)
         if left != -1:
-            yield d, _mask_runs(eq, probe, left)
+            yield d, (_mask_edges(equal, span(d)) if every
+                      else _mask_runs(eq, probe, left))
     clo = max(lo, _SWEEP_CUT + 1)
     while clo <= hi:  # doubling shift classes [clo, 2clo) for the block search
         chi = min(2 * clo - 1, hi)
         m = prefix(chi)
-        yield from sorted(_long_runs(arr[:m], word[:m], clo, chi, span).items())
+        for d, runs in sorted(_long_runs(word[:m], clo, chi, span).items()):
+            yield d, np.array(runs, dtype=np.intp) if every else runs
         clo *= 2
 
 
@@ -288,9 +305,9 @@ def _gap_starts(word: bytes):
     # Gap 0's starts are the largest array of a sweep; int32 halves it.
     yield (1, np.arange(len(word) - 2, dtype=np.int32),
            (arr[:-2], arr[1:-1], arr[2:]), none, none)
-    for d, runs in _repeats(word[1:-1], 2, (len(word) - 1) // 2, lambda d: d - 1):
-        left, right = np.fromiter(chain.from_iterable(runs),
-                                  dtype=np.int64).reshape(-1, 2).T
+    for d, runs in _repeats(word[1:-1], 2, (len(word) - 1) // 2,
+                            lambda d: d - 1, every=True):
+        left, right = runs.T
         last = right - d + 1
         ends = np.sort(np.concatenate((left, last[last > left])))
         yield (d, ends, (arr[ends], arr[ends + d], arr[ends + 2 * d]),

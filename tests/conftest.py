@@ -5,16 +5,35 @@ the package are checked against something that cannot share their bugs.
 """
 
 import itertools
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 from hypothesis import strategies as st
 
+import wordavoid
 from wordavoid import AvoidanceSpec, load_registry
 
 
 @pytest.fixture(scope="session")
 def registry():
     return load_registry()
+
+
+def run_script(script: str) -> subprocess.CompletedProcess:
+    """Run a Python script in a child interpreter that imports this package
+    from where the tests do, with two usable CPUs and block-buffered
+    stdout; give up after 60 s."""
+    script = ("import os\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+              + textwrap.dedent(script))
+    src = os.path.dirname(os.path.dirname(wordavoid.__file__))
+    path = [src, *filter(None, [os.environ.get("PYTHONPATH")])]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=60, env=env)
 
 
 @st.composite

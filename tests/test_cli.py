@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import multiprocessing
 import shutil
 import subprocess
 import sys
@@ -13,6 +14,8 @@ import pytest
 from wordavoid import (Morphism, fixed_point_prefix, format_morphism,
                        with_image_letter, word_from_text, word_to_text)
 from wordavoid.cli import main
+
+from conftest import run_script
 
 
 def run_cli(capsys, *argv):
@@ -430,6 +433,59 @@ def test_scenario_all_passes_quickly(capsys):
                            "--prefix-length", "2000")
     assert code == 0
     assert out.count("PASS") == 6
+
+
+def test_scenario_stdout_does_not_depend_on_the_cpus(capsys, monkeypatch):
+    """One usable CPU runs the scenarios in-process, two fork a pool; the
+    bytes are the same, and no worker outlives `main`."""
+    outputs = {}
+    for cpus in (1, 2):
+        monkeypatch.setattr("os.sched_getaffinity",
+                            lambda pid, cpus=cpus: set(range(cpus)))
+        for fmt in ("text", "json"):
+            code, out, _ = run_cli(capsys, "scenario", "--all", "--format",
+                                   fmt, "--prefix-length", "2000")
+            assert code == 0
+            assert multiprocessing.active_children() == []
+            outputs.setdefault(fmt, set()).add(out)
+    assert all(len(outs) == 1 for outs in outputs.values())
+
+
+def test_forked_scenarios_do_not_repeat_buffered_output(capsys):
+    """A forked worker must not print its copy of what the parent had
+    written to a pipe but not yet flushed."""
+    argv = ["scenario", "--all", "--prefix-length", "2000"]
+    proc = run_script(f"""
+        import sys
+        from wordavoid.cli import main
+        print("before")
+        sys.exit(main({argv!r}))
+        """)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (proc.returncode, proc.stdout) == (code, "before\n" + out)
+
+
+def test_package_import_leaves_the_pool_modules_unloaded():
+    proc = run_script("""
+        import sys
+        import wordavoid
+        print([m for m in ("multiprocessing", "concurrent.futures")
+               if m in sys.modules])
+        """)
+    assert proc.stdout == "[]\n"
+
+
+def test_dead_scenario_worker_is_a_failed_check():
+    proc = run_script("""
+        import sys
+        from wordavoid import cli, scenarios
+        scenarios.SCENARIOS["pu-shuffle"] = lambda reg, n: os._exit(7)
+        sys.exit(cli.main(["scenario", "--all", "--prefix-length", "2000"]))
+        """)
+    assert proc.returncode == 1
+    assert proc.stdout.count("\nscenario ") == 5
+    assert "scenario pu-shuffle: FAIL\n  [FAIL] scenario worker: raised" \
+        " BrokenProcessPool(" in proc.stdout
 
 
 def test_scenario_json_digest_is_pinned(capsys):

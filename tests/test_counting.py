@@ -1,7 +1,8 @@
 """Counting, minimal forbidden words, growth rates, families, exhaustion."""
 
+import concurrent.futures
 import math
-import multiprocessing
+from concurrent.futures import Future
 from itertools import islice
 from unittest.mock import patch
 
@@ -15,9 +16,10 @@ from wordavoid import (AvoidanceSpec, FactorAutomaton, build_automaton,
                        growth_rate, lower_bound_family, minimal_forbidden,
                        satisfies_spec, walk_legal, word_from_text,
                        word_to_text)
-from wordavoid import counting
+from wordavoid import counting, pool
 
-from conftest import all_words, naive_count, naive_satisfies, specs
+from conftest import (all_words, naive_count, naive_satisfies, run_script,
+                      specs)
 
 G_TABLE = (1, 2, 4, 6, 10, 16, 24, 36, 52, 72, 90, 116, 142, 178, 220, 264,
            332, 414)
@@ -42,12 +44,12 @@ def test_count_workers_agree(registry):
 
 
 class RecordingPool:
-    """Stands in for multiprocessing.Pool: records its size, maps in-process."""
+    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
 
     sizes = []
 
-    def __init__(self, processes):
-        self.sizes.append(processes)
+    def __init__(self, max_workers, mp_context=None):
+        self.sizes.append(max_workers)
 
     def __enter__(self):
         return self
@@ -55,20 +57,28 @@ class RecordingPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, jobs):
-        return [fn(job) for job in jobs]
+    def submit(self, fn, job):
+        future = Future()
+        future.set_result(fn(job))
+        return future
+
+
+def use_cpus(monkeypatch, cpus):
+    """Make `cpus` CPUs usable and record pools instead of forking them."""
+    monkeypatch.setattr(RecordingPool, "sizes", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 @pytest.mark.parametrize("n_max, cpus, pool_size", [
-    (12, 4, 4),      # capped by the CPU count
+    (12, 4, 4),      # capped by the usable CPUs
     (1, 8, 2),       # capped by the two one-letter subtrees
     (0, 8, None),    # a single subtree needs no pool
 ])
 def test_count_workers_are_clamped(registry, monkeypatch, n_max, cpus,
                                    pool_size):
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr("os.cpu_count", lambda: cpus)
+    use_cpus(monkeypatch, cpus)
     table = count_avoiding(registry.fs_binary, n_max, workers=10_000)
     assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
     assert table.counts == H_TABLE[:n_max + 1]
@@ -76,10 +86,50 @@ def test_count_workers_are_clamped(registry, monkeypatch, n_max, cpus,
 
 def test_count_workers_on_a_finite_language(monkeypatch):
     # squarefree binary words stop at length 3, before the split length
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    use_cpus(monkeypatch, 4)
     spec = AvoidanceSpec(2, square_min_root=1)
     assert count_avoiding(spec, 8, workers=4).counts == (1, 2, 2, 2) + (0,) * 5
+    assert RecordingPool.sizes == []
+
+
+@pytest.mark.parametrize("jobs, cpus, pool_size", [
+    (5, 2, 2),       # capped by the usable CPUs
+    (6, 8, 6),       # capped by the jobs, as for the six scenarios
+    (1, 8, None),    # one job runs in-process
+])
+def test_process_map_forks_at_most_one_worker_a_job_and_cpu(
+        monkeypatch, jobs, cpus, pool_size):
+    use_cpus(monkeypatch, cpus)
+    assert pool.process_map(abs, range(-jobs, 0)) == list(range(jobs, 0, -1))
+    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+
+
+def test_usable_cpus_are_the_affinity_set_or_the_cpu_count(monkeypatch):
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {3, 5})
+    monkeypatch.setattr("os.cpu_count", lambda: 8)
+    assert pool.usable_cpus() == 2
+    monkeypatch.delattr("os.sched_getaffinity")
+    assert pool.usable_cpus() == 8
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert pool.usable_cpus() == 1
+
+
+def test_dead_count_worker_raises():
+    """A worker that dies breaks the pool at once; the count raises."""
+    proc = run_script("""
+        from wordavoid import AvoidanceSpec, counting
+
+        def die(*args, **kwargs):
+            os._exit(7)
+
+        counting._tally = die
+        try:
+            counting.count_avoiding(AvoidanceSpec(2, square_min_root=2), 10,
+                                    workers=2)
+        except Exception as exc:
+            print(type(exc).__name__)
+        """)
+    assert (proc.returncode, proc.stdout) == (0, "BrokenProcessPool\n")
 
 
 @given(st.integers(0, 7))

@@ -167,7 +167,9 @@ def test_repeats_yield_the_maximal_runs(word, cut, kind):
     with sweep_cut(cut):
         found = [(d, list(runs))
                  for d, runs in words._repeats(word, lo, len(word), span)]
-    assert found == [(d, runs) for d, runs in expected if runs]
+        arrays = [(d, list(map(tuple, runs.tolist()))) for d, runs in
+                  words._repeats(word, lo, len(word), span, every=True)]
+    assert found == arrays == [(d, runs) for d, runs in expected if runs]
 
 
 @st.composite
@@ -220,8 +222,8 @@ def test_anchored_search_extends_each_run_once(monkeypatch, cut):
     extend = words._extend_right
     ends = []
 
-    def counted(arr, shift, right):
-        ends.append((shift, extend(arr, shift, right)))
+    def counted(word, shift, right):
+        ends.append((shift, extend(word, shift, right)))
         return ends[-1][1]
 
     monkeypatch.setattr(words, "_extend_right", counted)
@@ -257,7 +259,7 @@ def test_first_hit_bounds_the_later_shifts(registry, monkeypatch, whitelist):
             # A square sweep of shift d compares len(eq) + d letters.
             ("_mask_runs", lambda eq, probe, left:
              (2 * len(probe), len(eq) + len(probe))),
-            ("_long_runs", lambda arr, word, lo, hi, need: (2 * hi, len(word))),
+            ("_long_runs", lambda word, lo, hi, need: (2 * hi, len(word))),
             ("_power_starts", lambda arr, power, d, allowed, first, last:
              (power * d, last + power * d))):
         def recorded(*args, fn=getattr(words, name), record=record):
