@@ -438,6 +438,10 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # a request too large to hold is unusable
+        print("error: out of memory" + (f" ({exc})" if str(exc) else ""),
+              file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -394,10 +394,24 @@ def lower_bound_family(sub: Substitution, outer: Morphism, seed_word: bytes,
             word = outer.apply(sub.sample_image(seed_word, seed + i))
             if len(word) == length and satisfies_spec(word, target).ok:
                 verified += 1
-    check = True
-    if exponent_denominator is not None:
-        check = family_size ** exponent_denominator >= 2 ** length
+    check = (exponent_denominator is None
+             or _power_reaches(family_size, exponent_denominator, length))
     return FamilyReport(length, family_size, verified, check, enumerated)
+
+
+def _power_reaches(base: int, exponent: int, bits: int) -> bool:
+    """base ** exponent >= 2 ** bits, for base, bits >= 0 and exponent >= 1.
+
+    With b the bit length of base, 2^(b-1) <= base < 2^b decides every case
+    but (b-1)*exponent < bits < b*exponent, where the power has fewer than
+    2*bits bits; a huge exponent never builds a huge power.
+    """
+    b = base.bit_length()
+    if (b - 1) * exponent >= bits:
+        return True
+    if b * exponent <= bits:
+        return False
+    return base ** exponent >= 2 ** bits
 
 
 @dataclass(frozen=True)
@@ -407,12 +421,6 @@ class ExhaustReport:
     max_length: int | None
     witness: bytes | None
     exceeded: bool
-
-    def to_dict(self) -> dict:
-        return {"max_length": self.max_length,
-                "witness": None if self.witness is None
-                else word_to_text(self.witness),
-                "exceeded": self.exceeded}
 
 
 def exhaust_max_length(spec: AvoidanceSpec, hard_cap: int) -> ExhaustReport:

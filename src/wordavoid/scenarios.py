@@ -10,17 +10,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cache, partial
 
 from .counting import (build_automaton, count_avoiding, growth_rate,
                        lower_bound_family, minimal_forbidden)
 from .instances import InstanceRegistry, load_registry
 from .morphisms import fixed_point_prefix, power
-from .verify import (find_inclusions, find_interchanges, refute_inclusion,
+from .verify import (find_inclusions, find_interchanges,
                      verify_square_transfer, verify_substitution_transfer)
 from .words import (AvoidanceSpec, GapPattern, contains_factor,
                     gap_occurrences, max_square_root, perfect_shuffle,
                     satisfies_spec, word_from_text, word_to_text)
 
+# The pinned count tables and minimal-set sizes; the tests import them.
 G_TABLE = (1, 2, 4, 6, 10, 16, 24, 36, 52, 72, 90, 116, 142, 178, 220, 264,
            332, 414)
 H_TABLE = (1, 2, 4, 8, 13, 22, 31, 46, 58, 78, 99, 124, 144, 176, 198, 234,
@@ -77,16 +79,41 @@ class _Collector:
         self.artifacts: dict = {}
 
     def run(self, name: str, body) -> None:
+        """`body` returns (ok, detail); an exception fails the check."""
         try:
-            result = body()
+            ok, detail = body()
         except Exception as exc:
-            self.checks.append(Check(name, False, f"raised {exc!r}"))
-            return
-        if isinstance(result, tuple):
-            ok, detail = result
-        else:
-            ok, detail = result, ""
+            ok, detail = False, f"raised {exc!r}"
         self.checks.append(Check(name, bool(ok), detail))
+
+    def certify(self, name: str, key: str, verify, pinned, detail: str
+                ) -> None:
+        """Check a transfer certificate: run `verify`, keep the certificate
+        under the artifact `key`, and pass when it is complete and
+        `pinned(cert)` holds.  `detail` is formatted with the certificate
+        as `c`."""
+
+        def body():
+            cert = verify()
+            self.artifacts[key] = cert.to_dict()
+            return cert.complete and pinned(cert), detail.format(c=cert)
+
+        self.run(name, body)
+
+    def prefixes(self, refs: dict, stem: str, label: str, word: bytes,
+                 lengths: tuple[int, ...] = (2000,)) -> None:
+        """Compare `word` with the reference prefix `<stem>_<n>` for each
+        n; the 2000-letter comparison is the extended check."""
+        for n in lengths:
+
+            def body(key=f"{stem}_{n}"):
+                ref = word_from_text(refs[key])
+                m = min(len(word), len(ref))
+                return (m > 0 and word[:m] == ref[:m],
+                        f"{m} reference symbols compared")
+
+            self.run(f"{label} prefix" + (", extended" if n == 2000 else ""),
+                     body)
 
 
 def _inclusion_rows(cert_rows):
@@ -95,82 +122,68 @@ def _inclusion_rows(cert_rows):
             for w, r in cert_rows]
 
 
-def _prefix_check(word: bytes, reference: str):
-    ref = word_from_text(reference)
-    n = min(len(word), len(ref))
-    ok = n > 0 and word[:n] == ref[:n]
-    return ok, f"{n} reference symbols compared"
+def _construction_words(col: _Collector, core_morphism, coder,
+                        prefix_length: int) -> tuple[bytes, bytes]:
+    """The core fixed-point prefix and its coded binary word, long enough
+    for the 2000-letter references and for `prefix_length` binary letters;
+    their first 60 letters are kept as artifacts."""
+    core = fixed_point_prefix(core_morphism, 0,
+                              max(2000, prefix_length // 6 + 1))
+    binary = coder.apply(core)[:max(2000, prefix_length)]
+    col.artifacts["core_prefix"] = word_to_text(core[:60])
+    col.artifacts["binary_prefix"] = word_to_text(binary[:60])
+    return core, binary
 
 
 def _scenario_dekking_verify(reg: InstanceRegistry, prefix_length: int
                              ) -> ScenarioReport:
     col = _Collector()
     refs = reg.reference_prefixes
-
-    def cert_h():
-        cert = verify_square_transfer(reg.dekking_h, reg.dekking_h_source,
-                                      reg.squarefree4, name="dekking_h")
-        col.artifacts["core_certificate"] = cert.to_dict()
-        rows = _inclusion_rows(cert.inclusions)
-        ok = (cert.complete
-              and rows == [((3, 1, 2, 6), "no-right-extension", ())]
-              and not cert.interchanges
-              and cert.bounded.legal_counts[5] == 49)
-        return ok, ("complete, 1 inclusion, 0 interchanges, "
-                    f"{cert.bounded.legal_counts[5]} words at length 5")
-
-    def cert_g():
-        cert = verify_square_transfer(reg.dekking_g, reg.dekking_g_source,
-                                      reg.dekking_binary,
-                                      fixed_point=(reg.dekking_h, 0),
-                                      name="dekking_g")
-        col.artifacts["coder_certificate"] = cert.to_dict()
-        rows = _inclusion_rows(cert.inclusions)
-        expected = [((0, 1, 3, 3), "no-right-extension", ()),
-                    ((1, 0, 2, 2), "no-right-extension", ()),
-                    ((2, 3, 1, 4), "no-right-extension", ())]
-        inter = [(w.a, w.b, w.c, w.split, word_to_text(w.s), word_to_text(w.t),
-                  word_to_text(w.u), word_to_text(w.v))
-                 for w, _ in cert.interchanges]
-        ok = (cert.complete and rows == expected
-              and inter == [(2, 1, 3, 4, "0110", "01", "0101", "10")]
-              and all(r.ok for _, r in cert.interchanges)
-              and cert.bounded.legal_counts[5] == 41)
-        return ok, ("complete, 3 inclusions, 1 interchange, "
-                    f"{cert.bounded.legal_counts[5]} words at length 5")
-
-    def cert_sub():
-        cert = verify_substitution_transfer(reg.dekking_sub,
-                                            reg.dekking_h_source,
-                                            reg.squarefree4,
-                                            name="dekking_sub")
-        col.artifacts["substitution_certificate"] = cert.to_dict()
-        rows = _inclusion_rows(cert.inclusions)
-        equal = [(key, method) for key, method, _ in
-                 _inclusion_rows(cert.equal_pair_inclusions)]
-        ok = (cert.complete
-              and rows == [((3, 1, 2, 6), "no-right-extension", ()),
-                           ((3, 4, 2, 6), "no-left-extension", ())]
-              and equal == [((2, 2, 4, 4), "pair-illegal"),
-                            ((4, 1, 2, 6), "pair-illegal"),
-                            ((4, 4, 2, 6), "pair-illegal")])
-        return ok, "complete; alternate-image rows all accounted for"
-
-    core = fixed_point_prefix(reg.dekking_h, 0, max(2000, prefix_length // 6 + 1))
-    binary = reg.dekking_g.apply(core)[:max(2000, prefix_length)]
-    col.artifacts["core_prefix"] = word_to_text(core[:60])
-    col.artifacts["binary_prefix"] = word_to_text(binary[:60])
-    col.run("core transfer certificate", cert_h)
-    col.run("coder transfer certificate", cert_g)
-    col.run("substitution transfer certificate", cert_sub)
-    col.run("core fixed-point prefix",
-            lambda: _prefix_check(core, refs["dekking_core_50"]))
-    col.run("core fixed-point prefix, extended",
-            lambda: _prefix_check(core, refs["dekking_core_2000"]))
-    col.run("binary word prefix",
-            lambda: _prefix_check(binary, refs["dekking_binary_60"]))
-    col.run("binary word prefix, extended",
-            lambda: _prefix_check(binary, refs["dekking_binary_2000"]))
+    core, binary = _construction_words(col, reg.dekking_h, reg.dekking_g,
+                                       prefix_length)
+    col.certify(
+        "core transfer certificate", "core_certificate",
+        lambda: verify_square_transfer(reg.dekking_h, reg.dekking_h_source,
+                                       reg.squarefree4, name="dekking_h"),
+        lambda c: (_inclusion_rows(c.inclusions)
+                   == [((3, 1, 2, 6), "no-right-extension", ())]
+                   and not c.interchanges
+                   and c.bounded.legal_counts[5] == 49),
+        "complete, 1 inclusion, 0 interchanges, "
+        "{c.bounded.legal_counts[5]} words at length 5")
+    col.certify(
+        "coder transfer certificate", "coder_certificate",
+        lambda: verify_square_transfer(reg.dekking_g, reg.dekking_g_source,
+                                       reg.dekking_binary,
+                                       fixed_point=(reg.dekking_h, 0),
+                                       name="dekking_g"),
+        lambda c: (_inclusion_rows(c.inclusions)
+                   == [((0, 1, 3, 3), "no-right-extension", ()),
+                       ((1, 0, 2, 2), "no-right-extension", ()),
+                       ((2, 3, 1, 4), "no-right-extension", ())]
+                   and [(w.a, w.b, w.c, w.split, word_to_text(w.s),
+                         word_to_text(w.t), word_to_text(w.u),
+                         word_to_text(w.v)) for w, _ in c.interchanges]
+                   == [(2, 1, 3, 4, "0110", "01", "0101", "10")]
+                   and c.bounded.legal_counts[5] == 41),
+        "complete, 3 inclusions, 1 interchange, "
+        "{c.bounded.legal_counts[5]} words at length 5")
+    col.certify(
+        "substitution transfer certificate", "substitution_certificate",
+        lambda: verify_substitution_transfer(reg.dekking_sub,
+                                             reg.dekking_h_source,
+                                             reg.squarefree4,
+                                             name="dekking_sub"),
+        lambda c: (_inclusion_rows(c.inclusions)
+                   == [((3, 1, 2, 6), "no-right-extension", ()),
+                       ((3, 4, 2, 6), "no-left-extension", ())]
+                   and _inclusion_rows(c.equal_pair_inclusions)
+                   == [((2, 2, 4, 4), "pair-illegal", ()),
+                       ((4, 1, 2, 6), "pair-illegal", ()),
+                       ((4, 4, 2, 6), "pair-illegal", ())]),
+        "complete; alternate-image rows all accounted for")
+    col.prefixes(refs, "dekking_core", "core fixed-point", core, (50, 2000))
+    col.prefixes(refs, "dekking_binary", "binary word", binary, (60, 2000))
     col.run("binary prefix meets target spec",
             lambda: (satisfies_spec(binary[:prefix_length],
                                     reg.dekking_binary).ok,
@@ -215,24 +228,32 @@ def _scenario_fs_verify(reg: InstanceRegistry, prefix_length: int
     col = _Collector()
     refs = reg.reference_prefixes
 
-    def cert_h():
-        cert = verify_square_transfer(reg.fs_h, reg.fs_h_source,
-                                      AvoidanceSpec(5, square_min_root=1),
-                                      name="fs_h")
-        col.artifacts["core_certificate"] = cert.to_dict()
-        rows = [(w.a, w.b, w.c, w.offset, word_to_text(w.t), word_to_text(w.u))
-                for w, _ in cert.inclusions]
-        ok = (cert.complete and not cert.interchanges
-              and rows == [(3, 2, 0, 13, "0123212343234", "01232101234")]
-              and cert.inclusions[0][1].method == "no-left-extension")
-        return ok, "complete, 1 inclusion, 0 interchanges"
+    def special_case():
+        image = reg.fs_g.apply(word_from_text("434010"))
+        wanted = (word_from_text("1100") + word_from_text("01110010110001") * 2
+                  + word_from_text("1100"))
+        ok = image == wanted and max_square_root(image) == 14
+        return ok, "codes a square with root length 14"
 
-    def cert_g():
-        cert = verify_square_transfer(reg.fs_g, reg.fs_g_source, reg.fs_binary,
-                                      fixed_point=(reg.fs_h, 0), name="fs_g")
-        col.artifacts["coder_certificate"] = cert.to_dict()
-        rows = _inclusion_rows(cert.inclusions)
-        expected = [
+    core, binary = _construction_words(col, reg.fs_h, reg.fs_g, prefix_length)
+    col.certify(
+        "core transfer certificate", "core_certificate",
+        lambda: verify_square_transfer(reg.fs_h, reg.fs_h_source,
+                                       AvoidanceSpec(5, square_min_root=1),
+                                       name="fs_h"),
+        lambda c: (not c.interchanges
+                   and [(w.a, w.b, w.c, w.offset, word_to_text(w.t),
+                         word_to_text(w.u)) for w, _ in c.inclusions]
+                   == [(3, 2, 0, 13, "0123212343234", "01232101234")]
+                   and c.inclusions[0][1].method == "no-left-extension"),
+        "complete, 1 inclusion, 0 interchanges")
+    col.certify(
+        "coder transfer certificate", "coder_certificate",
+        lambda: verify_square_transfer(reg.fs_g, reg.fs_g_source,
+                                       reg.fs_binary,
+                                       fixed_point=(reg.fs_h, 0),
+                                       name="fs_g"),
+        lambda c: not c.interchanges and _inclusion_rows(c.inclusions) == [
             ((0, 1, 3, 2), "embeddings",
              ((4, 3, "context-pair"), (4, 4, "context-triple"))),
             ((1, 0, 4, 2), "embeddings",
@@ -245,42 +266,21 @@ def _scenario_fs_verify(reg: InstanceRegistry, prefix_length: int
              ((0, 0, "context-triple"), (1, 0, "context-pair"))),
             ((4, 3, 0, 4), "embeddings",
              ((0, 1, "context-pair"), (1, 1, "right-pullback-forced-general"))),
-        ]
-        ok = (cert.complete and not cert.interchanges and rows == expected)
-        return ok, "complete, 8 live inclusions, 0 interchanges"
-
-    def cert_sub():
-        cert = verify_substitution_transfer(reg.fs_sub, reg.fs_h_target,
-                                            reg.fs_g_source, name="fs_sub")
-        col.artifacts["substitution_certificate"] = cert.to_dict()
-        rows = _inclusion_rows(cert.inclusions)
-        equal = [(key, method) for key, method, _ in
-                 _inclusion_rows(cert.equal_pair_inclusions)]
-        ok = (cert.complete
-              and rows == [((3, 2, 0, 13), "no-left-extension", ())]
-              and equal == [((0, 0, 2, 11), "pair-illegal"),
-                            ((2, 2, 0, 13), "pair-illegal")])
-        return ok, "complete; alternate-image rows all accounted for"
-
-    def special_case():
-        image = reg.fs_g.apply(word_from_text("434010"))
-        wanted = (word_from_text("1100") + word_from_text("01110010110001") * 2
-                  + word_from_text("1100"))
-        ok = image == wanted and max_square_root(image) == 14
-        return ok, "codes a square with root length 14"
-
-    core = fixed_point_prefix(reg.fs_h, 0, max(2000, prefix_length // 6 + 1))
-    binary = reg.fs_g.apply(core)[:max(2000, prefix_length)]
-    col.artifacts["core_prefix"] = word_to_text(core[:60])
-    col.artifacts["binary_prefix"] = word_to_text(binary[:60])
-    col.run("core transfer certificate", cert_h)
-    col.run("coder transfer certificate", cert_g)
-    col.run("substitution transfer certificate", cert_sub)
+        ],
+        "complete, 8 live inclusions, 0 interchanges")
+    col.certify(
+        "substitution transfer certificate", "substitution_certificate",
+        lambda: verify_substitution_transfer(reg.fs_sub, reg.fs_h_target,
+                                             reg.fs_g_source, name="fs_sub"),
+        lambda c: (_inclusion_rows(c.inclusions)
+                   == [((3, 2, 0, 13), "no-left-extension", ())]
+                   and _inclusion_rows(c.equal_pair_inclusions)
+                   == [((0, 0, 2, 11), "pair-illegal", ()),
+                       ((2, 2, 0, 13), "pair-illegal", ())]),
+        "complete; alternate-image rows all accounted for")
     col.run("the word behind the length-6 forbidden factor", special_case)
-    col.run("core fixed-point prefix, extended",
-            lambda: _prefix_check(core, refs["fs_core_2000"]))
-    col.run("binary word prefix, extended",
-            lambda: _prefix_check(binary, refs["fs_binary_2000"]))
+    col.prefixes(refs, "fs_core", "core fixed-point", core)
+    col.prefixes(refs, "fs_binary", "binary word", binary)
     col.run("binary prefix meets whitelist spec",
             lambda: (satisfies_spec(binary[:prefix_length], reg.fs_binary).ok,
                      f"{min(prefix_length, len(binary))} symbols scanned"))
@@ -289,10 +289,6 @@ def _scenario_fs_verify(reg: InstanceRegistry, prefix_length: int
         ("fs_h", "fs_g", "fs_sub", "fs_h_source", "fs_h_target",
          "fs_g_source", "fs_binary"),
         tuple(col.checks), col.artifacts)
-
-
-def _pair_word(letter: int) -> bytes:
-    return bytes((letter & 1, letter >> 1))
 
 
 def _scenario_pu_shuffle(reg: InstanceRegistry, prefix_length: int
@@ -304,7 +300,8 @@ def _scenario_pu_shuffle(reg: InstanceRegistry, prefix_length: int
         checked = 0
         for n in range(0, 7):
             for letter in range(4):
-                lhs = power(reg.pu_f, n + 1, _pair_word(letter))
+                lhs = power(reg.pu_f, n + 1,
+                            bytes((letter & 1, letter >> 1)))
                 core = power(reg.pu_h, n, bytes((letter,)))
                 rhs = perfect_shuffle(reg.pu_g2.apply(core),
                                       reg.pu_g1.apply(core))
@@ -332,18 +329,9 @@ def _scenario_pu_shuffle(reg: InstanceRegistry, prefix_length: int
     col.artifacts["base_prefix"] = word_to_text(base[:27])
 
     col.run("shuffle identities", equations)
-    col.run("even track prefix",
-            lambda: _prefix_check(even, refs["shuffle_even_18"]))
-    col.run("even track prefix, extended",
-            lambda: _prefix_check(even, refs["shuffle_even_2000"]))
-    col.run("odd track prefix",
-            lambda: _prefix_check(odd, refs["shuffle_odd_18"]))
-    col.run("odd track prefix, extended",
-            lambda: _prefix_check(odd, refs["shuffle_odd_2000"]))
-    col.run("base word prefix",
-            lambda: _prefix_check(base, refs["shuffle_base_27"]))
-    col.run("base word prefix, extended",
-            lambda: _prefix_check(base, refs["shuffle_base_2000"]))
+    col.prefixes(refs, "shuffle_even", "even track", even, (18, 2000))
+    col.prefixes(refs, "shuffle_odd", "odd track", odd, (18, 2000))
+    col.prefixes(refs, "shuffle_base", "base word", base, (27, 2000))
     col.run("base word doubles its own prefixes", doubled_prefixes)
     col.run("shuffling the tracks rebuilds the base word",
             lambda: (perfect_shuffle(even, odd) == base[:2 * len(even)],
@@ -364,6 +352,7 @@ def _scenario_pu_shuffle(reg: InstanceRegistry, prefix_length: int
 _GAP_PATTERNS = (GapPattern(0, 1, 3), GapPattern(1, 0, 2),
                  GapPattern(2, 3, 1), GapPattern(3, 2, 0))
 _INTERCHANGE_TRIPLES = ((0, 3, 2), (1, 2, 3), (2, 1, 0), (3, 0, 1))
+_SHUFFLE_CODERS = ("pu_g1", "pu_g2")
 
 
 def _scenario_pu_lemmas(reg: InstanceRegistry, prefix_length: int
@@ -372,46 +361,40 @@ def _scenario_pu_lemmas(reg: InstanceRegistry, prefix_length: int
     core = fixed_point_prefix(reg.pu_h, 0, prefix_length)
 
     col.run("core morphism has no inclusions",
-            lambda: find_inclusions(reg.pu_h) == [])
+            lambda: (find_inclusions(reg.pu_h) == [], ""))
     col.run("core morphism has no interchanges",
-            lambda: find_interchanges(reg.pu_h) == [])
+            lambda: (find_interchanges(reg.pu_h) == [], ""))
 
-    def cert_core():
-        cert = verify_square_transfer(reg.pu_h, reg.pu_source, reg.squarefree4,
-                                      name="pu_h")
-        col.artifacts["core_certificate"] = cert.to_dict()
-        ok = (cert.complete and not cert.inclusions and not cert.interchanges)
-        return ok, "complete, 0 inclusions, 0 interchanges"
-
-    col.run("core transfer certificate", cert_core)
+    col.certify(
+        "core transfer certificate", "core_certificate",
+        lambda: verify_square_transfer(reg.pu_h, reg.pu_source,
+                                       reg.squarefree4, name="pu_h"),
+        lambda c: not c.inclusions and not c.interchanges,
+        "complete, 0 inclusions, 0 interchanges")
     col.run("forbidden triples absent from the core prefix",
             lambda: (satisfies_spec(core, reg.pu_source).ok,
                      f"{len(core)} symbols scanned"))
     found = gap_occurrences(core, _GAP_PATTERNS)
     for pattern in _GAP_PATTERNS:
-        name = "".join(str(x) for x in pattern.letters())
+        col.run("gap pattern {}.{}.{} absent".format(*pattern.letters()),
+                lambda pattern=pattern: (not found[pattern],
+                                         f"{len(core)} symbols scanned"))
 
-        def body(pattern=pattern):
-            return not found[pattern], f"{len(core)} symbols scanned"
-
-        col.run(f"gap pattern {name[0]}.{name[1]}.{name[2]} absent", body)
+    # Each coder certificate is computed once, for the case table and for
+    # its own check.
+    coder_certificate = cache(lambda coder: verify_square_transfer(
+        getattr(reg, coder), reg.pu_source, reg.pu_binary,
+        fixed_point=(reg.pu_h, 0), name=coder))
 
     def atlas():
-        coders = {"pu_g1": reg.pu_g1, "pu_g2": reg.pu_g2}
-        live = {}
-        for coder_name, coder in coders.items():
-            for wit in find_inclusions(coder, source=reg.pu_source):
-                ref = refute_inclusion(coder, wit, reg.pu_source, depth=2)
-                live[(coder_name, wit.a, wit.b, wit.c, wit.offset)] = (
-                    ref.method,
-                    tuple((e.pred, e.succ, e.case) for e in ref.embeddings))
-        pinned = {}
-        for row in reg.coder_case_atlas:
-            pinned[(row["coder"], row["a"], row["b"], row["c"],
-                    row["offset"])] = (
-                row["method"],
-                tuple((e["pred"], e["succ"], e["case"])
-                      for e in row["embeddings"]))
+        live = {(coder, *key): (method, embeddings)
+                for coder in _SHUFFLE_CODERS
+                for key, method, embeddings
+                in _inclusion_rows(coder_certificate(coder).inclusions)}
+        pinned = {(row["coder"], row["a"], row["b"], row["c"], row["offset"]):
+                  (row["method"], tuple((e["pred"], e["succ"], e["case"])
+                                        for e in row["embeddings"]))
+                  for row in reg.coder_case_atlas}
         if live != pinned:
             missing = sorted(set(pinned) - set(live))
             extra = sorted(set(live) - set(pinned))
@@ -422,22 +405,14 @@ def _scenario_pu_lemmas(reg: InstanceRegistry, prefix_length: int
         return True, f"{len(pinned)} rows match"
 
     col.run("coder inclusion case table", atlas)
-
-    for coder_name in ("pu_g1", "pu_g2"):
-
-        def body(coder_name=coder_name):
-            cert = verify_square_transfer(
-                getattr(reg, coder_name), reg.pu_source, reg.pu_binary,
-                fixed_point=(reg.pu_h, 0), name=coder_name)
-            col.artifacts[f"{coder_name}_certificate"] = cert.to_dict()
-            triples = tuple((w.a, w.b, w.c) for w, _ in cert.interchanges)
-            ok = (cert.complete and len(cert.inclusions) == 12
-                  and triples == _INTERCHANGE_TRIPLES
-                  and all(ev.complete for ev in cert.gap_evidence))
-            return ok, "complete, 12 inclusions, 4 interchanges"
-
-        col.run(f"{coder_name.replace('pu_', 'coder ')} transfer certificate",
-                body)
+    for coder in _SHUFFLE_CODERS:
+        col.certify(
+            f"{coder.replace('pu_', 'coder ')} transfer certificate",
+            f"{coder}_certificate", partial(coder_certificate, coder),
+            lambda c: (len(c.inclusions) == 12
+                       and tuple((w.a, w.b, w.c) for w, _ in c.interchanges)
+                       == _INTERCHANGE_TRIPLES),
+            "complete, 12 inclusions, 4 interchanges")
     return ScenarioReport(
         "pu-lemmas",
         ("pu_h", "pu_g1", "pu_g2", "pu_source", "pu_binary", "squarefree4"),

@@ -232,10 +232,6 @@ class BoundedCaseReport:
     legal_counts: tuple[int, ...]
     violations: tuple[tuple[bytes, Violation], ...]
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def to_dict(self) -> dict:
         return {"max_source_length": self.max_source_length,
                 "words_checked": self.words_checked,

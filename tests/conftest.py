@@ -126,6 +126,19 @@ def naive_count(spec: AvoidanceSpec, n: int) -> int:
     return total
 
 
+def naive_legal_words(spec: AvoidanceSpec, n_max: int):
+    """The legal words of each length up to n_max, one list a length, found
+    by extending only legal words: every rule forbids a factor, so an
+    illegal word has no legal extension.  Each word passes `naive_satisfies`
+    whole."""
+    words = [b""]
+    for _ in range(n_max + 1):
+        words = [w for w in words if naive_satisfies(w, spec)]
+        yield words
+        words = [w + bytes((x,)) for w in words
+                 for x in range(spec.alphabet_size)]
+
+
 def all_words(alphabet_size, length):
     for tup in itertools.product(range(alphabet_size), repeat=length):
         yield bytes(tup)

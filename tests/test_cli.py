@@ -14,6 +14,7 @@ import pytest
 from wordavoid import (Morphism, fixed_point_prefix, format_morphism,
                        with_image_letter, word_from_text, word_to_text)
 from wordavoid.cli import main
+from wordavoid.scenarios import MINIMAL_SET_SIZES
 
 from conftest import run_script
 
@@ -79,7 +80,7 @@ def test_forbidden_growth_pipeline(capsys, tmp_path):
     assert code == 0
     listing = tmp_path / "fs-derived-L20.txt"
     listing.write_text(out)
-    assert len(out.strip().splitlines()) == 65
+    assert len(out.strip().splitlines()) == MINIMAL_SET_SIZES["fs"]
 
     code, out, _ = run_cli(capsys, "growth", "--forbidden", str(listing),
                            "--tol", "1e-9")
@@ -292,6 +293,34 @@ def test_unusable_family_requests_are_usage_errors(capsys, argv):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert "Traceback" not in err
+
+
+# 10^16 is past the address space, so the first allocation fails even where
+# the kernel grants any request it is asked for.
+HUGE = "10000000000000000"
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "--spec", "dekking", "--n-max", HUGE),
+    ("forbidden", "--spec", "dekking", "--max-len", HUGE),
+    ("verify", "--morphism", "dekking_h", "--source", "dekking_h_source",
+     "--target", "squarefree4", "--root-cap", HUGE),
+], ids=["count", "forbidden", "verify"])
+def test_requests_too_large_for_memory_are_usage_errors(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "out of memory" in errors[0]
+    assert "Traceback" not in err
+
+
+def test_huge_family_denominator_needs_no_huge_power(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, *FAMILY, "--denominator", HUGE)
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert json.loads(out)["exponent_check"] is True
 
 
 COUNT = ("count", "--spec", "{path}", "--n-max", "4")

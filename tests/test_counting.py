@@ -17,14 +17,10 @@ from wordavoid import (AvoidanceSpec, FactorAutomaton, build_automaton,
                        satisfies_spec, walk_legal, word_from_text,
                        word_to_text)
 from wordavoid import counting, pool
+from wordavoid.scenarios import G_TABLE, H_TABLE, MINIMAL_SET_SIZES
 
-from conftest import (all_words, naive_count, naive_satisfies, run_script,
-                      specs)
-
-G_TABLE = (1, 2, 4, 6, 10, 16, 24, 36, 52, 72, 90, 116, 142, 178, 220, 264,
-           332, 414)
-H_TABLE = (1, 2, 4, 8, 13, 22, 31, 46, 58, 78, 99, 124, 144, 176, 198, 234,
-           262, 300, 351)
+from conftest import (all_words, naive_count, naive_legal_words,
+                      naive_satisfies, run_script, specs)
 
 
 def test_count_tables_match_frozen_values(registry):
@@ -139,6 +135,13 @@ def test_counts_match_naive_filter(n):
     assert count_avoiding(spec, n).counts[n] == naive_count(spec, n)
 
 
+@given(st.integers(2, 3).flatmap(specs), st.integers(0, 8))
+@settings(max_examples=50, deadline=None)
+def test_pruned_naive_counts_match_the_product_enumeration(spec, n):
+    assert ([len(words) for words in naive_legal_words(spec, n)]
+            == [naive_count(spec, k) for k in range(n + 1)])
+
+
 def test_counts_match_naive_on_registry_specs(registry):
     for name in ("dekking_binary", "fs_binary", "ejs2"):
         spec = getattr(registry, name)
@@ -166,11 +169,11 @@ def test_minimal_forbidden_definition_holds(registry):
 
 def test_minimal_forbidden_sizes_and_members(registry):
     dek = minimal_forbidden(registry.dekking_binary, 20)
-    assert len(dek.words) == 90
+    assert len(dek.words) == MINIMAL_SET_SIZES["dekking"]
     assert word_from_text("000") in dek.words
     assert word_from_text("11011001001101100100") in dek.words
     fs = minimal_forbidden(registry.fs_binary, 20)
-    assert len(fs.words) == 65
+    assert len(fs.words) == MINIMAL_SET_SIZES["fs"]
     assert word_from_text("0000") in fs.words
     assert word_from_text("1010") in fs.words
     assert word_from_text("1110001011100010") in fs.words
@@ -486,6 +489,16 @@ def test_family_above_the_enumeration_limit_is_sampled(registry):
     assert report.family_size == 1 << 40
     assert report.word_length == 200 * 60
     assert (report.verified_count, report.enumerated) == (8, False)
+
+
+def test_exponent_check_matches_the_power():
+    limits = [2 ** n for n in range(300)]
+    for base in range(70):
+        for exponent in range(1, 70):
+            power = base ** exponent
+            assert ([counting._power_reaches(base, exponent, n)
+                     for n in range(300)]
+                    == [power >= limit for limit in limits]), (base, exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Scenario harness: everything passes on the pinned registry, and any
 single-symbol corruption of a registry morphism is caught by some check."""
 
+import dataclasses
 import json
 import random
 
 import pytest
 
-from wordavoid import SCENARIOS, run_scenario, with_image_letter
+from wordavoid import (SCENARIOS, run_scenario, scenarios, verify,
+                       with_image_letter)
 from wordavoid.instances import MORPHISM_NAMES
 
 REDUCED = 2000
@@ -32,6 +34,46 @@ def test_scenario_passes(name, registry):
     assert report.ok, failed
     assert report.checks
     assert "PASS" in report.digest()
+
+
+def test_pu_lemmas_refutes_each_coder_inclusion_once(registry, monkeypatch):
+    """The case table reads the coder certificates: 12 distinct-pair and 4
+    equal-pair inclusions a coder, each refuted once."""
+    calls = []
+    refute = verify.refute_inclusion
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return refute(*args, **kwargs)
+
+    for module in (verify, scenarios):
+        monkeypatch.setattr(module, "refute_inclusion", counted,
+                            raising=False)
+    assert run_scenario("pu-lemmas", registry, prefix_length=REDUCED).ok
+    assert len(calls) == 32
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("dekking-verify", {"core", "coder"}),
+    ("fs-verify", {"core", "coder"}),
+    ("pu-lemmas", {"coder g1", "coder g2"}),
+])
+def test_certificate_checks_compare_the_pinned_rows(registry, monkeypatch,
+                                                    name, failing):
+    """Complete certificates whose inclusion rows were dropped fail every
+    check that pins those rows, the case table too."""
+    real = verify.verify_square_transfer
+    monkeypatch.setattr(scenarios, "verify_square_transfer",
+                        lambda *args, **kwargs: dataclasses.replace(
+                            real(*args, **kwargs), inclusions=()))
+    report = run_scenario(name, registry, prefix_length=REDUCED)
+    failed = {c.name for c in report.checks if not c.ok}
+    expected = {f"{label} transfer certificate" for label in failing}
+    if name == "pu-lemmas":
+        expected.add("coder inclusion case table")
+    assert failed == expected
+    if name == "dekking-verify":
+        assert report.checks[0].detail.endswith("49 words at length 5")
 
 
 def test_unknown_scenario_is_rejected(registry):

@@ -22,8 +22,9 @@ from wordavoid import counting, verify
 from wordavoid.morphisms import _stream, fixed_point_prefix
 from wordavoid.verify import _exhaustive_viability, exact_factors
 
-from conftest import (all_words, naive_inclusions, naive_interchanges,
-                      naive_satisfies, specs)
+from conftest import (all_words, naive_gap_occurrences, naive_inclusions,
+                      naive_interchanges, naive_legal_words, naive_satisfies,
+                      specs)
 
 
 @st.composite
@@ -146,6 +147,31 @@ def test_realizable_gap_pattern_is_found():
     assert satisfies_spec(word, spec).ok
     evidence = prove_gap_pattern_absence(pattern, spec)
     assert not evidence.complete
+
+
+@pytest.mark.parametrize("pattern, spec, on_fixed_point, verdict", [
+    (GapPattern(0, 1, 1), AvoidanceSpec(4), True,
+     ("follower", "fixed-point", True)),
+    (GapPattern(0, 0, 0), AvoidanceSpec(4), True,
+     ("scan", "fixed-point", False)),
+    (GapPattern(0, 0, 0),
+     AvoidanceSpec(2, (word_from_text("00"),), square_min_root=2), False,
+     ("exhaustive", "spec", True)),
+], ids=["follower", "scan", "exhaustive"])
+def test_gap_evidence_rungs_hold_by_brute_force(registry, pattern, spec,
+                                                on_fixed_point, verdict):
+    """A complete verdict holds on a Dekking fixed-point prefix for
+    fixed-point scope, and on every short legal word for spec scope."""
+    fixed_point = (registry.dekking_h, 0) if on_fixed_point else None
+    evidence = prove_gap_pattern_absence(pattern, spec, fixed_point)
+    assert (evidence.kind, evidence.scope, evidence.complete) == verdict
+    if not evidence.complete:
+        return
+    if evidence.scope == "fixed-point":
+        words = [fixed_point_prefix(registry.dekking_h, 0, 1500)]
+    else:
+        words = [w for level in naive_legal_words(spec, 14) for w in level]
+    assert not any(naive_gap_occurrences(w, pattern) for w in words)
 
 
 def test_repetitive_fixed_point_is_scanned_in_seconds():
