@@ -117,14 +117,20 @@ def scans_digest() -> str:
     return digest.hexdigest()
 
 
+# Each line's label and how to compute its digest, in printed order.
+LINES = {
+    "certificates": lambda: "{} {}".format(*certificate_digest()),
+    "scenario --all": scenario_digest,
+    "scenario --all --prefix-length 2000":
+        lambda: scenario_digest("--prefix-length", "2000"),
+    "tables": tables_digest,
+    "scans": scans_digest,
+}
+
+
 def main() -> int:
-    count, digest = certificate_digest()
-    print(f"certificates {count} {digest}")
-    print(f"scenario --all {scenario_digest()}")
-    print(f"scenario --all --prefix-length 2000"
-          f" {scenario_digest('--prefix-length', '2000')}")
-    print(f"tables {tables_digest()}")
-    print(f"scans {scans_digest()}")
+    for label, digest in LINES.items():
+        print(f"{label} {digest()}")
     return 0
 
 

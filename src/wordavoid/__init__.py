@@ -23,7 +23,7 @@ from .counting import (CountTable, ExhaustReport, FactorAutomaton,
                        build_automaton, count_avoiding, exhaust_max_length,
                        growth_rate, lower_bound_family, minimal_forbidden,
                        walk_legal)
-from .instances import (InstanceRegistry, load_registry, with_image_letter)
+from .instances import InstanceRegistry, load_registry
 from .scenarios import Check, ScenarioReport, SCENARIOS, run_scenario
 
 __version__ = "0.1.0"

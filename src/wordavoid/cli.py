@@ -69,8 +69,9 @@ def _spec_oneline(spec) -> str:
     return "; ".join(format_spec(spec).splitlines())
 
 
-def _int_at_least(minimum: int):
-    """argparse type for an integer flag with a smallest usable value."""
+def _int_at_least(minimum: int, maximum: int | None = None):
+    """argparse type for an integer flag with a smallest usable value, and
+    a largest one where larger requests would not fit in memory."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -80,6 +81,9 @@ def _int_at_least(minimum: int):
         if value < minimum:
             raise argparse.ArgumentTypeError(
                 f"must be at least {minimum}, got {value}")
+        if maximum is not None and value > maximum:
+            raise argparse.ArgumentTypeError(
+                f"must be at most {maximum}, got {value}")
         return value
     return parse
 
@@ -417,7 +421,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scenario", help="run packaged scenarios")
     p.add_argument("name", nargs="?", default=None)
     p.add_argument("--all", action="store_true")
-    p.add_argument("--prefix-length", type=_int_at_least(1), default=100_000)
+    # Memory grows with the prefix: pu-shuffle peaks near 150 MB at the bound.
+    p.add_argument("--prefix-length", type=_int_at_least(1, 10_000_000),
+                   default=100_000)
     fmt(p, "text")
     p.set_defaults(run=_cmd_scenario)
     return parser

@@ -9,11 +9,13 @@ which of the dead are minimal forbidden words, since every constraint (a
 forbidden factor, a forbidden square, a cube) is a factor and legality is
 closed under taking factors.  Counting tallies the chunks' rows,
 exhaustion looks for the longest word, minimality collects the minimal
-extensions, and the verifier's bounded case prunes the rows whose image
-fails.  Minimal forbidden words (both one-letter truncations legal) feed an
-Aho-Corasick factor automaton whose live part counts and bounds the language;
-its Perron root comes from power iteration over the live edge list, standing
-in for the symbolic characteristic polynomials.
+extensions, and the verifier's bounded case has the walker carry its words'
+image runs too, so a second step of each extension's last image block
+decides which images fail.  Minimal forbidden words (both one-letter
+truncations legal) feed an Aho-Corasick factor automaton whose live part
+counts and bounds the language; its Perron root comes from power iteration
+over the live edge list, standing in for the symbolic characteristic
+polynomials.
 """
 
 from __future__ import annotations
@@ -56,41 +58,48 @@ def _chunk_rows(columns: int) -> int:
 
 def walk_legal(spec: AvoidanceSpec, max_len: int,
                prefixes: np.ndarray | None = None,
-               classes: tuple[int, ...] | None = None, width: int = 1):
+               classes: tuple[int, ...] | None = None, image=None):
     """Legal words extending legal prefixes, up to max_len letters, one chunk
     of words of one length at a time.
 
     `prefixes` is a 2-D uint8 array of legal words of one length, the empty
-    word by default.  Yields (words, minimal, keep): a B x k array of legal
-    words, the array of their one-letter extensions that are minimal
-    forbidden words (empty from max_len letters on, where no word is
-    extended), and a mask of B True values.  A chunk is stored column by
-    column with each word's `ColumnStep` runs, folded once from the
-    prefixes, so one step of the extensions decides which die and which of
-    those are minimal.  The legal extensions of the rows still kept are
-    walked once the consumer resumes, so clearing keep[i] prunes the
-    subtree of row i.  The
-    walk is a preorder of chunks: a chunk's subtrees are walked before the
-    next chunk of its length, and rows run in lexicographic order when the
-    prefixes do.  A chunk of k-letter words has at most `_chunk_rows((k + 1)
-    * max(alphabet, width))` rows, where `width` is the columns a caller
-    screens per letter (the bounded case's image width), so at most about
-    max_len x alphabet x `_SCREEN_BYTES` is live.  With `classes`, the
-    letters are 0..len(classes)-1 and letter x is checked as classes[x].
+    word by default.  Yields (words, dead, keep): a B x k array of legal
+    words, an array of their one-letter extensions (empty from max_len
+    letters on, where no word is extended), and a mask of B True values.
+    `dead` holds the extensions that are minimal forbidden words, or with
+    `image`, a pair of an image table (letters x W) and a `ColumnStep` of a
+    target spec, the legal extensions whose image fails; then only words
+    whose image passes (the prefixes' must) are walked.  A chunk is stored
+    column by column with each word's runs (and its image's), folded once
+    from the prefixes, so one step of the extensions (and W of their last
+    image block) decides which die.  The legal extensions of the rows still
+    kept are walked once the consumer resumes, so clearing keep[i] prunes
+    the subtree of row i.  The walk is a preorder of chunks: a chunk's
+    subtrees are walked before the next chunk of its length, and rows run
+    in lexicographic order when the prefixes do.  A chunk of k-letter words
+    has at most `_chunk_rows((k + 1) * alphabet * (1 + W))` rows (W = 0
+    without an image), so at most about max_len x alphabet x `_SCREEN_BYTES`
+    is live.  With `classes`, the letters are 0..len(classes)-1 and letter x
+    is checked as classes[x].
     """
     size = spec.alphabet_size if classes is None else len(classes)
     table = None if classes is None else np.array(classes, dtype=np.uint8)
     letters = np.arange(size, dtype=np.uint8)
     step = ColumnStep(spec, max_len)
+    images, target = image or (None, None)
+    width = 0 if image is None else images.shape[1]
 
     def project(cols):
         return cols if table is None else table[cols]
 
-    def chunks(batch, runs, live):
-        # Each piece gathers its words of the batch, so that no pending
-        # piece keeps a walked batch alive.  The first piece goes on top.
-        rows = _chunk_rows((len(batch) + 1) * max(size, width))
-        return [(batch[:, live[i:i + rows]], runs[:, live[i:i + rows]])
+    def imaged(cols):  # the image of a 2-D batch, column by column
+        return images[cols].transpose(0, 2, 1).reshape(-1, cols.shape[1])
+
+    def chunks(live, batch, *runs):
+        # Each piece gathers its words and runs, so that no pending piece
+        # keeps a walked batch alive.  The first piece goes on top.
+        rows = _chunk_rows((len(batch) + 1) * size * (1 + width))
+        return [[a[:, live[i:i + rows]] for a in (batch, *runs)]
                 for i in range(0, len(live), rows)[::-1]]
 
     def in_order(mask, batch):
@@ -99,15 +108,17 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
         i = np.flatnonzero(mask.reshape(size, batch).T)
         return i % size * batch + i // size
 
-    # Chunks hold their words column by column, as the step reads them.
+    # Chunks hold their words column by column, as the steps read them.
     cols = (np.zeros((0, 1), dtype=np.uint8) if prefixes is None
             else np.ascontiguousarray(prefixes.T))
-    runs = np.zeros((0, cols.shape[1]), step.dtype)
+    runs = image_runs = np.zeros((0, cols.shape[1]), np.uint8)
     if len(cols) < max_len:
         runs = step.fold(project(cols), 1, max_len)[0]
-    stack = chunks(cols, runs, np.arange(cols.shape[1]))
+        if image is not None:
+            image_runs = target.fold(imaged(cols), 1, len(cols) * width)[0]
+    stack = chunks(np.arange(cols.shape[1]), cols, runs, image_runs)
     while stack:
-        cols, runs = stack.pop()
+        cols, runs, image_runs = stack.pop()
         k = len(cols)
         keep = np.ones(cols.shape[1], dtype=bool)
         if k >= max_len:
@@ -118,12 +129,18 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
         ext[:k] = cols[:, None]
         ext[k] = letters[:, None]
         cols = ext[:k, 0]  # lets the popped chunk go
-        runs, bad, minimal = step(project(ext), runs[:, None])
+        runs, bad, dead = step(project(ext), runs[:, None])
         ext = ext.reshape(k + 1, -1)
-        yield cols.T, ext[:, in_order(minimal, batch)].T, keep
+        runs = runs.reshape(len(runs), ext.shape[1])
+        image_runs = np.tile(image_runs, size)  # none without an image
+        if image is not None:  # step the last image block from its runs
+            image_runs, failed = target.fold(imaged(ext), k * width,
+                                             k * width, image_runs)
+            dead, bad = failed & ~bad, failed | bad
+        yield cols.T, ext[:, in_order(dead, batch)].T, keep
         live = in_order(~bad & np.tile(keep, size), batch)
-        stack += chunks(ext, runs.reshape(len(runs), ext.shape[1]), live)
-        del ext, runs
+        stack += chunks(live, ext, runs, image_runs)
+        del ext, runs, image_runs
 
 
 def _tally(prefixes: np.ndarray | None, spec: AvoidanceSpec,

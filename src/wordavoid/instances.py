@@ -13,7 +13,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .morphisms import Morphism, Substitution, parse_morphism, parse_substitution
+from .morphisms import parse_morphism, parse_substitution
 from .words import AvoidanceSpec, parse_spec
 
 MORPHISM_NAMES = ("dekking_h", "dekking_g", "fs_h", "fs_g",
@@ -54,11 +54,6 @@ class InstanceRegistry:
         self.coder_case_atlas: tuple[dict, ...] = tuple(
             json.loads(texts["shuffle_coder_cases"]))
 
-    @property
-    def set_A(self) -> frozenset[bytes]:
-        """The sixteen forbidden triples of the shuffle construction."""
-        return frozenset(f for f in self.pu_source.forbidden if len(f) == 3)
-
     def spec_by_name(self, token: str) -> AvoidanceSpec | None:
         """Resolve a spec alias or registry spec name; None if unknown."""
         attr = SPEC_ALIASES.get(token, token if token in SPEC_NAMES else None)
@@ -77,12 +72,3 @@ class InstanceRegistry:
 def load_registry() -> InstanceRegistry:
     return InstanceRegistry()
 
-
-def with_image_letter(morphism: Morphism, image_index: int, position: int,
-                      letter: int) -> Morphism:
-    """Copy of a morphism with one image letter replaced."""
-    images = list(morphism.images)
-    img = bytearray(images[image_index])
-    img[position] = letter
-    images[image_index] = bytes(img)
-    return Morphism(morphism.source_size, morphism.target_size, tuple(images))

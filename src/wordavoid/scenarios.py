@@ -82,6 +82,8 @@ class _Collector:
         """`body` returns (ok, detail); an exception fails the check."""
         try:
             ok, detail = body()
+        except MemoryError:
+            raise  # a request too large to hold is unusable, not a failure
         except Exception as exc:
             ok, detail = False, f"raised {exc!r}"
         self.checks.append(Check(name, bool(ok), detail))
@@ -510,7 +512,8 @@ def run_scenario(name: str, registry: InstanceRegistry | None = None,
     """Run one named scenario; unknown names raise ValueError.
 
     A crash while building the scenario's words counts as a failure, not an
-    error: broken registry data must never look like a passing run.
+    error: broken registry data must never look like a passing run.  Running
+    out of memory is not a failure of the data, so MemoryError propagates.
     """
     if name not in SCENARIOS:
         known = ", ".join(sorted(SCENARIOS))
@@ -518,6 +521,8 @@ def run_scenario(name: str, registry: InstanceRegistry | None = None,
     reg = registry if registry is not None else load_registry()
     try:
         return SCENARIOS[name](reg, prefix_length)
+    except MemoryError:
+        raise
     except Exception as exc:
         return failed_report(name, "scenario setup", exc)
 

@@ -5,11 +5,11 @@ satisfies the target spec" by splitting any would-be violation into three
 exhaustive channels:
 
 * short violations, inside the image of a bounded source word (the shared
-  legal-word walker gives the words in chunks of one length and skips the
-  extensions of a failed one; the same suffix screen that drives the walk
-  flags the violating images of a chunk, roots capped at the root cap, and
-  `satisfies_spec` names each violation; a cap below 2W leaves the roots
-  above it as a residual);
+  legal-word walker gives the words in chunks of one length, carrying their
+  images' runs through a target column step with roots capped at the root
+  cap; it sets apart the words whose image fails and does not extend them,
+  and `satisfies_spec` names each violation; a cap below 2W leaves the
+  roots above it as a residual);
 * inclusions, where one image sits inside the image of a pair with offcut
   affixes on both sides (refuted case by case through context letters and
   forced pullbacks);
@@ -35,9 +35,9 @@ import numpy as np
 
 from .counting import walk_legal
 from .morphisms import Morphism, Substitution, fixed_point_prefix
-from .words import (AvoidanceSpec, GapPattern, Violation,
+from .words import (AvoidanceSpec, ColumnStep, GapPattern, Violation,
                     format_spec, gap_first_and_count, satisfies_spec,
-                    suffix_screen, word_to_text)
+                    word_to_text)
 
 FixedPoint = tuple[Morphism, int]
 
@@ -626,15 +626,13 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     full.  An image violation survives every extension, so a word whose image
     violates is reported and its extensions are not visited.
 
-    The source words come from the legal-word walker, one chunk of one
-    length at a time, and their images from one table lookup.  A word's
-    parent has a clean image, which is a prefix of the word's image, so a
-    violation can only end in the last block: `suffix_screen` from that
-    block, with roots capped at root_cap, flags exactly the violating images.
-    Each is checked whole by `satisfies_spec` for the reported violation, and
-    pruned through the chunk's mask.  The violations are sorted by source
-    word, which is the walker's preorder because no reported word is a prefix
-    of another.
+    The source words come from the legal-word walker, which carries their
+    images' runs too.  A word's parent has a clean image, which is a prefix
+    of the word's image, so a violation can only end in the last block: one
+    target `ColumnStep` of that block, roots capped at root_cap, flags
+    exactly the violating images, each checked whole by `satisfies_spec`
+    for the reported violation.  The violations are sorted by source word,
+    the walker's preorder, since no reported word is a prefix of another.
     """
     width = morphism.uniform_width
     if not width:
@@ -646,23 +644,19 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     counts = [0] * (max_len + 1)
     violations: list[tuple[bytes, Violation]] = []
     letters = classes or tuple(range(morphism.source_size))
-    for words, _, keep in walk_legal(source, max_len, classes=letters,
-                                     width=width):
-        length = words.shape[1]
-        if not length:
-            continue
-        counts[length] += len(words)
-        images = morphism.table[words].reshape(len(words), length * width)
-        flagged = suffix_screen(images, target, (length - 1) * width,
-                                root_cap)
-        for i in np.flatnonzero(flagged).tolist():
-            found = satisfies_spec(images[i].tobytes(), target,
+    image = (morphism.table, ColumnStep(target, max_len * width, root_cap))
+    for words, failed, _ in walk_legal(source, max_len, classes=letters,
+                                       image=image):
+        counts[words.shape[1]] += len(words)
+        for word in failed:
+            counts[len(word)] += 1
+            found = satisfies_spec(morphism.apply(word.tobytes()), target,
                                    max_root=root_cap).violation
             if found is None:
-                raise AssertionError("suffix_screen flagged the clean image"
-                                     f" of {words[i].tobytes()!r}")
-            violations.append((words[i].tobytes(), found))
-            keep[i] = False
+                raise AssertionError("the target step flagged the clean"
+                                     f" image of {word.tobytes()!r}")
+            violations.append((word.tobytes(), found))
+    counts[0] = 0  # the empty word's image holds nothing to check
     violations.sort(key=lambda item: item[0])
     return BoundedCaseReport(max_len, sum(counts), tuple(counts),
                              tuple(violations))

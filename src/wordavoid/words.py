@@ -18,8 +18,8 @@ stream; `gap_first_and_count` counts one without listing.
 Worst-case output size is quadratic on highly repetitive input, which the
 intended avoidance words never are.
 
-Batches of words grown one letter at a time (the legal-word walk and
-`suffix_screen`) are checked by `ColumnStep`, which carries for each shift
+Batches of words grown one letter at a time (the legal-word walk and its
+words' images) are checked by `ColumnStep`, which carries for each shift
 the run of equal letters that ends at the last column and decides from it
 alone whether a forbidden power ends there.
 """
@@ -426,8 +426,8 @@ class AvoidanceSpec:
     cubefree: bool = False
 
     def __post_init__(self):
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet_size must be positive")
+        if not 1 <= self.alphabet_size <= 256:
+            raise ValueError("alphabet_size must be 1..256: letters are bytes")
         if self.square_min_root is not None and self.square_whitelist is not None:
             raise ValueError("choose one square policy")
         if self.square_min_root is not None and self.square_min_root < 1:
@@ -549,10 +549,6 @@ class ColumnStep:
         for d, t in enumerate(thresholds.tolist(), start=1):
             if t != never:
                 self.fills.setdefault(t + d, []).append(d)
-        # The longest run a violation needs: a fold that starts reach - 1
-        # columns before a column sees every violation ending there.
-        self.reach = max([1, *thresholds[thresholds != never].tolist(),
-                          *((power - 1) * d for d, power, _ in self.allowed)])
 
     def advance(self, cols: np.ndarray, runs: np.ndarray) -> np.ndarray:
         """The runs at the last column of `cols`, shaped (D, ...), from those
@@ -609,11 +605,14 @@ class ColumnStep:
         short = self.powers(flat, lengths, 1) | self.factors(flat, n - 1, 1)
         return runs, bad, bad & ~short
 
-    def fold(self, cols: np.ndarray, first: int, new: int):
-        """Step a 2-D batch through columns first..n-1 from empty runs: the
-        runs at the last column, counted from column `first`, and the mask
-        of words with a violation ending at column `new` or later."""
-        runs = np.zeros((0, cols.shape[1]), self.dtype)
+    def fold(self, cols: np.ndarray, first: int, new: int,
+             runs: np.ndarray | None = None):
+        """Step a 2-D batch through columns first..n-1 from `runs`, its runs
+        at column first - 1 (empty by default, as at column 0): the runs at
+        the last column, and the mask of words with a violation ending at
+        column `new` or later, for `new` at least `first`."""
+        if runs is None:
+            runs = np.zeros((0, cols.shape[1]), self.dtype)
         flagged = self.factors(cols, new)
         for j in range(first, len(cols)):
             runs = self.advance(cols[:j + 1], runs)
@@ -622,35 +621,15 @@ class ColumnStep:
         return runs, flagged
 
 
-def suffix_screen(rows: np.ndarray, spec: AvoidanceSpec, new: int | None = None,
-                  max_root: int | None = None) -> np.ndarray:
-    """Flag the rows of a 2-D uint8 array of words that break the spec with
-    a violation ending at column `new` (default: the last column) or later.
-
-    A violation is a letter outside the alphabet, a forbidden factor, or a
-    power of a repetition rule that is not an allowed word, with root at most
-    max_root when it is set.  Each factor takes one array compare over the
-    windows that end at `new` or later; `ColumnStep` is folded over the
-    columns from the first that a power ending at `new` can need.  When
-    every row's prefix before column `new` satisfies the spec, a row is
-    flagged exactly when the whole row breaks it.
-    """
-    n = rows.shape[1]
-    new = n - 1 if new is None else new
-    step = ColumnStep(spec, n, max_root)
-    return step.fold(np.ascontiguousarray(rows.T), max(0, new - step.reach + 1),
-                     new)[1]
-
-
 def suffix_legal(word: bytes, spec: AvoidanceSpec) -> bool:
     """Check only the constraints that end at the last letter.
 
     Sound for incremental search: if every proper prefix passed this check,
-    the word satisfies the spec exactly when this check passes.  It is the
-    one-row case of `suffix_screen`.
+    the word satisfies the spec exactly when this check passes.  It is a
+    one-row `ColumnStep.fold`.
     """
-    row = np.frombuffer(word, dtype=np.uint8).reshape(1, len(word))
-    return not suffix_screen(row, spec)[0]
+    cols = np.frombuffer(word, dtype=np.uint8).reshape(len(word), 1)
+    return not ColumnStep(spec, len(word)).fold(cols, 0, len(word) - 1)[1][0]
 
 
 def parse_spec(text: str) -> AvoidanceSpec:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import strategies as st
 
 import wordavoid
-from wordavoid import AvoidanceSpec, load_registry
+from wordavoid import AvoidanceSpec, Morphism, load_registry
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +34,16 @@ def run_script(script: str) -> subprocess.CompletedProcess:
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60, env=env)
+
+
+def with_image_letter(morphism: Morphism, image_index: int, position: int,
+                      letter: int) -> Morphism:
+    """Copy of a morphism with one image letter replaced."""
+    images = list(morphism.images)
+    img = bytearray(images[image_index])
+    img[position] = letter
+    images[image_index] = bytes(img)
+    return Morphism(morphism.source_size, morphism.target_size, tuple(images))
 
 
 @st.composite

@@ -12,12 +12,13 @@ from wordavoid import (AvoidanceSpec, build_automaton, count_avoiding,
                        exhaust_max_length, find_squares, fixed_point_prefix,
                        growth_rate, lower_bound_family, max_square_root,
                        minimal_forbidden, perfect_shuffle, power,
-                       run_scenario, verify_square_transfer, with_image_letter,
-                       word_from_text, word_to_text)
+                       run_scenario, verify_square_transfer, word_from_text,
+                       word_to_text)
 from wordavoid.instances import MORPHISM_NAMES
 from wordavoid.scenarios import G_TABLE, H_TABLE, SCENARIOS
 
-from conftest import all_words, naive_legal_words, naive_squares
+from conftest import (all_words, naive_legal_words, naive_squares,
+                      with_image_letter)
 
 
 # Both minimal forbidden sets as first derived and cross-validated; kept so

@@ -1,8 +1,9 @@
 """Command line behavior: outputs, determinism, exit statuses."""
 
-import hashlib
+import importlib.util
 import json
 import multiprocessing
+import pathlib
 import shutil
 import subprocess
 import sys
@@ -12,11 +13,11 @@ import tracemalloc
 import pytest
 
 from wordavoid import (Morphism, fixed_point_prefix, format_morphism,
-                       with_image_letter, word_from_text, word_to_text)
+                       scenarios, word_from_text, word_to_text)
 from wordavoid.cli import main
-from wordavoid.scenarios import MINIMAL_SET_SIZES
+from wordavoid.scenarios import MINIMAL_SET_SIZES, SCENARIOS
 
-from conftest import run_script
+from conftest import run_script, with_image_letter
 
 
 def run_cli(capsys, *argv):
@@ -315,6 +316,38 @@ def test_requests_too_large_for_memory_are_usage_errors(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("name", ["pu-shuffle", "dekking-verify"])
+@pytest.mark.parametrize("length", [HUGE, "10000001"])
+def test_prefix_length_past_its_bound_is_a_usage_error(capsys, name, length):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "scenario", name, "--prefix-length",
+                             length)
+    assert time.perf_counter() - start < 5.0
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert len(errors) == 1 and "--prefix-length" in errors[0]
+
+
+@pytest.mark.parametrize("where", ["setup", "check"])
+def test_scenario_out_of_memory_is_a_usage_error(capsys, monkeypatch, where):
+    """Running out of memory, in a scenario's setup or in one of its
+    checks, is an unusable request, not a failed check."""
+    def exhausted(*args):
+        raise MemoryError
+
+    if where == "setup":
+        monkeypatch.setitem(SCENARIOS, "pu-lemmas", exhausted)
+    else:  # the check that the core prefix avoids the forbidden triples
+        monkeypatch.setattr(scenarios, "satisfies_spec", exhausted)
+    code, out, err = run_cli(capsys, "scenario", "pu-lemmas",
+                             "--prefix-length", "2000")
+    assert code == 2
+    assert out == ""
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert errors == ["error: out of memory"]
+
+
 def test_huge_family_denominator_needs_no_huge_power(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, *FAMILY, "--denominator", HUGE)
@@ -330,10 +363,11 @@ COUNT = ("count", "--spec", "{path}", "--n-max", "4")
     (COUNT, b"alphabet 2\nsquares whitelist 01\n"),
     (COUNT, b"alphabet 2\nsquares min-root 0\n"),
     (COUNT, b"alphabet 0\n"),
+    (COUNT, b"alphabet 300\nsquares min-root 1\n"),
     (COUNT, "alphabet 2  # f\u00fcr\n".encode()),
     (("scan", "--word", "{path}", "--cubes"), "0101\u00e9".encode()),
 ], ids=["whitelist-entry-not-a-square", "min-root-0", "alphabet-0",
-        "non-ascii-spec", "non-ascii-word"])
+        "alphabet-300", "non-ascii-spec", "non-ascii-word"])
 def test_malformed_files_are_usage_errors(capsys, tmp_path, argv, content):
     path = tmp_path / "input.txt"
     path.write_bytes(content)
@@ -343,6 +377,17 @@ def test_malformed_files_are_usage_errors(capsys, tmp_path, argv, content):
     errors = [line for line in err.splitlines() if "error:" in line]
     assert len(errors) == 1
     assert "Traceback" not in err
+
+
+def test_widest_alphabet_counts_every_letter(capsys, tmp_path):
+    """Letters are bytes, so 256 letters is the widest alphabet, and none
+    wraps onto another."""
+    path = tmp_path / "a256.txt"
+    path.write_text("alphabet 256\nsquares min-root 1\n")
+    code, out, _ = run_cli(capsys, "count", "--spec", str(path), "--n-max",
+                           "2")
+    assert code == 0
+    assert out == f"n,count\n0,1\n1,256\n2,{256 * 255}\n"
 
 
 VERIFY_G = ("verify", "--morphism", "dekking_g", "--source",
@@ -517,9 +562,33 @@ def test_dead_scenario_worker_is_a_failed_check():
         " BrokenProcessPool(" in proc.stdout
 
 
-def test_scenario_json_digest_is_pinned(capsys):
-    code, out, _ = run_cli(capsys, "scenario", "--all", "--format", "json",
-                           "--prefix-length", "2000")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "e2164396bc3b28a9ccf30d96059e930a3125e950f0edf6bf2006d25e3861f6ae")
+@pytest.fixture(scope="module")
+def digest_script():
+    path = pathlib.Path(__file__).parents[1] / "scripts" / "certificate_digest.py"
+    spec = importlib.util.spec_from_file_location("certificate_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# The lines of scripts/certificate_digest.py after their labels.  A
+# deliberate change to one re-pins it here, with the old and new lines
+# recorded in CHANGES.md.
+PINNED_DIGESTS = {
+    "certificates": "684 c13d3438a8f64d071a7538000dc4fab3723e94c2015b0d36"
+                    "f623cf51959b5100",
+    "scenario --all": "9059ff0f255fbe2d78328d8611a303586ed24546ad6f4382473b"
+                      "b0a42bbbc176",
+    "scenario --all --prefix-length 2000": "e2164396bc3b28a9ccf30d96059e930a"
+                                           "3125e950f0edf6bf2006d25e3861f6ae",
+    "tables": "149e93de3f5bb0891c7665061bade7285cac0ed233257be43fbdd6812612549e",
+    "scans": "ae3948060c929c37ba587509cc8e63ad8bd5b4745e165c8bbc9994f4df0e7e10",
+}
+
+
+@pytest.mark.parametrize("label", PINNED_DIGESTS, ids=[
+    "certificates", "scenario-all", "scenario-all-prefix-2000", "tables",
+    "scans"])
+def test_digest_line_is_pinned(digest_script, label):
+    assert list(digest_script.LINES) == list(PINNED_DIGESTS)
+    assert digest_script.LINES[label]() == PINNED_DIGESTS[label]

@@ -7,9 +7,11 @@ import pytest
 
 from wordavoid import (format_morphism, format_spec, format_substitution,
                        load_registry, parse_morphism, parse_spec,
-                       parse_substitution, with_image_letter, word_from_text)
+                       parse_substitution, word_from_text)
 from wordavoid.instances import (DATA_NAMES, MORPHISM_NAMES, SPEC_ALIASES,
                                  SPEC_NAMES, SUBSTITUTION_NAMES)
+
+from conftest import with_image_letter
 
 # Checksums pin the packaged files against silent edits.  Regenerate with
 # `sha256sum src/wordavoid/scenarios/*` after an intentional change.
@@ -84,7 +86,7 @@ def test_morphism_shapes(registry):
 
 
 def test_forbidden_triple_set(registry):
-    triples = registry.set_A
+    triples = {f for f in registry.pu_source.forbidden if len(f) == 3}
     assert len(triples) == 16
     assert all(len(w) == 3 for w in triples)
     for text in ("010", "013", "021", "323"):

@@ -7,9 +7,10 @@ import random
 
 import pytest
 
-from wordavoid import (SCENARIOS, run_scenario, scenarios, verify,
-                       with_image_letter)
+from wordavoid import SCENARIOS, run_scenario, scenarios, verify
 from wordavoid.instances import MORPHISM_NAMES
+
+from conftest import with_image_letter
 
 REDUCED = 2000
 

@@ -16,15 +16,15 @@ from wordavoid import (AvoidanceSpec, BoundedCaseReport, GapPattern, Morphism,
                        bounded_case_check, find_inclusions, find_interchanges,
                        prove_gap_pattern_absence, refute_inclusion,
                        satisfies_spec, suffix_legal, verify_square_transfer,
-                       verify_substitution_transfer, with_image_letter,
-                       word_from_text, word_to_text)
-from wordavoid import counting, verify
+                       verify_substitution_transfer, word_from_text,
+                       word_to_text)
+from wordavoid import counting, verify, words
 from wordavoid.morphisms import _stream, fixed_point_prefix
 from wordavoid.verify import _exhaustive_viability, exact_factors
 
 from conftest import (all_words, naive_gap_occurrences, naive_inclusions,
                       naive_interchanges, naive_legal_words, naive_satisfies,
-                      specs)
+                      specs, with_image_letter)
 
 
 @st.composite
@@ -566,7 +566,8 @@ def test_bounded_case_is_the_same_in_small_chunks(registry, monkeypatch,
         morphism, cap = case[0], case[3]
         width = morphism.uniform_width
         # `rows` source words a chunk of the longest, and more at shorter ones
-        widest = ((2 * cap) // width + 3) * max(morphism.source_size, width)
+        widest = (((2 * cap) // width + 3) * morphism.source_size
+                  * (1 + width))
         monkeypatch.setattr(counting, "_SCREEN_BYTES",
                             1 if rows == 1 else rows * 4 * (widest + 1))
         assert counting._chunk_rows(widest) == rows
@@ -574,13 +575,37 @@ def test_bounded_case_is_the_same_in_small_chunks(registry, monkeypatch,
 
 
 def test_bounded_case_refuses_a_flagged_clean_image(registry, monkeypatch):
-    """A screen that flags an image the whole-word check passes is an
+    """A target step that flags an image the whole-word check passes is an
     error, not a violation without a kind."""
-    monkeypatch.setattr(verify, "suffix_screen",
-                        lambda rows, *args: np.ones(len(rows), dtype=bool))
+
+    class FlagsEveryImage(words.ColumnStep):
+        def fold(self, cols, first, new, runs=None):
+            runs, flagged = super().fold(cols, first, new, runs)
+            return runs, np.ones_like(flagged)
+
+    monkeypatch.setattr(verify, "ColumnStep", FlagsEveryImage)
     with pytest.raises(AssertionError, match="clean image"):
         bounded_case_check(registry.dekking_h, registry.dekking_h_source,
                            registry.squarefree4, 20)
+
+
+def test_bounded_case_builds_one_step_per_spec(registry, monkeypatch):
+    """The walk's source step and one target step check every chunk: the
+    images' runs are carried, not rebuilt per chunk."""
+    built = []
+    init = words.ColumnStep.__init__
+
+    def counted(self, spec, *args):
+        built.append(spec)
+        init(self, spec, *args)
+
+    monkeypatch.setattr(words.ColumnStep, "__init__", counted)
+    fs_sub, classes = registry.fs_sub.to_annotated()
+    report = bounded_case_check(fs_sub, registry.fs_h_target,
+                                registry.fs_g_source, 48, classes)
+    assert report.words_checked > 100
+    assert len(built) == 2
+    assert set(built) == {registry.fs_h_target, registry.fs_g_source}
 
 
 def test_bounded_case_rejects_negative_root_cap(registry):

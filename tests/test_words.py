@@ -199,8 +199,9 @@ def test_whitelist_reports_the_least_unlisted_square(case, cut, starts):
         words._STARTS = saved
     v = check.violation
     assert (v and (v.position, v.root_length)) == min(unlisted, default=None)
-    row = np.frombuffer(word, dtype=np.uint8).reshape(1, len(word))
-    assert bool(words.suffix_screen(row, spec, new=0)[0]) == (not check.ok)
+    cols = np.frombuffer(word, dtype=np.uint8).reshape(len(word), 1)
+    flagged = words.ColumnStep(spec, len(word)).fold(cols, 0, 0)[1]
+    assert bool(flagged[0]) == (not check.ok)
 
 
 @pytest.mark.parametrize("cut", [1, 2, 128])
@@ -324,31 +325,63 @@ def test_violation_is_reported_with_its_window(word):
         assert v.factor[:root] == v.factor[root:]
 
 
-@given(st.data())
-@settings(max_examples=150, deadline=None)
-def test_screen_flags_exactly_the_rows_that_break_the_spec(data):
-    """The bounded case's shape: for every column `new`, the rows of a batch
-    that are legal before it, with roots maybe capped, are flagged exactly
-    where the whole row breaks the spec.  Periodic rows put powers of the
-    longest roots at every column, and one letter past the alphabet may
+@st.composite
+def batches(draw):
+    """(spec, max_root, rows): a spec over 2-3 letters, maybe a root cap,
+    and 1-6 rows of one length from 1 to 12.  Periodic rows put powers of
+    the longest roots at every column, and one letter past the alphabet may
     occur."""
-    alphabet = data.draw(st.integers(2, 3))
-    spec = data.draw(specs(alphabet))
-    max_root = data.draw(st.none() | st.integers(1, 3))
-    n = data.draw(st.integers(1, 12))
+    alphabet = draw(st.integers(2, 3))
+    spec = draw(specs(alphabet))
+    max_root = draw(st.none() | st.integers(1, 3))
+    n = draw(st.integers(1, 12))
     letter = st.integers(0, alphabet)
     periodic = st.integers(1, max(1, n // 2)).flatmap(
         lambda p: st.lists(letter, min_size=p, max_size=p))
     row = periodic.map(lambda w: bytes((w * n)[:n])) | st.lists(
         letter, min_size=n, max_size=n).map(bytes)
-    rows = data.draw(st.lists(row, min_size=1, max_size=6))
+    return spec, max_root, draw(st.lists(row, min_size=1, max_size=6))
+
+
+def as_cols(rows):
+    """Rows of one length stored column by column, as `ColumnStep` reads."""
+    return np.array([list(r) for r in rows], dtype=np.uint8).T.copy()
+
+
+@given(batches())
+@settings(max_examples=150, deadline=None)
+def test_screen_flags_exactly_the_rows_that_break_the_spec(batch):
+    """The bounded case's shape: for every column `new`, the rows of a batch
+    that are legal before it, with roots maybe capped, are flagged by a
+    fold from column 0 exactly where the whole row breaks the spec."""
+    spec, max_root, rows = batch
+    n = len(rows[0])
+    step = words.ColumnStep(spec, n, max_root)
     broken = {r: not naive_satisfies(r, spec, max_root) for r in rows}
     for new in range(n):
         legal = [r for r in rows if naive_satisfies(r[:new], spec, max_root)]
         if legal:
-            batch = np.array([list(r) for r in legal], dtype=np.uint8)
-            flagged = words.suffix_screen(batch, spec, new, max_root)
+            flagged = step.fold(as_cols(legal), 0, new)[1]
             assert flagged.tolist() == [broken[r] for r in legal], new
+
+
+@given(batches(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_fold_resumes_from_its_own_runs(batch, data):
+    """Folding a batch in two pieces, the second from the runs the first
+    ends with, gives the runs of one fold from column 0, and between them
+    the same flags."""
+    spec, max_root, rows = batch
+    n = len(rows[0])
+    cut = data.draw(st.integers(0, n))
+    new = data.draw(st.integers(0, n - 1))
+    step = words.ColumnStep(spec, n, max_root)
+    cols = as_cols(rows)
+    runs, flagged = step.fold(cols, 0, new)
+    head_runs, head = step.fold(cols[:cut], 0, new)
+    tail_runs, tail = step.fold(cols, cut, max(new, cut), head_runs)
+    assert np.array_equal(tail_runs, runs)
+    assert (head | tail).tolist() == flagged.tolist()
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=range(len(SPECS)))
