@@ -8,8 +8,7 @@ from .words import (AvoidanceSpec, GapPattern, ParseError, SpecCheck,
                     perfect_shuffle, satisfies_spec, scan_forbidden,
                     suffix_legal, word_from_text, word_to_text)
 from .morphisms import (FixedPointStream, Morphism, Substitution,
-                        fixed_point_prefix, format_morphism,
-                        format_substitution, parse_morphism,
+                        fixed_point_prefix, parse_morphism,
                         parse_substitution, power)
 from .verify import (BoundedCaseReport, EmbeddingCase, GapEvidence,
                      InclusionWitness, InterchangeWitness, Refutation,

@@ -223,8 +223,8 @@ class FactorAutomaton:
     """
 
     def __init__(self, alphabet_size: int, forbidden: frozenset[bytes]):
-        if alphabet_size < 1:
-            raise ValueError("alphabet must be nonempty")
+        if not 1 <= alphabet_size <= 256:
+            raise ValueError("alphabet_size must be 1..256: letters are bytes")
         self.alphabet_size = alphabet_size
         children: list[dict[int, int]] = [{}]
         dead = [False]

@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .words import ParseError, word_from_text, word_to_text
+from .words import ParseError, word_from_text
 
 
 @dataclass(frozen=True)
@@ -216,14 +216,3 @@ def _parse_image_lines(text: str, allow_choices: bool) -> list[tuple[bytes, ...]
         raise ParseError("letters must cover 0..k-1")
     return [entries[a] for a in range(len(entries))]
 
-
-def format_morphism(morphism: Morphism) -> str:
-    lines = [f"{a} -> {word_to_text(img)}" for a, img in enumerate(morphism.images)]
-    return "\n".join(lines) + "\n"
-
-
-def format_substitution(sub: Substitution) -> str:
-    lines = []
-    for a, choices in enumerate(sub.image_sets):
-        lines.append(f"{a} -> " + ", ".join(word_to_text(img) for img in choices))
-    return "\n".join(lines) + "\n"

@@ -11,8 +11,9 @@ exhaustive channels:
   and `satisfies_spec` names each violation; a cap below 2W leaves the
   roots above it as a residual);
 * inclusions, where one image sits inside the image of a pair with offcut
-  affixes on both sides (refuted case by case through context letters and
-  forced pullbacks);
+  affixes on both sides (one inventory over all pairs, split into the
+  distinct pairs the source allows and the equal pairs, and refuted case by
+  case through context letters and forced pullbacks);
 * interchanges, where two images share a prefix/suffix splitting of a third
   (refuted by proving a three-letter gap pattern absent from the source
   language; the bounded exhaustive search runs on the shared legal-word
@@ -20,7 +21,7 @@ exhaustive channels:
 
 Every question of the form "can this short word occur?" goes to one of two
 oracles: `_forbids` for the source spec, and `exact_factors` for the factors
-of a fixed point.
+of a fixed point.  The follower argument is written once and asks either.
 
 A `TransferCertificate` collects the witnesses, their refutations, and any
 residual obligations; it is complete when nothing is left open.
@@ -28,7 +29,7 @@ residual obligations; it is complete when nothing is left open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -57,6 +58,13 @@ def _project(word: bytes, classes: tuple[int, ...] | None) -> bytes:
     if classes is None:
         return word
     return bytes(classes[b] for b in word)
+
+
+def _framed(morphism: Morphism, prefix=b"", suffix=b"") -> list[int]:
+    """The letters whose image starts with `prefix` and ends with `suffix`."""
+    return [x for x in range(morphism.source_size)
+            if morphism.image(x).startswith(prefix)
+            and morphism.image(x).endswith(suffix)]
 
 
 def _forbids(spec: AvoidanceSpec, word: bytes,
@@ -127,6 +135,18 @@ def _fixed_point_phases(morphism: Morphism, seed: int, word: bytes) -> set[int]:
 # ---------------------------------------------------------------------------
 # Witnesses.
 
+def _row(row) -> dict:
+    """A witness or evidence row's fields in order, with words as text."""
+    out = {}
+    for field in fields(row):
+        value = getattr(row, field.name)
+        out[field.name] = (word_to_text(value) if isinstance(value, bytes)
+                           else _name(value) if isinstance(value, GapPattern)
+                           else list(value) if isinstance(value, tuple)
+                           else value)
+    return out
+
+
 @dataclass(frozen=True)
 class InclusionWitness:
     """image(a) + image(b) contains image(c) at `offset`, flanked by t and u."""
@@ -138,9 +158,7 @@ class InclusionWitness:
     t: bytes
     u: bytes
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "offset": self.offset,
-                "t": word_to_text(self.t), "u": word_to_text(self.u)}
+    to_dict = _row
 
 
 @dataclass(frozen=True)
@@ -160,11 +178,7 @@ class InterchangeWitness:
     v: bytes
     splits: tuple[int, ...]
 
-    def to_dict(self) -> dict:
-        return {"a": self.a, "b": self.b, "c": self.c, "split": self.split,
-                "s": word_to_text(self.s), "t": word_to_text(self.t),
-                "u": word_to_text(self.u), "v": word_to_text(self.v),
-                "splits": list(self.splits)}
+    to_dict = _row
 
 
 @dataclass(frozen=True)
@@ -176,9 +190,7 @@ class EmbeddingCase:
     case: str
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"pred": self.pred, "succ": self.succ, "case": self.case,
-                "detail": self.detail}
+    to_dict = _row
 
 
 @dataclass(frozen=True)
@@ -188,7 +200,7 @@ class Refutation:
     embeddings: tuple[EmbeddingCase, ...] = ()
 
     _CLOSED = ("pair-illegal", "no-right-extension", "no-left-extension",
-               "trivial", "gap-pattern-absent")
+               "gap-pattern-absent")
 
     @property
     def ok(self) -> bool:
@@ -219,10 +231,7 @@ class GapEvidence:
     complete: bool
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"pattern": _name(self.pattern), "kind": self.kind,
-                "scope": self.scope, "complete": self.complete,
-                "detail": self.detail}
+    to_dict = _row
 
 
 @dataclass(frozen=True)
@@ -244,33 +253,18 @@ class BoundedCaseReport:
 # ---------------------------------------------------------------------------
 # Witness search.
 
-def find_inclusions(morphism: Morphism, classes: tuple[int, ...] | None = None,
-                    pairs: str = "distinct",
-                    source: AvoidanceSpec | None = None) -> list[InclusionWitness]:
-    """All ways an image sits strictly inside the image of a two-letter word.
+def find_inclusions(morphism: Morphism) -> list[InclusionWitness]:
+    """All ways an image sits strictly inside the image of a two-letter word,
+    over every pair (a, b) in order.
 
-    `pairs` selects which (a, b) to scan: "distinct" keeps pairs whose
-    letters differ (as classes, when given), "equal" keeps the rest.  When
-    `source` is given, pairs whose two-letter word already violates it are
-    skipped: such pairs never occur in a conforming word, so their
-    inclusions threaten nothing.  Offsets 0 and W would make c a copy of a
-    or b and are not inclusions.
+    Offsets 0 and W would make c a copy of a or b and are not inclusions.
     """
     width = morphism.uniform_width
     if width is None:
         raise ValueError("inclusion search needs a uniform morphism")
-    if pairs not in ("distinct", "equal"):
-        raise ValueError(f"bad pairs selector {pairs!r}")
-    cls = classes or tuple(range(morphism.source_size))
     out = []
     for a in range(morphism.source_size):
         for b in range(morphism.source_size):
-            if pairs == "distinct" and cls[a] == cls[b]:
-                continue
-            if pairs == "equal" and cls[a] != cls[b]:
-                continue
-            if source is not None and _forbids(source, bytes((a, b)), classes):
-                continue
             combined = morphism.image(a) + morphism.image(b)
             for offset in range(1, width):
                 segment = combined[offset:offset + width]
@@ -321,17 +315,14 @@ def refute_inclusion(morphism: Morphism, witness: InclusionWitness,
     Depth 1 adds the embedding analysis through context letters, and depth 2
     adds the forced-pullback cases, which look one source letter further.
     """
-    width = morphism.uniform_width
     a, b, c, offset = witness.a, witness.b, witness.c, witness.offset
     t, u = witness.t, witness.u
 
     reason = _forbids(source, bytes([a, b]), classes)
     if reason is not None:
         return Refutation("pair-illegal", f"source forbids {reason}")
-    preds = [e for e in range(morphism.source_size)
-             if morphism.image(e).endswith(t)]
-    succs = [d for d in range(morphism.source_size)
-             if morphism.image(d).startswith(u)]
+    preds = _framed(morphism, suffix=t)
+    succs = _framed(morphism, prefix=u)
     if not succs:
         return Refutation("no-right-extension",
                           f"{word_to_text(u)} is not a prefix of any image")
@@ -366,10 +357,8 @@ def _embedding_case(morphism, source, classes, a, b, c, offset, e, d,
     # inclusion, so the trivial case cannot arise here.
     v = morphism.image(e)[:width - offset]
     w = morphism.image(d)[width - offset:]
-    k_right = [k for k in range(morphism.source_size)
-               if morphism.image(k).startswith(w)]
-    k_left = [k for k in range(morphism.source_size)
-              if morphism.image(k).endswith(v)]
+    k_right = _framed(morphism, prefix=w)
+    k_left = _framed(morphism, suffix=v)
 
     left = right = None
     if depth >= 2:
@@ -442,45 +431,24 @@ def _exhaustive_viability(pattern: GapPattern, spec: AvoidanceSpec,
     return complete, None if best is None else pattern.word(best[1:])
 
 
-def _follower_proof_spec(pattern: GapPattern, spec: AvoidanceSpec) -> str | None:
-    b, c, a = pattern.first, pattern.middle, pattern.last
-    if _forbids(spec, bytes([b, c, a])) is None:
+def _follower_proof(pattern: GapPattern, may_occur, letters) -> str | None:
+    """The followers of the middle letter among `letters`, comma-joined, when
+    first-middle-last may not occur and none of them may follow the first
+    letter; then no gap fits.  `may_occur` answers for short words."""
+    b, c, _ = pattern.letters()
+    if may_occur(bytes(pattern.letters())):
         return None
-    followers = [d for d in range(spec.alphabet_size)
-                 if _forbids(spec, bytes([c, d])) is None]
-    for d in followers:
-        if _forbids(spec, bytes([b, d])) is None:
-            return None
-    return (f"{b}{c}{a} illegal; followers of {c} are "
-            f"{{{','.join(str(d) for d in followers)}}} and none may follow {b}")
-
-
-def _follower_proof_fixed_point(pattern: GapPattern,
-                                fixed_point: FixedPoint) -> str | None:
-    m, seed = fixed_point
-    b, c, a = pattern.first, pattern.middle, pattern.last
-    if bytes([b, c, a]) in exact_factors(m, seed, 3):
+    followers = [d for d in letters if may_occur(bytes([c, d]))]
+    if any(may_occur(bytes([b, d])) for d in followers):
         return None
-    pairs = exact_factors(m, seed, 2)
-    followers = [d for (d,) in sorted(exact_factors(m, seed, 1))
-                 if bytes([c, d]) in pairs]
-    for d in followers:
-        if bytes([b, d]) in pairs:
-            return None
-    return (f"{b}{c}{a} not a factor; factor followers of {c} are "
-            f"{{{','.join(str(d) for d in followers)}}} and none follows {b}")
+    return ",".join(str(d) for d in followers)
 
 
 def _pattern_in_exact_factors(pattern: GapPattern, fixed_point: FixedPoint,
                               gap: int) -> bool:
     m, seed = fixed_point
-    n = 2 * gap + 3
-    for f in exact_factors(m, seed, n):
-        if (f[0] == pattern.first and f[gap + 1] == pattern.middle
-                and f[n - 1] == pattern.last
-                and f[1:gap + 1] == f[gap + 2:n - 1]):
-            return True
-    return False
+    return any(f == pattern.word(f[1:gap + 1])
+               for f in exact_factors(m, seed, 2 * gap + 3))
 
 
 def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
@@ -564,13 +532,23 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
                  or pattern.middle == pattern.last)):
         return GapEvidence(pattern, "trivial", "spec", True,
                            "pattern repeats a letter, forcing a square")
-    detail = _follower_proof_spec(pattern, spec)
-    if detail is not None:
-        return GapEvidence(pattern, "follower", "spec", True, detail)
+    b, c, _ = pattern.letters()
+    followers = _follower_proof(pattern, lambda w: _forbids(spec, w) is None,
+                                range(spec.alphabet_size))
+    if followers is not None:
+        return GapEvidence(pattern, "follower", "spec", True,
+                           f"{_name(pattern)} illegal; followers of {c} are"
+                           f" {{{followers}}} and none may follow {b}")
     if fixed_point is not None:
-        detail = _follower_proof_fixed_point(pattern, fixed_point)
-        if detail is not None:
-            return GapEvidence(pattern, "follower", "fixed-point", True, detail)
+        m, seed = fixed_point
+        followers = _follower_proof(
+            pattern, lambda w: w in exact_factors(m, seed, len(w)),
+            [d for (d,) in sorted(exact_factors(m, seed, 1))])
+        if followers is not None:
+            return GapEvidence(pattern, "follower", "fixed-point", True,
+                               f"{_name(pattern)} not a factor; factor"
+                               f" followers of {c} are {{{followers}}} and"
+                               f" none follows {b}")
         detail = _descent_proof(pattern, spec, fixed_point)
         if detail is not None:
             return GapEvidence(pattern, "descent", "fixed-point", True, detail)
@@ -579,7 +557,6 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
         return GapEvidence(pattern, "exhaustive", "spec", True,
                            f"every branch dies within gap {_EXHAUST_GAP}")
     if fixed_point is not None:
-        m, seed = fixed_point
         prefix = fixed_point_prefix(m, seed, _SCAN_LENGTH)
         hit, _ = gap_first_and_count(prefix, pattern)
         if hit is not None:
@@ -592,15 +569,13 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
                        f"only gaps <= {_EXHAUST_GAP} checked")
 
 
-def refute_interchange(witness: InterchangeWitness, source: AvoidanceSpec,
+def refute_interchange(witness: InterchangeWitness,
                        gap_evidence: dict[GapPattern, GapEvidence],
                        classes: tuple[int, ...] | None = None) -> Refutation:
     """An interchange forces b..c..a with equal gaps in the source word, so
     evidence that the gap pattern is absent refutes it."""
     a, b, c = _project(bytes([witness.a, witness.b, witness.c]),
                        classes or None)
-    if a == c or b == c:
-        return Refutation("trivial", "interchange letters collapse")
     pattern = GapPattern(b, c, a)
     evidence = gap_evidence.get(pattern)
     if evidence is not None and evidence.kind != "present":
@@ -755,20 +730,25 @@ def verify_square_transfer(morphism: Morphism, source: AvoidanceSpec,
             out.append((wit, r))
         return tuple(out)
 
-    # The equal-pair channel stays unfiltered: those rows are refuted by the
-    # pair check itself, which keeps the reason visible in the certificate.
-    inclusions = refuted(find_inclusions(morphism, classes, "distinct", source))
-    equal_pair = refuted(find_inclusions(morphism, classes, "equal"))
+    # One inventory, two channels in scan order.  Distinct pairs the source
+    # forbids never occur in a conforming word, so their rows threaten
+    # nothing and are dropped.  Equal pairs stay unfiltered: those rows are
+    # refuted by the pair check itself, which keeps the reason visible.
+    cls = classes or tuple(range(morphism.source_size))
+    found = find_inclusions(morphism)
+    inclusions = refuted(
+        w for w in found if cls[w.a] != cls[w.b]
+        and _forbids(source, bytes((w.a, w.b)), classes) is None)
+    equal_pair = refuted(w for w in found if cls[w.a] == cls[w.b])
 
     interchanges = find_interchanges(morphism, classes)
-    cls = classes or tuple(range(morphism.source_size))
     patterns = sorted({GapPattern(cls[w.b], cls[w.c], cls[w.a])
                        for w in interchanges}, key=GapPattern.letters)
     evidence = {p: prove_gap_pattern_absence(p, source, fixed_point)
                 for p in patterns}
     checked = []
     for wit in interchanges:
-        r = refute_interchange(wit, source, evidence, classes)
+        r = refute_interchange(wit, evidence, classes)
         if not r.ok:
             residual.append(f"interchange ({wit.a},{wit.b},{wit.c}) unresolved")
         checked.append((wit, r))

@@ -8,13 +8,12 @@ left..right-span(d).  Span d gives squares of root d, span 2d cubes, and span
 d-1 the repeated gap of a gap pattern.  A byte search covers small shifts and
 an anchored block search large ones, so scanning a clean word of length n
 costs roughly n log n byte operations.  First-hit checks read the first run of
-each shift; with allowed words, `_power_starts` checks every start of a
-small shift in windowed array compares, and at most d starts of each run of
-a larger one.  Once a hit is held, later shifts read only the letters that a
-power starting before it can occupy.  Gap patterns read the ends of every
-run, taking a small shift's runs from one array pass, and full scans every
-start.  `gap_occurrences` answers any number of gap patterns from one
-stream; `gap_first_and_count` counts one without listing.
+each shift; with allowed words, `_power_starts` checks every start of the
+shift in windowed array compares.  Once a hit is held, later shifts read
+only the letters that a power starting before it can occupy.  Gap patterns
+read the ends of every run, taking a small shift's runs from one array pass,
+and full scans every start.  `gap_occurrences` answers any number of gap
+patterns from one stream; `gap_first_and_count` counts one without listing.
 Worst-case output size is quadratic on highly repetitive input, which the
 intended avoidance words never are.
 
@@ -198,12 +197,10 @@ def _first_repeat(word: bytes, lo: int, hi: int, power: int,
     an allowed word, or None.
 
     A shift with no allowed word of its power's length reads its first run's
-    left end.  A swept shift with one is checked at every start by
+    left end.  A shift with one, of any size, is checked at every start by
     `_power_starts`, one array compare per window of _STARTS starts up to
-    the first hit.  A larger shift, whose runs are few, compares
-    at most d starts a run with the allowed words, since in a run of shift
-    d the power at p + d is the one at p.  Once a hit is held, later shifts
-    look only at the starts below it.
+    the first hit.  Once a hit is held, later shifts look only at the
+    starts below it.
     """
     sizes = {len(w) for w in allowed}
     arr = np.frombuffer(word, dtype=np.uint8)
@@ -217,7 +214,7 @@ def _first_repeat(word: bytes, lo: int, hi: int, power: int,
         p = None
         if size not in sizes:
             p = next(iter(runs))[0]
-        elif d <= _SWEEP_CUT:
+        else:
             top = min(len(word) - size, stop() - 1)
             for first in range(0, top + 1, _STARTS):
                 hit = _power_starts(arr, power, d, allowed, first,
@@ -225,10 +222,6 @@ def _first_repeat(word: bytes, lo: int, hi: int, power: int,
                 if hit.any():
                     p = first + int(hit.argmax())
                     break
-        else:
-            p = next((p for left, right in runs
-                      for p in range(left, min(left + d, right + d - size + 1))
-                      if word[p:p + size] not in allowed), None)
         if p is not None and p < stop():
             best = (p, d)
     return best

@@ -14,7 +14,8 @@ import pytest
 from hypothesis import strategies as st
 
 import wordavoid
-from wordavoid import AvoidanceSpec, Morphism, load_registry
+from wordavoid import (AvoidanceSpec, Morphism, Substitution, load_registry,
+                       word_to_text)
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +35,20 @@ def run_script(script: str) -> subprocess.CompletedProcess:
     env.pop("PYTHONUNBUFFERED", None)
     return subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, timeout=60, env=env)
+
+
+def format_morphism(morphism: Morphism) -> str:
+    """A morphism in the file format `parse_morphism` reads."""
+    lines = [f"{a} -> {word_to_text(img)}" for a, img in enumerate(morphism.images)]
+    return "\n".join(lines) + "\n"
+
+
+def format_substitution(sub: Substitution) -> str:
+    """A substitution in the file format `parse_substitution` reads."""
+    lines = []
+    for a, choices in enumerate(sub.image_sets):
+        lines.append(f"{a} -> " + ", ".join(word_to_text(img) for img in choices))
+    return "\n".join(lines) + "\n"
 
 
 def with_image_letter(morphism: Morphism, image_index: int, position: int,

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import multiprocessing
+import os
 import pathlib
 import shutil
 import subprocess
@@ -12,12 +13,13 @@ import tracemalloc
 
 import pytest
 
-from wordavoid import (Morphism, fixed_point_prefix, format_morphism,
-                       scenarios, word_from_text, word_to_text)
+import wordavoid
+from wordavoid import (Morphism, fixed_point_prefix, scenarios,
+                       word_from_text, word_to_text)
 from wordavoid.cli import main
 from wordavoid.scenarios import MINIMAL_SET_SIZES, SCENARIOS
 
-from conftest import run_script, with_image_letter
+from conftest import format_morphism, run_script, with_image_letter
 
 
 def run_cli(capsys, *argv):
@@ -379,6 +381,26 @@ def test_malformed_files_are_usage_errors(capsys, tmp_path, argv, content):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("alphabet", ["257", "2000000"])
+def test_growth_alphabet_past_a_byte_is_a_usage_error(capsys, tmp_path,
+                                                      alphabet):
+    """Letters are bytes, so the factor automaton takes at most 256 letters
+    and builds no transition rows for a wider alphabet."""
+    path = tmp_path / "squares.txt"
+    path.write_text("00\n11\n")
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "growth", "--forbidden", str(path),
+                             "--alphabet", alphabet)
+    assert time.perf_counter() - start < 5
+    assert code == 2 and out == ""
+    assert [line for line in err.splitlines() if "error:" in line] == [
+        "error: alphabet_size must be 1..256: letters are bytes"]
+    code, out, _ = run_cli(capsys, "growth", "--forbidden", str(path),
+                           "--alphabet", "256")
+    assert code == 0
+    assert 255 < json.loads(out)["eigenvalue"] < 256
+
+
 def test_widest_alphabet_counts_every_letter(capsys, tmp_path):
     """Letters are bytes, so 256 letters is the widest alphabet, and none
     wraps onto another."""
@@ -500,6 +522,24 @@ def test_console_script_is_installed():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "001001110001001110110110001"
+
+
+def test_module_run_is_the_entry_point(capsys):
+    """`python -m wordavoid.cli` runs the same command line as `main`."""
+    src = pathlib.Path(wordavoid.__file__).parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src)}
+
+    def module(*argv):
+        return subprocess.run([sys.executable, "-m", "wordavoid.cli", *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+
+    argv = ("count", "--spec", "dekking", "--n-max", "3")
+    _, expected, _ = run_cli(capsys, *argv)
+    proc = module(*argv)
+    assert (proc.returncode, proc.stdout) == (0, expected)
+    assert expected.startswith("n,count\n")
+    assert module("count", "--spec", "dekking").returncode == 2
 
 
 def test_scenario_all_passes_quickly(capsys):

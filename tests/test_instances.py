@@ -5,13 +5,12 @@ from importlib import resources
 
 import pytest
 
-from wordavoid import (format_morphism, format_spec, format_substitution,
-                       load_registry, parse_morphism, parse_spec,
+from wordavoid import (format_spec, load_registry, parse_morphism, parse_spec,
                        parse_substitution, word_from_text)
 from wordavoid.instances import (DATA_NAMES, MORPHISM_NAMES, SPEC_ALIASES,
                                  SPEC_NAMES, SUBSTITUTION_NAMES)
 
-from conftest import with_image_letter
+from conftest import format_morphism, format_substitution, with_image_letter
 
 # Checksums pin the packaged files against silent edits.  Regenerate with
 # `sha256sum src/wordavoid/scenarios/*` after an intentional change.

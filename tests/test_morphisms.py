@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordavoid import (FixedPointStream, Morphism, ParseError, Substitution,
-                       fixed_point_prefix, format_morphism,
-                       format_substitution, parse_morphism,
+                       fixed_point_prefix, parse_morphism,
                        parse_substitution, power, word_from_text)
+
+from conftest import format_morphism, format_substitution
 
 
 @st.composite

@@ -41,11 +41,10 @@ def uniform_morphisms(draw):
 @given(uniform_morphisms())
 @settings(max_examples=120)
 def test_inclusion_finder_matches_brute_force(morphism):
-    # the two pair selectors partition the full inventory
-    split = (find_inclusions(morphism, pairs="distinct")
-             + find_inclusions(morphism, pairs="equal"))
-    got = sorted((w.a, w.b, w.c, w.offset) for w in split)
-    assert got == sorted(naive_inclusions(morphism))
+    # one scan lists every pair's inclusions, pair by pair
+    got = [(w.a, w.b, w.c, w.offset) for w in find_inclusions(morphism)]
+    assert sorted(got) == sorted(naive_inclusions(morphism))
+    assert [row[:2] for row in got] == sorted(row[:2] for row in got)
 
 
 @given(uniform_morphisms())
@@ -70,8 +69,8 @@ def test_witness_segments_reconstruct_the_images(registry):
 # First construction: 10-uniform core plus 6-uniform coder.
 
 def test_core_inclusions_and_refutation(registry):
-    rows = find_inclusions(registry.dekking_h,
-                           source=registry.dekking_h_source)
+    rows = [w for w in find_inclusions(registry.dekking_h)
+            if source_allows_pair(registry.dekking_h_source, w)]
     assert [(w.a, w.b, w.c, w.offset) for w in rows] == [(3, 1, 2, 6)]
     ref = refute_inclusion(registry.dekking_h, rows[0],
                            registry.dekking_h_source)
@@ -79,27 +78,56 @@ def test_core_inclusions_and_refutation(registry):
     assert ref.ok
 
 
+def source_allows_pair(source, witness):
+    """Whether an inclusion sits on a distinct pair the source allows, the
+    rows a certificate's `inclusions` channel keeps."""
+    pair = bytes((witness.a, witness.b))
+    return witness.a != witness.b and satisfies_spec(pair, source).ok
+
+
 def test_coder_inclusion_inventory_shrinks_under_source_filter(registry):
-    unfiltered = find_inclusions(registry.dekking_g)
-    filtered = find_inclusions(registry.dekking_g,
-                               source=registry.dekking_g_source)
-    assert len(unfiltered) == 6
+    found = find_inclusions(registry.dekking_g)
+    cert = verify_square_transfer(registry.dekking_g,
+                                  registry.dekking_g_source,
+                                  registry.dekking_binary,
+                                  fixed_point=(registry.dekking_h, 0))
+    distinct = [w for w in found if w.a != w.b]
+    assert len(distinct) == 6
+    filtered = [w for w, _ in cert.inclusions]
+    assert filtered == [w for w in found
+                        if source_allows_pair(registry.dekking_g_source, w)]
+    assert [w for w, _ in cert.equal_pair_inclusions] == [
+        w for w in found if w.a == w.b]
     keys = [(w.a, w.b, w.c, w.offset) for w in filtered]
     assert keys == [(0, 1, 3, 3), (1, 0, 2, 2), (2, 3, 1, 4)]
     affixes = [(word_to_text(w.t), word_to_text(w.u)) for w in filtered]
     assert affixes == [("010", "110"), ("01", "0011"), ("0110", "10")]
-    for wit in filtered:
-        ref = refute_inclusion(registry.dekking_g, wit,
-                               registry.dekking_g_source)
-        assert ref.method == "no-right-extension"
+    assert [r.method for _, r in cert.inclusions] == [
+        "no-right-extension"] * 3
     # the rows the filter removed sit on pairs the source already forbids
-    dropped = {(w.a, w.b, w.c, w.offset) for w in unfiltered} - set(keys)
+    dropped = {(w.a, w.b, w.c, w.offset) for w in distinct} - set(keys)
     assert dropped == {(1, 2, 2, 2), (1, 3, 2, 2), (3, 2, 0, 3)}
-    for wit in unfiltered:
+    for wit in distinct:
         if (wit.a, wit.b, wit.c, wit.offset) in dropped:
             ref = refute_inclusion(registry.dekking_g, wit,
                                    registry.dekking_g_source)
             assert ref.method == "pair-illegal"
+
+
+def test_each_certificate_scans_the_inclusions_once(registry, monkeypatch):
+    calls = []
+
+    def counted(*args, scan=verify.find_inclusions):
+        calls.append(args)
+        return scan(*args)
+
+    monkeypatch.setattr(verify, "find_inclusions", counted)
+    cert = verify_substitution_transfer(registry.dekking_sub,
+                                        registry.dekking_h_source,
+                                        registry.squarefree4)
+    # both channels are filled, from one scan of the annotated morphism
+    assert cert.inclusions and cert.equal_pair_inclusions
+    assert len(calls) == 1
 
 
 def test_coder_interchange_witness(registry):
@@ -322,7 +350,7 @@ FS_CODER_ROWS = [
 
 
 def test_fs_coder_rows_and_methods(registry):
-    rows = find_inclusions(registry.fs_g)
+    rows = [w for w in find_inclusions(registry.fs_g) if w.a != w.b]
     assert len(rows) == 10
     table = []
     for wit in sorted(rows, key=lambda w: (w.a, w.b, w.c, w.offset)):
