@@ -447,8 +447,9 @@ def _follower_proof(pattern: GapPattern, may_occur, letters) -> str | None:
 def _pattern_in_exact_factors(pattern: GapPattern, fixed_point: FixedPoint,
                               gap: int) -> bool:
     m, seed = fixed_point
-    return any(f == pattern.word(f[1:gap + 1])
-               for f in exact_factors(m, seed, 2 * gap + 3))
+    factors = exact_factors(m, seed, 2 * gap + 3)
+    alphas = exact_factors(m, seed, gap) if gap else (b"",)
+    return any(pattern.word(alpha) in factors for alpha in alphas)
 
 
 def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,

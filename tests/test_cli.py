@@ -2,7 +2,6 @@
 
 import importlib.util
 import json
-import multiprocessing
 import os
 import pathlib
 import shutil
@@ -560,7 +559,8 @@ def test_scenario_stdout_does_not_depend_on_the_cpus(capsys, monkeypatch):
             code, out, _ = run_cli(capsys, "scenario", "--all", "--format",
                                    fmt, "--prefix-length", "2000")
             assert code == 0
-            assert multiprocessing.active_children() == []
+            with pytest.raises(ChildProcessError):  # no child at all
+                os.waitpid(-1, os.WNOHANG)
             outputs.setdefault(fmt, set()).add(out)
     assert all(len(outs) == 1 for outs in outputs.values())
 
@@ -583,10 +583,24 @@ def test_package_import_leaves_the_pool_modules_unloaded():
     proc = run_script("""
         import sys
         import wordavoid
-        print([m for m in ("multiprocessing", "concurrent.futures")
-               if m in sys.modules])
+        print([m for m in ("multiprocessing", "concurrent.futures",
+                           "selectors") if m in sys.modules])
         """)
     assert proc.stdout == "[]\n"
+
+
+def test_pooled_scenarios_never_load_the_executor():
+    proc = run_script("""
+        import sys
+        from wordavoid import cli
+        code = cli.main(["scenario", "--all", "--prefix-length", "2000"])
+        print([m for m in ("multiprocessing", "concurrent.futures")
+               if m in sys.modules])
+        sys.exit(code)
+        """)
+    assert proc.returncode == 0
+    assert proc.stdout.count("PASS") == 6
+    assert proc.stdout.endswith("\n[]\n")
 
 
 def test_dead_scenario_worker_is_a_failed_check():
@@ -600,6 +614,21 @@ def test_dead_scenario_worker_is_a_failed_check():
     assert proc.stdout.count("\nscenario ") == 5
     assert "scenario pu-shuffle: FAIL\n  [FAIL] scenario worker: raised" \
         " BrokenProcessPool(" in proc.stdout
+
+
+def test_out_of_memory_in_a_forked_check_is_a_usage_error():
+    proc = run_script("""
+        import sys
+        from wordavoid import cli, scenarios
+
+        def exhausted(*args):
+            raise MemoryError
+
+        scenarios.satisfies_spec = exhausted
+        sys.exit(cli.main(["scenario", "--all", "--prefix-length", "2000"]))
+        """)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert "error: out of memory" in proc.stderr.splitlines()
 
 
 @pytest.fixture(scope="module")

@@ -1,8 +1,9 @@
 """Counting, minimal forbidden words, growth rates, families, exhaustion."""
 
-import concurrent.futures
 import math
-from concurrent.futures import Future
+import os
+import sys
+import time
 from itertools import islice
 from unittest.mock import patch
 
@@ -39,32 +40,19 @@ def test_count_workers_agree(registry):
     assert seq.counts == par.counts
 
 
-class RecordingPool:
-    """Stands in for ProcessPoolExecutor: records its size, runs in-process."""
-
-    sizes = []
-
-    def __init__(self, max_workers, mp_context=None):
-        self.sizes.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def submit(self, fn, job):
-        future = Future()
-        future.set_result(fn(job))
-        return future
-
-
 def use_cpus(monkeypatch, cpus):
-    """Make `cpus` CPUs usable and record pools instead of forking them."""
-    monkeypatch.setattr(RecordingPool, "sizes", [])
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
-                        RecordingPool)
+    """Make `cpus` CPUs usable and count the workers forked: `os.fork`
+    still forks, and each call adds an entry to the list returned."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr("os.fork", counted_fork)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+    return forks
 
 
 @pytest.mark.parametrize("n_max, cpus, pool_size", [
@@ -74,30 +62,31 @@ def use_cpus(monkeypatch, cpus):
 ])
 def test_count_workers_are_clamped(registry, monkeypatch, n_max, cpus,
                                    pool_size):
-    use_cpus(monkeypatch, cpus)
+    forks = use_cpus(monkeypatch, cpus)
     table = count_avoiding(registry.fs_binary, n_max, workers=10_000)
-    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert len(forks) == (0 if pool_size is None else pool_size)
     assert table.counts == H_TABLE[:n_max + 1]
 
 
 def test_count_workers_on_a_finite_language(monkeypatch):
     # squarefree binary words stop at length 3, before the split length
-    use_cpus(monkeypatch, 4)
+    forks = use_cpus(monkeypatch, 4)
     spec = AvoidanceSpec(2, square_min_root=1)
     assert count_avoiding(spec, 8, workers=4).counts == (1, 2, 2, 2) + (0,) * 5
-    assert RecordingPool.sizes == []
+    assert forks == []
 
 
 @pytest.mark.parametrize("jobs, cpus, pool_size", [
     (5, 2, 2),       # capped by the usable CPUs
     (6, 8, 6),       # capped by the jobs, as for the six scenarios
     (1, 8, None),    # one job runs in-process
+    (3000, 2, 2),    # more jobs than the job pipe holds at once
 ])
 def test_process_map_forks_at_most_one_worker_a_job_and_cpu(
         monkeypatch, jobs, cpus, pool_size):
-    use_cpus(monkeypatch, cpus)
+    forks = use_cpus(monkeypatch, cpus)
     assert pool.process_map(abs, range(-jobs, 0)) == list(range(jobs, 0, -1))
-    assert RecordingPool.sizes == ([] if pool_size is None else [pool_size])
+    assert len(forks) == (0 if pool_size is None else pool_size)
 
 
 def test_usable_cpus_are_the_affinity_set_or_the_cpu_count(monkeypatch):
@@ -126,6 +115,80 @@ def test_dead_count_worker_raises():
             print(type(exc).__name__)
         """)
     assert (proc.returncode, proc.stdout) == (0, "BrokenProcessPool\n")
+
+
+def no_child_is_left():
+    """True when this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def test_a_job_exception_is_raised_with_its_own_type(monkeypatch):
+    forks = use_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match="'x'"):
+        pool.process_map(int, ["1", "x"])
+    assert len(forks) == 2
+    assert no_child_is_left()
+
+
+def test_a_lambda_is_a_job_function(monkeypatch):
+    # only results are pickled, so fn need not be importable by name
+    forks = use_cpus(monkeypatch, 2)
+    assert pool.process_map(lambda x: 2 * x, range(5)) == [0, 2, 4, 6, 8]
+    assert len(forks) == 2
+
+
+def test_results_larger_than_a_pipe_come_back_whole():
+    """A parent that reaped its workers before draining their pipes would
+    wait forever here; run_script gives up after 60 s."""
+    proc = run_script("""
+        from wordavoid import pool
+        results = pool.process_map(bytes, [300_000] * 4)
+        print([r == bytes(300_000) for r in results])
+        """)
+    assert proc.stdout == "[True, True, True, True]\n"
+
+
+def _exit_on_zero(job):
+    if job == 0:
+        sys.exit(3)
+    time.sleep(0.1)  # long enough for a worker that went on to take one
+    return os.getpid()
+
+
+def test_a_worker_that_exits_takes_no_further_job(monkeypatch):
+    """SystemExit is not a job's result: its worker ends, its job fails, and
+    the other worker runs every job left."""
+    use_cpus(monkeypatch, 2)
+    results = pool.process_map(_exit_on_zero, range(4),
+                               failed=lambda job, exc: type(exc).__name__)
+    assert results[0] == "BrokenProcessPool"
+    assert len(set(results[1:])) == 1 and os.getpid() not in results
+    assert no_child_is_left()
+
+
+class _Unloadable:
+    """Pickles in a worker; loading it in the parent raises."""
+
+    def __reduce__(self):
+        return _refuse_to_load, ()
+
+
+def _refuse_to_load():
+    raise RuntimeError("cannot load this result")
+
+
+def test_leaving_early_kills_and_reaps_every_worker(monkeypatch):
+    use_cpus(monkeypatch, 2)
+    start = time.perf_counter()
+    with pytest.raises(RuntimeError, match="cannot load"):
+        pool.process_map(lambda job: _Unloadable() if job else time.sleep(30),
+                         [0, 1])
+    assert time.perf_counter() - start < 10
+    assert no_child_is_left()
 
 
 @given(st.integers(0, 7))
