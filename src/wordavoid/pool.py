@@ -51,8 +51,7 @@ def process_map(fn, jobs, failed=None) -> list:
     workers = min(len(jobs), usable_cpus())
     if workers <= 1 or not sys.platform.startswith("linux"):
         return [fn(job) for job in jobs]
-    import selectors  # only pooled runs pay for these imports
-    import signal
+    import selectors  # only pooled runs pay for this import
 
     tickets = [i.to_bytes(_TICKET, "little") for i in range(len(jobs))]
     sent = min(len(tickets), _QUEUED)
@@ -107,8 +106,9 @@ def process_map(fn, jobs, failed=None) -> list:
         while pids:
             os.waitpid(pids.pop(), 0)
     finally:
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
+        for pid in pids:  # only leaving early leaves a worker to kill
+            from signal import SIGKILL
+            os.kill(pid, SIGKILL)
             os.waitpid(pid, 0)
         for fd in fds:
             os.close(fd)

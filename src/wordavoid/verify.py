@@ -444,12 +444,12 @@ def _follower_proof(pattern: GapPattern, may_occur, letters) -> str | None:
     return ",".join(str(d) for d in followers)
 
 
-def _pattern_in_exact_factors(pattern: GapPattern, fixed_point: FixedPoint,
-                              gap: int) -> bool:
+def _gap_flanks(fixed_point: FixedPoint, gap: int) -> set[tuple[int, int, int]]:
+    """The letters (first, middle, last) of every gap pattern that occurs in
+    the fixed point with a gap of this length, from its exact factors."""
     m, seed = fixed_point
-    factors = exact_factors(m, seed, 2 * gap + 3)
-    alphas = exact_factors(m, seed, gap) if gap else (b"",)
-    return any(pattern.word(alpha) in factors for alpha in alphas)
+    return {(f[0], f[gap + 1], f[-1]) for f in exact_factors(m, seed, 2 * gap + 3)
+            if f[1:gap + 1] == f[gap + 2:-1]}
 
 
 def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
@@ -506,10 +506,10 @@ def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
                 names = ",".join(_name(q) for q in nxt)
                 cases.append(f"{tag} descends to {names or 'nothing'}")
 
-    for pat in resolved:
-        for gap in range(base):
-            if _pattern_in_exact_factors(pat, fixed_point, gap):
-                return None
+    for gap in range(base):
+        flanks = _gap_flanks(fixed_point, gap)
+        if any(pat.letters() in flanks for pat in resolved):
+            return None
 
     parts = []
     for pat in sorted(resolved, key=GapPattern.letters):

@@ -7,9 +7,11 @@ span(d), whose starts j with word[j:j+span(d)] == word[j+d:j+d+span(d)] are
 left..right-span(d).  Span d gives squares of root d, span 2d cubes, and span
 d-1 the repeated gap of a gap pattern.  A byte search covers small shifts and
 an anchored block search large ones, so scanning a clean word of length n
-costs roughly n log n byte operations.  First-hit checks read the first run of
-each shift; with allowed words, `_power_starts` checks every start of the
-shift in windowed array compares.  Once a hit is held, later shifts read
+costs roughly n log n byte operations.  Both read bytes that each pack as
+many letters as fit (8 of a binary word), so that a byte search on a small
+alphabet skips as it would on a large one.  First-hit checks read the first
+run of each shift; with allowed words, `_power_starts` checks every start of
+the shift in windowed array compares.  Once a hit is held, later shifts read
 only the letters that a power starting before it can occupy.  Gap patterns
 read the ends of every run, taking a small shift's runs from one array pass,
 and full scans every start.  `gap_occurrences` answers any number of gap
@@ -32,7 +34,11 @@ import numpy as np
 
 # Shifts up to this bound are swept directly; larger shifts go through the
 # anchored block search, which extends runs in doubling chunks from _CHUNK.
-_SWEEP_CUT = 128
+# Words shorter than _LONG, where numpy's cost per call dominates, sweep at
+# most _SHORT_CUT shifts.
+_SWEEP_CUT = 256
+_SHORT_CUT = 128
+_LONG = 1 << 14
 _CHUNK = 256
 # Starts per _power_starts call of a first-hit check, which bounds its arrays.
 _STARTS = 1 << 16
@@ -42,16 +48,16 @@ class ParseError(ValueError):
     """Raised when a word, morphism, or spec text is malformed."""
 
 
+_DIGITS = bytes.maketrans(b"0123456789", bytes(range(10)))
+
+
 def word_from_text(text: str) -> bytes:
     """Parse a word written as decimal digits.  Whitespace is ignored."""
-    out = bytearray()
-    for ch in text:
-        if ch.isspace():
-            continue
-        if not "0" <= ch <= "9":
-            raise ParseError(f"bad letter {ch!r} in word")
-        out.append(int(ch))
-    return bytes(out)
+    digits = "".join(text.split())  # split() drops exactly the isspace() ones
+    if digits.isascii() and (digits.isdigit() or not digits):
+        return digits.encode().translate(_DIGITS)
+    bad = next(ch for ch in digits if not "0" <= ch <= "9")
+    raise ParseError(f"bad letter {bad!r} in word")
 
 
 def word_to_text(word: bytes) -> str:
@@ -101,26 +107,30 @@ def _extend_right(word: bytes, shift: int, right: int) -> int:
     return right
 
 
-def _long_runs(word, lo, hi, need) -> dict[int, list[tuple[int, int]]]:
+def _long_runs(word, packed, q, lo, hi, need) -> dict[int, list[tuple[int, int]]]:
     """Maximal equal runs {shift: [(left, right), ...]} with lo <= shift <= hi
-    and right - left >= need(shift), each list from left to right.
+    and right - left >= need(shift), each list from left to right, where
+    byte p of `packed` holds the q letters word[p:p+q] and q <= lo // 2.
 
     Completeness relies on any window of length >= 2*(lo//2) - 1 containing a
     block that starts on a multiple of lo//2, so need(shift) must be at least
-    lo - 1.  Anchors reach a shift's runs from left to right, so an occurrence
-    left of the last run's right end lies in that run and is not extended.
+    lo - 1.  A block of s letters at js is the needle packed[js:js+s-q+1], at
+    the same positions.  Anchors reach a shift's runs from left to right, so
+    an occurrence left of the last run's right end lies in that run and is
+    not extended.
     """
     n = len(word)
     s = lo // 2
     runs = {}
     if s == 0 or n < lo + s:
         return runs
+    t = s - q + 1  # bytes of a block's needle
     reach: dict[int, int] = {}  # shift -> right end of its last run found
     for js in range(lo + -lo % s, n - s + 1, s):
-        pat = word[js:js + s]
+        pat = packed[js:js + t]
         wlo = max(0, js - hi)
-        whi = js - lo + s
-        pos = word.find(pat, wlo, whi)
+        whi = js - lo + t
+        pos = packed.find(pat, wlo, whi)
         while pos != -1:
             shift = js - pos
             if pos >= reach.get(shift, 0):
@@ -129,16 +139,16 @@ def _long_runs(word, lo, hi, need) -> dict[int, list[tuple[int, int]]]:
                 reach[shift] = right
                 if right - left >= need(shift):
                     runs.setdefault(shift, []).append((left, right))
-            pos = word.find(pat, pos + 1, whi)
+            pos = packed.find(pat, pos + 1, whi)
     return runs
 
 
-def _mask_runs(eq: bytes, probe: bytes, left: int):
+def _mask_runs(eq: bytes, probe: bytes, left: int, tail: int):
     """Maximal runs of 1 bytes in eq at least len(probe) long, from the one
-    at left, which must be the first."""
+    at left, which must be the first, each right end moved on by `tail`."""
     while left != -1:
         right = eq.find(b"\0", left + len(probe))
-        yield left, len(eq) if right == -1 else right
+        yield left, (len(eq) if right == -1 else right) + tail
         left = -1 if right == -1 else eq.find(probe, right)
 
 
@@ -150,43 +160,73 @@ def _mask_edges(equal: np.ndarray, span: int) -> np.ndarray:
     return edges[edges[:, 1] - edges[:, 0] >= span]
 
 
+def _packed(arr: np.ndarray, k: int, q: int) -> tuple[bytes, np.ndarray]:
+    """G, as bytes and as an array: byte p holds the letters arr[p:p+q],
+    each below k, as one base-k number, for k**q <= 256."""
+    size = max(0, len(arr) - q + 1)
+    g = arr[:size].copy()
+    for i in range(1, q):
+        g *= k  # each partial value stays below k**q, so within a byte
+        g += arr[i:i + size]
+    packed = g.tobytes()  # a whole-word slice of bytes is no copy
+    return packed, np.frombuffer(packed, dtype=np.uint8)
+
+
 def _repeats(word: bytes, lo: int, hi: int, span, stop=None, every=False):
     """Yield (d, runs) for each shift d in lo..hi, ascending, with a repeat.
 
     runs iterates, left to right, the maximal (left, right) with
     word[j] == word[j+d] for j in left..right-1 and right - left >= span(d),
-    where span(d) >= 1.  Runs of shifts up to _SWEEP_CUT come lazily from a
-    byte search over the equality mask, so a clean shift costs one compare
-    and one skipping search; the anchored block search finds the runs of
-    larger shifts when span(d) >= d - 1 (see _long_runs).  `stop`, when
-    given, is called before each shift or class of shifts for a bound on
-    the starts still wanted: only the prefix that a repeat starting below
-    it can occupy is read, and runs are those of that prefix.  With
-    `every`, for readers of every run, runs is instead a (k, 2) array, so
-    a swept shift's runs come from one array pass over the mask's edges.
+    where span(d) >= 1 grows with d.  Runs of shifts up to the cut come
+    lazily from a byte search over the equality mask, so a clean shift costs
+    one compare and one skipping search; the anchored block search finds
+    the runs of larger shifts when span(d) >= d - 1 (see _long_runs).  Both
+    read the packed copy G of _packed when span(d) >= q, for k the alphabet
+    size (the largest letter plus one, at least 2) and q the largest with
+    k**q <= 256: a run of span(d) equal letters is a run of span(d) - q + 1
+    equal bytes of G from the same left end, whose right end lies q - 1
+    letters on.  Shorter spans read the letters, as the same code with q = 1.
+    `stop`, when given, is called before each shift or class of shifts for
+    a bound on the starts still wanted: only the prefix that a repeat
+    starting below it can occupy is read, and runs are those of that
+    prefix.  With `every`, for readers of every run, runs is instead a
+    (k, 2) array, so a swept shift's runs come from one array pass over the
+    mask's edges.
     """
     if lo < 1:
         raise ValueError("min_root must be >= 1")
     n = len(word)
     arr = np.frombuffer(word, dtype=np.uint8)
+    k = max(2, int(arr.max(initial=0)) + 1)  # a one-letter word packs as binary
+    q = next(q for q in range(8, 0, -1) if k ** q <= 256)
+    views = {1: (word, arr)}  # the word as bytes of t letters each, by t
+    if 1 < q <= span(hi):  # else no span reaches q
+        views[q] = _packed(arr, k, q)
+    cut = _SWEEP_CUT if n >= _LONG else min(_SWEEP_CUT, _SHORT_CUT)
 
     def prefix(d):  # letters a repeat of shift d starting below stop() needs
         return n if stop is None else min(n, stop() + span(d) + d - 1)
 
-    for d in range(lo, min(hi, _SWEEP_CUT) + 1):
-        m = prefix(d) - d
-        equal = arr[:m] == arr[d:d + m]
+    for d in range(lo, min(hi, cut) + 1):
+        t = q if span(d) >= q else 1
+        m = max(0, prefix(d) - d - t + 1)  # bytes compared
+        width = span(d) - t + 1  # bytes a run must hold
+        g = views[t][1]
+        equal = g[:m] == g[d:d + m]
         eq = equal.tobytes()
-        probe = b"\1" * span(d)
+        probe = b"\1" * width
         left = eq.find(probe)
         if left != -1:
-            yield d, (_mask_edges(equal, span(d)) if every
-                      else _mask_runs(eq, probe, left))
-    clo = max(lo, _SWEEP_CUT + 1)
+            yield d, (_mask_edges(equal, width) + (0, t - 1) if every
+                      else _mask_runs(eq, probe, left, t - 1))
+    clo = max(lo, cut + 1)
     while clo <= hi:  # doubling shift classes [clo, 2clo) for the block search
         chi = min(2 * clo - 1, hi)
         m = prefix(chi)
-        for d, runs in sorted(_long_runs(word[:m], clo, chi, span).items()):
+        t = q if clo // 2 >= q else 1
+        found = _long_runs(word[:m], views[t][0][:m - t + 1], t, clo, chi,
+                           span)
+        for d, runs in sorted(found.items()):
             yield d, np.array(runs, dtype=np.intp) if every else runs
         clo *= 2
 

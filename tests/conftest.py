@@ -14,8 +14,8 @@ import pytest
 from hypothesis import strategies as st
 
 import wordavoid
-from wordavoid import (AvoidanceSpec, Morphism, Substitution, load_registry,
-                       word_to_text)
+from wordavoid import (AvoidanceSpec, Morphism, ParseError, Substitution,
+                       load_registry, word_to_text)
 
 
 @pytest.fixture(scope="session")
@@ -81,6 +81,18 @@ def specs(draw, alphabet, max_min_root=4):
 
 # ---------------------------------------------------------------------------
 # Definitional oracles.
+
+def naive_word_from_text(text: str) -> bytes:
+    """`word_from_text` by its definition, one character at a time."""
+    out = bytearray()
+    for ch in text:
+        if ch.isspace():
+            continue
+        if not "0" <= ch <= "9":
+            raise ParseError(f"bad letter {ch!r} in word")
+        out.append(int(ch))
+    return bytes(out)
+
 
 def naive_squares(word, min_root=1, max_root=None):
     """All (position, root) square occurrences, by the definition."""

@@ -594,7 +594,7 @@ def test_pooled_scenarios_never_load_the_executor():
         import sys
         from wordavoid import cli
         code = cli.main(["scenario", "--all", "--prefix-length", "2000"])
-        print([m for m in ("multiprocessing", "concurrent.futures")
+        print([m for m in ("multiprocessing", "concurrent.futures", "signal")
                if m in sys.modules])
         sys.exit(code)
         """)

@@ -737,6 +737,23 @@ def test_exact_factors_match_a_long_prefix(registry, name):
         assert exact_factors(morphism, 0, k) == seen
 
 
+@pytest.mark.parametrize("name", ["dekking_h", "fs_h", "pu_h"])
+def test_gap_flanks_match_the_per_gap_word_rule(registry, name):
+    """A pattern is in the flank set of a gap exactly when pattern.word(alpha)
+    is an exact factor for some exact factor alpha of the gap's length."""
+    morphism = getattr(registry, name)
+    size = morphism.source_size
+    patterns = [GapPattern(*letters) for letters in
+                np.ndindex(size, size, size)]
+    for gap in range(12):
+        factors = exact_factors(morphism, 0, 2 * gap + 3)
+        alphas = exact_factors(morphism, 0, gap) if gap else (b"",)
+        flanks = verify._gap_flanks((morphism, 0), gap)
+        for pattern in patterns:
+            assert (pattern.letters() in flanks) == any(
+                pattern.word(alpha) in factors for alpha in alphas)
+
+
 def test_exact_factors_need_a_fixed_point(registry):
     # 1 -> 0310230102 does not start with 1, so no fixed point starts at 1
     with pytest.raises(ValueError, match="not prolongable at 1"):

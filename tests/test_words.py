@@ -18,7 +18,7 @@ from wordavoid import (AvoidanceSpec, GapPattern, ParseError, contains_factor,
                        suffix_legal, word_from_text, word_to_text)
 
 from conftest import (naive_cubes, naive_gap_occurrences, naive_satisfies,
-                      naive_squares, specs)
+                      naive_squares, naive_word_from_text, run_script, specs)
 
 words2 = st.binary(max_size=40).map(lambda b: bytes(x & 1 for x in b))
 
@@ -55,6 +55,25 @@ def test_word_text_round_trip():
     for text in ("01a2", "0\u00b2", "0\u0663"):
         with pytest.raises(ParseError):
             word_from_text(text)
+
+
+def parsed(parse, text):
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+# Text mixing ASCII digits, letters and spaces with non-ASCII digits (Arabic
+# and superscript) and spaces (no-break, em, ideographic and line separator).
+texts = st.text(st.sampled_from("0123456789 \t\n\x0b\x1cx-\u00b2\u0663"
+                                "\u00a0\u2003\u3000\u2028") | st.characters())
+
+
+@given(texts)
+@settings(max_examples=300)
+def test_word_from_text_matches_the_character_loop(text):
+    assert parsed(word_from_text, text) == parsed(naive_word_from_text, text)
 
 
 def test_perfect_shuffle_interleaves():
@@ -173,6 +192,75 @@ def test_repeats_yield_the_maximal_runs(word, cut, kind):
 
 
 @st.composite
+def packed_words(draw):
+    """Up to about 600 letters over 1 to 20 letters, so that one packed byte
+    holds from 8 down to 1 of them: a random word with a block of up to 100
+    letters repeated 1-3 times inside."""
+    alphabet = draw(st.integers(1, 20))
+    rng = draw(st.randoms(use_true_random=False))
+
+    def letters(size):
+        return bytes(rng.randrange(alphabet) for _ in range(size))
+
+    base = letters(draw(st.integers(0, 300)))
+    block = letters(draw(st.integers(1, 100)))
+    at = draw(st.integers(0, len(base)))
+    return base[:at] + block * draw(st.integers(1, 3)) + base[at:]
+
+
+def letter_runs(word, d, span):
+    """naive_runs at array speed: the runs lie between the j with
+    word[j] != word[j+d]."""
+    arr = np.frombuffer(word, dtype=np.uint8)
+    breaks = [-1, *np.flatnonzero(arr[:len(word) - d] != arr[d:]).tolist(),
+              len(word) - d]
+    return [(a + 1, b) for a, b in zip(breaks, breaks[1:]) if b - a - 1 >= span]
+
+
+@given(packed_words(), st.sampled_from([1, 2, 3, 7, 8, 9, 128]),
+       st.sampled_from(sorted(SPANS)))
+@settings(max_examples=150, deadline=None)
+def test_packed_scans_yield_the_letter_runs(word, cut, kind):
+    """Cuts around q = 8, 5, 4, 3 and 2 put both searches on either side
+    of the packed copy; the first hits read it with a bound held."""
+    lo, span = SPANS[kind]
+    for d in range(lo, min(len(word), 12) + 1):
+        assert letter_runs(word, d, span(d)) == naive_runs(word, d, span(d))
+    expected = [(d, runs) for d in range(lo, len(word) + 1)
+                if (runs := letter_runs(word, d, span(d)))]
+    with sweep_cut(cut):
+        found = [(d, list(runs))
+                 for d, runs in words._repeats(word, lo, len(word), span)]
+        arrays = [(d, list(map(tuple, runs.tolist()))) for d, runs in
+                  words._repeats(word, lo, len(word), span, every=True)]
+        power = {"square": 2, "cube": 3}.get(kind)
+        first = power and words._first_repeat(word, 1, len(word) // power,
+                                              power)
+    assert found == arrays == expected
+    if power:
+        assert first == min(((runs[0][0], d) for d, runs in expected
+                             if power * d <= len(word)), default=None)
+
+
+def test_one_letter_words_are_scanned_in_time():
+    """A one-letter word packs as a binary one; 0^10000 holds squares of
+    every root up to 5000 and 0 alpha 0 alpha 0 at 4999 * 5000 places."""
+    proc = run_script("""
+        import time
+        from wordavoid import GapPattern, words
+        word = bytes(10_000)
+        start = time.perf_counter()
+        print(words.max_square_root(word),
+              words.find_square_at_least(word, 100),
+              words.find_cube_at_least(word, 50),
+              words.gap_first_and_count(word, GapPattern(0, 0, 0)))
+        print(time.perf_counter() - start < 20)
+        """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "5000 (0, 100) (0, 50) ((0, 0), 24995000)\nTrue\n"
+
+
+@st.composite
 def whitelisted(draw):
     """A planted word and a whitelist of some of its own squares, of any
     root, so allowed roots fall on both sides of every cut."""
@@ -257,10 +345,13 @@ def test_first_hit_bounds_the_later_shifts(registry, monkeypatch, whitelist):
         2, square_whitelist=tuple(map(word_from_text, whitelist))))
     reads = []
     for name, record in (
-            # A square sweep of shift d compares len(eq) + d letters.
-            ("_mask_runs", lambda eq, probe, left:
-             (2 * len(probe), len(eq) + len(probe))),
-            ("_long_runs", lambda word, lo, hi, need: (2 * hi, len(word))),
+            # A square sweep of shift d = len(probe) + tail compares the
+            # bytes up to d + len(eq), each holding tail + 1 letters.
+            ("_mask_runs", lambda eq, probe, left, tail:
+             (2 * (len(probe) + tail), len(eq) + len(probe) + 2 * tail)),
+            # A class reads its letters and packed bytes of q letters each.
+            ("_long_runs", lambda word, packed, q, lo, hi, need:
+             (2 * hi, max(len(word), len(packed) + q - 1))),
             ("_power_starts", lambda arr, power, d, allowed, first, last:
              (power * d, last + power * d))):
         def recorded(*args, fn=getattr(words, name), record=record):
