@@ -13,36 +13,39 @@ word scanners report on the long words of `scenario --all` (the Dekking and
 Fraenkel-Simpson binary prefixes, the PU core and both PU tracks), each as
 built and with 20 seeded single-letter flips: the first violation under
 every packaged spec of the word's alphabet, the longest square root, and on
-the PU core the occurrences of its four gap patterns.  Two trees whose lines
-agree produce the same certificates, scenario reports, count tables, minimal
-sets and scanner answers.
+the PU core the occurrences of its four gap patterns.  The sixth hashes the
+exit code and stdout of a fixed table of in-process `wordavoid` calls: every
+subcommand in every `--format` it accepts, on packaged names and small temp
+files written with comments, blank lines and CRLF line ends, including calls
+that exit 1 and 2.  Two trees whose lines agree produce the same
+certificates, scenario reports, count tables, minimal sets, scanner answers
+and command line output.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import random
 import sys
+import tempfile
 
 from wordavoid import cli
 from wordavoid.instances import MORPHISM_NAMES, SPEC_NAMES, SUBSTITUTION_NAMES
 from wordavoid import (GapPattern, count_avoiding, fixed_point_prefix,
                        gap_occurrences, load_registry, max_square_root,
                        minimal_forbidden, satisfies_spec,
-                       verify_square_transfer, verify_substitution_transfer)
+                       verify_square_transfer)
 
 
 def certificate_digest() -> tuple[int, str]:
     reg = load_registry()
     specs = [(name, getattr(reg, name)) for name in SPEC_NAMES]
-    jobs = [(name, getattr(reg, name), verify_square_transfer)
-            for name in MORPHISM_NAMES]
-    jobs += [(name, getattr(reg, name), verify_substitution_transfer)
-             for name in SUBSTITUTION_NAMES]
     digest = hashlib.sha256()
     count = 0
-    for name, morphism, verifier in jobs:
+    for name in MORPHISM_NAMES + SUBSTITUTION_NAMES:
+        morphism = getattr(reg, name)
         flat = (morphism.to_annotated()[0] if name in SUBSTITUTION_NAMES
                 else morphism)
         width = flat.uniform_width
@@ -53,8 +56,9 @@ def certificate_digest() -> tuple[int, str]:
                 if target.alphabet_size < morphism.target_size:
                     continue
                 for cap in (None, 2 * width + 3):
-                    cert = verifier(morphism, source, target, root_cap=cap,
-                                    name=f"{name}:{source_name}:{target_name}")
+                    cert = verify_square_transfer(
+                        morphism, source, target, root_cap=cap,
+                        name=f"{name}:{source_name}:{target_name}")
                     digest.update(json.dumps(cert.to_dict(),
                                              sort_keys=True).encode() + b"\n")
                     count += 1
@@ -117,6 +121,98 @@ def scans_digest() -> str:
     return digest.hexdigest()
 
 
+# Small input files of the `cli` line, written with the comments, blank
+# lines and CRLF line ends that spec, map and word-list files may hold.
+CLI_FILES = {
+    "word": "0110100110010110100101100110100110010110",
+    "squares": "0010011",
+    "left": "0101101",
+    "right": "1100101",
+    "runs": "# runs of three\r\n\r\n111  # ones\r\n000\r\n",
+    "spec": "# no runs of three\nalphabet 2\n\nforbid 000 111  # runs\n",
+    "map": "# Thue-Morse\n0 -> 01\n\n1 -> 10  # swapped\n",
+}
+
+# (label, argv) of each call of the `cli` line; `{name}` is the path of the
+# file CLI_FILES[name].  `verify` gets only packaged names, since its
+# certificate is named after the --morphism token.
+CLI_CALLS = [
+    ("generate text", ["generate", "--morphism", "dekking_h",
+                       "--length", "60"]),
+    ("generate json", ["generate", "--morphism", "{map}", "--length", "33",
+                       "--format", "json"]),
+    ("scan text", ["scan", "--word", "{word}", "--min-root", "3", "--cubes",
+                   "--factors", "{runs}", "--gap-pattern", "0,1,0"]),
+    ("scan json", ["scan", "--word", "{word}", "--min-root", "3", "--cubes",
+                   "--factors", "{runs}", "--gap-pattern", "0,1,0",
+                   "--format", "json"]),
+    ("scan squares", ["scan", "--word", "{squares}", "--min-root", "1"]),
+    ("scan nothing", ["scan", "--word", "{word}"]),
+    ("verify text", ["verify", "--morphism", "dekking_h", "--source",
+                     "dekking_h_source", "--target", "squarefree4"]),
+    ("verify json", ["verify", "--morphism", "dekking_g", "--source",
+                     "dekking_g_source", "--target", "dekking_binary",
+                     "--fixed-point-morphism", "dekking_h", "--format",
+                     "json"]),
+    ("verify substitution text", ["verify", "--morphism", "dekking_sub",
+                                  "--source", "dekking_h_source",
+                                  "--target", "squarefree4"]),
+    ("verify substitution json", ["verify", "--morphism", "fs_sub",
+                                  "--source", "fs_h_target", "--target",
+                                  "fs_g_source", "--format", "json"]),
+    ("verify root cap", ["verify", "--morphism", "dekking_h", "--source",
+                         "dekking_h_source", "--target", "squarefree4",
+                         "--root-cap", "5"]),
+    ("count csv", ["count", "--spec", "dekking", "--n-max", "12"]),
+    ("count json", ["count", "--spec", "{spec}", "--n-max", "12",
+                    "--format", "json"]),
+    ("count text", ["count", "--spec", "ejs3", "--n-max", "12",
+                    "--format", "text"]),
+    ("forbidden text", ["forbidden", "--spec", "fraenkel-simpson",
+                        "--max-len", "12"]),
+    ("forbidden json", ["forbidden", "--spec", "{spec}", "--max-len", "6",
+                        "--format", "json"]),
+    ("growth json", ["growth", "--forbidden", "{runs}"]),
+    ("growth text", ["growth", "--forbidden", "{runs}", "--alphabet", "3",
+                     "--format", "text"]),
+    ("family json", ["family", "--sub", "dekking_sub", "--outer", "dekking_g",
+                     "--seed-word", "0123", "--target", "dekking_binary"]),
+    ("family text", ["family", "--sub", "dekking_sub", "--outer", "dekking_g",
+                     "--seed-word", "111", "--target", "dekking_binary",
+                     "--denominator", "1", "--format", "text"]),
+    ("shuffle text", ["shuffle", "--left", "{left}", "--right", "{right}"]),
+    ("shuffle json", ["shuffle", "--left", "{left}", "--right", "{right}",
+                      "--format", "json"]),
+    ("scenario text", ["scenario", "dekking-forbidden-motivation"]),
+    ("scenario certificates text", ["scenario", "fs-verify",
+                                    "--prefix-length", "2000"]),
+    ("scenario json", ["scenario", "counting", "--format", "json"]),
+    ("scenario nothing", ["scenario"]),
+]
+
+
+def cli_digest() -> str:
+    """Hash the label, exit code and stdout of each call in CLI_CALLS.
+
+    Stderr is left out: its `config:` line names the temp files.
+    """
+    digest = hashlib.sha256()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {}
+        for name, text in CLI_FILES.items():
+            paths[name] = os.path.join(tmp, f"{name}.txt")
+            with open(paths[name], "w", encoding="ascii", newline="") as fh:
+                fh.write(text)
+        for label, argv in CLI_CALLS:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main([arg.format(**paths) for arg in argv])
+            digest.update(json.dumps([label, code, out.getvalue()]).encode()
+                          + b"\n")
+    return digest.hexdigest()
+
+
 # Each line's label and how to compute its digest, in printed order.
 LINES = {
     "certificates": lambda: "{} {}".format(*certificate_digest()),
@@ -125,6 +221,7 @@ LINES = {
         lambda: scenario_digest("--prefix-length", "2000"),
     "tables": tables_digest,
     "scans": scans_digest,
+    "cli": cli_digest,
 }
 
 

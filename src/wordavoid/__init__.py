@@ -15,8 +15,7 @@ from .verify import (BoundedCaseReport, EmbeddingCase, GapEvidence,
                      TransferCertificate, bounded_case_check,
                      find_inclusions, find_interchanges,
                      prove_gap_pattern_absence, refute_inclusion,
-                     refute_interchange, verify_square_transfer,
-                     verify_substitution_transfer)
+                     refute_interchange, verify_square_transfer)
 from .counting import (CountTable, ExhaustReport, FactorAutomaton,
                        FamilyReport, GrowthEstimate, MinimalForbiddenSet,
                        build_automaton, count_avoiding, exhaust_max_length,

@@ -17,15 +17,14 @@ from functools import partial
 from .counting import (FactorAutomaton, count_avoiding, growth_rate,
                        lower_bound_family, minimal_forbidden)
 from .instances import (MORPHISM_NAMES, SUBSTITUTION_NAMES, load_registry)
-from .morphisms import (Substitution, fixed_point_prefix, parse_morphism,
-                        parse_substitution)
+from .morphisms import fixed_point_prefix, parse_morphism, parse_substitution
 from .pool import process_map
 from .scenarios import SCENARIOS, failed_report, run_scenario
-from .verify import verify_square_transfer, verify_substitution_transfer
-from .words import (GapPattern, ParseError, find_cube_at_least,
-                    find_square_at_least, format_spec, gap_first_and_count,
-                    parse_spec, perfect_shuffle, scan_forbidden,
-                    word_from_text, word_to_text)
+from .verify import verify_square_transfer
+from .words import (GapPattern, ParseError, content_lines,
+                    find_cube_at_least, find_square_at_least, format_spec,
+                    gap_first_and_count, parse_spec, perfect_shuffle,
+                    scan_forbidden, word_from_text, word_to_text)
 
 
 def _read(path: str) -> str:
@@ -61,8 +60,13 @@ def _read_word(path: str) -> bytes:
 
 def _read_words(path: str) -> list[bytes]:
     """One word a line; `#` starts a comment, as in spec and map files."""
-    lines = (line.split("#", 1)[0] for line in _read(path).splitlines())
-    return [word_from_text(line) for line in lines if line.strip()]
+    words = []
+    for lineno, line in content_lines(_read(path)):
+        try:
+            words.append(word_from_text(line))
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
+    return words
 
 
 def _spec_oneline(spec) -> str:
@@ -105,38 +109,38 @@ def _emit(text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies.  Each returns the exit status.
+# Subcommand bodies.  Each returns (exit status, JSON payload, text view); the
+# text view is a zero-argument callable, so a JSON request never builds it.
+# `main` renders the one the format asks for.
 
-def _cmd_generate(args) -> int:
+def _word_result(word: bytes):
+    return (0, {"length": len(word), "word": word_to_text(word)},
+            lambda: word_to_text(word))
+
+
+def _cmd_generate(args):
     morphism = _resolve_map(args.morphism, MORPHISM_NAMES, parse_morphism)
-    word = fixed_point_prefix(morphism, args.seed_letter, args.length)
-    if args.format == "json":
-        _emit(json.dumps({"length": len(word), "word": word_to_text(word)},
-                         sort_keys=True))
-    else:
-        _emit(word_to_text(word))
-    return 0
+    return _word_result(fixed_point_prefix(morphism, args.seed_letter,
+                                           args.length))
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     word = _read_word(args.word)
     findings = []
 
+    def found(name, hit, *keys):
+        """Record check `name`, with its hit's values under `keys`."""
+        findings.append((name, hit and dict(zip(keys, hit))))
+
     if args.min_root is not None:
-        hit = find_square_at_least(word, args.min_root)
-        findings.append(("square with root >= %d" % args.min_root,
-                         None if hit is None else
-                         {"position": hit[0], "root": hit[1]}))
+        found("square with root >= %d" % args.min_root,
+              find_square_at_least(word, args.min_root), "position", "root")
     if args.cubes:
-        hit = find_cube_at_least(word, 1)
-        findings.append(("cube",
-                         None if hit is None else
-                         {"position": hit[0], "root": hit[1]}))
+        found("cube", find_cube_at_least(word, 1), "position", "root")
     if args.factors is not None:
         hit = scan_forbidden(word, tuple(_read_words(args.factors)))
-        findings.append(("forbidden factor",
-                         None if hit is None else
-                         {"position": hit[0], "factor": word_to_text(hit[1])}))
+        found("forbidden factor", hit and (hit[0], word_to_text(hit[1])),
+              "position", "factor")
     if args.gap_pattern is not None:
         # One decimal digit per letter, the letters a word file can hold.
         parts = [p.strip() for p in args.gap_pattern.split(",")]
@@ -146,21 +150,13 @@ def _cmd_scan(args) -> int:
                              " `a,b,c`")
         pattern = GapPattern(*(int(p) for p in parts))
         hit, count = gap_first_and_count(word, pattern)
-        findings.append(("gap pattern %d.%d.%d" % pattern.letters(),
-                         None if hit is None else
-                         {"position": hit[0], "gap": hit[1],
-                          "occurrences": count}))
+        found("gap pattern %d.%d.%d" % pattern.letters(),
+              hit and (*hit, count), "position", "gap", "occurrences")
     if not findings:
         raise ParseError("nothing to scan for; pass --min-root, --cubes,"
                          " --factors, or --gap-pattern")
 
-    clean = all(hit is None for _, hit in findings)
-    if args.format == "json":
-        _emit(json.dumps({"length": len(word), "clean": clean,
-                          "checks": [{"name": name, "finding": hit}
-                                     for name, hit in findings]},
-                         sort_keys=True))
-    else:
+    def text():
         lines = [f"scanned {len(word)} symbols"]
         for name, hit in findings:
             if hit is None:
@@ -168,8 +164,14 @@ def _cmd_scan(args) -> int:
             else:
                 detail = ", ".join(f"{k} {v}" for k, v in sorted(hit.items()))
                 lines.append(f"  {name}: {detail}")
-        _emit("\n".join(lines))
-    return 0 if clean else 1
+        return "\n".join(lines)
+
+    clean = all(hit is None for _, hit in findings)
+    return (0 if clean else 1,
+            {"length": len(word), "clean": clean,
+             "checks": [{"name": name, "finding": hit}
+                        for name, hit in findings]},
+            text)
 
 
 def _render_certificate(cert) -> str:
@@ -208,7 +210,7 @@ def _render_certificate(cert) -> str:
     return "\n".join(lines)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args):
     source = _resolve_spec(args.source)
     target = _resolve_spec(args.target)
     fixed_point = None
@@ -220,17 +222,12 @@ def _cmd_verify(args) -> int:
     # certifies as the morphism it is (see `Substitution.to_annotated`).
     morphism = _resolve_map(args.morphism, MORPHISM_NAMES + SUBSTITUTION_NAMES,
                             parse_substitution)
-    verifier = (verify_substitution_transfer
-                if isinstance(morphism, Substitution)
-                else verify_square_transfer)
-    cert = verifier(morphism, source, target, depth=args.depth,
-                    root_cap=args.root_cap, fixed_point=fixed_point,
-                    name=args.name or args.morphism)
-    if args.format == "json":
-        _emit(json.dumps(cert.to_dict(), sort_keys=True))
-    else:
-        _emit(_render_certificate(cert))
-    return 0 if cert.complete else 1
+    cert = verify_square_transfer(morphism, source, target, depth=args.depth,
+                                  root_cap=args.root_cap,
+                                  fixed_point=fixed_point,
+                                  name=args.name or args.morphism)
+    return (0 if cert.complete else 1, cert.to_dict(),
+            partial(_render_certificate, cert))
 
 
 def _workers_from_env() -> int:
@@ -242,34 +239,25 @@ def _workers_from_env() -> int:
                          ) from None
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args):
     spec = _resolve_spec(args.spec)
     table = count_avoiding(spec, args.n_max, workers=_workers_from_env())
-    if args.format == "json":
-        _emit(json.dumps({"spec": _spec_oneline(spec),
-                          "counts": list(table.counts)}, sort_keys=True))
-    elif args.format == "text":
-        _emit("\n".join(f"{n:4d} {c}" for n, c in enumerate(table.counts)))
-    else:
-        _emit(table.to_csv())
-    return 0
+    def text():
+        return "\n".join(f"{n:4d} {c}" for n, c in enumerate(table.counts))
+
+    return (0, {"spec": _spec_oneline(spec), "counts": list(table.counts)},
+            table.to_csv if args.format == "csv" else text)
 
 
-def _cmd_forbidden(args) -> int:
+def _cmd_forbidden(args):
     spec = _resolve_spec(args.spec)
     derived = minimal_forbidden(spec, args.max_len)
-    ordered = sorted(derived.words, key=lambda w: (len(w), w))
-    if args.format == "json":
-        _emit(json.dumps({"spec": _spec_oneline(spec),
-                          "max_length": args.max_len,
-                          "words": [word_to_text(w) for w in ordered]},
-                         sort_keys=True))
-    else:
-        _emit(derived.to_lines())
-    return 0
+    return (0, {"spec": _spec_oneline(spec), "max_length": args.max_len,
+                "words": [word_to_text(w) for w in derived.ordered()]},
+            derived.to_lines)
 
 
-def _cmd_growth(args) -> int:
+def _cmd_growth(args):
     words = _read_words(args.forbidden)
     if args.alphabet is not None:
         alphabet = args.alphabet
@@ -281,15 +269,13 @@ def _cmd_growth(args) -> int:
         raise ParseError("forbidden words use letters outside the alphabet")
     estimate = growth_rate(FactorAutomaton(alphabet, frozenset(words)),
                            tol=args.tol)
-    if args.format == "text":
-        _emit(f"eigenvalue {estimate.eigenvalue:.9f} from {estimate.states}"
-              f" live states after {estimate.iterations} iterations")
-    else:
-        _emit(json.dumps(estimate.to_dict(), sort_keys=True))
-    return 0
+    return (0, estimate.to_dict(),
+            lambda: f"eigenvalue {estimate.eigenvalue:.9f} from"
+                    f" {estimate.states} live states after"
+                    f" {estimate.iterations} iterations")
 
 
-def _cmd_family(args) -> int:
+def _cmd_family(args):
     sub = _resolve_map(args.sub, SUBSTITUTION_NAMES, parse_substitution)
     outer = _resolve_map(args.outer, MORPHISM_NAMES, parse_morphism)
     target = _resolve_spec(args.target)
@@ -299,29 +285,22 @@ def _cmd_family(args) -> int:
                                 samples=args.samples, seed=args.seed)
     expected = report.family_size if report.enumerated else args.samples
     ok = report.verified_count == expected and report.exponent_check
-    if args.format == "text":
+
+    def text():
         mode = "enumerated" if report.enumerated else f"sampled {args.samples}"
-        _emit(f"{report.family_size} words of length {report.word_length}"
-              f" ({mode}); {report.verified_count} verified;"
-              f" exponent check {'passed' if report.exponent_check else 'failed'}")
-    else:
-        _emit(json.dumps(report.to_dict(), sort_keys=True))
-    return 0 if ok else 1
+        return (f"{report.family_size} words of length {report.word_length}"
+                f" ({mode}); {report.verified_count} verified; exponent check"
+                f" {'passed' if report.exponent_check else 'failed'}")
+
+    return 0 if ok else 1, report.to_dict(), text
 
 
-def _cmd_shuffle(args) -> int:
-    left = _read_word(args.left)
-    right = _read_word(args.right)
-    word = perfect_shuffle(left, right)
-    if args.format == "json":
-        _emit(json.dumps({"length": len(word), "word": word_to_text(word)},
-                         sort_keys=True))
-    else:
-        _emit(word_to_text(word))
-    return 0
+def _cmd_shuffle(args):
+    return _word_result(perfect_shuffle(_read_word(args.left),
+                                        _read_word(args.right)))
 
 
-def _cmd_scenario(args) -> int:
+def _cmd_scenario(args):
     if args.all:
         names = list(SCENARIOS)
     elif args.name is not None:
@@ -333,11 +312,9 @@ def _cmd_scenario(args) -> int:
     reports = process_map(
         partial(run_scenario, prefix_length=args.prefix_length), names,
         failed=lambda name, exc: failed_report(name, "scenario worker", exc))
-    if args.format == "json":
-        _emit(json.dumps([r.to_dict() for r in reports], sort_keys=True))
-    else:
-        _emit("\n\n".join(r.digest() for r in reports))
-    return 0 if all(r.ok for r in reports) else 1
+    return (0 if all(r.ok for r in reports) else 1,
+            [r.to_dict() for r in reports],
+            lambda: "\n\n".join(r.digest() for r in reports))
 
 
 # ---------------------------------------------------------------------------
@@ -440,7 +417,10 @@ def main(argv=None) -> int:
                             if key != "run" and value is not None}}
     print("config: " + json.dumps(config, sort_keys=True), file=sys.stderr)
     try:
-        return args.run(args)
+        code, payload, text = args.run(args)
+        _emit(json.dumps(payload, sort_keys=True) if args.format == "json"
+              else text())
+        return code
     except ValueError as exc:  # ParseError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -28,7 +28,8 @@ import numpy as np
 
 from .morphisms import Morphism, Substitution
 from .pool import process_map, usable_cpus
-from .words import AvoidanceSpec, ColumnStep, satisfies_spec, word_to_text
+from .words import (AvoidanceSpec, ColumnStep, report_row, satisfies_spec,
+                    word_to_text)
 
 
 @dataclass(frozen=True)
@@ -192,9 +193,12 @@ class MinimalForbiddenSet:
     max_length: int
     words: frozenset[bytes]
 
+    def ordered(self) -> list[bytes]:
+        """The words, shortest first and lexicographic within a length."""
+        return sorted(self.words, key=lambda w: (len(w), w))
+
     def to_lines(self) -> str:
-        ordered = sorted(self.words, key=lambda w: (len(w), w))
-        return "\n".join(word_to_text(w) for w in ordered) + "\n"
+        return "\n".join(word_to_text(w) for w in self.ordered()) + "\n"
 
 
 def minimal_forbidden(spec: AvoidanceSpec, max_length: int) -> MinimalForbiddenSet:
@@ -317,9 +321,7 @@ class GrowthEstimate:
     iterations: int
     residual: float
 
-    def to_dict(self) -> dict:
-        return {"eigenvalue": self.eigenvalue, "states": self.states,
-                "iterations": self.iterations, "residual": self.residual}
+    to_dict = report_row
 
 
 def growth_rate(automaton: FactorAutomaton, tol: float = 1e-9,
@@ -372,12 +374,7 @@ class FamilyReport:
     exponent_check: bool
     enumerated: bool
 
-    def to_dict(self) -> dict:
-        return {"word_length": self.word_length,
-                "family_size": self.family_size,
-                "verified_count": self.verified_count,
-                "exponent_check": self.exponent_check,
-                "enumerated": self.enumerated}
+    to_dict = report_row
 
 
 def lower_bound_family(sub: Substitution, outer: Morphism, seed_word: bytes,

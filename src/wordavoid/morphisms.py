@@ -10,7 +10,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .words import ParseError, word_from_text
+from .words import ParseError, content_lines, word_from_text
 
 
 @dataclass(frozen=True)
@@ -195,24 +195,23 @@ def parse_substitution(text: str) -> Substitution:
 
 def _parse_image_lines(text: str, allow_choices: bool) -> list[tuple[bytes, ...]]:
     entries: dict[int, tuple[bytes, ...]] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "->" not in line:
-            raise ParseError(f"line {lineno}: expected `letter -> image`")
-        lhs, rhs = line.split("->", 1)
+    for lineno, line in content_lines(text):
         try:
-            letter = int(lhs.strip())
-        except ValueError:
-            raise ParseError(f"line {lineno}: bad letter {lhs.strip()!r}") from None
-        choices = tuple(word_from_text(part) for part in rhs.split(","))
-        if len(choices) > 1 and not allow_choices:
-            raise ParseError(f"line {lineno}: alternate images not allowed here")
-        if letter in entries:
-            raise ParseError(f"line {lineno}: duplicate letter {letter}")
+            lhs, arrow, rhs = line.partition("->")
+            if not arrow:
+                raise ParseError("expected `letter -> image`")
+            try:
+                letter = int(lhs)
+            except ValueError:
+                raise ParseError(f"bad letter {lhs.strip()!r}") from None
+            choices = tuple(word_from_text(part) for part in rhs.split(","))
+            if len(choices) > 1 and not allow_choices:
+                raise ParseError("alternate images not allowed here")
+            if letter in entries:
+                raise ParseError(f"duplicate letter {letter}")
+        except ParseError as exc:
+            raise ParseError(f"line {lineno}: {exc}") from None
         entries[letter] = choices
     if sorted(entries) != list(range(len(entries))):
         raise ParseError("letters must cover 0..k-1")
     return [entries[a] for a in range(len(entries))]
-

@@ -16,11 +16,10 @@ from .counting import (build_automaton, count_avoiding, growth_rate,
                        lower_bound_family, minimal_forbidden)
 from .instances import InstanceRegistry, load_registry
 from .morphisms import fixed_point_prefix, power
-from .verify import (find_inclusions, find_interchanges,
-                     verify_square_transfer, verify_substitution_transfer)
+from .verify import find_inclusions, find_interchanges, verify_square_transfer
 from .words import (AvoidanceSpec, GapPattern, contains_factor,
                     gap_occurrences, max_square_root, perfect_shuffle,
-                    satisfies_spec, word_from_text, word_to_text)
+                    report_row, satisfies_spec, word_from_text, word_to_text)
 
 # The pinned count tables and minimal-set sizes; the tests import them.
 G_TABLE = (1, 2, 4, 6, 10, 16, 24, 36, 52, 72, 90, 116, 142, 178, 220, 264,
@@ -56,11 +55,8 @@ class ScenarioReport:
         return all(c.ok for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "ok": self.ok,
-                "inputs": list(self.inputs),
-                "checks": [{"name": c.name, "ok": c.ok, "detail": c.detail}
-                           for c in self.checks],
-                "artifacts": self.artifacts}
+        return {**report_row(self), "ok": self.ok,
+                "checks": [report_row(c) for c in self.checks]}
 
     def digest(self) -> str:
         lines = [f"scenario {self.name}: {'PASS' if self.ok else 'FAIL'}"]
@@ -172,10 +168,8 @@ def _scenario_dekking_verify(reg: InstanceRegistry, prefix_length: int
         "{c.bounded.legal_counts[5]} words at length 5")
     col.certify(
         "substitution transfer certificate", "substitution_certificate",
-        lambda: verify_substitution_transfer(reg.dekking_sub,
-                                             reg.dekking_h_source,
-                                             reg.squarefree4,
-                                             name="dekking_sub"),
+        lambda: verify_square_transfer(reg.dekking_sub, reg.dekking_h_source,
+                                       reg.squarefree4, name="dekking_sub"),
         lambda c: (_inclusion_rows(c.inclusions)
                    == [((3, 1, 2, 6), "no-right-extension", ()),
                        ((3, 4, 2, 6), "no-left-extension", ())]
@@ -272,8 +266,8 @@ def _scenario_fs_verify(reg: InstanceRegistry, prefix_length: int
         "complete, 8 live inclusions, 0 interchanges")
     col.certify(
         "substitution transfer certificate", "substitution_certificate",
-        lambda: verify_substitution_transfer(reg.fs_sub, reg.fs_h_target,
-                                             reg.fs_g_source, name="fs_sub"),
+        lambda: verify_square_transfer(reg.fs_sub, reg.fs_h_target,
+                                       reg.fs_g_source, name="fs_sub"),
         lambda c: (_inclusion_rows(c.inclusions)
                    == [((3, 2, 0, 13), "no-left-extension", ())]
                    and _inclusion_rows(c.equal_pair_inclusions)
@@ -460,7 +454,7 @@ def _scenario_counting(reg: InstanceRegistry, prefix_length: int
             expected = MINIMAL_SET_SIZES[label]
             size_note = ""
             if len(derived.words) != expected:
-                sample = sorted(derived.words, key=lambda w: (len(w), w))[:3]
+                sample = derived.ordered()[:3]
                 size_note = (f"; size {len(derived.words)} differs from "
                              f"{expected}, sample "
                              + ",".join(word_to_text(w) for w in sample))

@@ -29,7 +29,7 @@ residual obligations; it is complete when nothing is left open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -37,8 +37,8 @@ import numpy as np
 from .counting import walk_legal
 from .morphisms import Morphism, Substitution, fixed_point_prefix
 from .words import (AvoidanceSpec, ColumnStep, GapPattern, Violation,
-                    format_spec, gap_first_and_count, satisfies_spec,
-                    word_to_text)
+                    format_spec, gap_first_and_count, report_row,
+                    satisfies_spec, word_to_text)
 
 FixedPoint = tuple[Morphism, int]
 
@@ -48,10 +48,6 @@ FixedPoint = tuple[Morphism, int]
 _DESCENT_BASE = 12
 _EXHAUST_GAP = 8
 _SCAN_LENGTH = 100_000
-
-
-def _name(pattern: GapPattern) -> str:
-    return word_to_text(bytes(pattern.letters()))
 
 
 def _project(word: bytes, classes: tuple[int, ...] | None) -> bytes:
@@ -135,18 +131,6 @@ def _fixed_point_phases(morphism: Morphism, seed: int, word: bytes) -> set[int]:
 # ---------------------------------------------------------------------------
 # Witnesses.
 
-def _row(row) -> dict:
-    """A witness or evidence row's fields in order, with words as text."""
-    out = {}
-    for field in fields(row):
-        value = getattr(row, field.name)
-        out[field.name] = (word_to_text(value) if isinstance(value, bytes)
-                           else _name(value) if isinstance(value, GapPattern)
-                           else list(value) if isinstance(value, tuple)
-                           else value)
-    return out
-
-
 @dataclass(frozen=True)
 class InclusionWitness:
     """image(a) + image(b) contains image(c) at `offset`, flanked by t and u."""
@@ -158,7 +142,7 @@ class InclusionWitness:
     t: bytes
     u: bytes
 
-    to_dict = _row
+    to_dict = report_row
 
 
 @dataclass(frozen=True)
@@ -178,7 +162,7 @@ class InterchangeWitness:
     v: bytes
     splits: tuple[int, ...]
 
-    to_dict = _row
+    to_dict = report_row
 
 
 @dataclass(frozen=True)
@@ -190,7 +174,7 @@ class EmbeddingCase:
     case: str
     detail: str
 
-    to_dict = _row
+    to_dict = report_row
 
 
 @dataclass(frozen=True)
@@ -231,7 +215,7 @@ class GapEvidence:
     complete: bool
     detail: str
 
-    to_dict = _row
+    to_dict = report_row
 
 
 @dataclass(frozen=True)
@@ -242,9 +226,7 @@ class BoundedCaseReport:
     violations: tuple[tuple[bytes, Violation], ...]
 
     def to_dict(self) -> dict:
-        return {"max_source_length": self.max_source_length,
-                "words_checked": self.words_checked,
-                "legal_counts": list(self.legal_counts),
+        return {**report_row(self),
                 "violations": [{"source": word_to_text(w),
                                 "violation": v.describe()}
                                for w, v in self.violations]}
@@ -503,7 +485,7 @@ def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
                 nxt = sorted((GapPattern(y, x, z) for y in ys for z in zs),
                              key=GapPattern.letters)
                 todo.extend(nxt)
-                names = ",".join(_name(q) for q in nxt)
+                names = ",".join(q.text() for q in nxt)
                 cases.append(f"{tag} descends to {names or 'nothing'}")
 
     for gap in range(base):
@@ -513,7 +495,7 @@ def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
 
     parts = []
     for pat in sorted(resolved, key=GapPattern.letters):
-        parts.append(f"{_name(pat)}: " + "; ".join(resolved[pat]))
+        parts.append(f"{pat.text()}: " + "; ".join(resolved[pat]))
     return f"gaps < {base} absent by exact factors; " + " | ".join(parts)
 
 
@@ -538,7 +520,7 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
                                 range(spec.alphabet_size))
     if followers is not None:
         return GapEvidence(pattern, "follower", "spec", True,
-                           f"{_name(pattern)} illegal; followers of {c} are"
+                           f"{pattern.text()} illegal; followers of {c} are"
                            f" {{{followers}}} and none may follow {b}")
     if fixed_point is not None:
         m, seed = fixed_point
@@ -547,7 +529,7 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
             [d for (d,) in sorted(exact_factors(m, seed, 1))])
         if followers is not None:
             return GapEvidence(pattern, "follower", "fixed-point", True,
-                               f"{_name(pattern)} not a factor; factor"
+                               f"{pattern.text()} not a factor; factor"
                                f" followers of {c} are {{{followers}}} and"
                                f" none follows {b}")
         detail = _descent_proof(pattern, spec, fixed_point)
@@ -582,9 +564,9 @@ def refute_interchange(witness: InterchangeWitness,
     if evidence is not None and evidence.kind != "present":
         return Refutation(
             "gap-pattern-absent",
-            f"pattern {_name(pattern)} ruled out by {evidence.kind}"
+            f"pattern {pattern.text()} ruled out by {evidence.kind}"
             f" ({evidence.scope} scope)")
-    return Refutation("open", f"no evidence against pattern {_name(pattern)}")
+    return Refutation("open", f"no evidence against pattern {pattern.text()}")
 
 
 # ---------------------------------------------------------------------------
@@ -684,18 +666,22 @@ class TransferCertificate:
         }
 
 
-def verify_square_transfer(morphism: Morphism, source: AvoidanceSpec,
-                           target: AvoidanceSpec, depth: int = 2,
-                           root_cap: int | None = None,
+def verify_square_transfer(morphism: Morphism | Substitution,
+                           source: AvoidanceSpec, target: AvoidanceSpec,
+                           depth: int = 2, root_cap: int | None = None,
                            fixed_point: FixedPoint | None = None,
-                           name: str = "",
-                           classes: tuple[int, ...] | None = None
-                           ) -> TransferCertificate:
+                           name: str = "") -> TransferCertificate:
     """Verify that images of source-legal words satisfy the target spec.
 
-    The root cap defaults to 2W; a smaller one cannot give a complete
-    certificate, because the roots between it and 2W are checked nowhere.
+    A substitution is verified by flattening alternate images to fresh
+    letters that share their original letter's legality class (see
+    `Substitution.to_annotated`).  The root cap defaults to 2W; a smaller one
+    cannot give a complete certificate, because the roots between it and 2W
+    are checked nowhere.
     """
+    classes = None
+    if isinstance(morphism, Substitution):
+        morphism, classes = morphism.to_annotated()
     width = morphism.uniform_width
     if width is None:
         raise ValueError("transfer verification needs a uniform morphism")
@@ -756,7 +742,7 @@ def verify_square_transfer(morphism: Morphism, source: AvoidanceSpec,
     for p in patterns:
         ev = evidence[p]
         if not ev.complete and ev.kind != "present":
-            residual.append(f"gap pattern {_name(p)} absence is empirical"
+            residual.append(f"gap pattern {p.text()} absence is empirical"
                             f" ({ev.kind})")
 
     return TransferCertificate(
@@ -766,16 +752,3 @@ def verify_square_transfer(morphism: Morphism, source: AvoidanceSpec,
         equal_pair_inclusions=equal_pair, interchanges=tuple(checked),
         gap_evidence=tuple(evidence[p] for p in patterns),
         residual=tuple(residual))
-
-
-def verify_substitution_transfer(sub: Substitution, source: AvoidanceSpec,
-                                 target: AvoidanceSpec, depth: int = 2,
-                                 root_cap: int | None = None,
-                                 fixed_point: FixedPoint | None = None,
-                                 name: str = "") -> TransferCertificate:
-    """Verify a substitution by flattening alternate images to fresh letters
-    that share their original letter's legality class."""
-    annotated, classes = sub.to_annotated()
-    return verify_square_transfer(annotated, source, target, depth=depth,
-                                  root_cap=root_cap, fixed_point=fixed_point,
-                                  name=name, classes=classes)

@@ -27,7 +27,7 @@ alone whether a forbidden power ends there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -62,6 +62,29 @@ def word_from_text(text: str) -> bytes:
 
 def word_to_text(word: bytes) -> str:
     return "".join(str(b) for b in word)
+
+
+def content_lines(text: str):
+    """(line number, line) for each line of a spec, map or word-list file that
+    holds something once its `#` comment is dropped, stripped.  Numbers count
+    every line from 1, blank and comment lines included."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line
+
+
+def report_row(record) -> dict:
+    """A flat report record's fields in order, words and gap patterns as
+    text and tuples as lists."""
+    out = {}
+    for field in fields(record):
+        value = getattr(record, field.name)
+        out[field.name] = (word_to_text(value) if isinstance(value, bytes)
+                           else value.text() if isinstance(value, GapPattern)
+                           else list(value) if isinstance(value, tuple)
+                           else value)
+    return out
 
 
 def perfect_shuffle(even: bytes, odd: bytes) -> bytes:
@@ -319,6 +342,9 @@ class GapPattern:
 
     def letters(self) -> tuple[int, int, int]:
         return (self.first, self.middle, self.last)
+
+    def text(self) -> str:
+        return word_to_text(bytes(self.letters()))
 
 
 def _gap_starts(word: bytes):
@@ -676,12 +702,8 @@ def parse_spec(text: str) -> AvoidanceSpec:
     min_root = None
     whitelist = None
     cubefree = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        key, args = fields[0], fields[1:]
+    for lineno, line in content_lines(text):
+        key, *args = line.split()
         try:
             if key == "alphabet":
                 alphabet = int(args[0])

@@ -349,6 +349,35 @@ def test_scenario_out_of_memory_is_a_usage_error(capsys, monkeypatch, where):
     assert errors == ["error: out of memory"]
 
 
+@pytest.mark.parametrize("error, message", [
+    (MemoryError, "error: out of memory"),
+    (ValueError("no view"), "error: no view"),
+])
+def test_rendering_errors_are_usage_errors(capsys, monkeypatch, error,
+                                           message):
+    """`main` renders inside its error handling: a text view that fails
+    gives exit 2, one error line and no stdout."""
+    def fail(*args):
+        raise error
+
+    monkeypatch.setattr(scenarios.ScenarioReport, "digest", fail)
+    code, out, err = run_cli(capsys, "scenario",
+                             "dekking-forbidden-motivation")
+    assert (code, out) == (2, "")
+    assert [line for line in err.splitlines() if "error:" in line] == [message]
+
+
+def test_json_requests_never_build_the_text_view(capsys, monkeypatch):
+    def fail(*args):
+        raise AssertionError("the text view was built")
+
+    monkeypatch.setattr(scenarios.ScenarioReport, "digest", fail)
+    code, out, _ = run_cli(capsys, "scenario", "dekking-forbidden-motivation",
+                           "--format", "json")
+    assert code == 0
+    assert json.loads(out)[0]["ok"] is True
+
+
 def test_huge_family_denominator_needs_no_huge_power(capsys):
     start = time.perf_counter()
     code, out, _ = run_cli(capsys, *FAMILY, "--denominator", HUGE)
@@ -652,12 +681,13 @@ PINNED_DIGESTS = {
                                            "3125e950f0edf6bf2006d25e3861f6ae",
     "tables": "149e93de3f5bb0891c7665061bade7285cac0ed233257be43fbdd6812612549e",
     "scans": "ae3948060c929c37ba587509cc8e63ad8bd5b4745e165c8bbc9994f4df0e7e10",
+    "cli": "89c6b5921cc331da2b6ef24a49eb03c78b0b609acfcb44571f323f61e5893dfb",
 }
 
 
 @pytest.mark.parametrize("label", PINNED_DIGESTS, ids=[
     "certificates", "scenario-all", "scenario-all-prefix-2000", "tables",
-    "scans"])
+    "scans", "cli"])
 def test_digest_line_is_pinned(digest_script, label):
     assert list(digest_script.LINES) == list(PINNED_DIGESTS)
     assert digest_script.LINES[label]() == PINNED_DIGESTS[label]

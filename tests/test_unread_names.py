@@ -75,3 +75,69 @@ def test_every_parameter_and_local_is_read():
     for path in sorted(SRC.glob("*.py")):
         found += unread_names(path.read_text(), path.name)
     assert found == []
+
+
+def _definitions(tree):
+    """(name, node) for each module-level function, class and constant, and
+    each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.name, item) for item in node.body
+                        if isinstance(item, ast.FunctionDef))
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        yield from ((t.id, node) for t in targets if isinstance(t, ast.Name))
+
+
+def unread_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(file, name) for each module-level `_private` function, class or
+    constant, and each `_private` method, that no code in `sources` reads
+    outside its own definition.  A read is a loaded name or an attribute."""
+    trees = {name: ast.parse(source, name) for name, source in sources.items()}
+    reads = [node for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+             or isinstance(node, ast.Attribute)]
+    out = []
+    for filename, tree in trees.items():
+        for name, definition in _definitions(tree):
+            if not name.startswith("_") or name.endswith("__"):
+                continue
+            inside = {id(node) for node in ast.walk(definition)}
+            if not any(getattr(node, "id", getattr(node, "attr", None)) == name
+                       and id(node) not in inside for node in reads):
+                out.append((filename, name))
+    return out
+
+
+def test_the_checker_sees_unread_private_names():
+    sources = {
+        "a.py": ("_LIMIT = 3\n"
+                 "_USED: int = 4\n"
+                 "def _dead(n):\n"
+                 "    return _dead(n - 1)\n"
+                 "def _helper():\n"
+                 "    return _USED\n"
+                 "class _Gone:\n"
+                 "    pass\n"
+                 "class Box:\n"
+                 "    def __init__(self):\n"
+                 "        self._seen = 0\n"
+                 "    def _stale(self):\n"
+                 "        return 1\n"
+                 "    def _fresh(self):\n"
+                 "        return 2\n"),
+        "b.py": ("from .a import Box, _helper\n"
+                 "print(_helper(), Box()._fresh())\n"),
+    }
+    assert unread_private_names(sources) == [
+        ("a.py", "_LIMIT"), ("a.py", "_dead"), ("a.py", "_Gone"),
+        ("a.py", "_stale")]
+
+
+def test_every_private_name_is_read():
+    sources = {path.name: path.read_text()
+               for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []

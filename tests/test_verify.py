@@ -16,8 +16,7 @@ from wordavoid import (AvoidanceSpec, BoundedCaseReport, GapPattern, Morphism,
                        bounded_case_check, find_inclusions, find_interchanges,
                        prove_gap_pattern_absence, refute_inclusion,
                        satisfies_spec, suffix_legal, verify_square_transfer,
-                       verify_substitution_transfer, word_from_text,
-                       word_to_text)
+                       word_from_text, word_to_text)
 from wordavoid import counting, verify, words
 from wordavoid.morphisms import _stream, fixed_point_prefix
 from wordavoid.verify import _exhaustive_viability, exact_factors
@@ -122,9 +121,9 @@ def test_each_certificate_scans_the_inclusions_once(registry, monkeypatch):
         return scan(*args)
 
     monkeypatch.setattr(verify, "find_inclusions", counted)
-    cert = verify_substitution_transfer(registry.dekking_sub,
-                                        registry.dekking_h_source,
-                                        registry.squarefree4)
+    cert = verify_square_transfer(registry.dekking_sub,
+                                  registry.dekking_h_source,
+                                  registry.squarefree4)
     # both channels are filled, from one scan of the annotated morphism
     assert cert.inclusions and cert.equal_pair_inclusions
     assert len(calls) == 1
@@ -286,9 +285,9 @@ def test_coder_certificate(registry):
 
 
 def test_substitution_certificate(registry):
-    cert = verify_substitution_transfer(registry.dekking_sub,
-                                        registry.dekking_h_source,
-                                        registry.squarefree4, name="sub")
+    cert = verify_square_transfer(registry.dekking_sub,
+                                  registry.dekking_h_source,
+                                  registry.squarefree4, name="sub")
     assert cert.complete
     assert cert.classes == (0, 1, 2, 3, 1)
     assert cert.bounded.legal_counts == (0, 5, 11, 28, 51, 103, 197)
@@ -390,8 +389,8 @@ def test_fs_whitelist_square_comes_from_one_factor(registry):
 def test_fs_substitution_certificate(registry):
     sub = registry.fs_sub
     assert sub.count_images(registry.fs_h.image(0)) == 16
-    cert = verify_substitution_transfer(sub, registry.fs_h_target,
-                                        registry.fs_g_source, name="fs sub")
+    cert = verify_square_transfer(sub, registry.fs_h_target,
+                                  registry.fs_g_source, name="fs sub")
     assert cert.complete
     assert cert.classes == (0, 1, 2, 3, 4, 0)
     assert cert.bounded.legal_counts == (0, 6, 12, 19, 28, 46, 72)
