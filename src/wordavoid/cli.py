@@ -333,7 +333,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="fixed-point prefix of a morphism")
     p.add_argument("--morphism", required=True)
     p.add_argument("--seed-letter", type=int, default=0)
-    p.add_argument("--length", type=_int_at_least(0), required=True)
+    # Memory grows with the length: near 800 MB at the bound.
+    p.add_argument("--length", type=_int_at_least(0, 10_000_000),
+                   required=True)
     fmt(p, "text")
     p.set_defaults(run=_cmd_generate)
 
@@ -351,7 +353,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
     p.add_argument("--depth", type=_int_at_least(0), default=2)
-    p.add_argument("--root-cap", type=_int_at_least(1), default=None)
+    # This cap, --n-max and --max-len size the walker's column step; at the
+    # bound the step alone takes 13-26 MB, and its runs grow with it.
+    p.add_argument("--root-cap", type=_int_at_least(1, 100_000),
+                   default=None)
     p.add_argument("--fixed-point-morphism", default=None)
     p.add_argument("--fixed-point-seed", type=int, default=0)
     p.add_argument("--name", default=None)
@@ -360,13 +365,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("count", help="exact counts of legal words by length")
     p.add_argument("--spec", required=True)
-    p.add_argument("--n-max", type=_int_at_least(0), required=True)
+    p.add_argument("--n-max", type=_int_at_least(0, 100_000),
+                   required=True)
     fmt(p, "csv", ("csv", "json", "text"))
     p.set_defaults(run=_cmd_count)
 
     p = sub.add_parser("forbidden", help="minimal forbidden words of a spec")
     p.add_argument("--spec", required=True)
-    p.add_argument("--max-len", type=_int_at_least(1), required=True)
+    p.add_argument("--max-len", type=_int_at_least(1, 100_000),
+                   required=True)
     fmt(p, "text")
     p.set_defaults(run=_cmd_forbidden)
 

@@ -64,24 +64,20 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
     of words of one length at a time.
 
     `prefixes` is a 2-D uint8 array of legal words of one length, the empty
-    word by default.  Yields (words, dead, keep): a B x k array of legal
-    words, an array of their one-letter extensions (empty from max_len
-    letters on, where no word is extended), and a mask of B True values.
-    `dead` holds the extensions that are minimal forbidden words, or with
-    `image`, a pair of an image table (letters x W) and a `ColumnStep` of a
-    target spec, the legal extensions whose image fails; then only words
-    whose image passes (the prefixes' must) are walked.  A chunk is stored
-    column by column with each word's runs (and its image's), folded once
-    from the prefixes, so one step of the extensions (and W of their last
-    image block) decides which die.  The legal extensions of the rows still
-    kept are walked once the consumer resumes, so clearing keep[i] prunes
-    the subtree of row i.  The walk is a preorder of chunks: a chunk's
-    subtrees are walked before the next chunk of its length, and rows run
-    in lexicographic order when the prefixes do.  A chunk of k-letter words
-    has at most `_chunk_rows((k + 1) * alphabet * (1 + W))` rows (W = 0
-    without an image), so at most about max_len x alphabet x `_SCREEN_BYTES`
-    is live.  With `classes`, the letters are 0..len(classes)-1 and letter x
-    is checked as classes[x].
+    word by default.  Yields (words, dead): a B x k array of legal words and
+    an array of their one-letter extensions (empty from max_len letters on,
+    where no word is extended).  Each legal word is yielded exactly once, in
+    no promised order.  `dead` holds the extensions that are minimal
+    forbidden words, or with `image`, a pair of an image table (letters x W)
+    and a `ColumnStep` of a target spec, the legal extensions whose image
+    fails; then only words whose image passes (the prefixes' must) are
+    walked.  A chunk is stored column by column with each word's runs (and
+    its image's), folded once from the prefixes, so one step of the
+    extensions (and W of their last image block) decides which die.  A chunk
+    of k-letter words has at most `_chunk_rows((k + 1) * alphabet * (1 + W))`
+    rows (W = 0 without an image), so at most about max_len x alphabet x
+    `_SCREEN_BYTES` is live.  With `classes`, the letters are
+    0..len(classes)-1 and letter x is checked as classes[x].
     """
     size = spec.alphabet_size if classes is None else len(classes)
     table = None if classes is None else np.array(classes, dtype=np.uint8)
@@ -98,16 +94,10 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
 
     def chunks(live, batch, *runs):
         # Each piece gathers its words and runs, so that no pending piece
-        # keeps a walked batch alive.  The first piece goes on top.
+        # keeps a walked batch alive.
         rows = _chunk_rows((len(batch) + 1) * size * (1 + width))
         return [[a[:, live[i:i + rows]] for a in (batch, *runs)]
-                for i in range(0, len(live), rows)[::-1]]
-
-    def in_order(mask, batch):
-        # Extension x of word i is column x * batch + i of a flat chunk;
-        # list the masked ones word by word, each by letter.
-        i = np.flatnonzero(mask.reshape(size, batch).T)
-        return i % size * batch + i // size
+                for i in range(0, len(live), rows)]
 
     # Chunks hold their words column by column, as the steps read them.
     cols = (np.zeros((0, 1), dtype=np.uint8) if prefixes is None
@@ -121,12 +111,10 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
     while stack:
         cols, runs, image_runs = stack.pop()
         k = len(cols)
-        keep = np.ones(cols.shape[1], dtype=bool)
         if k >= max_len:
-            yield cols.T, np.empty((0, k + 1), dtype=np.uint8), keep
+            yield cols.T, np.empty((0, k + 1), dtype=np.uint8)
             continue
-        batch = cols.shape[1]
-        ext = np.empty((k + 1, size, batch), dtype=np.uint8)
+        ext = np.empty((k + 1, size, cols.shape[1]), dtype=np.uint8)
         ext[:k] = cols[:, None]
         ext[k] = letters[:, None]
         cols = ext[:k, 0]  # lets the popped chunk go
@@ -138,9 +126,8 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
             image_runs, failed = target.fold(imaged(ext), k * width,
                                              k * width, image_runs)
             dead, bad = failed & ~bad, failed | bad
-        yield cols.T, ext[:, in_order(dead, batch)].T, keep
-        live = in_order(~bad & np.tile(keep, size), batch)
-        stack += chunks(live, ext, runs, image_runs)
+        yield cols.T, ext[:, dead].T
+        stack += chunks(np.flatnonzero(~bad), ext, runs, image_runs)
         del ext, runs, image_runs
 
 
@@ -148,7 +135,7 @@ def _tally(prefixes: np.ndarray | None, spec: AvoidanceSpec,
            n_max: int) -> list[int]:
     """Counts by length of legal words extending the prefixes."""
     counts = [0] * (n_max + 1)
-    for words, _, _ in walk_legal(spec, n_max, prefixes):
+    for words, _ in walk_legal(spec, n_max, prefixes):
         counts[words.shape[1]] += len(words)
     return counts
 
@@ -171,7 +158,7 @@ def count_avoiding(spec: AvoidanceSpec, n_max: int,
     split = min(6, n_max)
     counts = [0] * (n_max + 1)
     frontier = [np.empty((0, split), dtype=np.uint8)]
-    for words, _, _ in walk_legal(spec, split):
+    for words, _ in walk_legal(spec, split):
         if words.shape[1] == split:
             frontier.append(words)
         else:
@@ -212,7 +199,7 @@ def minimal_forbidden(spec: AvoidanceSpec, max_length: int) -> MinimalForbiddenS
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
     found = set()
-    for _, minimal, _ in walk_legal(spec, max_length):
+    for _, minimal in walk_legal(spec, max_length):
         found.update(row.tobytes() for row in minimal)
     return MinimalForbiddenSet(spec, max_length, frozenset(found))
 
@@ -441,16 +428,16 @@ def exhaust_max_length(spec: AvoidanceSpec, hard_cap: int) -> ExhaustReport:
     """Longest legal word, or a cap report when the walk still has room.
 
     The witness is the lexicographically least legal word of the greatest
-    length, the first one a preorder walk meets.  Hitting a legal word of
-    length hard_cap means the language may well be infinite, so the search
-    stops and says so rather than pretending the cap is an answer.
+    length.  Hitting a legal word of length hard_cap means the language may
+    well be infinite, so the search stops and says so rather than pretending
+    the cap is an answer.
     """
     if hard_cap < 1:
         raise ValueError("hard_cap must be >= 1")
     best = b""
-    for words, _, _ in walk_legal(spec, hard_cap):
+    for words, _ in walk_legal(spec, hard_cap):
         if words.shape[1] == hard_cap:
             return ExhaustReport(None, None, True)
-        # Rows of a chunk are sorted, so its first row is its least.
-        best = min(best, words[0].tobytes(), key=lambda w: (-len(w), w))
+        least = min(row.tobytes() for row in words)  # rows share a length
+        best = min(best, least, key=lambda w: (-len(w), w))
     return ExhaustReport(len(best), best, False)

@@ -385,32 +385,18 @@ def _forced_case(source, classes, candidates, pair, side) -> str | None:
 # Gap patterns.
 
 def _exhaustive_viability(pattern: GapPattern, spec: AvoidanceSpec,
-                          max_gap: int):
-    """(complete, legal_instance) for gaps up to max_gap.
-
-    Walks the legal words first + alpha, which prunes soundly because a
-    violation inside a prefix survives every extension.  The instance is
-    the one with the lexicographically least alpha, the first a preorder
-    walk meets: once one is found, every word after it is pruned.  Complete
-    means every branch died before reaching max_gap; it is read only when
-    there is no instance.
-    """
-    complete, best = True, None
-    for words, _, keep in walk_legal(spec, max_gap + 1,
-                                     np.array([[pattern.first]], np.uint8)):
+                          max_gap: int) -> bool:
+    """Whether no gap fits, shown by walking the legal words first + alpha:
+    every one dies before alpha reaches max_gap letters, and no alpha left
+    makes a legal pattern word.  The walk prunes soundly because a violation
+    inside a prefix survives every extension."""
+    alphas = []
+    for words, _ in walk_legal(spec, max_gap + 1,
+                               np.array([[pattern.first]], np.uint8)):
         if words.shape[1] == max_gap + 1:
-            complete = False
-        # Rows run in lexicographic order, and a word's extensions follow it.
-        for i, word in enumerate(words):
-            word = word.tobytes()
-            if best is not None and word > best:
-                keep[i:] = False
-                break
-            if _forbids(spec, pattern.word(word[1:])) is None:
-                best = word
-                keep[i:] = False
-                break
-    return complete, None if best is None else pattern.word(best[1:])
+            return False
+        alphas += (row[1:].tobytes() for row in words)
+    return all(_forbids(spec, pattern.word(alpha)) for alpha in alphas)
 
 
 def _follower_proof(pattern: GapPattern, may_occur, letters) -> str | None:
@@ -448,8 +434,7 @@ def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
     """
     m, seed = fixed_point
     width = m.uniform_width
-    if (width is None or width < 2 or m.source_size != m.target_size
-            or not m.injective_on_letters):
+    if not m.injective_on_letters:
         return None
     base = max(_DESCENT_BASE, width - 1)
     letters = [x for (x,) in sorted(exact_factors(m, seed, 1))]
@@ -535,8 +520,7 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
         detail = _descent_proof(pattern, spec, fixed_point)
         if detail is not None:
             return GapEvidence(pattern, "descent", "fixed-point", True, detail)
-    complete, instance = _exhaustive_viability(pattern, spec, _EXHAUST_GAP)
-    if instance is None and complete:
+    if _exhaustive_viability(pattern, spec, _EXHAUST_GAP):
         return GapEvidence(pattern, "exhaustive", "spec", True,
                            f"every branch dies within gap {_EXHAUST_GAP}")
     if fixed_point is not None:
@@ -589,8 +573,7 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     of the word's image, so a violation can only end in the last block: one
     target `ColumnStep` of that block, roots capped at root_cap, flags
     exactly the violating images, each checked whole by `satisfies_spec`
-    for the reported violation.  The violations are sorted by source word,
-    the walker's preorder, since no reported word is a prefix of another.
+    for the reported violation.  The violations are sorted by source word.
     """
     width = morphism.uniform_width
     if not width:
@@ -603,8 +586,8 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     violations: list[tuple[bytes, Violation]] = []
     letters = classes or tuple(range(morphism.source_size))
     image = (morphism.table, ColumnStep(target, max_len * width, root_cap))
-    for words, failed, _ in walk_legal(source, max_len, classes=letters,
-                                       image=image):
+    for words, failed in walk_legal(source, max_len, classes=letters,
+                                    image=image):
         counts[words.shape[1]] += len(words)
         for word in failed:
             counts[len(word)] += 1
@@ -692,10 +675,7 @@ def verify_square_transfer(morphism: Morphism | Substitution,
         raise ValueError(f"the source spec has {source.alphabet_size} letters"
                          f" but only {letters} have an image")
     if fixed_point is not None:
-        fp, seed = fixed_point
-        if fp.source_size != fp.target_size or not fp.is_prolongable(seed):
-            raise ValueError("the fixed point needs an endomorphism"
-                             f" prolongable at its seed {seed}")
+        exact_factors(*fixed_point, 1)  # rejects what has no exact factors
     cap = 2 * width if root_cap is None else root_cap
     bounded = bounded_case_check(morphism, source, target, cap, classes)
 

@@ -271,9 +271,19 @@ def test_config_line_is_pinned(capsys):
     (FAMILY + ("--samples", "-1"), "--samples"),
     (FAMILY + ("--cap", "-1"), "--cap"),
     (FAMILY + ("--denominator", "0"), "--denominator"),
+    (("count", "--spec", "dekking", "--n-max", "100001"), "--n-max"),
+    (("forbidden", "--spec", "dekking", "--max-len", "100001"), "--max-len"),
+    (("verify", "--morphism", "dekking_h", "--source", "dekking_h_source",
+      "--target", "squarefree4", "--root-cap", "100001"), "--root-cap"),
+    (("generate", "--morphism", "dekking_h", "--length", "10000001"),
+     "--length"),
 ])
 def test_unusable_numeric_flags_are_usage_errors(capsys, argv, flag):
+    """Out-of-range values, the size caps among them, are rejected before
+    any work starts."""
+    start = time.perf_counter()
     code, out, err = run_cli(capsys, *argv)
+    assert time.perf_counter() - start < 5.0
     assert code == 2
     assert out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
@@ -297,23 +307,23 @@ def test_unusable_family_requests_are_usage_errors(capsys, argv):
     assert "Traceback" not in err
 
 
-# 10^16 is past the address space, so the first allocation fails even where
-# the kernel grants any request it is asked for.
+# 10^16 is past the address space: no allocation could hold it.
 HUGE = "10000000000000000"
 
 
-@pytest.mark.parametrize("argv", [
-    ("count", "--spec", "dekking", "--n-max", HUGE),
-    ("forbidden", "--spec", "dekking", "--max-len", HUGE),
-    ("verify", "--morphism", "dekking_h", "--source", "dekking_h_source",
-     "--target", "squarefree4", "--root-cap", HUGE),
+@pytest.mark.parametrize("argv, flag", [
+    (("count", "--spec", "dekking", "--n-max", HUGE), "--n-max"),
+    (("forbidden", "--spec", "dekking", "--max-len", HUGE), "--max-len"),
+    (("verify", "--morphism", "dekking_h", "--source", "dekking_h_source",
+      "--target", "squarefree4", "--root-cap", HUGE), "--root-cap"),
 ], ids=["count", "forbidden", "verify"])
-def test_requests_too_large_for_memory_are_usage_errors(capsys, argv):
+def test_requests_too_large_for_memory_are_usage_errors(capsys, argv, flag):
+    """The size flags' caps reject these before anything is allocated."""
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     errors = [line for line in err.splitlines() if "error:" in line]
-    assert len(errors) == 1 and "out of memory" in errors[0]
+    assert len(errors) == 1 and flag in errors[0]
     assert "Traceback" not in err
 
 
@@ -456,12 +466,20 @@ VERIFY_G = ("verify", "--morphism", "dekking_g", "--source",
      "--target", "dekking"),
     ("verify", "--morphism", "{empty}", "--source", "{unary}",
      "--target", "{squares}"),
+    ("verify", "--morphism", "dekking_h", "--source", "dekking_h_source",
+     "--target", "squarefree4", "--fixed-point-morphism", "{growing}"),
+    VERIFY_G + ("--fixed-point-morphism", "{growing}"),
 ], ids=["seed-outside-alphabet", "negative-seed", "not-an-endomorphism",
         "non-uniform-morphism", "source-letter-without-image",
-        "empty-images"])
+        "empty-images", "non-uniform-fixed-point-unused",
+        "non-uniform-fixed-point-used"])
 def test_unusable_verify_requests_are_usage_errors(capsys, tmp_path, argv):
+    """A fixed point is checked before any channel runs, also where the
+    certificate has no gap pattern to use it on."""
     path = tmp_path / "m.txt"
     path.write_text("0 -> 01\n1 -> 100\n")
+    growing = tmp_path / "g.txt"  # prolongable at 0, but not uniform
+    growing.write_text("0 -> 0123\n1 -> 1\n2 -> 2\n3 -> 3\n")
     uniform = tmp_path / "u.txt"
     uniform.write_text("0 -> 0000\n1 -> 0101\n")
     empty = tmp_path / "e.txt"
@@ -472,7 +490,8 @@ def test_unusable_verify_requests_are_usage_errors(capsys, tmp_path, argv):
     squares.write_text("alphabet 2\nsquares min-root 1\n")
     code, out, err = run_cli(capsys, *(a.format(path=path, uniform=uniform,
                                                  empty=empty, unary=unary,
-                                                 squares=squares)
+                                                 squares=squares,
+                                                 growing=growing)
                                        for a in argv))
     assert code == 2
     assert out == ""

@@ -9,14 +9,14 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from wordavoid import (AvoidanceSpec, FactorAutomaton, build_automaton,
-                       count_avoiding, exhaust_max_length, fixed_point_prefix,
-                       growth_rate, lower_bound_family, minimal_forbidden,
-                       satisfies_spec, walk_legal, word_from_text,
-                       word_to_text)
+from wordavoid import (AvoidanceSpec, ExhaustReport, FactorAutomaton,
+                       build_automaton, count_avoiding, exhaust_max_length,
+                       fixed_point_prefix, growth_rate, lower_bound_family,
+                       minimal_forbidden, satisfies_spec, walk_legal,
+                       word_from_text, word_to_text)
 from wordavoid import counting, pool
 from wordavoid.scenarios import G_TABLE, H_TABLE, MINIMAL_SET_SIZES
 
@@ -272,12 +272,10 @@ def as_rows(words, length):
 @settings(max_examples=80, deadline=None)
 def test_walk_legal_matches_brute_force(case, data):
     """From any batch of legal prefixes of one length the walk yields, in
-    chunks of one length, exactly the legal words that extend a prefix and
-    have no pruned proper prefix, each once.  Each chunk's rows are sorted
-    and come with exactly their minimal forbidden one-letter extensions
-    below max_len: illegal, with a legal right truncation.  With one row a
-    chunk the walk is the lexicographic preorder.  Under a class map, a
-    word is legal when its letter-by-letter projection is."""
+    chunks of one length, exactly the legal words that extend a prefix, each
+    once.  Each chunk comes with exactly its minimal forbidden one-letter
+    extensions below max_len: illegal, with a legal right truncation.  Under
+    a class map, a word is legal when its letter-by-letter projection is."""
     spec, max_len = case
     classes = data.draw(st.none() | st.lists(
         st.integers(0, spec.alphabet_size - 1), min_size=1,
@@ -296,29 +294,20 @@ def test_walk_legal_matches_brute_force(case, data):
     prefixes = sorted(data.draw(st.sets(
         st.sampled_from([w for w in words if len(w) == length]),
         min_size=1)))
-    below = [w for w in words if w[:length] in prefixes]
-    pruned = data.draw(st.sets(st.sampled_from(below), max_size=4))
     budget = data.draw(st.sampled_from([1, 64, counting._SCREEN_BYTES]))
     walked = []
     with patch.object(counting, "_SCREEN_BYTES", budget):
-        for chunk, minimal, keep in walk_legal(
+        for chunk, minimal in walk_legal(
                 spec, max_len, as_rows(prefixes, length), classes):
             rows = [row.tobytes() for row in chunk]
-            assert rows == sorted(rows)
-            assert list(keep) == [True] * len(rows)
             walked += rows
             extensions = [] if chunk.shape[1] == max_len else [
                 w + bytes([x]) for w in rows for x in range(size)]
             assert minimal.shape[1] == chunk.shape[1] + 1
-            assert [row.tobytes() for row in minimal] == [
+            assert sorted(row.tobytes() for row in minimal) == sorted(
                 ext for ext in extensions
-                if not legal(ext) and legal(ext[1:])]
-            keep[:] = [w not in pruned for w in rows]
-    expected = [w for w in below
-                if not any(w[:k] in pruned for k in range(length, len(w)))]
-    assert sorted(walked) == expected
-    if budget == 1:
-        assert walked == expected
+                if not legal(ext) and legal(ext[1:]))
+    assert sorted(walked) == [w for w in words if w[:length] in prefixes]
 
 
 def test_walk_does_not_extend_prefixes_past_max_len(registry):
@@ -330,9 +319,9 @@ def test_walk_does_not_extend_prefixes_past_max_len(registry):
     for max_len in (3, 5):
         chunks = list(islice(walk_legal(spec, max_len, prefixes), 2))
         assert len(chunks) == 1
-        words, minimal, keep = chunks[0]
+        words, minimal = chunks[0]
         assert np.array_equal(words, prefixes)
-        assert minimal.shape == (0, 6) and keep.all()
+        assert minimal.shape == (0, 6)
 
 
 @pytest.mark.parametrize("rows", [1, 3])
@@ -352,7 +341,7 @@ def test_walk_is_the_same_in_small_chunks(registry, monkeypatch, rows):
                             1 if rows == 1 else rows * 4 * (widest + 1))
         assert counting._chunk_rows(widest) == rows
         sizes = {}
-        for words, _, _ in walk_legal(spec, n):
+        for words, _ in walk_legal(spec, n):
             length = words.shape[1]
             sizes[length] = max(sizes.get(length, 0), len(words))
         assert sizes.get(n, rows) == rows
@@ -595,3 +584,31 @@ def test_exhaust_reports_open_ended_languages(registry):
     report = exhaust_max_length(registry.dekking_binary, 40)
     assert report.exceeded
     assert report.max_length is None and report.witness is None
+
+
+@st.composite
+def exhaust_cases(draw):
+    """A small spec and a cap low enough to list every legal word."""
+    alphabet = draw(st.integers(2, 3))
+    return draw(specs(alphabet)), draw(st.integers(1, 12 if alphabet == 2
+                                                   else 8))
+
+
+@seed(2003)
+@given(exhaust_cases())
+@example((AvoidanceSpec(2, square_whitelist=(word_from_text("11"),)), 11))
+@settings(max_examples=60, deadline=None)
+def test_exhaust_matches_brute_force(case):
+    """The report is the naive one, whatever a chunk holds: a cap report
+    when some legal word reaches the cap, else the greatest length and the
+    least legal word of that length.  In the example, the first longest
+    word the walk yields is 1101110, not the least, 0111011."""
+    spec, cap = case
+    levels = [level for level in naive_legal_words(spec, cap) if level]
+    if len(levels) > cap:
+        expected = ExhaustReport(None, None, True)
+    else:
+        expected = ExhaustReport(len(levels) - 1, min(levels[-1]), False)
+    for budget in (1, counting._SCREEN_BYTES):
+        with patch.object(counting, "_SCREEN_BYTES", budget):
+            assert exhaust_max_length(spec, cap) == expected

@@ -16,7 +16,7 @@ from wordavoid import (AvoidanceSpec, BoundedCaseReport, GapPattern, Morphism,
                        bounded_case_check, find_inclusions, find_interchanges,
                        prove_gap_pattern_absence, refute_inclusion,
                        satisfies_spec, suffix_legal, verify_square_transfer,
-                       word_from_text, word_to_text)
+                       walk_legal, word_from_text, word_to_text)
 from wordavoid import counting, verify, words
 from wordavoid.morphisms import _stream, fixed_point_prefix
 from wordavoid.verify import _exhaustive_viability, exact_factors
@@ -151,9 +151,13 @@ def test_interchange_gap_pattern_descent(registry):
     assert evidence.kind == "descent"
     assert evidence.scope == "fixed-point"
     assert evidence.complete
-    # exhaustive cross-check at small gap lengths
-    _, instance = _exhaustive_viability(pattern, registry.dekking_g_source, 8)
-    assert instance is None
+    # exhaustive cross-check at small gap lengths: no legal instance has a
+    # gap of at most 8 letters
+    spec = registry.dekking_g_source
+    assert not any(satisfies_spec(pattern.word(row[1:].tobytes()), spec).ok
+                   for chunk, _ in walk_legal(
+                       spec, 9, np.array([[pattern.first]], np.uint8))
+                   for row in chunk)
 
 
 def test_gap_pattern_repeating_a_letter_is_trivial_without_squares():
@@ -165,15 +169,15 @@ def test_gap_pattern_repeating_a_letter_is_trivial_without_squares():
 
 
 def test_realizable_gap_pattern_is_found():
-    spec = AvoidanceSpec(4, square_min_root=1)
+    """010 is squarefree, so the search does not close: over four letters,
+    where its walk reaches the gap bound, and over two, where the walk dies
+    below it."""
     pattern = GapPattern(0, 1, 0)
-    _, word = _exhaustive_viability(pattern, spec, 4)
-    assert word is not None
-    gap = (len(word) - 3) // 2
-    assert word == pattern.word(word[1:gap + 1])
-    assert satisfies_spec(word, spec).ok
-    evidence = prove_gap_pattern_absence(pattern, spec)
-    assert not evidence.complete
+    for size in (4, 2):
+        spec = AvoidanceSpec(size, square_min_root=1)
+        assert satisfies_spec(pattern.word(b""), spec).ok
+        assert not _exhaustive_viability(pattern, spec, 4)
+        assert not prove_gap_pattern_absence(pattern, spec).complete
 
 
 @pytest.mark.parametrize("pattern, spec, on_fixed_point, verdict", [
@@ -234,21 +238,21 @@ def test_repetitive_fixed_point_is_scanned_in_seconds():
     (AvoidanceSpec(3, (word_from_text("021"),), square_min_root=2,
                    cubefree=True), GapPattern(0, 2, 1)),
     (AvoidanceSpec(2, square_min_root=1), GapPattern(0, 0, 1)),
+    (AvoidanceSpec(2, square_min_root=1), GapPattern(0, 1, 0)),
 ])
 def test_gap_instance_has_the_least_gap_word(monkeypatch, budget, spec,
                                              pattern):
-    """The instance is the one whose alpha is least in lexicographic order,
-    however many words a chunk of the walk holds."""
+    """The search closes exactly when no gap of at most max_gap letters
+    makes a legal pattern word and every legal first + alpha has alpha
+    shorter than max_gap, however many words a chunk of the walk holds."""
     monkeypatch.setattr(counting, "_SCREEN_BYTES", budget)
     max_gap = 4
-    alphas = sorted(alpha for n in range(max_gap + 1)
-                    for alpha in all_words(spec.alphabet_size, n)
-                    if naive_satisfies(bytes([pattern.first]) + alpha, spec))
+    alphas = [alpha for n in range(max_gap + 1)
+              for alpha in all_words(spec.alphabet_size, n)
+              if naive_satisfies(bytes([pattern.first]) + alpha, spec)]
     found = [a for a in alphas if naive_satisfies(pattern.word(a), spec)]
-    complete, instance = _exhaustive_viability(pattern, spec, max_gap)
-    assert instance == (pattern.word(found[0]) if found else None)
-    if not found:
-        assert complete == all(len(a) < max_gap for a in alphas)
+    assert _exhaustive_viability(pattern, spec, max_gap) == (
+        not found and all(len(a) < max_gap for a in alphas))
 
 
 def test_core_certificate(registry):
