@@ -4,22 +4,23 @@
 The first line counts the registry certificates and hashes their JSON: every
 packaged morphism or substitution, against every packaged source spec whose
 alphabet matches its source alphabet and every target spec wide enough for
-its images, at the default root cap and at 2W+3.  The next two lines hash the
-stdout of `wordavoid scenario --all --format json`, at the default prefix
-length and at 2000.  The fourth hashes what the legal-word walker produces:
-the count tables to length 36 and the minimal forbidden sets to length 30 of
-the Dekking and Fraenkel-Simpson binary specs.  The fifth hashes what the
-word scanners report on the long words of `scenario --all` (the Dekking and
-Fraenkel-Simpson binary prefixes, the PU core and both PU tracks), each as
-built and with 20 seeded single-letter flips: the first violation under
-every packaged spec of the word's alphabet, the longest square root, and on
-the PU core the occurrences of its four gap patterns.  The sixth hashes the
-exit code and stdout of a fixed table of in-process `wordavoid` calls: every
-subcommand in every `--format` it accepts, on packaged names and small temp
-files written with comments, blank lines and CRLF line ends, including calls
-that exit 1 and 2.  Two trees whose lines agree produce the same
-certificates, scenario reports, count tables, minimal sets, scanner answers
-and command line output.
+its images, at the default root cap and at 2W+3, and then the four packaged
+coder certificates over their fixed points at both caps.  The next two lines
+hash the stdout of `wordavoid scenario --all --format json`, at the default
+prefix length and at 2000.  The fourth hashes what the legal-word walker
+produces: the count tables to length 36 and the minimal forbidden sets to
+length 30 of the Dekking and Fraenkel-Simpson binary specs.  The fifth hashes
+what the word scanners report on the long words of `scenario --all` (the
+Dekking and Fraenkel-Simpson binary prefixes, the PU core and both PU
+tracks), each as built and with 20 seeded single-letter flips: the first
+violation under every packaged spec of the word's alphabet, the longest
+square root, and on the PU core the occurrences of its four gap patterns.
+The sixth hashes the exit code and stdout of a fixed table of in-process
+`wordavoid` calls: every subcommand in every `--format` it accepts, on
+packaged names and small temp files written with comments, blank lines and
+CRLF line ends, including calls that exit 1 and 2.  Two trees whose lines
+agree produce the same certificates, scenario reports, count tables, minimal
+sets, scanner answers and command line output.
 """
 
 import contextlib
@@ -39,29 +40,44 @@ from wordavoid import (GapPattern, count_avoiding, fixed_point_prefix,
                        verify_square_transfer)
 
 
+# The packaged certificates that speak of a fixed point: coder, source,
+# target and the fixed point's morphism (seed 0).
+FIXED_POINT_CERTIFICATES = [
+    ("dekking_g", "dekking_g_source", "dekking_binary", "dekking_h"),
+    ("fs_g", "fs_g_source", "fs_binary", "fs_h"),
+    ("pu_g1", "pu_source", "pu_binary", "pu_h"),
+    ("pu_g2", "pu_source", "pu_binary", "pu_h"),
+]
+
+
 def certificate_digest() -> tuple[int, str]:
     reg = load_registry()
     specs = [(name, getattr(reg, name)) for name in SPEC_NAMES]
-    digest = hashlib.sha256()
-    count = 0
+    runs = []
     for name in MORPHISM_NAMES + SUBSTITUTION_NAMES:
         morphism = getattr(reg, name)
-        flat = (morphism.to_annotated()[0] if name in SUBSTITUTION_NAMES
-                else morphism)
-        width = flat.uniform_width
         for source_name, source in specs:
             if source.alphabet_size != morphism.source_size:
                 continue
             for target_name, target in specs:
-                if target.alphabet_size < morphism.target_size:
-                    continue
-                for cap in (None, 2 * width + 3):
-                    cert = verify_square_transfer(
-                        morphism, source, target, root_cap=cap,
-                        name=f"{name}:{source_name}:{target_name}")
-                    digest.update(json.dumps(cert.to_dict(),
-                                             sort_keys=True).encode() + b"\n")
-                    count += 1
+                if target.alphabet_size >= morphism.target_size:
+                    runs.append((name, source_name, target_name, None))
+    runs += FIXED_POINT_CERTIFICATES
+    digest = hashlib.sha256()
+    count = 0
+    for name, source_name, target_name, core in runs:
+        morphism = getattr(reg, name)
+        flat = (morphism.to_annotated()[0] if name in SUBSTITUTION_NAMES
+                else morphism)
+        fixed_point = None if core is None else (getattr(reg, core), 0)
+        for cap in (None, 2 * flat.uniform_width + 3):
+            cert = verify_square_transfer(
+                morphism, getattr(reg, source_name), getattr(reg, target_name),
+                root_cap=cap, fixed_point=fixed_point,
+                name=f"{name}:{source_name}:{target_name}")
+            digest.update(json.dumps(cert.to_dict(),
+                                     sort_keys=True).encode() + b"\n")
+            count += 1
     return count, digest.hexdigest()
 
 

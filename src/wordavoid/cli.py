@@ -179,6 +179,7 @@ def _render_certificate(cert) -> str:
              f"{'COMPLETE' if cert.complete else 'INCOMPLETE'}",
              f"  width {cert.width}, depth {cert.depth},"
              f" root cap {cert.root_cap}",
+             f"  scope: {cert.scope}",
              f"  source: {_spec_oneline(cert.source)}",
              f"  target: {_spec_oneline(cert.target)}",
              f"  bounded case: {cert.bounded.words_checked} words up to"
@@ -201,7 +202,7 @@ def _render_certificate(cert) -> str:
         p = ev.pattern
         state = "complete" if ev.complete else "empirical"
         lines.append(f"  gap pattern {p.first}.{p.middle}.{p.last}:"
-                     f" {ev.kind} ({ev.scope} scope, {state})")
+                     f" {ev.kind} ({state})")
     if cert.residual:
         lines.append("  residual:")
         lines.extend(f"    {r}" for r in cert.residual)

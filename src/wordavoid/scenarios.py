@@ -163,7 +163,7 @@ def _scenario_dekking_verify(reg: InstanceRegistry, prefix_length: int
                          word_to_text(w.t), word_to_text(w.u),
                          word_to_text(w.v)) for w, _ in c.interchanges]
                    == [(2, 1, 3, 4, "0110", "01", "0101", "10")]
-                   and c.bounded.legal_counts[5] == 41),
+                   and c.bounded.legal_counts[5] == 28),
         "complete, 3 inclusions, 1 interchange, "
         "{c.bounded.legal_counts[5]} words at length 5")
     col.certify(

@@ -19,9 +19,9 @@ exhaustive channels:
   language; the bounded exhaustive search runs on the shared legal-word
   walker).
 
-Every question of the form "can this short word occur?" goes to one of two
-oracles: `_forbids` for the source spec, and `exact_factors` for the factors
-of a fixed point.  The follower argument is written once and asks either.
+Every question of the form "can this short word occur?" goes to one oracle,
+`_forbids`.  A fixed point enters as a spec that forbids its short
+non-factors too; only block descent and the empirical scan read it itself.
 
 A `TransferCertificate` collects the witnesses, their refutations, and any
 residual obligations; it is complete when nothing is left open.
@@ -29,7 +29,7 @@ residual obligations; it is complete when nothing is left open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -48,6 +48,10 @@ FixedPoint = tuple[Morphism, int]
 _DESCENT_BASE = 12
 _EXHAUST_GAP = 8
 _SCAN_LENGTH = 100_000
+# A fixed point's spec forbids non-factors of at most this many letters, the
+# longest factors block descent reads below width 14.  A longer bounded case
+# walks a superset of the factors, which is sound.
+_SCOPE_LENGTH = 25
 
 
 def _project(word: bytes, classes: tuple[int, ...] | None) -> bytes:
@@ -119,6 +123,24 @@ def exact_factors(morphism: Morphism, seed: int, length: int) -> frozenset[bytes
     blocks = 1 + -(-(length - 1) // width)
     return frozenset(factor for source in exact_factors(morphism, seed, blocks)
                      for factor in in_first_block(source))
+
+
+def _fixed_point_spec(source: AvoidanceSpec, fixed_point: FixedPoint,
+                      length: int) -> AvoidanceSpec:
+    """The source spec plus the fixed point's minimal non-factors u + a (u
+    and u[1:] + a factors) of at most `length` letters that the source
+    allows.  Its legal words up to that length are the source-legal factors:
+    the shortest non-factor in a source-legal word is minimal and legal."""
+    m, seed = fixed_point
+    shorter: frozenset[bytes] = frozenset((b"",))
+    extra: list[bytes] = []
+    for k in range(1, length + 1):
+        factors = exact_factors(m, seed, k)
+        extra += sorted(w for u in shorter for a in range(source.alphabet_size)
+                        if (w := u + bytes((a,)))[1:] in shorter
+                        and w not in factors and _forbids(source, w) is None)
+        shorter = factors
+    return replace(source, forbidden=source.forbidden + tuple(extra))
 
 
 def _fixed_point_phases(morphism: Morphism, seed: int, word: bytes) -> set[int]:
@@ -204,14 +226,11 @@ class GapEvidence:
     """Why a pattern first..middle..last with equal gaps cannot occur.
 
     kind is one of trivial, follower, descent, exhaustive, scan, present;
-    scope says whether the argument covers every word of the source spec or
-    only the fixed point named in the proof.  Only complete evidence makes a
-    certificate complete; scan evidence is empirical.
+    only complete evidence makes a certificate complete.
     """
 
     pattern: GapPattern
     kind: str
-    scope: str
     complete: bool
     detail: str
 
@@ -399,19 +418,6 @@ def _exhaustive_viability(pattern: GapPattern, spec: AvoidanceSpec,
     return all(_forbids(spec, pattern.word(alpha)) for alpha in alphas)
 
 
-def _follower_proof(pattern: GapPattern, may_occur, letters) -> str | None:
-    """The followers of the middle letter among `letters`, comma-joined, when
-    first-middle-last may not occur and none of them may follow the first
-    letter; then no gap fits.  `may_occur` answers for short words."""
-    b, c, _ = pattern.letters()
-    if may_occur(bytes(pattern.letters())):
-        return None
-    followers = [d for d in letters if may_occur(bytes([c, d]))]
-    if any(may_occur(bytes([b, d])) for d in followers):
-        return None
-    return ",".join(str(d) for d in followers)
-
-
 def _gap_flanks(fixed_point: FixedPoint, gap: int) -> set[tuple[int, int, int]]:
     """The letters (first, middle, last) of every gap pattern that occurs in
     the fixed point with a gap of this length, from its exact factors."""
@@ -420,8 +426,7 @@ def _gap_flanks(fixed_point: FixedPoint, gap: int) -> set[tuple[int, int, int]]:
             if f[1:gap + 1] == f[gap + 2:-1]}
 
 
-def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
-                   fixed_point: FixedPoint) -> str | None:
+def _descent_proof(pattern: GapPattern, fixed_point: FixedPoint) -> str | None:
     """Prove the pattern absent from the fixed point by block descent.
 
     For a large-gap occurrence, the middle letter sits at some phase i of
@@ -454,12 +459,10 @@ def _descent_proof(pattern: GapPattern, spec: AvoidanceSpec,
                 before, after = img[:i], img[i + 1:]
                 lead = bytes([pat.first]) + after
                 trail = before + bytes([pat.last])
-                if (_forbids(spec, lead)
-                        or lead not in exact_factors(m, seed, len(lead))):
+                if lead not in exact_factors(m, seed, len(lead)):
                     cases.append(f"{tag} lead {word_to_text(lead)} impossible")
                     continue
-                if (_forbids(spec, trail)
-                        or trail not in exact_factors(m, seed, len(trail))):
+                if trail not in exact_factors(m, seed, len(trail)):
                     cases.append(f"{tag} trail {word_to_text(trail)} impossible")
                     continue
                 if (_fixed_point_phases(m, seed, lead) != {i}
@@ -489,50 +492,45 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
                               ) -> GapEvidence:
     """Best available evidence that the pattern cannot occur.
 
-    Tries, in order: a trivial square, the follower argument at spec level,
-    the follower argument and block descent over the fixed point, a bounded
-    exhaustive search (complete only when every branch dies early), and
-    finally an empirical scan of a fixed point prefix.
+    Tries, in order: a trivial square, the follower argument, block descent
+    over the fixed point, a bounded exhaustive search (complete only when
+    every branch dies early), and finally an empirical scan of a fixed point
+    prefix.  The other rungs ask only the spec: a fixed point's spec
+    (`_fixed_point_spec`) makes them speak of its factors.
     """
     # Every square forbidden: min-root 1, or a whitelist with no entry.
     if (("square", 2, 1, None, frozenset()) in spec.repetition_rules
-            and (pattern.first == pattern.middle
-                 or pattern.middle == pattern.last)):
-        return GapEvidence(pattern, "trivial", "spec", True,
+            and pattern.middle in (pattern.first, pattern.last)):
+        return GapEvidence(pattern, "trivial", True,
                            "pattern repeats a letter, forcing a square")
+    # The follower argument: no gap fits when first-middle-last is illegal
+    # and no letter may follow both the middle letter and the first.
     b, c, _ = pattern.letters()
-    followers = _follower_proof(pattern, lambda w: _forbids(spec, w) is None,
-                                range(spec.alphabet_size))
-    if followers is not None:
-        return GapEvidence(pattern, "follower", "spec", True,
-                           f"{pattern.text()} illegal; followers of {c} are"
-                           f" {{{followers}}} and none may follow {b}")
+    if _forbids(spec, bytes(pattern.letters())):
+        followers = [d for d in range(spec.alphabet_size)
+                     if _forbids(spec, bytes([c, d])) is None]
+        if all(_forbids(spec, bytes([b, d])) for d in followers):
+            return GapEvidence(pattern, "follower", True,
+                               f"{pattern.text()} illegal; followers of {c}"
+                               f" are {{{','.join(map(str, followers))}}} and"
+                               f" none may follow {b}")
     if fixed_point is not None:
-        m, seed = fixed_point
-        followers = _follower_proof(
-            pattern, lambda w: w in exact_factors(m, seed, len(w)),
-            [d for (d,) in sorted(exact_factors(m, seed, 1))])
-        if followers is not None:
-            return GapEvidence(pattern, "follower", "fixed-point", True,
-                               f"{pattern.text()} not a factor; factor"
-                               f" followers of {c} are {{{followers}}} and"
-                               f" none follows {b}")
-        detail = _descent_proof(pattern, spec, fixed_point)
+        detail = _descent_proof(pattern, fixed_point)
         if detail is not None:
-            return GapEvidence(pattern, "descent", "fixed-point", True, detail)
+            return GapEvidence(pattern, "descent", True, detail)
     if _exhaustive_viability(pattern, spec, _EXHAUST_GAP):
-        return GapEvidence(pattern, "exhaustive", "spec", True,
+        return GapEvidence(pattern, "exhaustive", True,
                            f"every branch dies within gap {_EXHAUST_GAP}")
     if fixed_point is not None:
-        prefix = fixed_point_prefix(m, seed, _SCAN_LENGTH)
+        prefix = fixed_point_prefix(*fixed_point, _SCAN_LENGTH)
         hit, _ = gap_first_and_count(prefix, pattern)
         if hit is not None:
             pos, gap = hit
-            return GapEvidence(pattern, "present", "fixed-point", False,
+            return GapEvidence(pattern, "present", False,
                                f"occurs at position {pos} with gap {gap}")
-        return GapEvidence(pattern, "scan", "fixed-point", False,
+        return GapEvidence(pattern, "scan", False,
                            f"absent from the first {len(prefix)} letters")
-    return GapEvidence(pattern, "exhaustive", "spec", False,
+    return GapEvidence(pattern, "exhaustive", False,
                        f"only gaps <= {_EXHAUST_GAP} checked")
 
 
@@ -541,15 +539,13 @@ def refute_interchange(witness: InterchangeWitness,
                        classes: tuple[int, ...] | None = None) -> Refutation:
     """An interchange forces b..c..a with equal gaps in the source word, so
     evidence that the gap pattern is absent refutes it."""
-    a, b, c = _project(bytes([witness.a, witness.b, witness.c]),
-                       classes or None)
+    a, b, c = _project(bytes([witness.a, witness.b, witness.c]), classes)
     pattern = GapPattern(b, c, a)
     evidence = gap_evidence.get(pattern)
     if evidence is not None and evidence.kind != "present":
         return Refutation(
             "gap-pattern-absent",
-            f"pattern {pattern.text()} ruled out by {evidence.kind}"
-            f" ({evidence.scope} scope)")
+            f"pattern {pattern.text()} ruled out by {evidence.kind}")
     return Refutation("open", f"no evidence against pattern {pattern.text()}")
 
 
@@ -611,6 +607,7 @@ class TransferCertificate:
     width: int
     depth: int
     root_cap: int
+    scope: str
     source: AvoidanceSpec
     target: AvoidanceSpec
     classes: tuple[int, ...] | None
@@ -620,7 +617,6 @@ class TransferCertificate:
     interchanges: tuple[tuple[InterchangeWitness, Refutation], ...]
     gap_evidence: tuple[GapEvidence, ...]
     residual: tuple[str, ...]
-    notes: tuple[str, ...] = ()
 
     @property
     def complete(self) -> bool:
@@ -632,6 +628,7 @@ class TransferCertificate:
             "width": self.width,
             "depth": self.depth,
             "root_cap": self.root_cap,
+            "scope": self.scope,
             "source": format_spec(self.source),
             "target": format_spec(self.target),
             "classes": list(self.classes) if self.classes else None,
@@ -644,7 +641,6 @@ class TransferCertificate:
                              for w, r in self.interchanges],
             "gap_evidence": [e.to_dict() for e in self.gap_evidence],
             "residual": list(self.residual),
-            "notes": list(self.notes),
             "complete": self.complete,
         }
 
@@ -660,7 +656,8 @@ def verify_square_transfer(morphism: Morphism | Substitution,
     letters that share their original letter's legality class (see
     `Substitution.to_annotated`).  The root cap defaults to 2W; a smaller one
     cannot give a complete certificate, because the roots between it and 2W
-    are checked nowhere.
+    are checked nowhere.  With `fixed_point`, the scope is its source-legal
+    factors: every channel asks its spec (`_fixed_point_spec`).
     """
     classes = None
     if isinstance(morphism, Substitution):
@@ -674,10 +671,12 @@ def verify_square_transfer(morphism: Morphism | Substitution,
     if source.alphabet_size > letters:
         raise ValueError(f"the source spec has {source.alphabet_size} letters"
                          f" but only {letters} have an image")
-    if fixed_point is not None:
-        exact_factors(*fixed_point, 1)  # rejects what has no exact factors
     cap = 2 * width if root_cap is None else root_cap
-    bounded = bounded_case_check(morphism, source, target, cap, classes)
+    spec, scope = source, "spec"
+    if fixed_point is not None:
+        spec, scope = _fixed_point_spec(source, fixed_point, min(
+            _SCOPE_LENGTH, max(3, 2 * cap // width + 2))), "fixed-point"
+    bounded = bounded_case_check(morphism, spec, target, cap, classes)
 
     residual: list[str] = []
     if cap < 2 * width:
@@ -690,7 +689,7 @@ def verify_square_transfer(morphism: Morphism | Substitution,
     def refuted(witnesses):
         out = []
         for wit in witnesses:
-            r = refute_inclusion(morphism, wit, source, depth, classes)
+            r = refute_inclusion(morphism, wit, spec, depth, classes)
             if not r.ok:
                 residual.append(f"inclusion ({wit.a},{wit.b})->{wit.c}"
                                 f"@{wit.offset} unresolved")
@@ -705,13 +704,13 @@ def verify_square_transfer(morphism: Morphism | Substitution,
     found = find_inclusions(morphism)
     inclusions = refuted(
         w for w in found if cls[w.a] != cls[w.b]
-        and _forbids(source, bytes((w.a, w.b)), classes) is None)
+        and _forbids(spec, bytes((w.a, w.b)), classes) is None)
     equal_pair = refuted(w for w in found if cls[w.a] == cls[w.b])
 
     interchanges = find_interchanges(morphism, classes)
     patterns = sorted({GapPattern(cls[w.b], cls[w.c], cls[w.a])
                        for w in interchanges}, key=GapPattern.letters)
-    evidence = {p: prove_gap_pattern_absence(p, source, fixed_point)
+    evidence = {p: prove_gap_pattern_absence(p, spec, fixed_point)
                 for p in patterns}
     checked = []
     for wit in interchanges:
@@ -726,7 +725,7 @@ def verify_square_transfer(morphism: Morphism | Substitution,
                             f" ({ev.kind})")
 
     return TransferCertificate(
-        name=name, width=width, depth=depth, root_cap=cap,
+        name=name, width=width, depth=depth, root_cap=cap, scope=scope,
         source=source, target=target, classes=classes,
         bounded=bounded, inclusions=inclusions,
         equal_pair_inclusions=equal_pair, interchanges=tuple(checked),

@@ -218,6 +218,26 @@ def test_verify_with_fixed_point_evidence(capsys):
     assert [e["kind"] for e in payload["gap_evidence"]] == ["descent"]
 
 
+def test_fixed_point_off_the_source_language_speaks_of_its_own_factors(
+        capsys, tmp_path):
+    """The Thue-Morse word never uses letters 2 and 3, so the dekking_g
+    certificate over it speaks of its 6 source-legal factors, all binary
+    and squarefree; without it the gap pattern 1.3.2 stays open."""
+    thue_morse = tmp_path / "thue-morse.txt"
+    thue_morse.write_text("0 -> 01\n1 -> 10\n2 -> 22\n3 -> 33\n")
+    args = ("verify", "--morphism", "dekking_g", "--source",
+            "dekking_g_source", "--target", "dekking_binary", "--format",
+            "json")
+    code, out, _ = run_cli(capsys, *args, "--fixed-point-morphism",
+                           str(thue_morse))
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["scope"] == "fixed-point"
+    assert payload["bounded"]["words_checked"] == 6
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 1 and json.loads(out)["scope"] == "spec"
+
+
 def test_corrupt_spec_file_reports_line(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("alphabet 2\nsquares min-root x\n")
@@ -692,15 +712,15 @@ def digest_script():
 # deliberate change to one re-pins it here, with the old and new lines
 # recorded in CHANGES.md.
 PINNED_DIGESTS = {
-    "certificates": "684 c13d3438a8f64d071a7538000dc4fab3723e94c2015b0d36"
-                    "f623cf51959b5100",
-    "scenario --all": "9059ff0f255fbe2d78328d8611a303586ed24546ad6f4382473b"
-                      "b0a42bbbc176",
-    "scenario --all --prefix-length 2000": "e2164396bc3b28a9ccf30d96059e930a"
-                                           "3125e950f0edf6bf2006d25e3861f6ae",
+    "certificates": "692 1b7ef6abcef10b834fe47d93743883880918d8bb45a4d614"
+                    "63f4aa21f02b2f1a",
+    "scenario --all": "b3b3128e95eb0a0c709fb197eaef465a4c8bf33230af13070a8a"
+                      "4d1cd3befc81",
+    "scenario --all --prefix-length 2000": "844f686e6391329bdef6ce9ec3520870"
+                                           "b331169f930701fa0a450095f92e263f",
     "tables": "149e93de3f5bb0891c7665061bade7285cac0ed233257be43fbdd6812612549e",
     "scans": "ae3948060c929c37ba587509cc8e63ad8bd5b4745e165c8bbc9994f4df0e7e10",
-    "cli": "89c6b5921cc331da2b6ef24a49eb03c78b0b609acfcb44571f323f61e5893dfb",
+    "cli": "ee5f9c2940408ad9fb22dd72b1ffcefbf99de67c40a435a556eefcb43f057f2b",
 }
 
 

@@ -149,7 +149,6 @@ def test_interchange_gap_pattern_descent(registry):
     evidence = prove_gap_pattern_absence(pattern, registry.dekking_g_source,
                                          fixed_point=(registry.dekking_h, 0))
     assert evidence.kind == "descent"
-    assert evidence.scope == "fixed-point"
     assert evidence.complete
     # exhaustive cross-check at small gap lengths: no legal instance has a
     # gap of at most 8 letters
@@ -181,27 +180,27 @@ def test_realizable_gap_pattern_is_found():
 
 
 @pytest.mark.parametrize("pattern, spec, on_fixed_point, verdict", [
-    (GapPattern(0, 1, 1), AvoidanceSpec(4), True,
-     ("follower", "fixed-point", True)),
-    (GapPattern(0, 0, 0), AvoidanceSpec(4), True,
-     ("scan", "fixed-point", False)),
+    (GapPattern(0, 1, 1), AvoidanceSpec(4), True, ("follower", True)),
+    (GapPattern(0, 0, 0), AvoidanceSpec(4), True, ("scan", False)),
     (GapPattern(0, 0, 0),
      AvoidanceSpec(2, (word_from_text("00"),), square_min_root=2), False,
-     ("exhaustive", "spec", True)),
+     ("exhaustive", True)),
 ], ids=["follower", "scan", "exhaustive"])
 def test_gap_evidence_rungs_hold_by_brute_force(registry, pattern, spec,
                                                 on_fixed_point, verdict):
-    """A complete verdict holds on a Dekking fixed-point prefix for
-    fixed-point scope, and on every short legal word for spec scope."""
+    """A complete verdict holds on every short legal word of the spec, and
+    with a Dekking fixed point also on a prefix of it.  With a fixed point
+    the rungs ask its spec, as a fixed-point certificate does."""
     fixed_point = (registry.dekking_h, 0) if on_fixed_point else None
+    if on_fixed_point:
+        spec = verify._fixed_point_spec(spec, fixed_point, 3)
     evidence = prove_gap_pattern_absence(pattern, spec, fixed_point)
-    assert (evidence.kind, evidence.scope, evidence.complete) == verdict
+    assert (evidence.kind, evidence.complete) == verdict
     if not evidence.complete:
         return
-    if evidence.scope == "fixed-point":
-        words = [fixed_point_prefix(registry.dekking_h, 0, 1500)]
-    else:
-        words = [w for level in naive_legal_words(spec, 14) for w in level]
+    words = [w for level in naive_legal_words(spec, 14) for w in level]
+    if on_fixed_point:
+        words.append(fixed_point_prefix(registry.dekking_h, 0, 1500))
     assert not any(naive_gap_occurrences(w, pattern) for w in words)
 
 
@@ -221,13 +220,11 @@ def test_repetitive_fixed_point_is_scanned_in_seconds():
     elapsed = time.perf_counter() - start
     assert not cert.complete
     assert [e.to_dict() for e in cert.gap_evidence] == [
-        {"pattern": "023", "kind": "descent", "scope": "fixed-point",
-         "complete": True,
-         "detail": "gaps < 12 absent by exact factors; 023: (x=1,i=1) trail"
-                   " 03 impossible; (x=2,i=0) trail 3 impossible; (x=2,i=1)"
-                   " trail 23 impossible"},
-        {"pattern": "201", "kind": "present", "scope": "fixed-point",
-         "complete": False, "detail": "occurs at position 3 with gap 0"}]
+        {"pattern": "023", "kind": "follower", "complete": True,
+         "detail": "023 illegal; followers of 2 are {0} and none may"
+                   " follow 0"},
+        {"pattern": "201", "kind": "present", "complete": False,
+         "detail": "occurs at position 3 with gap 0"}]
     assert cert.residual[-1] == "interchange (1,2,0) unresolved"
     assert elapsed < 15
 
@@ -276,7 +273,7 @@ def test_coder_certificate(registry):
                                   name="coder")
     assert cert.complete
     assert cert.root_cap == 12
-    assert cert.bounded.legal_counts == (0, 4, 8, 16, 26, 41, 64)
+    assert cert.bounded.legal_counts == (0, 4, 8, 14, 20, 28, 34)
     assert len(cert.inclusions) == 3
     assert len(cert.interchanges) == 1
     equal = [((w.a, w.b, w.c, w.offset), r.method)
@@ -379,7 +376,7 @@ def test_fs_coder_certificate(registry):
                                   fixed_point=(registry.fs_h, 0),
                                   name="fs coder")
     assert cert.complete
-    assert cert.bounded.legal_counts == (0, 5, 9, 14, 19, 28, 39)
+    assert cert.bounded.legal_counts == (0, 5, 9, 14, 19, 24, 31)
     assert len(cert.inclusions) == 8  # source filter drops two illegal pairs
     assert not cert.interchanges
 
@@ -407,11 +404,11 @@ def test_fs_substitution_certificate(registry):
                      ((2, 2, 0, 13), "pair-illegal")]
     triples = [(w.a, w.b, w.c) for w, _ in cert.interchanges]
     assert triples == [(2, 1, 5), (2, 4, 5), (5, 3, 2)]
-    evidence = {(e.pattern.first, e.pattern.middle, e.pattern.last):
-                (e.kind, e.scope) for e in cert.gap_evidence}
-    assert evidence == {(1, 0, 2): ("follower", "spec"),
-                        (4, 0, 2): ("follower", "spec"),
-                        (3, 2, 0): ("follower", "spec")}
+    assert cert.scope == "spec"
+    evidence = {(e.pattern.first, e.pattern.middle, e.pattern.last): e.kind
+                for e in cert.gap_evidence}
+    assert evidence == {(1, 0, 2): "follower", (4, 0, 2): "follower",
+                        (3, 2, 0): "follower"}
     assert all(e.complete for e in cert.gap_evidence)
 
 
@@ -438,6 +435,65 @@ def test_shuffle_coders_certificates(registry):
         assert triples == ((0, 3, 2), (1, 2, 3), (2, 1, 0), (3, 0, 1))
         assert all(e.kind == "descent" and e.complete
                    for e in cert.gap_evidence)
+
+
+@pytest.mark.parametrize("coder", ["pu_g1", "pu_g2"])
+def test_shuffle_coders_hold_on_the_fixed_point_past_twice_the_width(
+        registry, coder):
+    """At cap 13 = 5W - 2 the bounded case walks only the fixed point's
+    factors, none of whose images holds a square of root 8 or 9."""
+    cert = verify_square_transfer(getattr(registry, coder),
+                                  registry.pu_source, registry.pu_binary,
+                                  root_cap=13, fixed_point=(registry.pu_h, 0))
+    assert cert.scope == "fixed-point"
+    assert cert.bounded.words_checked == 400
+    assert cert.complete
+
+
+def test_shuffle_coder_fails_on_a_source_word_off_the_fixed_point(registry):
+    """310120 is pu_source-legal but not a factor of the PU core, and its
+    image under g1 starts with a root-8 square."""
+    cert = verify_square_transfer(registry.pu_g1, registry.pu_source,
+                                  registry.pu_binary, root_cap=13)
+    assert cert.scope == "spec"
+    word = word_from_text("310120")
+    assert word not in exact_factors(registry.pu_h, 0, 6)
+    assert word in [w for w, _ in cert.bounded.violations]
+    image = registry.pu_g1.apply(word)
+    assert word_to_text(image) == "110101001101010001"
+    assert image[:8] == image[8:16]
+    assert not cert.complete
+
+
+# The packaged certificates that speak of a fixed point: coder, source,
+# target and the fixed point's morphism (seed 0).
+FIXED_POINT_CERTIFICATES = [
+    ("dekking_g", "dekking_g_source", "dekking_binary", "dekking_h"),
+    ("fs_g", "fs_g_source", "fs_binary", "fs_h"),
+    ("pu_g1", "pu_source", "pu_binary", "pu_h"),
+    ("pu_g2", "pu_source", "pu_binary", "pu_h"),
+]
+
+
+@pytest.mark.parametrize("cap", [None, 13])
+@pytest.mark.parametrize("coder, source, target, core",
+                         FIXED_POINT_CERTIFICATES,
+                         ids=[r[0] for r in FIXED_POINT_CERTIFICATES])
+def test_fixed_point_bounded_case_walks_its_legal_factors(registry, coder,
+                                                          source, target,
+                                                          core, cap):
+    """Each length of a fixed-point bounded case counts exactly the
+    source-legal factors of that length, read off a long prefix; a bounded
+    case that walks source-legal words off the fixed point counts more."""
+    spec = getattr(registry, source)
+    cert = verify_square_transfer(getattr(registry, coder), spec,
+                                  getattr(registry, target), root_cap=cap,
+                                  fixed_point=(getattr(registry, core), 0))
+    assert cert.complete and not cert.bounded.violations
+    prefix = fixed_point_prefix(getattr(registry, core), 0, 20_000)
+    for k, count in enumerate(cert.bounded.legal_counts[1:], start=1):
+        factors = {prefix[i:i + k] for i in range(len(prefix) - k + 1)}
+        assert count == sum(naive_satisfies(f, spec) for f in factors)
 
 
 def test_shuffle_coder_splits_differ(registry):
@@ -719,6 +775,43 @@ def test_false_complete_rows_break_the_target(images, target_size, min_root,
                          ids=[r[0] for r in FALSE_COMPLETE])
 def test_default_cap_misses_a_root_past_twice_the_width(images, target_size,
                                                         min_root):
+    m, source, target = _false_complete_case(images, target_size, min_root)
+    cert = verify_square_transfer(m, source, target)
+    assert cert.root_cap == 2 * m.uniform_width
+    assert not cert.complete
+
+
+# False COMPLETEs whose missed square is longer than 2W + 1: images, target
+# alphabet, target min-root, a squarefree source word and where its image
+# breaks the target.
+FALSE_COMPLETE_LONG = [
+    ("210 022 101 121", 3, 8, "103120", (2, 8)),
+    ("1111 1000 1010 0011", 2, 10, "323123210", (15, 10)),
+    ("0000 0111 1010 1101", 2, 11, "323130120", (14, 11)),
+    ("1110 0000 0100 1001", 2, 13, "32130120", (5, 13)),
+]
+
+
+@pytest.mark.parametrize("images,target_size,min_root,text,where",
+                         FALSE_COMPLETE_LONG,
+                         ids=[r[0] for r in FALSE_COMPLETE_LONG])
+def test_long_false_complete_rows_break_the_target(images, target_size,
+                                                   min_root, text, where):
+    m, source, target = _false_complete_case(images, target_size, min_root)
+    word = word_from_text(text)
+    assert satisfies_spec(word, source).ok
+    bad = satisfies_spec(m.apply(word), target).violation
+    assert (bad.position, bad.root_length) == where
+    assert where[1] > 2 * m.uniform_width + 1
+
+
+@pytest.mark.xfail(strict=True, reason="the long-root argument claims a"
+                   " square of root above 2W + 1 the bounded case does not"
+                   " check")
+@pytest.mark.parametrize("images,target_size,min_root",
+                         [r[:3] for r in FALSE_COMPLETE_LONG],
+                         ids=[r[0] for r in FALSE_COMPLETE_LONG])
+def test_default_cap_misses_a_long_root(images, target_size, min_root):
     m, source, target = _false_complete_case(images, target_size, min_root)
     cert = verify_square_transfer(m, source, target)
     assert cert.root_cap == 2 * m.uniform_width
