@@ -326,6 +326,8 @@ def growth_rate(automaton: FactorAutomaton, tol: float = 1e-9,
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     live, sources, targets = automaton._live_edges()
     n = len(live)
     if n == 0 or len(sources) == 0:

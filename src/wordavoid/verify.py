@@ -11,9 +11,8 @@ exhaustive channels:
   and `satisfies_spec` names each violation; a cap below 2W leaves the
   roots above it as a residual);
 * inclusions, where one image sits inside the image of a pair with offcut
-  affixes on both sides (one inventory over all pairs, split into the
-  distinct pairs the source allows and the equal pairs, and refuted case by
-  case through context letters and forced pullbacks);
+  affixes on both sides (one inventory over all pairs, refuted case by case
+  through context letters and forced pullbacks);
 * interchanges, where two images share a prefix/suffix splitting of a third
   (refuted by proving a three-letter gap pattern absent from the source
   language; the bounded exhaustive search runs on the shared legal-word
@@ -23,8 +22,9 @@ Every question of the form "can this short word occur?" goes to one oracle,
 `_forbids`.  A fixed point enters as a spec that forbids its short
 non-factors too; only block descent and the empirical scan read it itself.
 
-A `TransferCertificate` collects the witnesses, their refutations, and any
-residual obligations; it is complete when nothing is left open.
+A `TransferCertificate` holds the witnesses and their refutations; its
+residual obligations are read off those rows, and it is complete when
+nothing is left open.
 """
 
 from __future__ import annotations
@@ -225,7 +225,7 @@ class Refutation:
 class GapEvidence:
     """Why a pattern first..middle..last with equal gaps cannot occur.
 
-    kind is one of trivial, follower, descent, exhaustive, scan, present;
+    kind is one of follower, descent, exhaustive, scan, present;
     only complete evidence makes a certificate complete.
     """
 
@@ -492,17 +492,12 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
                               ) -> GapEvidence:
     """Best available evidence that the pattern cannot occur.
 
-    Tries, in order: a trivial square, the follower argument, block descent
-    over the fixed point, a bounded exhaustive search (complete only when
-    every branch dies early), and finally an empirical scan of a fixed point
-    prefix.  The other rungs ask only the spec: a fixed point's spec
-    (`_fixed_point_spec`) makes them speak of its factors.
+    Tries, in order: the follower argument, block descent over the fixed
+    point, a bounded exhaustive search (complete only when every branch dies
+    early), and finally an empirical scan of a fixed point prefix.  The
+    other rungs ask only the spec: a fixed point's spec (`_fixed_point_spec`)
+    makes them speak of its factors.
     """
-    # Every square forbidden: min-root 1, or a whitelist with no entry.
-    if (("square", 2, 1, None, frozenset()) in spec.repetition_rules
-            and pattern.middle in (pattern.first, pattern.last)):
-        return GapEvidence(pattern, "trivial", True,
-                           "pattern repeats a letter, forcing a square")
     # The follower argument: no gap fits when first-middle-last is illegal
     # and no letter may follow both the middle letter and the first.
     b, c, _ = pattern.letters()
@@ -538,11 +533,12 @@ def refute_interchange(witness: InterchangeWitness,
                        gap_evidence: dict[GapPattern, GapEvidence],
                        classes: tuple[int, ...] | None = None) -> Refutation:
     """An interchange forces b..c..a with equal gaps in the source word, so
-    evidence that the gap pattern is absent refutes it."""
+    a proof that the gap pattern is absent refutes it; empirical evidence
+    leaves it open."""
     a, b, c = _project(bytes([witness.a, witness.b, witness.c]), classes)
     pattern = GapPattern(b, c, a)
     evidence = gap_evidence.get(pattern)
-    if evidence is not None and evidence.kind != "present":
+    if evidence is not None and evidence.complete:
         return Refutation(
             "gap-pattern-absent",
             f"pattern {pattern.text()} ruled out by {evidence.kind}")
@@ -613,10 +609,22 @@ class TransferCertificate:
     classes: tuple[int, ...] | None
     bounded: BoundedCaseReport
     inclusions: tuple[tuple[InclusionWitness, Refutation], ...]
-    equal_pair_inclusions: tuple[tuple[InclusionWitness, Refutation], ...]
     interchanges: tuple[tuple[InterchangeWitness, Refutation], ...]
     gap_evidence: tuple[GapEvidence, ...]
-    residual: tuple[str, ...]
+
+    @property
+    def residual(self) -> tuple[str, ...]:
+        """What is left open: roots above the cap, bounded-case violations,
+        then every row that is not refuted."""
+        cap, full = self.root_cap, 2 * self.width
+        return (*([f"root cap {cap} is below 2W = {full}:"
+                   f" roots {cap + 1}..{full} unchecked"] if cap < full else []),
+                *(f"bounded case: image of {word_to_text(w)} has"
+                  f" {v.describe()}" for w, v in self.bounded.violations),
+                *(f"inclusion ({w.a},{w.b})->{w.c}@{w.offset} unresolved"
+                  for w, r in self.inclusions if not r.ok),
+                *(f"interchange ({w.a},{w.b},{w.c}) unresolved"
+                  for w, r in self.interchanges if not r.ok))
 
     @property
     def complete(self) -> bool:
@@ -624,19 +632,12 @@ class TransferCertificate:
 
     def to_dict(self) -> dict:
         return {
-            "name": self.name,
-            "width": self.width,
-            "depth": self.depth,
-            "root_cap": self.root_cap,
-            "scope": self.scope,
+            **report_row(self),
             "source": format_spec(self.source),
             "target": format_spec(self.target),
-            "classes": list(self.classes) if self.classes else None,
             "bounded": self.bounded.to_dict(),
             "inclusions": [{"witness": w.to_dict(), **r.to_dict()}
                            for w, r in self.inclusions],
-            "equal_pair_inclusions": [{"witness": w.to_dict(), **r.to_dict()}
-                                      for w, r in self.equal_pair_inclusions],
             "interchanges": [{"witness": w.to_dict(), **r.to_dict()}
                              for w, r in self.interchanges],
             "gap_evidence": [e.to_dict() for e in self.gap_evidence],
@@ -657,7 +658,8 @@ def verify_square_transfer(morphism: Morphism | Substitution,
     `Substitution.to_annotated`).  The root cap defaults to 2W; a smaller one
     cannot give a complete certificate, because the roots between it and 2W
     are checked nowhere.  With `fixed_point`, the scope is its source-legal
-    factors: every channel asks its spec (`_fixed_point_spec`).
+    factors: every channel asks its spec (`_fixed_point_spec`).  An inclusion
+    on a pair the source forbids threatens nothing, so its row is dropped.
     """
     classes = None
     if isinstance(morphism, Substitution):
@@ -677,57 +679,20 @@ def verify_square_transfer(morphism: Morphism | Substitution,
         spec, scope = _fixed_point_spec(source, fixed_point, min(
             _SCOPE_LENGTH, max(3, 2 * cap // width + 2))), "fixed-point"
     bounded = bounded_case_check(morphism, spec, target, cap, classes)
-
-    residual: list[str] = []
-    if cap < 2 * width:
-        residual.append(f"root cap {cap} is below 2W = {2 * width}:"
-                        f" roots {cap + 1}..{2 * width} unchecked")
-    for w, v in bounded.violations:
-        residual.append(f"bounded case: image of {word_to_text(w)}"
-                        f" has {v.describe()}")
-
-    def refuted(witnesses):
-        out = []
-        for wit in witnesses:
-            r = refute_inclusion(morphism, wit, spec, depth, classes)
-            if not r.ok:
-                residual.append(f"inclusion ({wit.a},{wit.b})->{wit.c}"
-                                f"@{wit.offset} unresolved")
-            out.append((wit, r))
-        return tuple(out)
-
-    # One inventory, two channels in scan order.  Distinct pairs the source
-    # forbids never occur in a conforming word, so their rows threaten
-    # nothing and are dropped.  Equal pairs stay unfiltered: those rows are
-    # refuted by the pair check itself, which keeps the reason visible.
-    cls = classes or tuple(range(morphism.source_size))
-    found = find_inclusions(morphism)
-    inclusions = refuted(
-        w for w in found if cls[w.a] != cls[w.b]
-        and _forbids(spec, bytes((w.a, w.b)), classes) is None)
-    equal_pair = refuted(w for w in found if cls[w.a] == cls[w.b])
-
+    inclusions = tuple(
+        (w, r) for w in find_inclusions(morphism)
+        if (r := refute_inclusion(morphism, w, spec, depth, classes)).method
+        != "pair-illegal")
     interchanges = find_interchanges(morphism, classes)
+    cls = classes or tuple(range(morphism.source_size))
     patterns = sorted({GapPattern(cls[w.b], cls[w.c], cls[w.a])
                        for w in interchanges}, key=GapPattern.letters)
     evidence = {p: prove_gap_pattern_absence(p, spec, fixed_point)
                 for p in patterns}
-    checked = []
-    for wit in interchanges:
-        r = refute_interchange(wit, evidence, classes)
-        if not r.ok:
-            residual.append(f"interchange ({wit.a},{wit.b},{wit.c}) unresolved")
-        checked.append((wit, r))
-    for p in patterns:
-        ev = evidence[p]
-        if not ev.complete and ev.kind != "present":
-            residual.append(f"gap pattern {p.text()} absence is empirical"
-                            f" ({ev.kind})")
-
     return TransferCertificate(
         name=name, width=width, depth=depth, root_cap=cap, scope=scope,
         source=source, target=target, classes=classes,
         bounded=bounded, inclusions=inclusions,
-        equal_pair_inclusions=equal_pair, interchanges=tuple(checked),
-        gap_evidence=tuple(evidence[p] for p in patterns),
-        residual=tuple(residual))
+        interchanges=tuple((w, refute_interchange(w, evidence, classes))
+                           for w in interchanges),
+        gap_evidence=tuple(evidence[p] for p in patterns))

@@ -712,15 +712,15 @@ def digest_script():
 # deliberate change to one re-pins it here, with the old and new lines
 # recorded in CHANGES.md.
 PINNED_DIGESTS = {
-    "certificates": "692 1b7ef6abcef10b834fe47d93743883880918d8bb45a4d614"
-                    "63f4aa21f02b2f1a",
-    "scenario --all": "b3b3128e95eb0a0c709fb197eaef465a4c8bf33230af13070a8a"
-                      "4d1cd3befc81",
-    "scenario --all --prefix-length 2000": "844f686e6391329bdef6ce9ec3520870"
-                                           "b331169f930701fa0a450095f92e263f",
+    "certificates": "692 e6082ee417466bbbdb7d8f529d5df5d2835358590aef05f4"
+                    "c27c55b4c4094d45",
+    "scenario --all": "634203ae172f983ffd65c012f9e910eed2339a79f8a9d5539cbe"
+                      "6f5ab6c82b5b",
+    "scenario --all --prefix-length 2000": "4c913a614d5c6e4c23d1aa5961c25d45"
+                                           "dd6dc19a2ac0d1b769219780f0eadcc2",
     "tables": "149e93de3f5bb0891c7665061bade7285cac0ed233257be43fbdd6812612549e",
     "scans": "ae3948060c929c37ba587509cc8e63ad8bd5b4745e165c8bbc9994f4df0e7e10",
-    "cli": "ee5f9c2940408ad9fb22dd72b1ffcefbf99de67c40a435a556eefcb43f057f2b",
+    "cli": "ebc7490973a0e0b2aa96b2a004ada0b6b724eb82b592301fac990e0eaaab8866",
 }
 
 

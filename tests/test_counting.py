@@ -411,6 +411,13 @@ def test_growth_of_dead_language_is_zero():
     assert est.eigenvalue == 0.0
 
 
+@pytest.mark.parametrize("max_iterations", [0, -1])
+def test_growth_rejects_fewer_than_one_iteration(max_iterations):
+    auto = FactorAutomaton(2, frozenset({word_from_text("00")}))
+    with pytest.raises(ValueError, match="max_iterations must be >= 1"):
+        growth_rate(auto, max_iterations=max_iterations)
+
+
 def dense_growth_rate(automaton, tol=1e-9, max_iterations=200_000):
     """Reference power iteration on the dense matrix M + I."""
     matrix, live = automaton.transition_matrix()

@@ -38,8 +38,8 @@ def test_scenario_passes(name, registry):
 
 
 def test_pu_lemmas_refutes_each_coder_inclusion_once(registry, monkeypatch):
-    """The case table reads the coder certificates: 12 distinct-pair and 4
-    equal-pair inclusions a coder, each refuted once."""
+    """The case table reads the coder certificates: 16 inclusions a coder,
+    the 12 rows kept and 4 on forbidden pairs, each refuted once."""
     calls = []
     refute = verify.refute_inclusion
 

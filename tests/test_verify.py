@@ -13,10 +13,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from wordavoid import (AvoidanceSpec, BoundedCaseReport, GapPattern, Morphism,
-                       bounded_case_check, find_inclusions, find_interchanges,
-                       prove_gap_pattern_absence, refute_inclusion,
-                       satisfies_spec, suffix_legal, verify_square_transfer,
-                       walk_legal, word_from_text, word_to_text)
+                       Substitution, bounded_case_check, find_inclusions,
+                       find_interchanges, prove_gap_pattern_absence,
+                       refute_inclusion, satisfies_spec, suffix_legal,
+                       verify_square_transfer, walk_legal, word_from_text,
+                       word_to_text)
 from wordavoid import counting, verify, words
 from wordavoid.morphisms import _stream, fixed_point_prefix
 from wordavoid.verify import _exhaustive_viability, exact_factors
@@ -78,10 +79,26 @@ def test_core_inclusions_and_refutation(registry):
 
 
 def source_allows_pair(source, witness):
-    """Whether an inclusion sits on a distinct pair the source allows, the
-    rows a certificate's `inclusions` channel keeps."""
-    pair = bytes((witness.a, witness.b))
-    return witness.a != witness.b and satisfies_spec(pair, source).ok
+    """Whether an inclusion sits on a pair the source allows, the rows a
+    certificate's `inclusions` keeps."""
+    return satisfies_spec(bytes((witness.a, witness.b)), source).ok
+
+
+def dropped_inclusions(morphism, source, cert):
+    """The keys of the inclusions that `cert` leaves out, in scan order,
+    after checking that each sits on a pair `refute_inclusion` calls
+    illegal and that the kept rows keep their scan order."""
+    classes = None
+    if isinstance(morphism, Substitution):
+        morphism, classes = morphism.to_annotated()
+    kept = [w for w, _ in cert.inclusions]
+    found = find_inclusions(morphism)
+    assert kept == [w for w in found if w in kept]
+    dropped = [w for w in found if w not in kept]
+    for wit in dropped:
+        ref = refute_inclusion(morphism, wit, source, classes=classes)
+        assert ref.method == "pair-illegal"
+    return [(w.a, w.b, w.c, w.offset) for w in dropped]
 
 
 def test_coder_inclusion_inventory_shrinks_under_source_filter(registry):
@@ -90,27 +107,32 @@ def test_coder_inclusion_inventory_shrinks_under_source_filter(registry):
                                   registry.dekking_g_source,
                                   registry.dekking_binary,
                                   fixed_point=(registry.dekking_h, 0))
-    distinct = [w for w in found if w.a != w.b]
-    assert len(distinct) == 6
+    assert len([w for w in found if w.a != w.b]) == 6
     filtered = [w for w, _ in cert.inclusions]
     assert filtered == [w for w in found
                         if source_allows_pair(registry.dekking_g_source, w)]
-    assert [w for w, _ in cert.equal_pair_inclusions] == [
-        w for w in found if w.a == w.b]
     keys = [(w.a, w.b, w.c, w.offset) for w in filtered]
     assert keys == [(0, 1, 3, 3), (1, 0, 2, 2), (2, 3, 1, 4)]
     affixes = [(word_to_text(w.t), word_to_text(w.u)) for w in filtered]
     assert affixes == [("010", "110"), ("01", "0011"), ("0110", "10")]
     assert [r.method for _, r in cert.inclusions] == [
         "no-right-extension"] * 3
-    # the rows the filter removed sit on pairs the source already forbids
-    dropped = {(w.a, w.b, w.c, w.offset) for w in distinct} - set(keys)
-    assert dropped == {(1, 2, 2, 2), (1, 3, 2, 2), (3, 2, 0, 3)}
-    for wit in distinct:
-        if (wit.a, wit.b, wit.c, wit.offset) in dropped:
-            ref = refute_inclusion(registry.dekking_g, wit,
-                                   registry.dekking_g_source)
-            assert ref.method == "pair-illegal"
+    # the rows left out sit on pairs the source already forbids
+    dropped = dropped_inclusions(registry.dekking_g,
+                                 registry.dekking_g_source, cert)
+    assert set(dropped) == {(0, 0, 3, 3), (1, 1, 2, 2), (2, 2, 1, 4),
+                            (3, 3, 0, 3), (1, 2, 2, 2), (1, 3, 2, 2),
+                            (3, 2, 0, 3)}
+
+
+def test_an_equal_pair_the_source_allows_is_an_inclusion():
+    """00 is legal when the source forbids nothing, so the row on it
+    stays."""
+    m = Morphism(2, 2, (word_from_text("01"), word_from_text("10")))
+    cert = verify_square_transfer(m, AvoidanceSpec(2), AvoidanceSpec(2))
+    rows = [(w.a, w.b, w.c, w.offset) for w, _ in cert.inclusions]
+    assert (0, 0, 1, 1) in rows
+    assert dropped_inclusions(m, AvoidanceSpec(2), cert) == []
 
 
 def test_each_certificate_scans_the_inclusions_once(registry, monkeypatch):
@@ -124,9 +146,11 @@ def test_each_certificate_scans_the_inclusions_once(registry, monkeypatch):
     cert = verify_square_transfer(registry.dekking_sub,
                                   registry.dekking_h_source,
                                   registry.squarefree4)
-    # both channels are filled, from one scan of the annotated morphism
-    assert cert.inclusions and cert.equal_pair_inclusions
+    # the rows come from one scan of the annotated morphism
     assert len(calls) == 1
+    assert cert.inclusions
+    assert dropped_inclusions(registry.dekking_sub,
+                              registry.dekking_h_source, cert)
 
 
 def test_coder_interchange_witness(registry):
@@ -159,12 +183,33 @@ def test_interchange_gap_pattern_descent(registry):
                    for row in chunk)
 
 
-def test_gap_pattern_repeating_a_letter_is_trivial_without_squares():
-    # an empty whitelist forbids every square, like min-root 1
-    for spec in (AvoidanceSpec(2, square_min_root=1),
-                 AvoidanceSpec(2, square_whitelist=())):
-        evidence = prove_gap_pattern_absence(GapPattern(0, 0, 1), spec)
-        assert (evidence.kind, evidence.complete) == ("trivial", True)
+@pytest.mark.parametrize("name", ["dekking_sub", "fs_sub"])
+def test_interchanges_never_repeat_a_class(registry, name):
+    """An interchange whose middle letter shares a class with an end
+    threatens no square, so the finder leaves it out and no gap pattern
+    repeats a letter."""
+    morphism, classes = getattr(registry, name).to_annotated()
+    rows = find_interchanges(morphism, classes)
+    assert all(classes[w.c] not in (classes[w.a], classes[w.b])
+               for w in rows)
+    # what the classes leave out is exactly the letter rows that repeat one
+    assert rows == [w for w in find_interchanges(morphism)
+                    if classes[w.c] not in (classes[w.a], classes[w.b])]
+
+
+def test_interchange_closes_only_on_a_proof(registry):
+    """Spec scope has no fixed point to descend on, and the exhaustive
+    search of pattern 132 reaches its gap bound, so the interchange stays
+    open."""
+    cert = verify_square_transfer(registry.dekking_g,
+                                  registry.dekking_g_source,
+                                  registry.dekking_binary)
+    assert [e.to_dict() for e in cert.gap_evidence] == [
+        {"pattern": "132", "kind": "exhaustive", "complete": False,
+         "detail": "only gaps <= 8 checked"}]
+    [(wit, ref)] = cert.interchanges
+    assert (wit.a, wit.b, wit.c, ref.method) == (2, 1, 3, "open")
+    assert cert.residual == ("interchange (2,1,3) unresolved",)
 
 
 def test_realizable_gap_pattern_is_found():
@@ -262,7 +307,8 @@ def test_core_certificate(registry):
     assert cert.bounded.legal_counts == (0, 4, 8, 17, 28, 49, 82)
     assert not cert.bounded.violations
     assert len(cert.inclusions) == 1 and not cert.interchanges
-    assert not cert.equal_pair_inclusions
+    assert dropped_inclusions(registry.dekking_h, registry.dekking_h_source,
+                              cert) == []
 
 
 def test_coder_certificate(registry):
@@ -276,12 +322,11 @@ def test_coder_certificate(registry):
     assert cert.bounded.legal_counts == (0, 4, 8, 14, 20, 28, 34)
     assert len(cert.inclusions) == 3
     assert len(cert.interchanges) == 1
-    equal = [((w.a, w.b, w.c, w.offset), r.method)
-             for w, r in cert.equal_pair_inclusions]
-    assert equal == [((0, 0, 3, 3), "pair-illegal"),
-                     ((1, 1, 2, 2), "pair-illegal"),
-                     ((2, 2, 1, 4), "pair-illegal"),
-                     ((3, 3, 0, 3), "pair-illegal")]
+    assert dropped_inclusions(registry.dekking_g, registry.dekking_g_source,
+                              cert) == [(0, 0, 3, 3), (1, 1, 2, 2),
+                                        (1, 2, 2, 2), (1, 3, 2, 2),
+                                        (2, 2, 1, 4), (3, 2, 0, 3),
+                                        (3, 3, 0, 3)]
     assert [e.kind for e in cert.gap_evidence] == ["descent"]
 
 
@@ -296,11 +341,9 @@ def test_substitution_certificate(registry):
             for w, r in cert.inclusions]
     assert rows == [((3, 1, 2, 6), "no-right-extension"),
                     ((3, 4, 2, 6), "no-left-extension")]
-    equal = [((w.a, w.b, w.c, w.offset), r.method)
-             for w, r in cert.equal_pair_inclusions]
-    assert equal == [((2, 2, 4, 4), "pair-illegal"),
-                     ((4, 1, 2, 6), "pair-illegal"),
-                     ((4, 4, 2, 6), "pair-illegal")]
+    assert dropped_inclusions(registry.dekking_sub, registry.dekking_h_source,
+                              cert) == [(2, 2, 4, 4), (4, 1, 2, 6),
+                                        (4, 4, 2, 6)]
     assert not cert.interchanges
 
 
@@ -398,10 +441,8 @@ def test_fs_substitution_certificate(registry):
     rows = [((w.a, w.b, w.c, w.offset), r.method)
             for w, r in cert.inclusions]
     assert rows == [((3, 2, 0, 13), "no-left-extension")]
-    equal = [((w.a, w.b, w.c, w.offset), r.method)
-             for w, r in cert.equal_pair_inclusions]
-    assert equal == [((0, 0, 2, 11), "pair-illegal"),
-                     ((2, 2, 0, 13), "pair-illegal")]
+    assert dropped_inclusions(sub, registry.fs_h_target, cert) == [
+        (0, 0, 2, 11), (2, 2, 0, 13), (2, 5, 0, 13), (3, 5, 0, 13)]
     triples = [(w.a, w.b, w.c) for w, _ in cert.interchanges]
     assert triples == [(2, 1, 5), (2, 4, 5), (5, 3, 2)]
     assert cert.scope == "spec"
