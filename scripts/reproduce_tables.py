@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Reproduce the headline numbers: count tables, minimal forbidden sets,
-growth upper bounds at each requested length, and the two exponential
-family bounds."""
+growth estimates at each requested length, and the two exponential family
+bounds."""
 
 import argparse
 import sys
@@ -15,7 +15,7 @@ def main() -> int:
     parser.add_argument("--n-max", type=int, default=17)
     parser.add_argument("--max-len", type=int, nargs="+", default=[20, 30, 40],
                         help="lengths of the minimal forbidden sets behind"
-                             " the growth upper bounds")
+                             " the growth estimates")
     args = parser.parse_args()
 
     reg = load_registry()
@@ -31,7 +31,7 @@ def main() -> int:
             estimate = growth_rate(build_automaton(derived))
             print(f"   L={max_len}: {len(derived.words)} minimal forbidden"
                   f" words, {estimate.states} live states,"
-                  f" growth upper bound {estimate.eigenvalue:.6f}")
+                  f" growth estimate {estimate.eigenvalue:.6f}")
 
     print("== lower-bound families")
     dek = lower_bound_family(reg.dekking_sub, reg.dekking_g,

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 
@@ -226,18 +225,9 @@ def _cmd_verify(args):
             partial(_render_certificate, cert))
 
 
-def _workers_from_env() -> int:
-    raw = os.environ.get("WORDAVOID_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParseError(f"WORDAVOID_WORKERS must be an integer, got {raw!r}"
-                         ) from None
-
-
 def _cmd_count(args):
     spec = _resolve_spec(args.spec)
-    table = count_avoiding(spec, args.n_max, workers=_workers_from_env())
+    table = count_avoiding(spec, args.n_max)
     def text():
         return "\n".join(f"{n:4d} {c}" for n, c in enumerate(table.counts))
 

@@ -22,12 +22,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from .morphisms import Morphism, Substitution
-from .pool import process_map, usable_cpus
 from .words import (AvoidanceSpec, ColumnStep, report_row, satisfies_spec,
                     word_to_text)
 
@@ -131,44 +129,13 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
         del ext, runs, image_runs
 
 
-def _tally(prefixes: np.ndarray | None, spec: AvoidanceSpec,
-           n_max: int) -> list[int]:
-    """Counts by length of legal words extending the prefixes."""
-    counts = [0] * (n_max + 1)
-    for words, _ in walk_legal(spec, n_max, prefixes):
-        counts[words.shape[1]] += len(words)
-    return counts
-
-
-def count_avoiding(spec: AvoidanceSpec, n_max: int,
-                   workers: int = 1) -> CountTable:
-    """Count legal words of each length 0..n_max by one pruned walk.
-
-    With workers > 1 the legal words of a fixed split length are dealt into
-    one group per process, and each group is walked as one batch in
-    `process_map`'s pool; counts merge by addition, so the result does not
-    depend on scheduling.  The pool never exceeds the usable CPUs (the
-    affinity set) or the number of words at the split.
-    """
+def count_avoiding(spec: AvoidanceSpec, n_max: int) -> CountTable:
+    """Count legal words of each length 0..n_max by one pruned walk."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    workers = min(workers, usable_cpus())
-    if workers <= 1:
-        return CountTable(spec, tuple(_tally(None, spec, n_max)))
-    split = min(6, n_max)
     counts = [0] * (n_max + 1)
-    frontier = [np.empty((0, split), dtype=np.uint8)]
-    for words, _ in walk_legal(spec, split):
-        if words.shape[1] == split:
-            frontier.append(words)
-        else:
-            counts[words.shape[1]] += len(words)
-    frontier = np.concatenate(frontier)
-    groups = min(workers, len(frontier))
-    jobs = [frontier[i::groups] for i in range(groups)]
-    for part in process_map(partial(_tally, spec=spec, n_max=n_max), jobs):
-        for n, c in enumerate(part):
-            counts[n] += c
+    for words, _ in walk_legal(spec, n_max):
+        counts[words.shape[1]] += len(words)
     return CountTable(spec, tuple(counts))
 
 
@@ -385,18 +352,14 @@ def lower_bound_family(sub: Substitution, outer: Morphism, seed_word: bytes,
     # The first-choice image, without enumerating a family of any size.
     length = len(outer.apply(b"".join(sub.image_sets[a][0]
                                       for a in seed_word)))
-    verified = 0
     enumerated = family_size <= max(enumeration_cap, samples)
-    if enumerated:
-        for image in sub.iter_images(seed_word):
-            word = outer.apply(image)
-            if len(word) == length and satisfies_spec(word, target).ok:
-                verified += 1
-    else:
-        for i in range(samples):
-            word = outer.apply(sub.sample_image(seed_word, seed + i))
-            if len(word) == length and satisfies_spec(word, target).ok:
-                verified += 1
+    images = (sub.iter_images(seed_word) if enumerated else
+              (sub.sample_image(seed_word, seed + i) for i in range(samples)))
+    verified = 0
+    for image in images:
+        word = outer.apply(image)
+        if len(word) == length and satisfies_spec(word, target).ok:
+            verified += 1
     check = (exponent_denominator is None
              or _power_reaches(family_size, exponent_denominator, length))
     return FamilyReport(length, family_size, verified, check, enumerated)

@@ -54,12 +54,6 @@ _SCAN_LENGTH = 100_000
 _SCOPE_LENGTH = 25
 
 
-def _project(word: bytes, classes: tuple[int, ...] | None) -> bytes:
-    if classes is None:
-        return word
-    return bytes(classes[b] for b in word)
-
-
 def _framed(morphism: Morphism, prefix=b"", suffix=b"") -> list[int]:
     """The letters whose image starts with `prefix` and ends with `suffix`."""
     return [x for x in range(morphism.source_size)
@@ -71,7 +65,8 @@ def _forbids(spec: AvoidanceSpec, word: bytes,
              classes: tuple[int, ...] | None = None) -> str | None:
     """Why the spec forbids the word (projected through `classes`), as
     "<word> (<kind>)", or None when the word is legal."""
-    word = _project(word, classes)
+    if classes is not None:
+        word = bytes(classes[b] for b in word)
     bad = satisfies_spec(word, spec).violation
     return None if bad is None else f"{word_to_text(word)} ({bad.kind})"
 
@@ -529,20 +524,16 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
                        f"only gaps <= {_EXHAUST_GAP} checked")
 
 
-def refute_interchange(witness: InterchangeWitness,
-                       gap_evidence: dict[GapPattern, GapEvidence],
-                       classes: tuple[int, ...] | None = None) -> Refutation:
-    """An interchange forces b..c..a with equal gaps in the source word, so
-    a proof that the gap pattern is absent refutes it; empirical evidence
-    leaves it open."""
-    a, b, c = _project(bytes([witness.a, witness.b, witness.c]), classes)
-    pattern = GapPattern(b, c, a)
-    evidence = gap_evidence.get(pattern)
-    if evidence is not None and evidence.complete:
-        return Refutation(
-            "gap-pattern-absent",
-            f"pattern {pattern.text()} ruled out by {evidence.kind}")
-    return Refutation("open", f"no evidence against pattern {pattern.text()}")
+def refute_interchange(evidence: GapEvidence) -> Refutation:
+    """An interchange forces its gap pattern b..c..a in the source word, so
+    a proof that the pattern is absent refutes it; empirical evidence
+    leaves it open, and the row says which evidence that was."""
+    pattern = evidence.pattern.text()
+    if evidence.complete:
+        return Refutation("gap-pattern-absent",
+                          f"pattern {pattern} ruled out by {evidence.kind}")
+    return Refutation("open", f"pattern {pattern} not ruled out:"
+                              f" {evidence.kind}, {evidence.detail}")
 
 
 # ---------------------------------------------------------------------------
@@ -683,16 +674,16 @@ def verify_square_transfer(morphism: Morphism | Substitution,
         (w, r) for w in find_inclusions(morphism)
         if (r := refute_inclusion(morphism, w, spec, depth, classes)).method
         != "pair-illegal")
-    interchanges = find_interchanges(morphism, classes)
     cls = classes or tuple(range(morphism.source_size))
-    patterns = sorted({GapPattern(cls[w.b], cls[w.c], cls[w.a])
-                       for w in interchanges}, key=GapPattern.letters)
+    interchanges = [(w, GapPattern(cls[w.b], cls[w.c], cls[w.a]))
+                    for w in find_interchanges(morphism, classes)]
+    patterns = sorted({p for _, p in interchanges}, key=GapPattern.letters)
     evidence = {p: prove_gap_pattern_absence(p, spec, fixed_point)
                 for p in patterns}
     return TransferCertificate(
         name=name, width=width, depth=depth, root_cap=cap, scope=scope,
         source=source, target=target, classes=classes,
         bounded=bounded, inclusions=inclusions,
-        interchanges=tuple((w, refute_interchange(w, evidence, classes))
-                           for w in interchanges),
+        interchanges=tuple((w, refute_interchange(evidence[p]))
+                           for w, p in interchanges),
         gap_evidence=tuple(evidence[p] for p in patterns))

@@ -97,10 +97,6 @@ def perfect_shuffle(even: bytes, odd: bytes) -> bytes:
     return bytes(out)
 
 
-def contains_factor(word: bytes, factor: bytes) -> bool:
-    return word.find(factor) != -1
-
-
 def _extend_left(word: bytes, shift: int, left: int) -> int:
     c = _CHUNK
     while left > 0:

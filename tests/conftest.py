@@ -37,6 +37,21 @@ def run_script(script: str) -> subprocess.CompletedProcess:
                           text=True, timeout=60, env=env)
 
 
+def use_cpus(monkeypatch, cpus):
+    """Make `cpus` CPUs usable and count the workers forked: `os.fork`
+    still forks, and each call adds an entry to the list returned."""
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr("os.fork", counted_fork)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
+    return forks
+
+
 def format_morphism(morphism: Morphism) -> str:
     """A morphism in the file format `parse_morphism` reads."""
     lines = [f"{a} -> {word_to_text(img)}" for a, img in enumerate(morphism.images)]

@@ -4,6 +4,7 @@ import math
 import os
 import sys
 import time
+from concurrent.futures.process import BrokenProcessPool
 from itertools import islice
 from unittest.mock import patch
 
@@ -21,7 +22,7 @@ from wordavoid import counting, pool
 from wordavoid.scenarios import G_TABLE, H_TABLE, MINIMAL_SET_SIZES
 
 from conftest import (all_words, naive_count, naive_legal_words,
-                      naive_satisfies, run_script, specs)
+                      naive_satisfies, run_script, specs, use_cpus)
 
 
 def test_count_tables_match_frozen_values(registry):
@@ -32,48 +33,6 @@ def test_count_tables_match_frozen_values(registry):
 def test_count_csv_layout(registry):
     csv = count_avoiding(registry.dekking_binary, 3).to_csv()
     assert csv == "n,count\n0,1\n1,2\n2,4\n3,6\n"
-
-
-def test_count_workers_agree(registry):
-    seq = count_avoiding(registry.fs_binary, 12)
-    par = count_avoiding(registry.fs_binary, 12, workers=2)
-    assert seq.counts == par.counts
-
-
-def use_cpus(monkeypatch, cpus):
-    """Make `cpus` CPUs usable and count the workers forked: `os.fork`
-    still forks, and each call adds an entry to the list returned."""
-    forks = []
-    fork = os.fork
-
-    def counted_fork():
-        forks.append(os.getpid())
-        return fork()
-
-    monkeypatch.setattr("os.fork", counted_fork)
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: set(range(cpus)))
-    return forks
-
-
-@pytest.mark.parametrize("n_max, cpus, pool_size", [
-    (12, 4, 4),      # capped by the usable CPUs
-    (1, 8, 2),       # capped by the two one-letter subtrees
-    (0, 8, None),    # a single subtree needs no pool
-])
-def test_count_workers_are_clamped(registry, monkeypatch, n_max, cpus,
-                                   pool_size):
-    forks = use_cpus(monkeypatch, cpus)
-    table = count_avoiding(registry.fs_binary, n_max, workers=10_000)
-    assert len(forks) == (0 if pool_size is None else pool_size)
-    assert table.counts == H_TABLE[:n_max + 1]
-
-
-def test_count_workers_on_a_finite_language(monkeypatch):
-    # squarefree binary words stop at length 3, before the split length
-    forks = use_cpus(monkeypatch, 4)
-    spec = AvoidanceSpec(2, square_min_root=1)
-    assert count_avoiding(spec, 8, workers=4).counts == (1, 2, 2, 2) + (0,) * 5
-    assert forks == []
 
 
 @pytest.mark.parametrize("jobs, cpus, pool_size", [
@@ -97,24 +56,6 @@ def test_usable_cpus_are_the_affinity_set_or_the_cpu_count(monkeypatch):
     assert pool.usable_cpus() == 8
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert pool.usable_cpus() == 1
-
-
-def test_dead_count_worker_raises():
-    """A worker that dies breaks the pool at once; the count raises."""
-    proc = run_script("""
-        from wordavoid import AvoidanceSpec, counting
-
-        def die(*args, **kwargs):
-            os._exit(7)
-
-        counting._tally = die
-        try:
-            counting.count_avoiding(AvoidanceSpec(2, square_min_root=2), 10,
-                                    workers=2)
-        except Exception as exc:
-            print(type(exc).__name__)
-        """)
-    assert (proc.returncode, proc.stdout) == (0, "BrokenProcessPool\n")
 
 
 def no_child_is_left():
@@ -167,6 +108,15 @@ def test_a_worker_that_exits_takes_no_further_job(monkeypatch):
                                failed=lambda job, exc: type(exc).__name__)
     assert results[0] == "BrokenProcessPool"
     assert len(set(results[1:])) == 1 and os.getpid() not in results
+    assert no_child_is_left()
+
+
+def test_a_dead_worker_raises_without_failed(monkeypatch):
+    """A job left without a result because its worker died raises
+    `BrokenProcessPool` when no `failed` handler is given."""
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(BrokenProcessPool):
+        pool.process_map(lambda job: os._exit(7), range(2))
     assert no_child_is_left()
 
 

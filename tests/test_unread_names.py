@@ -2,7 +2,8 @@
 
 A name that is bound but never read is either dead code or an argument the
 function ignores, which a caller may think it honors.  Names starting with
-an underscore are deliberate throwaways.
+an underscore are deliberate throwaways.  Nor does the package read the
+environment: every setting it honors is a parameter or a flag.
 """
 
 import ast
@@ -141,3 +142,27 @@ def test_every_private_name_is_read():
     sources = {path.name: path.read_text()
                for path in sorted(SRC.glob("*.py"))}
     assert unread_private_names(sources) == []
+
+
+ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(source: str, filename: str) -> list[tuple[str, int]]:
+    """(file, line) for each use of `os.environ` or `os.getenv`, whether as
+    an attribute or imported by name."""
+    return [(filename, node.lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+            or isinstance(node, ast.ImportFrom) and node.module == "os"
+            and any(alias.name in ENVIRONMENT for alias in node.names)]
+
+
+def test_no_module_reads_the_environment():
+    sample = ("import os\n"
+              "from os import getenv\n"
+              "x = os.environ.get('A')\n"
+              "y = os.path.join('a', 'b')\n")
+    assert environment_reads(sample, "m.py") == [("m.py", 2), ("m.py", 3)]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += environment_reads(path.read_text(), path.name)
+    assert found == []

@@ -200,7 +200,7 @@ def test_interchanges_never_repeat_a_class(registry, name):
 def test_interchange_closes_only_on_a_proof(registry):
     """Spec scope has no fixed point to descend on, and the exhaustive
     search of pattern 132 reaches its gap bound, so the interchange stays
-    open."""
+    open and its row names that evidence."""
     cert = verify_square_transfer(registry.dekking_g,
                                   registry.dekking_g_source,
                                   registry.dekking_binary)
@@ -209,6 +209,8 @@ def test_interchange_closes_only_on_a_proof(registry):
          "detail": "only gaps <= 8 checked"}]
     [(wit, ref)] = cert.interchanges
     assert (wit.a, wit.b, wit.c, ref.method) == (2, 1, 3, "open")
+    assert ref.detail == ("pattern 132 not ruled out: exhaustive,"
+                          " only gaps <= 8 checked")
     assert cert.residual == ("interchange (2,1,3) unresolved",)
 
 
@@ -270,6 +272,10 @@ def test_repetitive_fixed_point_is_scanned_in_seconds():
                    " follow 0"},
         {"pattern": "201", "kind": "present", "complete": False,
          "detail": "occurs at position 3 with gap 0"}]
+    assert [(w.a, w.b, w.c, r.detail) for w, r in cert.interchanges] == [
+        (1, 2, 0, "pattern 201 not ruled out: present, occurs at position 3"
+                  " with gap 0"),
+        (3, 0, 2, "pattern 023 ruled out by follower")]
     assert cert.residual[-1] == "interchange (1,2,0) unresolved"
     assert elapsed < 15
 

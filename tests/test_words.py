@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wordavoid import words
-from wordavoid import (AvoidanceSpec, GapPattern, ParseError, contains_factor,
+from wordavoid import (AvoidanceSpec, GapPattern, ParseError,
                        contains_gap_pattern, find_cube_at_least, find_cubes,
                        find_gap_occurrences, find_square_at_least,
                        find_squares, fixed_point_prefix, format_spec,
@@ -81,12 +81,6 @@ def test_perfect_shuffle_interleaves():
         bytes([0, 0, 1, 0, 0, 1])
     with pytest.raises(ValueError):
         perfect_shuffle(b"\x00", b"\x00\x01")
-
-
-def test_contains_factor():
-    word = word_from_text("010011")
-    assert contains_factor(word, word_from_text("100"))
-    assert not contains_factor(word, word_from_text("111"))
 
 
 @given(planted(2), cuts)
