@@ -1,12 +1,10 @@
 """Words avoiding large squares: constructions, verification, counting."""
 
 from .words import (AvoidanceSpec, GapPattern, ParseError, SpecCheck,
-                    Violation, contains_gap_pattern, find_cube_at_least,
-                    find_cubes, find_gap_occurrences, find_square_at_least,
-                    find_squares, format_spec, gap_occurrences,
-                    max_square_root, parse_spec, perfect_shuffle,
-                    satisfies_spec, scan_forbidden, suffix_legal,
-                    word_from_text, word_to_text)
+                    Violation, find_cube_at_least, find_square_at_least,
+                    format_spec, gap_occurrences, max_square_root,
+                    parse_spec, perfect_shuffle, satisfies_spec,
+                    scan_forbidden, word_from_text, word_to_text)
 from .morphisms import (FixedPointStream, Morphism, Substitution,
                         fixed_point_prefix, parse_morphism,
                         parse_substitution, power)

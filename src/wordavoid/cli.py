@@ -287,12 +287,9 @@ def _cmd_shuffle(args):
 
 
 def _cmd_scenario(args):
-    if args.all:
-        names = list(SCENARIOS)
-    elif args.name is not None:
-        names = [args.name]
-    else:
+    if args.all == (args.name is not None):
         raise ParseError("pass a scenario name or --all")
+    names = list(SCENARIOS) if args.all else [args.name]
     # The scenarios are independent, so they share out the usable CPUs; a
     # dead worker fails the scenarios it had not finished.
     reports = process_map(

@@ -5,14 +5,14 @@ again (about 0.15 s), and an executor takes tens of milliseconds to import,
 start and shut down, about a fifth of `scenario --all`.  `fn` and the jobs
 are inherited through the fork, so only results are pickled.
 
-The parent writes the job indices into one pipe that all workers read, so
-a worker that finishes early takes the next job.  Each worker sends back a
-length-prefixed pickle of (index, ok, value or exception) per job on a pipe
-of its own.  The parent runs no jobs: it drains every result pipe at once,
-so no worker stalls on a full pipe, then reaps every worker.  A worker that
-dies leaves only the job it held without a result; the others go on.  Off
-Linux (on macOS a forked child may not use Accelerate) and with one worker
-the jobs run in-process.
+The parent writes every job index into one pipe that all workers read, so
+a worker that finishes early takes the next job.  Each worker appends a
+length-prefixed pickle of (index, ok, value or exception) per job to its
+own memory file, so it never waits on the parent, which runs no jobs: it
+hands them out, reaps every worker, then reads the files.  A worker that
+dies leaves only the job it held without a result.  Off Linux (on macOS a
+forked child may not use Accelerate), without `memfd_create` and with one
+worker the jobs run in-process.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from __future__ import annotations
 import os
 import pickle
 import sys
+from contextlib import ExitStack
 from typing import NoReturn
 
-# A job index is a 4-byte ticket.  At most _QUEUED tickets wait in the job
-# pipe: 4 KB, written atomically and far below a pipe's capacity, so no
-# worker reads part of a ticket and the parent never blocks writing one.
-# The parent adds a ticket each time a result comes back.
+# A job index is a 4-byte ticket, written at most _PIPE_BUF bytes at a time
+# so that each write is atomic and no worker reads part of a ticket.
 _TICKET = 4
-_QUEUED = 1024
+_PIPE_BUF = 4096
 _LENGTH = 8  # bytes of a result's length prefix
 
 
@@ -49,104 +48,85 @@ def process_map(fn, jobs, failed=None) -> list:
     """
     jobs = list(jobs)
     workers = min(len(jobs), usable_cpus())
-    if workers <= 1 or not sys.platform.startswith("linux"):
+    if (workers <= 1 or not sys.platform.startswith("linux")
+            or not hasattr(os, "memfd_create")):
         return [fn(job) for job in jobs]
-    import selectors  # only pooled runs pay for this import
 
-    tickets = [i.to_bytes(_TICKET, "little") for i in range(len(jobs))]
-    sent = min(len(tickets), _QUEUED)
-    job_r, job_w = os.pipe()
-    fds = {job_r, job_w}  # the parent's open descriptors
-    pids = []             # workers not yet reaped
-    outs = []             # the read end of each worker's result pipe
+    tickets = b"".join(i.to_bytes(_TICKET, "little") for i in range(len(jobs)))
+    pids = []  # workers not yet reaped
     results = {}
-    try:
-        os.write(job_w, b"".join(tickets[:sent]))
-        if sent == len(tickets):
-            fds.remove(job_w)
-            os.close(job_w)
-        # Each worker flushes its stdio before it exits, so the buffers it
-        # inherits must be empty, or it prints what the parent had buffered.
-        sys.stdout.flush()
-        sys.stderr.flush()
-        for _ in range(workers):
-            out_r, out_w = os.pipe()
-            fds.update((out_r, out_w))
-            pid = os.fork()
-            if pid == 0:
-                _work(fn, jobs, job_r, out_w, fds - {job_r, out_w})
-            pids.append(pid)
-            outs.append(out_r)
-            fds.remove(out_w)
-            os.close(out_w)
-        with selectors.DefaultSelector() as sel:
-            for fd in outs:
-                sel.register(fd, selectors.EVENT_READ, bytearray())
-            while sel.get_map():
-                for key, _ in sel.select():
-                    chunk = os.read(key.fd, 1 << 16)
-                    if not chunk:  # the worker has exited
-                        sel.unregister(key.fd)
-                        continue
-                    buf = key.data
-                    buf += chunk
-                    while len(buf) >= _LENGTH:
-                        end = _LENGTH + int.from_bytes(buf[:_LENGTH], "little")
-                        if len(buf) < end:
-                            break
-                        index, ok, value = pickle.loads(buf[_LENGTH:end])
-                        del buf[:end]
-                        results[index] = ok, value
-                        if sent < len(tickets):
-                            os.write(job_w, tickets[sent])
-                            sent += 1
-                            if sent == len(tickets):
-                                fds.remove(job_w)
-                                os.close(job_w)
-        while pids:
-            os.waitpid(pids.pop(), 0)
-    finally:
-        for pid in pids:  # only leaving early leaves a worker to kill
-            from signal import SIGKILL
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
-        for fd in fds:
-            os.close(fd)
+    with ExitStack() as files:
+        job_r, job_w = os.pipe()
+        take = files.enter_context(open(job_r, "rb", buffering=0))
+        give = files.enter_context(open(job_w, "wb", buffering=0))
+        outs = [files.enter_context(open(os.memfd_create("result"), "w+b"))
+                for _ in range(workers)]
+        try:
+            # A worker flushes its stdio on exit: it must inherit none unflushed.
+            sys.stdout.flush()
+            sys.stderr.flush()
+            for out in outs:
+                if (pid := os.fork()) == 0:
+                    _work(fn, jobs, take, give, out)
+                pids.append(pid)
+            # With no read end left here, a write fails once every worker has
+            # died, instead of blocking on a pipe that no one drains.
+            take.close()
+            try:
+                for start in range(0, len(tickets), _PIPE_BUF):
+                    give.write(tickets[start:start + _PIPE_BUF])
+            except BrokenPipeError:
+                pass  # the jobs not yet handed out fail as a dead worker's
+            give.close()
+            while pids:
+                os.waitpid(pids[-1], 0)
+                pids.pop()
+        finally:
+            for pid in pids:  # only leaving early leaves a worker to kill
+                from signal import SIGKILL
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+        for out in outs:
+            out.seek(0)
+            while head := out.read(_LENGTH):
+                size = int.from_bytes(head, "little")
+                record = out.read(size)
+                if len(head) < _LENGTH or len(record) < size:
+                    break  # a record cut short by its worker's death
+                index, ok, value = pickle.loads(record)
+                results[index] = ok, value
 
     values = []
     for index, job in enumerate(jobs):
-        if index in results:
-            ok, value = results[index]
-            if not ok:
-                raise value
-            values.append(value)
-            continue
-        from concurrent.futures.process import BrokenProcessPool
-        exc = BrokenProcessPool("a pool worker died while running this job")
-        if failed is None:
-            raise exc
-        values.append(failed(job, exc))
+        if index not in results:
+            from concurrent.futures.process import BrokenProcessPool
+            exc = BrokenProcessPool("a pool worker died while running this job")
+            if failed is None:
+                raise exc
+            results[index] = True, failed(job, exc)
+        ok, value = results[index]
+        if not ok:
+            raise value
+        values.append(value)
     return values
 
 
-def _work(fn, jobs, job_r: int, out_w: int, inherited) -> NoReturn:
-    """A worker's whole life: run each job whose index it reads from the
-    shared pipe `job_r` until that pipe is empty and closed, and send each
-    result down `out_w`.  Only an Exception is a job's result; anything
-    else ends the worker, which never returns into its caller's frames."""
+def _work(fn, jobs, take, give, out) -> NoReturn:
+    """A worker's whole life: run each job whose index it reads from `take`
+    until that pipe is empty and closed, and append its result to `out`.
+    Only an Exception is a job's result; anything else ends the worker,
+    which never returns into its caller's frames."""
     code = 1
     try:
-        for fd in inherited:  # an open job_w here would keep job_r open
-            os.close(fd)
-        with open(out_w, "wb") as out:
-            while ticket := os.read(job_r, _TICKET):
-                index = int.from_bytes(ticket, "little")
-                try:
-                    data = pickle.dumps((index, True, fn(jobs[index])))
-                except Exception as exc:
-                    data = pickle.dumps((index, False, exc))
-                out.write(len(data).to_bytes(_LENGTH, "little") + data)
-                out.flush()
+        give.close()  # an open write end here would keep the pipe open
+        while ticket := take.read(_TICKET):
+            index = int.from_bytes(ticket, "little")
+            try:
+                data = pickle.dumps((index, True, fn(jobs[index])))
+            except Exception as exc:
+                data = pickle.dumps((index, False, exc))
+            out.write(len(data).to_bytes(_LENGTH, "little") + data)
+            out.flush()
         code = 0
     finally:
         try:

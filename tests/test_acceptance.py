@@ -9,13 +9,13 @@ import random
 import time
 
 from wordavoid import (AvoidanceSpec, build_automaton, count_avoiding,
-                       exhaust_max_length, find_squares, fixed_point_prefix,
-                       growth_rate, lower_bound_family, max_square_root,
-                       minimal_forbidden, perfect_shuffle, power,
-                       run_scenario, verify_square_transfer, word_from_text,
-                       word_to_text)
+                       exhaust_max_length, fixed_point_prefix, growth_rate,
+                       lower_bound_family, max_square_root, minimal_forbidden,
+                       perfect_shuffle, power, run_scenario,
+                       verify_square_transfer, word_from_text, word_to_text)
 from wordavoid.instances import MORPHISM_NAMES
 from wordavoid.scenarios import G_TABLE, H_TABLE, SCENARIOS
+from wordavoid.words import find_squares
 
 from conftest import (all_words, naive_legal_words, naive_squares,
                       with_image_letter)

@@ -577,6 +577,9 @@ def test_scenario_subcommand_exit_codes(capsys, tmp_path):
     assert code == 2 and "unknown scenario" in err
     code, _, err = run_cli(capsys, "scenario")
     assert code == 2 and "--all" in err
+    code, out, err = run_cli(capsys, "scenario", "pu-shuffle", "--all")
+    assert (code, out) == (2, "")
+    assert "pass a scenario name or --all" in err
 
 
 def test_console_script_is_installed():

@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from wordavoid import (AvoidanceSpec, BoundedCaseReport, GapPattern, Morphism,
                        Substitution, bounded_case_check, find_inclusions,
                        find_interchanges, prove_gap_pattern_absence,
-                       refute_inclusion, satisfies_spec, suffix_legal,
+                       refute_inclusion, satisfies_spec,
                        verify_square_transfer, walk_legal, word_from_text,
                        word_to_text)
 from wordavoid import counting, verify, words
 from wordavoid.morphisms import _stream, fixed_point_prefix
 from wordavoid.verify import _exhaustive_viability, exact_factors
+from wordavoid.words import suffix_legal
 
 from conftest import (all_words, naive_gap_occurrences, naive_inclusions,
                       naive_interchanges, naive_legal_words, naive_satisfies,

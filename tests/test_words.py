@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 
 from wordavoid import words
 from wordavoid import (AvoidanceSpec, GapPattern, ParseError,
-                       contains_gap_pattern, find_cube_at_least, find_cubes,
-                       find_gap_occurrences, find_square_at_least,
-                       find_squares, fixed_point_prefix, format_spec,
-                       gap_occurrences, max_square_root, parse_spec,
-                       perfect_shuffle, satisfies_spec, scan_forbidden,
-                       suffix_legal, word_from_text, word_to_text)
+                       find_cube_at_least, find_square_at_least,
+                       fixed_point_prefix, format_spec, gap_occurrences,
+                       max_square_root, parse_spec, perfect_shuffle,
+                       satisfies_spec, scan_forbidden, word_from_text,
+                       word_to_text)
+from wordavoid.words import (contains_gap_pattern, find_cubes,
+                             find_gap_occurrences, find_squares, suffix_legal)
 
 from conftest import (naive_cubes, naive_gap_occurrences, naive_satisfies,
                       naive_squares, naive_word_from_text, run_script, specs)
