@@ -174,46 +174,45 @@ def minimal_forbidden(spec: AvoidanceSpec, max_length: int) -> MinimalForbiddenS
 class FactorAutomaton:
     """Deterministic complete automaton tracking forbidden-factor progress.
 
-    States are the trie nodes of the forbidden words with Aho-Corasick
-    failure transitions filled in; a state is dead once any forbidden word
-    has been completed.  Words avoiding the whole set correspond to paths
-    from the root through live states.
+    States are the trie nodes of the forbidden words, numbered as the
+    words, shortest first, add them; a state is dead once any forbidden
+    word has been completed.  Each node is one row of a successor per
+    letter, -1 where the trie has no child, and a breadth-first pass fills
+    those from the Aho-Corasick failure state's row.  A forbidden word with
+    a letter outside the alphabet can never occur and adds no state.
+    Words avoiding the whole set correspond to paths from the root through
+    live states.
     """
 
     def __init__(self, alphabet_size: int, forbidden: frozenset[bytes]):
         if not 1 <= alphabet_size <= 256:
             raise ValueError("alphabet_size must be 1..256: letters are bytes")
         self.alphabet_size = alphabet_size
-        children: list[dict[int, int]] = [{}]
+        goto = [[-1] * alphabet_size]
         dead = [False]
         for word in sorted(forbidden, key=lambda w: (len(w), w)):
+            if max(word, default=0) >= alphabet_size:
+                continue
             node = 0
             for letter in word:
-                if letter not in children[node]:
-                    children.append({})
+                if goto[node][letter] < 0:
+                    goto[node][letter] = len(goto)
+                    goto.append([-1] * alphabet_size)
                     dead.append(False)
-                    children[node][letter] = len(children) - 1
-                node = children[node][letter]
+                node = goto[node][letter]
             dead[node] = True
 
-        size = len(children)
-        goto = [[0] * alphabet_size for _ in range(size)]
-        fail = [0] * size
-        queue = list(children[0].values())
-        for letter in range(alphabet_size):
-            goto[0][letter] = children[0].get(letter, 0)
-        head = 0
-        while head < len(queue):
-            node = queue[head]
-            head += 1
+        fail = [0] * len(goto)
+        queue = [child for child in goto[0] if child >= 0]
+        goto[0] = [max(child, 0) for child in goto[0]]
+        for node in queue:  # the queue grows as the pass reaches each level
             dead[node] = dead[node] or dead[fail[node]]
-            for letter in range(alphabet_size):
-                child = children[node].get(letter)
-                if child is None:
-                    goto[node][letter] = goto[fail[node]][letter]
+            row, back = goto[node], goto[fail[node]]
+            for letter, child in enumerate(row):
+                if child < 0:
+                    row[letter] = back[letter]
                 else:
-                    fail[child] = goto[fail[node]][letter]
-                    goto[node][letter] = child
+                    fail[child] = back[letter]
                     queue.append(child)
 
         self.transitions = tuple(tuple(row) for row in goto)

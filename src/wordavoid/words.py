@@ -496,15 +496,22 @@ class AvoidanceSpec:
     def repetition_rules(self) -> tuple[tuple[str, int, int, int | None, frozenset], ...]:
         """(kind, power, least root, greatest root or None, allowed words) of
         each forbidden repetition, in the order violations are reported.  A
-        cube of root d begins with a square of root d, so cubes stop at the
-        longest root that has an allowed square."""
+        whitelist that holds the square of every letter starts its square
+        rule at root 2, without those squares, so no check reads a root
+        whose every square is allowed.  A cube of root d begins with a
+        square of root d, so cubes stop at the longest root that has an
+        allowed square."""
         rules, cube_top = [], None
         if self.square_min_root is not None:
             rules.append(("square", 2, self.square_min_root, None, frozenset()))
             cube_top = self.square_min_root - 1
         elif self.square_whitelist is not None:
-            rules.append(("square", 2, 1, None, frozenset(self.square_whitelist)))
-            cube_top = max((len(w) // 2 for w in self.square_whitelist), default=0)
+            allowed = frozenset(self.square_whitelist)
+            doubled = {bytes((a, a)) for a in range(self.alphabet_size)}
+            lo = 2 if doubled <= allowed else 1
+            rules.append(("square", 2, lo, None,
+                          allowed - doubled if lo == 2 else allowed))
+            cube_top = max((len(w) // 2 for w in allowed), default=0)
         if self.cubefree:
             rules.append(("cube", 3, 1, cube_top, frozenset()))
         return tuple(rules)
@@ -572,7 +579,12 @@ class ColumnStep:
     at least (power - 1)·d.  `thresholds` holds, per root, the least such
     length over the rules without an allowed word of that power's length,
     or the dtype's largest value, which no run reaches; the powers that
-    have one are in `allowed` as (root, power, words).
+    have one are in `allowed` as (root, power, words).  A violation that
+    ends at the last column starts at column 0 only when it is the whole
+    word, so one threshold compare, one compare per power with allowed
+    words and one per factor each sort their hits into two masks, the
+    whole word and a shorter suffix: a threshold hit by its root's row in
+    `fills`, an allowed-word or factor hit by its length.
     """
 
     def __init__(self, spec: AvoidanceSpec, n: int, max_root: int | None = None):
@@ -599,7 +611,7 @@ class ColumnStep:
         # Shift by shift in the runs' order, from the top root down.
         self.thresholds = thresholds[::-1, None].copy()
         # fills[m]: the roots whose least power is m letters long, so that
-        # in an m-letter word it starts at column 0.
+        # in an m-letter word it is the whole word.
         self.fills: dict[int, list[int]] = {}
         for d, t in enumerate(thresholds.tolist(), start=1):
             if t != never:
@@ -618,47 +630,56 @@ class ColumnStep:
         grown[width - len(runs):] += runs  # the new shifts come first
         return np.multiply(out, grown, out=out)
 
-    def powers(self, cols: np.ndarray, runs: np.ndarray,
-               start: int = 0) -> np.ndarray:
-        """Words of a 2-D batch in which a forbidden power ends at the last
-        column and starts at column `start` (0 or 1) or later, from the 2-D
-        runs at that column."""
+    def powers(self, cols: np.ndarray, runs: np.ndarray):
+        """Two flat masks over the words of a 2-D batch, from its 2-D runs at
+        the last column: a forbidden power that ends there is the whole
+        word, and one is a shorter suffix."""
         n, width = len(cols), len(runs)
         hit = runs >= self.thresholds[self.top - width:]
-        if start:  # the powers that fill the word start at column 0
-            hit[[width - d for d in self.fills.get(n, ())]] = False
-        found = hit.any(axis=0)
+        whole = np.zeros(hit.shape[1], bool)
+        if n in self.fills:  # else an empty fancy index costs more than this
+            rows = [width - d for d in self.fills[n]]
+            whole = hit[rows].any(axis=0)
+            hit[rows] = False
+        part = hit.any(axis=0)
         for d, power, words in self.allowed:
-            if power * d <= n - start:
+            if power * d <= n:
                 at = np.flatnonzero(runs[width - d] >= (power - 1) * d)
                 tail = cols[n - power * d:, at]
+                found = whole if power * d == n else part
                 found[at[~(tail[:, None] == words).all(axis=0).any(axis=0)]] = True
-        return found
+        return whole, part
 
-    def factors(self, cols: np.ndarray, new: int, start: int = 0) -> np.ndarray:
-        """Words of a 2-D batch with a letter outside the alphabet at a
-        column from `new` on, or a forbidden factor that ends there, that
-        starts at column `start` or later, by one compare per factor."""
+    def factors(self, cols: np.ndarray, new: int):
+        """Two flat masks over the words of a 2-D batch, for a letter
+        outside the alphabet at a column from `new` on or a forbidden factor
+        that ends there, by one compare per factor: that violation is the
+        whole word, and it is a shorter factor."""
         n = len(cols)
-        found = (cols[max(new, start):] >= self.alphabet_size).any(axis=0)
+        outside = (cols[new:] >= self.alphabet_size).any(axis=0)
+        none = np.zeros_like(outside)
+        # A letter is the whole word only of a one-letter word.
+        whole, part = (outside, none) if n == 1 else (none, outside)
         for factor in self.forbidden:
-            first, last = max(new - len(factor) + 1, start), n - len(factor)
+            first, last = max(new - len(factor) + 1, 0), n - len(factor)
             if first <= last:
-                found |= _starts(cols, factor, first, last).any(axis=0)
-        return found
+                found = whole if len(factor) == n else part
+                found[_starts(cols, factor, first, last).any(axis=0)] = True
+        return whole, part
 
     def __call__(self, cols: np.ndarray, runs: np.ndarray):
         """The runs at the last column of `cols`, and two flat masks over its
         words: `bad`, a violation ends at that column, and `minimal`, one
-        does and each that does starts at column 0, so that the word without
+        does and each that does is the whole word, so that the word without
         its first letter is legal when the word without its last one is."""
         runs = self.advance(cols, runs)
         n = len(cols)
         flat = cols.reshape(n, -1)
-        lengths = runs.reshape(len(runs), flat.shape[1])
-        bad = self.powers(flat, lengths) | self.factors(flat, n - 1)
-        short = self.powers(flat, lengths, 1) | self.factors(flat, n - 1, 1)
-        return runs, bad, bad & ~short
+        whole, part = self.powers(flat, runs.reshape(len(runs), flat.shape[1]))
+        whole_factor, part_factor = self.factors(flat, n - 1)
+        part |= part_factor
+        whole |= whole_factor
+        return runs, whole | part, whole & ~part
 
     def fold(self, cols: np.ndarray, first: int, new: int,
              runs: np.ndarray | None = None):
@@ -668,11 +689,12 @@ class ColumnStep:
         column `new` or later, for `new` at least `first`."""
         if runs is None:
             runs = np.zeros((0, cols.shape[1]), self.dtype)
-        flagged = self.factors(cols, new)
+        flagged = np.logical_or(*self.factors(cols, new))
         for j in range(first, len(cols)):
             runs = self.advance(cols[:j + 1], runs)
             if j >= new:
-                flagged |= self.powers(cols[:j + 1], runs)
+                for found in self.powers(cols[:j + 1], runs):
+                    flagged |= found
         return runs, flagged
 
 

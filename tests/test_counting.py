@@ -108,7 +108,27 @@ def as_rows(words, length):
         len(words), length)
 
 
+class Scripted:
+    """Stands in for `st.data()` in an explicit example: each draw
+    returns the next of the given values."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
+
+
+FS_WHITELIST = AvoidanceSpec(2, square_whitelist=tuple(
+    word_from_text(w) for w in ("00", "11", "0101")))
+TERNARY_WHITELIST = AvoidanceSpec(3, square_whitelist=(
+    word_from_text("00"), word_from_text("11")))
+
+
 @given(small_specs(), st.data())
+@example((FS_WHITELIST, 11), Scripted(None, 0, {b""}, 64))
+@example((TERNARY_WHITELIST, 6), Scripted(None, 0, {b""}, 64))
+@example((TERNARY_WHITELIST, 6), Scripted((0, 1, 2, 2), 1, {b"\3"}, 1))
 @settings(max_examples=80, deadline=None)
 def test_walk_legal_matches_brute_force(case, data):
     """From any batch of legal prefixes of one length the walk yields, in
@@ -316,6 +336,18 @@ def test_transition_matrix_counts_live_edges():
     assert len(live) == auto.live_states == 2
     # root: 0 -> "0", 1 and 2 -> root; "0": 1 and 2 -> root
     assert matrix.tolist() == [[2.0, 1.0], [2.0, 0.0]]
+
+
+def test_a_word_past_the_alphabet_adds_no_state():
+    """A forbidden word with a letter outside the alphabet can never occur:
+    the automaton is the one built without it."""
+    plain = FactorAutomaton(2, frozenset({word_from_text("00")}))
+    for extra in ("2", "02", "021", "20", "9"):
+        auto = FactorAutomaton(2, frozenset({word_from_text("00"),
+                                             word_from_text(extra)}))
+        assert (auto.transitions, auto.dead, auto.live_states) == (
+            plain.transitions, plain.dead, plain.live_states), extra
+        assert auto.count_words(8) == plain.count_words(8)
 
 
 def test_growth_estimate_serializes():

@@ -5,7 +5,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wordavoid import words
@@ -386,16 +386,36 @@ SPECS = [
                                             ("00", "11", "0101", "1010")),
                   cubefree=True),
     AvoidanceSpec(2, square_min_root=1, cubefree=True),
+    AvoidanceSpec(3, square_whitelist=(word_from_text("00"),
+                                       word_from_text("11"))),
 ]
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=range(len(SPECS)))
 @given(word=planted(2), max_root=st.none() | st.integers(0, 8), cut=cuts)
+@example(word=word_from_text("0010100"), max_root=None, cut=128)
+@example(word=word_from_text("00110000"), max_root=None, cut=1)
+@example(word=word_from_text("0112200"), max_root=None, cut=128)
 @settings(max_examples=80)
 def test_satisfies_spec_matches_naive(spec, word, max_root, cut):
     with sweep_cut(cut):
         check = satisfies_spec(word, spec, max_root=max_root)
     assert check.ok == naive_satisfies(word, spec, max_root)
+
+
+def test_a_whitelist_of_every_letter_square_starts_at_root_2(registry):
+    """Every one-letter square of the FS alphabet is allowed, so its square
+    rule reads roots from 2 with only 0101 allowed; a ternary whitelist
+    without 22 keeps root 1 and still reports it."""
+    assert registry.fs_binary.repetition_rules == (
+        ("square", 2, 2, None, frozenset({word_from_text("0101")})),)
+    ternary = AvoidanceSpec(3, square_whitelist=(word_from_text("00"),
+                                                 word_from_text("11")))
+    assert ternary.repetition_rules == (
+        ("square", 2, 1, None, frozenset(ternary.square_whitelist)),)
+    v = satisfies_spec(word_from_text("001122"), ternary).violation
+    assert (v.kind, v.position, v.factor, v.root_length) == (
+        "square", 4, word_from_text("22"), 1)
 
 
 @given(words2)
@@ -449,6 +469,43 @@ def test_screen_flags_exactly_the_rows_that_break_the_spec(batch):
         if legal:
             flagged = step.fold(as_cols(legal), 0, new)[1]
             assert flagged.tolist() == [broken[r] for r in legal], new
+
+
+def rows_of(text):
+    return [word_from_text(t) for t in text.split()]
+
+
+@given(batches())
+@example((AvoidanceSpec(2, forbidden=rows_of("011"), square_min_root=3),
+          None, rows_of("011 010 111")))
+@example((AvoidanceSpec(2, square_whitelist=rows_of("0101")), None,
+          rows_of("0101 1010 0110")))
+@example((AvoidanceSpec(2, square_whitelist=rows_of("00 11 0101")), None,
+          rows_of("1010 0000 0101 0011 1101")))
+@example((AvoidanceSpec(3, square_whitelist=rows_of("00 11")), None,
+          rows_of("122 011 202 100")))
+@settings(max_examples=150, deadline=None)
+def test_one_step_decides_bad_and_minimal(batch):
+    """On a batch's rows and on each of its one-letter truncations, one
+    call of the step, from the runs at the column before, flags as `bad`
+    exactly the rows legal without their last letter that break the spec,
+    and as `minimal` those of them that are legal without their first."""
+    spec, max_root, rows = batch
+    step = words.ColumnStep(spec, len(rows[0]), max_root)
+
+    def legal(row):
+        return naive_satisfies(row, spec, max_root)
+
+    for batch_rows in (rows, [r[:-1] for r in rows], [r[1:] for r in rows]):
+        batch_rows = [r for r in batch_rows if r and legal(r[:-1])]
+        if not batch_rows:
+            continue
+        cols = as_cols(batch_rows)
+        before = step.fold(cols[:-1], 0, len(cols) - 1)[0]
+        _, bad, minimal = step(cols, before)
+        assert bad.tolist() == [not legal(r) for r in batch_rows]
+        assert minimal.tolist() == [not legal(r) and legal(r[1:])
+                                    for r in batch_rows]
 
 
 @given(batches(), st.data())
