@@ -70,12 +70,15 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
     and a `ColumnStep` of a target spec, the legal extensions whose image
     fails; then only words whose image passes (the prefixes' must) are
     walked.  A chunk is stored column by column with each word's runs (and
-    its image's), folded once from the prefixes, so one step of the
-    extensions (and W of their last image block) decides which die.  A chunk
-    of k-letter words has at most `_chunk_rows((k + 1) * alphabet * (1 + W))`
-    rows (W = 0 without an image), so at most about max_len x alphabet x
-    `_SCREEN_BYTES` is live.  With `classes`, the letters are
-    0..len(classes)-1 and letter x is checked as classes[x].
+    its image's, only with an image), folded once from the prefixes, so one
+    step of the extensions (and W of their last image block) decides which
+    die.  Nothing extends a word of max_len letters, so the deepest level
+    gathers only its surviving words and yields them at once, without runs.
+    A chunk of k-letter words has at most
+    `_chunk_rows((k + 1) * alphabet * (1 + W))` rows (W = 0 without an
+    image), so at most about max_len x alphabet x `_SCREEN_BYTES` is live.
+    With `classes`, the letters are 0..len(classes)-1 and letter x is
+    checked as classes[x].
     """
     size = spec.alphabet_size if classes is None else len(classes)
     table = None if classes is None else np.array(classes, dtype=np.uint8)
@@ -94,39 +97,47 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
         # Each piece gathers its words and runs, so that no pending piece
         # keeps a walked batch alive.
         rows = _chunk_rows((len(batch) + 1) * size * (1 + width))
-        return [[a[:, live[i:i + rows]] for a in (batch, *runs)]
-                for i in range(0, len(live), rows)]
+        for i in range(0, len(live), rows):
+            yield [a[:, live[i:i + rows]] for a in (batch, *runs)]
+
+    def leaves(live, batch):  # words that are not extended, yielded at once
+        empty = np.empty((0, len(batch) + 1), dtype=np.uint8)
+        for (words,) in chunks(live, batch):
+            yield words.T, empty
 
     # Chunks hold their words column by column, as the steps read them.
     cols = (np.zeros((0, 1), dtype=np.uint8) if prefixes is None
             else np.ascontiguousarray(prefixes.T))
-    runs = image_runs = np.zeros((0, cols.shape[1]), np.uint8)
-    if len(cols) < max_len:
-        runs = step.fold(project(cols), 1, max_len)[0]
-        if image is not None:
-            image_runs = target.fold(imaged(cols), 1, len(cols) * width)[0]
-    stack = chunks(np.arange(cols.shape[1]), cols, runs, image_runs)
+    if len(cols) >= max_len:
+        yield from leaves(np.arange(cols.shape[1]), cols)
+        return
+    runs = step.fold(project(cols), 1, max_len)[0]
+    image_runs = [] if image is None else [
+        target.fold(imaged(cols), 1, len(cols) * width)[0]]
+    stack = list(chunks(np.arange(cols.shape[1]), cols, runs, *image_runs))
     while stack:
-        cols, runs, image_runs = stack.pop()
+        cols, runs, *image_runs = stack.pop()  # image runs with an image only
         k = len(cols)
-        if k >= max_len:
-            yield cols.T, np.empty((0, k + 1), dtype=np.uint8)
-            continue
         ext = np.empty((k + 1, size, cols.shape[1]), dtype=np.uint8)
         ext[:k] = cols[:, None]
         ext[k] = letters[:, None]
         cols = ext[:k, 0]  # lets the popped chunk go
         runs, bad, dead = step(project(ext), runs[:, None])
         ext = ext.reshape(k + 1, -1)
-        runs = runs.reshape(len(runs), ext.shape[1])
-        image_runs = np.tile(image_runs, size)  # none without an image
-        if image is not None:  # step the last image block from its runs
-            image_runs, failed = target.fold(imaged(ext), k * width,
-                                             k * width, image_runs)
+        if image_runs:  # step the last image block from its runs
+            image_runs[0], failed = target.fold(
+                imaged(ext), k * width, k * width,
+                np.tile(image_runs[0], size))
             dead, bad = failed & ~bad, failed | bad
         yield cols.T, ext[:, dead].T
-        stack += chunks(np.flatnonzero(~bad), ext, runs, image_runs)
-        del ext, runs, image_runs
+        live = (~bad).nonzero()[0]
+        if k + 1 == max_len:  # the deepest level's words carry no runs
+            del runs, image_runs
+            yield from leaves(live, ext)
+        else:
+            runs = runs.reshape(len(runs), ext.shape[1])
+            stack += chunks(live, ext, runs, *image_runs)
+            del ext, runs, image_runs
 
 
 def count_avoiding(spec: AvoidanceSpec, n_max: int) -> CountTable:
@@ -241,16 +252,20 @@ class FactorAutomaton:
         letter, so a pair may repeat; sources ascend, and targets ascend
         within a source.
         """
-        live = tuple(s for s in range(len(self.dead)) if not self.dead[s])
-        index = {s: i for i, s in enumerate(live)}
+        live: list[int] = []
+        index = [-1] * len(self.dead)  # a dead state's stays -1
+        for s, dead in enumerate(self.dead):
+            if not dead:
+                index[s] = len(live)
+                live.append(s)
         sources: list[int] = []
         targets: list[int] = []
         for i, s in enumerate(live):
-            succs = sorted(index[t] for t in self.transitions[s]
-                           if not self.dead[t])
+            succs = sorted([index[t] for t in self.transitions[s]
+                            if index[t] >= 0])
             sources += [i] * len(succs)
             targets += succs
-        return (live, np.array(sources, dtype=np.intp),
+        return (tuple(live), np.array(sources, dtype=np.intp),
                 np.array(targets, dtype=np.intp))
 
     def transition_matrix(self) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -285,10 +300,16 @@ def growth_rate(automaton: FactorAutomaton, tol: float = 1e-9,
     aperiodic whenever the live part is nonempty, so the Rayleigh quotient
     settles even on periodic languages; (M + I)v >= v for the nonnegative
     iterates, so their norm never vanishes.  The product walks the live edge
-    list instead of a dense matrix, one bincount per step: each row sums its
-    identity term first, then its successors in ascending order, the order a
-    dense row product takes.  The product that gives one step's Rayleigh
-    quotient is the next step's iterate.
+    list instead of a dense matrix, one unbuffered add per step: each row
+    starts from its identity term, then adds its successors in ascending
+    order, the order a dense row product takes.  The product that gives one
+    step's Rayleigh quotient is the next step's iterate.
+
+    A live part without a cycle (a finite language) has Perron root 0, which
+    the iterates of M + I approach only about as 1/k in k steps.  So once n
+    steps (n live states) pass without convergence, one Kahn pass over the
+    edge list looks for a cycle, and without one the estimate is 0.0 with
+    residual 0.0 at once.  A run that converges sooner makes no pass.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -298,25 +319,39 @@ def growth_rate(automaton: FactorAutomaton, tol: float = 1e-9,
     n = len(live)
     if n == 0 or len(sources) == 0:
         return GrowthEstimate(0.0, n, 0, 0.0)
-    diagonal = np.arange(n)
-    rows = np.concatenate((diagonal, sources))
-    cols = np.concatenate((diagonal, targets))
 
     def shifted(vec: np.ndarray) -> np.ndarray:
-        return np.bincount(rows, weights=vec[cols], minlength=n)
+        out = vec.copy()
+        np.add.at(out, sources, vec[targets])  # in edge order
+        return out
 
     vec = np.full(n, 1.0 / math.sqrt(n))
     nxt = shifted(vec)
     previous = 0.0
     for iteration in range(1, max_iterations + 1):
-        vec = nxt / np.linalg.norm(nxt)
+        vec = nxt / math.sqrt(nxt @ nxt)  # np.linalg.norm's own arithmetic
         nxt = shifted(vec)
         rayleigh = float(vec @ nxt)
         residual = abs(rayleigh - previous)
         if residual < tol:
             return GrowthEstimate(rayleigh - 1.0, n, iteration, residual)
+        if iteration == n and _acyclic(sources, targets, n):
+            return GrowthEstimate(0.0, n, iteration, 0.0)
         previous = rayleigh
     return GrowthEstimate(previous - 1.0, n, max_iterations, residual)
+
+
+def _acyclic(sources: np.ndarray, targets: np.ndarray, n: int) -> bool:
+    """Whether the edges among n states close no cycle, by Kahn's algorithm
+    in rounds: each drops the edges out of the states that no edge left
+    enters.  A round that drops none leaves a cycle, since every source of
+    an edge left is entered by another."""
+    while len(sources):
+        keep = (np.bincount(targets, minlength=n) > 0)[sources]
+        if keep.all():
+            return False
+        sources, targets = sources[keep], targets[keep]
+    return True
 
 
 @dataclass(frozen=True)

@@ -620,15 +620,16 @@ class ColumnStep:
     def advance(self, cols: np.ndarray, runs: np.ndarray) -> np.ndarray:
         """The runs at the last column of `cols`, shaped (D, ...), from those
         at the one before, which broadcast against its other axes: one
-        compare of the last letter with the D before it resets or extends
-        every run."""
+        compare of the last letter with the D before it, into the one buffer
+        returned, resets or starts every run, and scaling the old shifts'
+        rows (the last ones) in place by their runs + 1 extends theirs."""
         n = len(cols)
         width = min(n - 1, self.top)
         out = np.empty((width,) + cols.shape[1:], self.dtype)
         np.equal(cols[n - 1 - width:n - 1], cols[n - 1], out=out)
-        grown = np.ones((width,) + runs.shape[1:], self.dtype)
-        grown[width - len(runs):] += runs  # the new shifts come first
-        return np.multiply(out, grown, out=out)
+        tail = out[width - len(runs):]
+        np.multiply(tail, runs + 1, out=tail)
+        return out
 
     def powers(self, cols: np.ndarray, runs: np.ndarray):
         """Two flat masks over the words of a 2-D batch, from its 2-D runs at
@@ -657,7 +658,7 @@ class ColumnStep:
         whole word, and it is a shorter factor."""
         n = len(cols)
         outside = (cols[new:] >= self.alphabet_size).any(axis=0)
-        none = np.zeros_like(outside)
+        none = np.zeros(len(outside), bool)
         # A letter is the whole word only of a one-letter word.
         whole, part = (outside, none) if n == 1 else (none, outside)
         for factor in self.forbidden:
@@ -679,7 +680,9 @@ class ColumnStep:
         whole_factor, part_factor = self.factors(flat, n - 1)
         part |= part_factor
         whole |= whole_factor
-        return runs, whole | part, whole & ~part
+        minimal = whole > part  # whole and not part
+        whole |= part  # now every violation
+        return runs, whole, minimal
 
     def fold(self, cols: np.ndarray, first: int, new: int,
              runs: np.ndarray | None = None):

@@ -15,6 +15,7 @@ from wordavoid import (AvoidanceSpec, ExhaustReport, FactorAutomaton,
                        minimal_forbidden, satisfies_spec, walk_legal,
                        word_from_text, word_to_text)
 from wordavoid import counting
+from wordavoid.words import ColumnStep
 from wordavoid.scenarios import G_TABLE, H_TABLE, MINIMAL_SET_SIZES
 
 from conftest import (all_words, naive_count, naive_legal_words,
@@ -210,6 +211,35 @@ def test_walk_is_the_same_in_small_chunks(registry, monkeypatch, rows):
         assert call(spec, n) == result
 
 
+def assert_a_clean_image_walks_the_plain_words(spec, max_len):
+    """Identity images into a spec that forbids nothing never fail, so the
+    imaged walk, which also carries image runs, yields the plain walk's
+    words at every length, and no failed extension."""
+    image = (np.arange(spec.alphabet_size, dtype=np.uint8)[:, None],
+             ColumnStep(AvoidanceSpec(spec.alphabet_size), max_len))
+    plain, imaged = {}, {}
+    for words, _ in walk_legal(spec, max_len):
+        plain.setdefault(words.shape[1], []).extend(map(bytes, words))
+    for words, failed in walk_legal(spec, max_len, image=image):
+        assert len(failed) == 0
+        imaged.setdefault(words.shape[1], []).extend(map(bytes, words))
+    assert sorted(plain) == sorted(imaged) == list(range(len(plain)))
+    for n in plain:
+        assert sorted(plain[n]) == sorted(imaged[n]), n
+
+
+@pytest.mark.parametrize("name", ["dekking_binary", "fs_binary", "pu_binary",
+                                  "ejs2", "ejs3"])
+def test_a_clean_image_walks_the_registry_words(registry, name):
+    assert_a_clean_image_walks_the_plain_words(getattr(registry, name), 14)
+
+
+@given(small_specs())
+@settings(max_examples=40, deadline=None)
+def test_a_clean_image_walks_the_plain_words(case):
+    assert_a_clean_image_walks_the_plain_words(*case)
+
+
 def test_minimal_forbidden_lines_are_sorted(registry):
     lines = minimal_forbidden(registry.fs_binary, 8).to_lines().splitlines()
     assert lines == sorted(lines, key=lambda t: (len(t), t))
@@ -250,10 +280,38 @@ def test_single_factor_automaton_gives_fibonacci():
         assert counts[i] == counts[i - 1] + counts[i - 2]
 
 
+def pinned_fields(estimate):
+    return (repr(estimate.eigenvalue), repr(estimate.residual),
+            estimate.iterations, estimate.states)
+
+
 def test_growth_golden_ratio():
     spec = AvoidanceSpec(2, (word_from_text("000"), word_from_text("111")))
     est = growth_rate(build_automaton(minimal_forbidden(spec, 3)))
     assert est.eigenvalue == pytest.approx(1.6180339887, abs=1e-5)
+    assert pinned_fields(est) == (
+        "1.618033989003667", "4.1061332112235505e-10", 22, 5)
+
+
+@pytest.mark.parametrize("name, length, fields", [
+    ("dekking_binary", 20,
+     ("1.1771981569905536", "1.1963541268755762e-10", 205, 639)),
+    ("dekking_binary", 30,
+     ("1.145656797053983", "6.237237393236228e-10", 231, 1931)),
+    ("fs_binary", 20,
+     ("1.1347173709131346", "3.9925351913439044e-10", 140, 326)),
+    ("fs_binary", 30,
+     ("1.101188606682661", "7.706346671909614e-10", 213, 1043)),
+    # Finite languages: every legal word is shorter than the set's longest
+    # minimal word, so the live part has no cycle.
+    ("ejs2", 20, ("0.0", "0.0", 139, 139)),
+    ("ejs3", 30, ("0.0", "0.0", 395, 395)),
+])
+def test_growth_fields_are_pinned(registry, name, length, fields):
+    """Every field to the last bit: a power step that sums in another order
+    fails here, not only in the scenario digest."""
+    derived = minimal_forbidden(getattr(registry, name), length)
+    assert pinned_fields(growth_rate(build_automaton(derived))) == fields
 
 
 def test_growth_rates_on_derived_sets(registry):
@@ -278,8 +336,16 @@ def test_growth_rejects_fewer_than_one_iteration(max_iterations):
         growth_rate(auto, max_iterations=max_iterations)
 
 
+# An alphabet of 2 or 3 letters and a few forbidden words of 1 to 5 letters.
+FORBIDDEN_SETS = st.integers(2, 3).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.frozensets(st.lists(st.integers(0, k - 1), min_size=1,
+                           max_size=5).map(bytes), max_size=6)))
+
+
 def dense_growth_rate(automaton, tol=1e-9, max_iterations=200_000):
-    """Reference power iteration on the dense matrix M + I."""
+    """Reference power iteration on the dense matrix M + I.  A nilpotent M
+    (the live part has no cycle) gives 0.0 once n steps pass unconverged."""
     matrix, live = automaton.transition_matrix()
     n = len(live)
     if n == 0 or not matrix.any():
@@ -293,6 +359,8 @@ def dense_growth_rate(automaton, tol=1e-9, max_iterations=200_000):
         rayleigh = float(vec @ (shifted @ vec))
         if abs(rayleigh - previous) < tol:
             return rayleigh - 1.0, n, iteration
+        if iteration == n and not np.linalg.matrix_power(matrix > 0, n).any():
+            return 0.0, n, iteration
         previous = rayleigh
     return previous - 1.0, n, max_iterations
 
@@ -305,15 +373,59 @@ def assert_same_growth(automaton, **kwargs):
     return est
 
 
-@given(st.integers(2, 3).flatmap(lambda k: st.tuples(
-    st.just(k),
-    st.frozensets(st.lists(st.integers(0, k - 1), min_size=1,
-                           max_size=5).map(bytes), max_size=6))))
+@given(FORBIDDEN_SETS)
 @settings(max_examples=80, deadline=None)
 def test_growth_matches_dense_iteration(case):
     alphabet, forbidden = case
     assert_same_growth(FactorAutomaton(alphabet, forbidden),
                        max_iterations=3000)
+
+
+def naive_has_cycle(automaton):
+    """Whether the live states close a cycle, by depth-first search."""
+    on_path, done = set(), set()
+
+    def cycle_from(state):
+        on_path.add(state)
+        for succ in automaton.transitions[state]:
+            if automaton.dead[succ] or succ in done:
+                continue
+            if succ in on_path or cycle_from(succ):
+                return True
+        on_path.discard(state)
+        done.add(state)
+        return False
+
+    return any(cycle_from(s) for s, dead in enumerate(automaton.dead)
+               if not dead and s not in done)
+
+
+@given(FORBIDDEN_SETS)
+@example((2, frozenset({b"\0\0", b"\1\1", b"\0\1\0", b"\1\0\1"})))
+@example((2, frozenset({b"\0\0\0", b"\1\1", b"\1\0\1", b"\0\1\0\0"})))
+@example((3, frozenset({b"\0", b"\1\1", b"\2\2", b"\1\2\1", b"\2\1\2"})))
+@settings(max_examples=80, deadline=None)
+def test_growth_is_zero_exactly_when_the_live_part_is_acyclic(case):
+    alphabet, forbidden = case
+    auto = FactorAutomaton(alphabet, forbidden)
+    est = growth_rate(auto, max_iterations=3000)
+    assert (est.eigenvalue == 0.0) == (not naive_has_cycle(auto))
+
+
+def test_counting_runs_no_numpy_sort(registry, monkeypatch):
+    """Counting sorts in Python: the first numpy sort of a process maps
+    0.14-0.39 MB of kernels, more than a counting run's peak memory may
+    grow."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a numpy sort on the counting path")
+
+    for name in ("sort", "argsort", "unique", "lexsort"):
+        monkeypatch.setattr(np, name, refuse)
+    for name, length in (("dekking_binary", 20), ("fs_binary", 20),
+                         ("pu_binary", 12), ("ejs2", 20), ("ejs3", 30)):
+        spec = getattr(registry, name)
+        count_avoiding(spec, length)
+        growth_rate(build_automaton(minimal_forbidden(spec, length)))
 
 
 def test_growth_matches_dense_iteration_on_derived_sets(registry):
