@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import partial
 
@@ -92,14 +93,15 @@ def _int_at_least(minimum: int, maximum: int | None = None):
 
 
 def _positive_float(text: str) -> float:
-    """argparse type for a float flag that must be above zero."""
+    """argparse type for a float flag that must be finite and above zero."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected a number, got {text!r}") from None
-    if not value > 0:
-        raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+    if not (value > 0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
     return value
 
 

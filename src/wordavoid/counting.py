@@ -21,17 +21,15 @@ polynomials.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .morphisms import Morphism, Substitution
-from .words import (AvoidanceSpec, ColumnStep, report_row, satisfies_spec,
+from .words import (AvoidanceSpec, ColumnStep, Record, satisfies_spec,
                     word_to_text)
 
 
-@dataclass(frozen=True)
-class CountTable:
+class CountTable(Record):
     """Exact number of legal words at each length from 0 up."""
 
     spec: AvoidanceSpec
@@ -150,8 +148,7 @@ def count_avoiding(spec: AvoidanceSpec, n_max: int) -> CountTable:
     return CountTable(spec, tuple(counts))
 
 
-@dataclass(frozen=True)
-class MinimalForbiddenSet:
+class MinimalForbiddenSet(Record):
     """Spec-violating words whose one-letter truncations are both legal."""
 
     spec: AvoidanceSpec
@@ -280,16 +277,13 @@ def build_automaton(forbidden_set: MinimalForbiddenSet) -> FactorAutomaton:
     return FactorAutomaton(forbidden_set.spec.alphabet_size, forbidden_set.words)
 
 
-@dataclass(frozen=True)
-class GrowthEstimate:
+class GrowthEstimate(Record):
     """Dominant eigenvalue of the live transition matrix."""
 
     eigenvalue: float
     states: int
     iterations: int
     residual: float
-
-    to_dict = report_row
 
 
 def growth_rate(automaton: FactorAutomaton, tol: float = 1e-9,
@@ -311,8 +305,8 @@ def growth_rate(automaton: FactorAutomaton, tol: float = 1e-9,
     edge list looks for a cycle, and without one the estimate is 0.0 with
     residual 0.0 at once.  A run that converges sooner makes no pass.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise ValueError("tol must be positive and finite")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
     live, sources, targets = automaton._live_edges()
@@ -354,8 +348,7 @@ def _acyclic(sources: np.ndarray, targets: np.ndarray, n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(Record):
     """Outcome of enumerating one substitution image family."""
 
     word_length: int
@@ -363,8 +356,6 @@ class FamilyReport:
     verified_count: int
     exponent_check: bool
     enumerated: bool
-
-    to_dict = report_row
 
 
 def lower_bound_family(sub: Substitution, outer: Morphism, seed_word: bytes,
@@ -414,8 +405,7 @@ def _power_reaches(base: int, exponent: int, bits: int) -> bool:
     return base ** exponent >= 2 ** bits
 
 
-@dataclass(frozen=True)
-class ExhaustReport:
+class ExhaustReport(Record):
     """Longest legal word when the whole search tree is finite."""
 
     max_length: int | None
@@ -433,10 +423,14 @@ def exhaust_max_length(spec: AvoidanceSpec, hard_cap: int) -> ExhaustReport:
     """
     if hard_cap < 1:
         raise ValueError("hard_cap must be >= 1")
-    best = b""
-    for words, _ in walk_legal(spec, hard_cap):
-        if words.shape[1] == hard_cap:
+    longest, kept = 0, []  # the chunks of the greatest length so far
+    for words, _ in walk_legal(spec, hard_cap):  # the empty word first
+        length = words.shape[1]
+        if length == hard_cap:
             return ExhaustReport(None, None, True)
-        least = min(row.tobytes() for row in words)  # rows share a length
-        best = min(best, least, key=lambda w: (-len(w), w))
-    return ExhaustReport(len(best), best, False)
+        if length > longest:
+            longest, kept = length, []
+        if length == longest:
+            kept.append(words)
+    best = min(row.tobytes() for words in kept for row in words)
+    return ExhaustReport(longest, best, False)

@@ -5,16 +5,14 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .words import ParseError, content_lines, word_from_text
+from .words import ParseError, Record, content_lines, word_from_text
 
 
-@dataclass(frozen=True)
-class Morphism:
+class Morphism(Record):
     """Letter-to-word map, applied by concatenating images."""
 
     source_size: int
@@ -119,8 +117,7 @@ def fixed_point_prefix(morphism: Morphism, seed: int, length: int) -> bytes:
     return _stream(morphism, seed).prefix(length)
 
 
-@dataclass(frozen=True)
-class Substitution:
+class Substitution(Record):
     """Morphism whose letters may each carry several alternate images."""
 
     source_size: int

@@ -9,7 +9,6 @@ registry entry surfaces as a failed check rather than a crash.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 from functools import cache, partial
 
 from .counting import (build_automaton, count_avoiding, growth_rate,
@@ -17,9 +16,9 @@ from .counting import (build_automaton, count_avoiding, growth_rate,
 from .instances import InstanceRegistry, load_registry
 from .morphisms import fixed_point_prefix, power
 from .verify import find_inclusions, find_interchanges, verify_square_transfer
-from .words import (AvoidanceSpec, GapPattern, gap_occurrences,
-                    max_square_root, perfect_shuffle, report_row,
-                    satisfies_spec, word_from_text, word_to_text)
+from .words import (AvoidanceSpec, GapPattern, Record, gap_occurrences,
+                    max_square_root, perfect_shuffle, satisfies_spec,
+                    word_from_text, word_to_text)
 
 # The pinned count tables and minimal-set sizes; the tests import them.
 G_TABLE = (1, 2, 4, 6, 10, 16, 24, 36, 52, 72, 90, 116, 142, 178, 220, 264,
@@ -36,15 +35,13 @@ FAMILY_DIGESTS = {
 }
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(Record):
     name: str
     ok: bool
     detail: str = ""
 
 
-@dataclass(frozen=True)
-class ScenarioReport:
+class ScenarioReport(Record):
     name: str
     inputs: tuple[str, ...]
     checks: tuple[Check, ...]
@@ -55,8 +52,8 @@ class ScenarioReport:
         return all(c.ok for c in self.checks)
 
     def to_dict(self) -> dict:
-        return {**report_row(self), "ok": self.ok,
-                "checks": [report_row(c) for c in self.checks]}
+        return {**super().to_dict(), "ok": self.ok,
+                "checks": [c.to_dict() for c in self.checks]}
 
     def digest(self) -> str:
         lines = [f"scenario {self.name}: {'PASS' if self.ok else 'FAIL'}"]

@@ -29,15 +29,14 @@ nothing is left open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .counting import walk_legal
 from .morphisms import Morphism, Substitution, fixed_point_prefix
-from .words import (AvoidanceSpec, ColumnStep, GapPattern, Violation,
-                    format_spec, gap_first_and_count, report_row,
+from .words import (AvoidanceSpec, ColumnStep, GapPattern, Record,
+                    Violation, format_spec, gap_first_and_count,
                     satisfies_spec, word_to_text)
 
 FixedPoint = tuple[Morphism, int]
@@ -135,7 +134,7 @@ def _fixed_point_spec(source: AvoidanceSpec, fixed_point: FixedPoint,
                         if (w := u + bytes((a,)))[1:] in shorter
                         and w not in factors and _forbids(source, w) is None)
         shorter = factors
-    return replace(source, forbidden=source.forbidden + tuple(extra))
+    return source.replace(forbidden=source.forbidden + tuple(extra))
 
 
 def _fixed_point_phases(morphism: Morphism, seed: int, word: bytes) -> set[int]:
@@ -148,8 +147,7 @@ def _fixed_point_phases(morphism: Morphism, seed: int, word: bytes) -> set[int]:
 # ---------------------------------------------------------------------------
 # Witnesses.
 
-@dataclass(frozen=True)
-class InclusionWitness:
+class InclusionWitness(Record):
     """image(a) + image(b) contains image(c) at `offset`, flanked by t and u."""
 
     a: int
@@ -159,11 +157,8 @@ class InclusionWitness:
     t: bytes
     u: bytes
 
-    to_dict = report_row
 
-
-@dataclass(frozen=True)
-class InterchangeWitness:
+class InterchangeWitness(Record):
     """image(a) = s+t, image(b) = u+v, image(c) = s+v at the recorded split.
 
     `splits` lists every split position that works; `split` is the smallest.
@@ -179,11 +174,8 @@ class InterchangeWitness:
     v: bytes
     splits: tuple[int, ...]
 
-    to_dict = report_row
 
-
-@dataclass(frozen=True)
-class EmbeddingCase:
+class EmbeddingCase(Record):
     """One choice of context letters around an inclusion, and its outcome."""
 
     pred: int
@@ -191,11 +183,8 @@ class EmbeddingCase:
     case: str
     detail: str
 
-    to_dict = report_row
 
-
-@dataclass(frozen=True)
-class Refutation:
+class Refutation(Record):
     method: str
     detail: str
     embeddings: tuple[EmbeddingCase, ...] = ()
@@ -216,8 +205,7 @@ class Refutation:
         return out
 
 
-@dataclass(frozen=True)
-class GapEvidence:
+class GapEvidence(Record):
     """Why a pattern first..middle..last with equal gaps cannot occur.
 
     kind is one of follower, descent, exhaustive, scan, present;
@@ -229,18 +217,15 @@ class GapEvidence:
     complete: bool
     detail: str
 
-    to_dict = report_row
 
-
-@dataclass(frozen=True)
-class BoundedCaseReport:
+class BoundedCaseReport(Record):
     max_source_length: int
     words_checked: int
     legal_counts: tuple[int, ...]
     violations: tuple[tuple[bytes, Violation], ...]
 
     def to_dict(self) -> dict:
-        return {**report_row(self),
+        return {**super().to_dict(),
                 "violations": [{"source": word_to_text(w),
                                 "violation": v.describe()}
                                for w, v in self.violations]}
@@ -586,8 +571,7 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
                              tuple(violations))
 
 
-@dataclass(frozen=True)
-class TransferCertificate:
+class TransferCertificate(Record):
     """Everything checked while verifying one transfer statement."""
 
     name: str
@@ -623,7 +607,7 @@ class TransferCertificate:
 
     def to_dict(self) -> dict:
         return {
-            **report_row(self),
+            **super().to_dict(),
             "source": format_spec(self.source),
             "target": format_spec(self.target),
             "bounded": self.bounded.to_dict(),

@@ -27,8 +27,8 @@ alone whether a forbidden power ends there.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
@@ -74,17 +74,90 @@ def content_lines(text: str):
             yield lineno, line
 
 
-def report_row(record) -> dict:
-    """A flat report record's fields in order, words and gap patterns as
-    text and tuples as lists."""
-    out = {}
-    for field in fields(record):
-        value = getattr(record, field.name)
-        out[field.name] = (word_to_text(value) if isinstance(value, bytes)
-                           else value.text() if isinstance(value, GapPattern)
-                           else list(value) if isinstance(value, tuple)
-                           else value)
-    return out
+class Record:
+    """An immutable record whose fields are its class's annotated names, in
+    order; a class attribute of the same name is the field's default.
+
+    Records are built from positional or keyword fields, then
+    `__post_init__` checks them.  Two records are equal when they are of
+    one class with equal fields, and hash as their field tuple.  Every
+    record shares these methods, so defining one generates no code.
+    `functools.cached_property` still works: it writes the instance
+    `__dict__` directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+    _defaults: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        fields = cls._fields = cls._fields + names
+        cls._defaults = {**cls._defaults, **{
+            name: cls.__dict__[name] for name in names if name in cls.__dict__}}
+        # The field tuple, read in C and called as self._key(self).
+        # attrgetter of one name returns its value bare.
+        cls._key = staticmethod(
+            attrgetter(*fields) if len(fields) > 1 else
+            lambda record: tuple(getattr(record, f) for f in fields))
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            if len(args) > len(fields):
+                raise TypeError(f"{type(self).__name__} takes at most"
+                                f" {len(fields)} fields, got {len(args)}")
+            args = [*args]
+            for name in fields[len(args):]:
+                if name in kwargs:
+                    args.append(kwargs.pop(name))
+                elif name in self._defaults:
+                    args.append(self._defaults[name])
+                else:
+                    raise TypeError(f"{type(self).__name__} is missing"
+                                    f" field {name!r}")
+            if kwargs:
+                raise TypeError(f"{type(self).__name__} got unknown or"
+                                f" repeated fields {sorted(kwargs)}")
+        self.__dict__.update(zip(fields, args))
+        self.__post_init__()
+
+    def __post_init__(self):
+        """Check the fields; a record with constraints overrides this."""
+
+    def __setattr__(self, name, _value):
+        raise AttributeError(f"cannot set {name!r}: records are immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: records are immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        pairs = zip(self._fields, self._key(self))
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={value!r}" for name, value in pairs)
+                + ")")
+
+    def replace(self, **changes):
+        """A copy with the named fields changed, checked as a new record."""
+        return type(self)(**{**dict(zip(self._fields, self._key(self))),
+                             **changes})
+
+    def to_dict(self) -> dict:
+        """The fields in order, words and gap patterns as text and tuples
+        as lists."""
+        return {name: (word_to_text(value) if isinstance(value, bytes)
+                       else value.text() if isinstance(value, GapPattern)
+                       else list(value) if isinstance(value, tuple)
+                       else value)
+                for name, value in zip(self._fields, self._key(self))}
 
 
 def perfect_shuffle(even: bytes, odd: bytes) -> bytes:
@@ -325,8 +398,7 @@ def max_square_root(word: bytes) -> int:
                default=0)
 
 
-@dataclass(frozen=True)
-class GapPattern:
+class GapPattern(Record):
     """Letters flanking a repeated gap: first + alpha + middle + alpha + last."""
 
     first: int
@@ -443,8 +515,7 @@ def scan_forbidden(word: bytes, forbidden) -> tuple[int, bytes] | None:
     return p, f
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(Record):
     """One reason a word fails a spec."""
 
     kind: str                  # "letter" | "forbidden" | "square" | "cube"
@@ -459,14 +530,12 @@ class Violation:
         return f"{self.kind} at {self.position}: {word_to_text(self.factor)}"
 
 
-@dataclass(frozen=True)
-class SpecCheck:
+class SpecCheck(Record):
     ok: bool
     violation: Violation | None = None
 
 
-@dataclass(frozen=True)
-class AvoidanceSpec:
+class AvoidanceSpec(Record):
     """What a word must avoid.
 
     square_min_root forbids squares whose root is at least that long;

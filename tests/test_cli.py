@@ -277,6 +277,7 @@ def test_config_line_is_pinned(capsys):
     (("count", "--spec", "dekking", "--n-max", "-1"), "--n-max"),
     (("forbidden", "--spec", "dekking", "--max-len", "0"), "--max-len"),
     (("growth", "--forbidden", "README.md", "--tol", "0"), "--tol"),
+    (("growth", "--forbidden", "README.md", "--tol", "inf"), "--tol"),
     (("growth", "--forbidden", "README.md", "--alphabet", "0"), "--alphabet"),
     (("generate", "--morphism", "dekking_h", "--length", "-5"), "--length"),
     (("scan", "--word", "README.md", "--min-root", "0"), "--min-root"),

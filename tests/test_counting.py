@@ -336,6 +336,14 @@ def test_growth_rejects_fewer_than_one_iteration(max_iterations):
         growth_rate(auto, max_iterations=max_iterations)
 
 
+@pytest.mark.parametrize("tol", [0.0, -1e-9, math.inf, math.nan])
+def test_growth_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    """An infinite tolerance would stop after one step, as if converged."""
+    auto = FactorAutomaton(2, frozenset({word_from_text("00")}))
+    with pytest.raises(ValueError, match="tol must be positive and finite"):
+        growth_rate(auto, tol=tol)
+
+
 # An alphabet of 2 or 3 letters and a few forbidden words of 1 to 5 letters.
 FORBIDDEN_SETS = st.integers(2, 3).flatmap(lambda k: st.tuples(
     st.just(k),
@@ -595,11 +603,46 @@ def test_exhaust_matches_brute_force(case):
     least legal word of that length.  In the example, the first longest
     word the walk yields is 1101110, not the least, 0111011."""
     spec, cap = case
-    levels = [level for level in naive_legal_words(spec, cap) if level]
-    if len(levels) > cap:
-        expected = ExhaustReport(None, None, True)
-    else:
-        expected = ExhaustReport(len(levels) - 1, min(levels[-1]), False)
+    expected = naive_exhaustion(spec, cap)
     for budget in (1, counting._SCREEN_BYTES):
         with patch.object(counting, "_SCREEN_BYTES", budget):
             assert exhaust_max_length(spec, cap) == expected
+
+
+@pytest.mark.parametrize("name, cap, longest", [
+    ("binary squarefree", 10, 3), ("ejs2", 40, 18)])
+def test_exhaustion_witness_is_the_least_longest_word(registry, monkeypatch,
+                                                      name, cap, longest):
+    """With one word a chunk, the greatest length arrives in several chunks,
+    and the witness is still the least word of that length."""
+    spec = (AvoidanceSpec(2, square_min_root=1) if name == "binary squarefree"
+            else registry.ejs2)
+    monkeypatch.setattr(counting, "_SCREEN_BYTES", 1)
+    deepest = [words for words, _ in walk_legal(spec, cap)
+               if words.shape[1] == longest]
+    assert len(deepest) > 1 and all(len(words) == 1 for words in deepest)
+    report = exhaust_max_length(spec, cap)
+    assert report == naive_exhaustion(spec, cap)
+    assert report.max_length == longest
+
+
+@given(small_specs(), st.sampled_from([1, 64, counting._SCREEN_BYTES]))
+@settings(max_examples=60, deadline=None)
+def test_exhaustion_matches_the_legal_words_of_small_specs(case, budget):
+    """A report that says `exceeded` has a legal word of the cap's length;
+    any other names the greatest length and its least word."""
+    spec, cap = case
+    with patch.object(counting, "_SCREEN_BYTES", budget):
+        report = exhaust_max_length(spec, cap)
+    levels = list(naive_legal_words(spec, cap))
+    assert report.exceeded == bool(levels[cap])
+    assert report == naive_exhaustion(spec, cap)
+
+
+def naive_exhaustion(spec, cap):
+    """The report by brute force: a cap report when a legal word has `cap`
+    letters, else the greatest length and its least legal word."""
+    levels = [level for level in naive_legal_words(spec, cap) if level]
+    if len(levels) > cap:
+        return ExhaustReport(None, None, True)
+    return ExhaustReport(len(levels) - 1, min(levels[-1]), False)

@@ -1,7 +1,6 @@
 """Scenario harness: everything passes on the pinned registry, and any
 single-symbol corruption of a registry morphism is caught by some check."""
 
-import dataclasses
 import json
 import random
 
@@ -65,8 +64,8 @@ def test_certificate_checks_compare_the_pinned_rows(registry, monkeypatch,
     check that pins those rows, the case table too."""
     real = verify.verify_square_transfer
     monkeypatch.setattr(scenarios, "verify_square_transfer",
-                        lambda *args, **kwargs: dataclasses.replace(
-                            real(*args, **kwargs), inclusions=()))
+                        lambda *args, **kwargs: real(*args, **kwargs).replace(
+                            inclusions=()))
     report = run_scenario(name, registry, prefix_length=REDUCED)
     failed = {c.name for c in report.checks if not c.ok}
     expected = {f"{label} transfer certificate" for label in failing}

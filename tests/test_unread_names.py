@@ -3,11 +3,15 @@
 A name that is bound but never read is either dead code or an argument the
 function ignores, which a caller may think it honors.  Names starting with
 an underscore are deliberate throwaways.  Nor does the package read the
-environment: every setting it honors is a parameter or a flag.
+environment: every setting it honors is a parameter or a flag.  Nor does
+it import `dataclasses`: records share `words.Record`'s methods, so
+defining one compiles no code at import.
 """
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import wordavoid
 
@@ -166,3 +170,36 @@ def test_no_module_reads_the_environment():
     for path in sorted(SRC.glob("*.py")):
         found += environment_reads(path.read_text(), path.name)
     assert found == []
+
+
+def dataclass_imports(source: str, filename: str) -> list[tuple[str, int]]:
+    """(file, line) for each import of `dataclasses`, whose decorator
+    compiles several methods for every class it makes a record."""
+    return [(filename, node.lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import)
+            and any(alias.name == "dataclasses" for alias in node.names)
+            or isinstance(node, ast.ImportFrom)
+            and node.module == "dataclasses"]
+
+
+def test_no_module_imports_dataclasses():
+    sample = ("import dataclasses\n"
+              "from dataclasses import dataclass\n"
+              "import functools\n")
+    assert dataclass_imports(sample, "m.py") == [("m.py", 1), ("m.py", 2)]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += dataclass_imports(path.read_text(), path.name)
+    assert found == []
+
+
+def test_importing_the_package_leaves_dataclasses_unloaded():
+    """Records subclass `words.Record`, and nothing the package imports
+    loads `dataclasses` either (numpy does not)."""
+    script = ("import sys\n"
+              f"sys.path.insert(0, {str(SRC.parent)!r})\n"
+              "import wordavoid\n"
+              "print(wordavoid.__file__, 'dataclasses' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-I", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout.split() == [wordavoid.__file__, "False"], proc.stderr
