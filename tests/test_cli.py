@@ -277,7 +277,6 @@ def test_config_line_is_pinned(capsys):
     (("count", "--spec", "dekking", "--n-max", "-1"), "--n-max"),
     (("forbidden", "--spec", "dekking", "--max-len", "0"), "--max-len"),
     (("growth", "--forbidden", "README.md", "--tol", "0"), "--tol"),
-    (("growth", "--forbidden", "README.md", "--tol", "inf"), "--tol"),
     (("growth", "--forbidden", "README.md", "--alphabet", "0"), "--alphabet"),
     (("generate", "--morphism", "dekking_h", "--length", "-5"), "--length"),
     (("scan", "--word", "README.md", "--min-root", "0"), "--min-root"),
@@ -297,6 +296,7 @@ def test_config_line_is_pinned(capsys):
       "--target", "squarefree4", "--root-cap", "100001"), "--root-cap"),
     (("generate", "--morphism", "dekking_h", "--length", "10000001"),
      "--length"),
+    (("growth", "--forbidden", "README.md", "--tol", "inf"), "--tol"),
 ])
 def test_unusable_numeric_flags_are_usage_errors(capsys, argv, flag):
     """Out-of-range values, the size caps among them, are rejected before
