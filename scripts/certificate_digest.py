@@ -5,7 +5,10 @@ The first line counts the registry certificates and hashes their JSON: every
 packaged morphism or substitution, against every packaged source spec whose
 alphabet matches its source alphabet and every target spec wide enough for
 its images, at the default root cap and at 2W+3, and then the four packaged
-coder certificates over their fixed points at both caps.  The next two lines
+coder certificates over their fixed points at both caps.  The default cap
+is max(2W, D - 1) with D the synchronization delay, so 2W+3 can fall below
+it, and a certificate at 2W+3 then names the roots it leaves open (`fs_g`
+and its D of 19 is one).  The next two lines
 hash the stdout of `wordavoid scenario --all --format json`, at the default
 prefix length and at 2000.  The fourth hashes what the legal-word walker
 produces: the count tables to length 36 and the minimal forbidden sets to

@@ -8,12 +8,11 @@ from .words import (AvoidanceSpec, GapPattern, ParseError, SpecCheck,
 from .morphisms import (FixedPointStream, Morphism, Substitution,
                         fixed_point_prefix, parse_morphism,
                         parse_substitution, power)
-from .verify import (BoundedCaseReport, EmbeddingCase, GapEvidence,
-                     InclusionWitness, InterchangeWitness, Refutation,
-                     TransferCertificate, bounded_case_check,
-                     find_inclusions, find_interchanges,
+from .verify import (BoundedCaseReport, GapEvidence, InclusionWitness,
+                     InterchangeWitness, Refutation, TransferCertificate,
+                     bounded_case_check, find_inclusions, find_interchanges,
                      prove_gap_pattern_absence, refute_inclusion,
-                     refute_interchange, verify_square_transfer)
+                     refute_interchange, sync_delay, verify_square_transfer)
 from .counting import (CountTable, ExhaustReport, FactorAutomaton,
                        FamilyReport, GrowthEstimate, MinimalForbiddenSet,
                        build_automaton, count_avoiding, exhaust_max_length,

@@ -178,7 +178,7 @@ def _cmd_scan(args):
 def _render_certificate(cert) -> str:
     lines = [f"transfer {cert.name or '(unnamed)'}: "
              f"{'COMPLETE' if cert.complete else 'INCOMPLETE'}",
-             f"  width {cert.width}, depth {cert.depth},"
+             f"  width {cert.width}, sync delay {cert.sync_delay},"
              f" root cap {cert.root_cap}",
              f"  scope: {cert.scope}",
              f"  source: {_spec_oneline(cert.source)}",
@@ -186,12 +186,7 @@ def _render_certificate(cert) -> str:
              f"  bounded case: {cert.bounded.words_checked} words up to"
              f" length {cert.bounded.max_source_length},"
              f" {len(cert.bounded.violations)} violations",
-             f"  inclusions: {len(cert.inclusions)}"]
-    for w, r in cert.inclusions:
-        lines.append(f"    ({w.a},{w.b}) -> {w.c} @{w.offset}  {r.method}")
-        for e in r.embeddings:
-            lines.append(f"      pred {e.pred}, succ {e.succ}: {e.case}")
-    lines.append(f"  interchanges: {len(cert.interchanges)}")
+             f"  interchanges: {len(cert.interchanges)}"]
     for w, r in cert.interchanges:
         lines.append(f"    ({w.a},{w.b},{w.c}) split {w.split}  {r.method}")
     for ev in cert.gap_evidence:
@@ -219,7 +214,7 @@ def _cmd_verify(args):
     # certifies as the morphism it is (see `Substitution.to_annotated`).
     morphism = _resolve_map(args.morphism, MORPHISM_NAMES + SUBSTITUTION_NAMES,
                             parse_substitution)
-    cert = verify_square_transfer(morphism, source, target, depth=args.depth,
+    cert = verify_square_transfer(morphism, source, target,
                                   root_cap=args.root_cap,
                                   fixed_point=fixed_point,
                                   name=args.name or args.morphism)
@@ -337,7 +332,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--morphism", required=True)
     p.add_argument("--source", required=True)
     p.add_argument("--target", required=True)
-    p.add_argument("--depth", type=_int_at_least(0), default=2)
     # This cap, --n-max and --max-len size the walker's column step; at the
     # bound the step alone takes 13-26 MB, and its runs grow with it.
     p.add_argument("--root-cap", type=_int_at_least(1, 100_000),

@@ -22,7 +22,7 @@ SUBSTITUTION_NAMES = ("dekking_sub", "fs_sub")
 SPEC_NAMES = ("dekking_h_source", "dekking_g_source", "squarefree4",
               "dekking_binary", "fs_h_source", "fs_h_target", "fs_g_source",
               "fs_binary", "pu_source", "pu_binary", "ejs2", "ejs3")
-DATA_NAMES = ("reference_prefixes", "shuffle_coder_cases")
+DATA_NAMES = ("reference_prefixes",)
 
 # CLI spec shorthand; values are registry attribute names.
 SPEC_ALIASES = {"dekking": "dekking_binary", "fraenkel-simpson": "fs_binary",
@@ -51,8 +51,6 @@ class InstanceRegistry:
             setattr(self, name, parse_spec(texts[name]))
         self.reference_prefixes: dict[str, str] = json.loads(
             texts["reference_prefixes"])
-        self.coder_case_atlas: tuple[dict, ...] = tuple(
-            json.loads(texts["shuffle_coder_cases"]))
 
     def spec_by_name(self, token: str) -> AvoidanceSpec | None:
         """Resolve a spec alias or registry spec name; None if unknown."""

@@ -2,14 +2,13 @@
 
 Each scenario reruns one construction's verification story at desk scale and
 reports named pass/fail checks plus JSON-able artifacts.  Reference prefixes
-and witness inventories are pinned in the packaged data, so a corrupted
+are pinned in the packaged data and certificate rows here, so a corrupted
 registry entry surfaces as a failed check rather than a crash.
 """
 
 from __future__ import annotations
 
 import hashlib
-from functools import cache, partial
 
 from .counting import (build_automaton, count_avoiding, growth_rate,
                        lower_bound_family, minimal_forbidden)
@@ -111,12 +110,6 @@ class _Collector:
                      body)
 
 
-def _inclusion_rows(cert_rows):
-    return [((w.a, w.b, w.c, w.offset), r.method,
-             tuple((e.pred, e.succ, e.case) for e in r.embeddings))
-            for w, r in cert_rows]
-
-
 def _construction_words(col: _Collector, core_morphism, coder,
                         prefix_length: int) -> tuple[bytes, bytes]:
     """The core fixed-point prefix and its coded binary word, long enough
@@ -140,11 +133,9 @@ def _scenario_dekking_verify(reg: InstanceRegistry, prefix_length: int
         "core transfer certificate", "core_certificate",
         lambda: verify_square_transfer(reg.dekking_h, reg.dekking_h_source,
                                        reg.squarefree4, name="dekking_h"),
-        lambda c: (_inclusion_rows(c.inclusions)
-                   == [((3, 1, 2, 6), "no-right-extension", ())]
-                   and not c.interchanges
+        lambda c: (c.sync_delay == 12 and not c.interchanges
                    and c.bounded.legal_counts[5] == 49),
-        "complete, 1 inclusion, 0 interchanges, "
+        "complete, D {c.sync_delay}, 0 interchanges, "
         "{c.bounded.legal_counts[5]} words at length 5")
     col.certify(
         "coder transfer certificate", "coder_certificate",
@@ -152,25 +143,20 @@ def _scenario_dekking_verify(reg: InstanceRegistry, prefix_length: int
                                        reg.dekking_binary,
                                        fixed_point=(reg.dekking_h, 0),
                                        name="dekking_g"),
-        lambda c: (_inclusion_rows(c.inclusions)
-                   == [((0, 1, 3, 3), "no-right-extension", ()),
-                       ((1, 0, 2, 2), "no-right-extension", ()),
-                       ((2, 3, 1, 4), "no-right-extension", ())]
+        lambda c: (c.sync_delay == 9
                    and [(w.a, w.b, w.c, w.split, word_to_text(w.s),
                          word_to_text(w.t), word_to_text(w.u),
                          word_to_text(w.v)) for w, _ in c.interchanges]
                    == [(2, 1, 3, 4, "0110", "01", "0101", "10")]
                    and c.bounded.legal_counts[5] == 28),
-        "complete, 3 inclusions, 1 interchange, "
+        "complete, D {c.sync_delay}, 1 interchange, "
         "{c.bounded.legal_counts[5]} words at length 5")
     col.certify(
         "substitution transfer certificate", "substitution_certificate",
         lambda: verify_square_transfer(reg.dekking_sub, reg.dekking_h_source,
                                        reg.squarefree4, name="dekking_sub"),
-        lambda c: (_inclusion_rows(c.inclusions)
-                   == [((3, 1, 2, 6), "no-right-extension", ()),
-                       ((3, 4, 2, 6), "no-left-extension", ())]),
-        "complete; alternate-image rows all accounted for")
+        lambda c: c.sync_delay == 14 and not c.interchanges,
+        "complete, D {c.sync_delay}, 0 interchanges")
     col.prefixes(refs, "dekking_core", "core fixed-point", core, (50, 2000))
     col.prefixes(refs, "dekking_binary", "binary word", binary, (60, 2000))
     col.run("binary prefix meets target spec",
@@ -230,40 +216,24 @@ def _scenario_fs_verify(reg: InstanceRegistry, prefix_length: int
         lambda: verify_square_transfer(reg.fs_h, reg.fs_h_source,
                                        AvoidanceSpec(5, square_min_root=1),
                                        name="fs_h"),
-        lambda c: (not c.interchanges
-                   and [(w.a, w.b, w.c, w.offset, word_to_text(w.t),
-                         word_to_text(w.u)) for w, _ in c.inclusions]
-                   == [(3, 2, 0, 13, "0123212343234", "01232101234")]
-                   and c.inclusions[0][1].method == "no-left-extension"),
-        "complete, 1 inclusion, 0 interchanges")
+        lambda c: c.sync_delay == 31 and not c.interchanges,
+        "complete, D {c.sync_delay}, 0 interchanges")
     col.certify(
         "coder transfer certificate", "coder_certificate",
         lambda: verify_square_transfer(reg.fs_g, reg.fs_g_source,
                                        reg.fs_binary,
                                        fixed_point=(reg.fs_h, 0),
                                        name="fs_g"),
-        lambda c: not c.interchanges and _inclusion_rows(c.inclusions) == [
-            ((0, 1, 3, 2), "embeddings",
-             ((4, 3, "context-pair"), (4, 4, "context-triple"))),
-            ((1, 0, 4, 2), "embeddings",
-             ((3, 3, "left-pullback-forced-general"), (3, 4, "context-pair"))),
-            ((1, 2, 0, 5), "no-left-extension", ()),
-            ((2, 1, 4, 1), "no-right-extension", ()),
-            ((2, 3, 4, 1), "no-right-extension", ()),
-            ((3, 2, 0, 5), "no-left-extension", ()),
-            ((3, 4, 1, 4), "embeddings",
-             ((0, 0, "context-triple"), (1, 0, "context-pair"))),
-            ((4, 3, 0, 4), "embeddings",
-             ((0, 1, "context-pair"), (1, 1, "right-pullback-forced-general"))),
-        ],
-        "complete, 8 live inclusions, 0 interchanges")
+        lambda c: c.sync_delay == 19 and not c.interchanges,
+        "complete, D {c.sync_delay}, 0 interchanges")
     col.certify(
         "substitution transfer certificate", "substitution_certificate",
         lambda: verify_square_transfer(reg.fs_sub, reg.fs_h_target,
                                        reg.fs_g_source, name="fs_sub"),
-        lambda c: (_inclusion_rows(c.inclusions)
-                   == [((3, 2, 0, 13), "no-left-extension", ())]),
-        "complete; alternate-image rows all accounted for")
+        lambda c: (c.sync_delay == 31
+                   and [(w.a, w.b, w.c) for w, _ in c.interchanges]
+                   == [(2, 1, 5), (2, 4, 5), (5, 3, 2)]),
+        "complete, D {c.sync_delay}, 3 interchanges")
     col.run("the word behind the length-6 forbidden factor", special_case)
     col.prefixes(refs, "fs_core", "core fixed-point", core)
     col.prefixes(refs, "fs_binary", "binary word", binary)
@@ -355,8 +325,8 @@ def _scenario_pu_lemmas(reg: InstanceRegistry, prefix_length: int
         "core transfer certificate", "core_certificate",
         lambda: verify_square_transfer(reg.pu_h, reg.pu_source,
                                        reg.squarefree4, name="pu_h"),
-        lambda c: not c.inclusions and not c.interchanges,
-        "complete, 0 inclusions, 0 interchanges")
+        lambda c: c.sync_delay == 2 and not c.interchanges,
+        "complete, D {c.sync_delay}, 0 interchanges")
     col.run("forbidden triples absent from the core prefix",
             lambda: (satisfies_spec(core, reg.pu_source).ok,
                      f"{len(core)} symbols scanned"))
@@ -366,39 +336,17 @@ def _scenario_pu_lemmas(reg: InstanceRegistry, prefix_length: int
                 lambda pattern=pattern: (not found[pattern],
                                          f"{len(core)} symbols scanned"))
 
-    # Each coder certificate is computed once, for the case table and for
-    # its own check.
-    coder_certificate = cache(lambda coder: verify_square_transfer(
-        getattr(reg, coder), reg.pu_source, reg.pu_binary,
-        fixed_point=(reg.pu_h, 0), name=coder))
-
-    def atlas():
-        live = {(coder, *key): (method, embeddings)
-                for coder in _SHUFFLE_CODERS
-                for key, method, embeddings
-                in _inclusion_rows(coder_certificate(coder).inclusions)}
-        pinned = {(row["coder"], row["a"], row["b"], row["c"], row["offset"]):
-                  (row["method"], tuple((e["pred"], e["succ"], e["case"])
-                                        for e in row["embeddings"]))
-                  for row in reg.coder_case_atlas}
-        if live != pinned:
-            missing = sorted(set(pinned) - set(live))
-            extra = sorted(set(live) - set(pinned))
-            changed = sorted(k for k in set(live) & set(pinned)
-                             if live[k] != pinned[k])
-            return False, (f"missing {missing[:3]}, extra {extra[:3]}, "
-                           f"changed {changed[:3]}")
-        return True, f"{len(pinned)} rows match"
-
-    col.run("coder inclusion case table", atlas)
     for coder in _SHUFFLE_CODERS:
         col.certify(
             f"{coder.replace('pu_', 'coder ')} transfer certificate",
-            f"{coder}_certificate", partial(coder_certificate, coder),
-            lambda c: (len(c.inclusions) == 12
+            f"{coder}_certificate",
+            lambda coder=coder: verify_square_transfer(
+                getattr(reg, coder), reg.pu_source, reg.pu_binary,
+                fixed_point=(reg.pu_h, 0), name=coder),
+            lambda c: (c.sync_delay == 9
                        and tuple((w.a, w.b, w.c) for w, _ in c.interchanges)
                        == _INTERCHANGE_TRIPLES),
-            "complete, 12 inclusions, 4 interchanges")
+            "complete, D {c.sync_delay}, 4 interchanges")
     return ScenarioReport(
         "pu-lemmas",
         ("pu_h", "pu_g1", "pu_g2", "pu_source", "pu_binary", "squarefree4"),

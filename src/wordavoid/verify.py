@@ -1,30 +1,28 @@
 """Transfer verification for uniform morphisms.
 
 Proves statements of the form "if a word satisfies the source spec, its image
-satisfies the target spec" by splitting any would-be violation into three
-exhaustive channels:
+satisfies the target spec" by splitting any would-be violation by its root:
 
-* short violations, inside the image of a bounded source word (the shared
-  legal-word walker gives the words in chunks of one length, carrying their
-  images' runs through a target column step with roots capped at the root
-  cap; it sets apart the words whose image fails and does not extend them,
-  and `satisfies_spec` names each violation; a cap below 2W leaves the
-  roots above it as a residual);
-* inclusions, where one image sits inside the image of a pair with offcut
-  affixes on both sides (one inventory over all pairs, refuted case by case
-  through context letters and forced pullbacks);
-* interchanges, where two images share a prefix/suffix splitting of a third
-  (refuted by proving a three-letter gap pattern absent from the source
-  language; the bounded exhaustive search runs on the shared legal-word
-  walker).
+* roots below the synchronization delay D (`sync_delay`), and forbidden
+  factors, lie inside the image of a bounded source word, which the shared
+  legal-word walker enumerates with its image's runs (the bounded case, up
+  to the root cap max(2W, D - 1));
+* a square of root D or more pulls back to a square of the source word or
+  to an interchange, where two images share a prefix/suffix splitting of a
+  third, refuted by proving a three-letter gap pattern absent from the
+  source language (see `verify_square_transfer`).
+
+Inclusions, where one image sits inside the image of a pair, only show that
+D > W: `find_inclusions` and `refute_inclusion` list them, and no
+certificate reads them.
 
 Every question of the form "can this short word occur?" goes to one oracle,
 `_forbids`.  A fixed point enters as a spec that forbids its short
 non-factors too; only block descent and the empirical scan read it itself.
 
-A `TransferCertificate` holds the witnesses and their refutations; its
-residual obligations are read off those rows, and it is complete when
-nothing is left open.
+A `TransferCertificate` holds D, the bounded case and the interchange rows
+with their refutations; it is complete when its residual, read off those,
+is empty.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ import numpy as np
 from .counting import walk_legal
 from .morphisms import Morphism, Substitution, fixed_point_prefix
 from .words import (AvoidanceSpec, ColumnStep, GapPattern, Record,
-                    Violation, format_spec, gap_first_and_count,
+                    Violation, gap_first_and_count,
                     satisfies_spec, word_to_text)
 
 FixedPoint = tuple[Morphism, int]
@@ -47,17 +45,13 @@ FixedPoint = tuple[Morphism, int]
 _DESCENT_BASE = 12
 _EXHAUST_GAP = 8
 _SCAN_LENGTH = 100_000
+# The synchronization delay is sought up to this many widths, over words of
+# at most one block more.
+_SYNC_BLOCKS = 8
 # A fixed point's spec forbids non-factors of at most this many letters, the
 # longest factors block descent reads below width 14.  A longer bounded case
 # walks a superset of the factors, which is sound.
 _SCOPE_LENGTH = 25
-
-
-def _framed(morphism: Morphism, prefix=b"", suffix=b"") -> list[int]:
-    """The letters whose image starts with `prefix` and ends with `suffix`."""
-    return [x for x in range(morphism.source_size)
-            if morphism.image(x).startswith(prefix)
-            and morphism.image(x).endswith(suffix)]
 
 
 def _forbids(spec: AvoidanceSpec, word: bytes,
@@ -175,34 +169,13 @@ class InterchangeWitness(Record):
     splits: tuple[int, ...]
 
 
-class EmbeddingCase(Record):
-    """One choice of context letters around an inclusion, and its outcome."""
-
-    pred: int
-    succ: int
-    case: str
-    detail: str
-
-
 class Refutation(Record):
     method: str
     detail: str
-    embeddings: tuple[EmbeddingCase, ...] = ()
-
-    _CLOSED = ("pair-illegal", "no-right-extension", "no-left-extension",
-               "gap-pattern-absent")
 
     @property
     def ok(self) -> bool:
-        if self.method == "embeddings":
-            return all(e.case != "open" for e in self.embeddings)
-        return self.method in self._CLOSED
-
-    def to_dict(self) -> dict:
-        out = {"method": self.method, "detail": self.detail}
-        if self.embeddings:
-            out["embeddings"] = [e.to_dict() for e in self.embeddings]
-        return out
+        return self.method != "open"
 
 
 class GapEvidence(Record):
@@ -285,99 +258,67 @@ def find_interchanges(morphism: Morphism,
 
 
 # ---------------------------------------------------------------------------
-# Inclusion refutation.
+# Inclusions and the synchronization delay.
 
 def refute_inclusion(morphism: Morphism, witness: InclusionWitness,
-                     source: AvoidanceSpec, depth: int = 2,
+                     source: AvoidanceSpec,
                      classes: tuple[int, ...] | None = None) -> Refutation:
-    """Refute one inclusion against the source spec.
-
-    Depth 0 uses only the pair itself and the two affix extension checks.
-    Depth 1 adds the embedding analysis through context letters, and depth 2
-    adds the forced-pullback cases, which look one source letter further.
-    """
-    a, b, c, offset = witness.a, witness.b, witness.c, witness.offset
+    """Refute one inclusion from the pair itself and its two affixes: the
+    source forbids the pair, or an affix extends to no image.  Otherwise
+    the row is open; no certificate rests on it (see
+    `verify_square_transfer`)."""
     t, u = witness.t, witness.u
-
-    reason = _forbids(source, bytes([a, b]), classes)
+    reason = _forbids(source, bytes([witness.a, witness.b]), classes)
     if reason is not None:
         return Refutation("pair-illegal", f"source forbids {reason}")
-    preds = _framed(morphism, suffix=t)
-    succs = _framed(morphism, prefix=u)
-    if not succs:
+    if not any(image.startswith(u) for image in morphism.images):
         return Refutation("no-right-extension",
                           f"{word_to_text(u)} is not a prefix of any image")
-    if not preds:
+    if not any(image.endswith(t) for image in morphism.images):
         return Refutation("no-left-extension",
                           f"{word_to_text(t)} is not a suffix of any image")
-    if depth < 1:
-        return Refutation("open", "embedding analysis needs depth >= 1")
-
-    embeddings = []
-    for e in preds:
-        for d in succs:
-            embeddings.append(_embedding_case(
-                morphism, source, classes, a, b, c, offset, e, d, depth))
-    open_count = sum(1 for e in embeddings if e.case == "open")
-    detail = (f"{len(embeddings)} embeddings, all refuted" if open_count == 0
-              else f"{open_count} of {len(embeddings)} embeddings open")
-    return Refutation("embeddings", detail, tuple(embeddings))
+    return Refutation("open", "both affixes extend to images")
 
 
-def _embedding_case(morphism, source, classes, a, b, c, offset, e, d,
-                    depth) -> EmbeddingCase:
+def sync_delay(morphism: Morphism, spec: AvoidanceSpec,
+               classes: tuple[int, ...] | None = None) -> int | None:
+    """The synchronization delay D: the least length such that every factor
+    of D letters of an image h(w), w legal, starts at only one position mod
+    W; None above 8W.  D - 1 is the longest factor with two phases, since
+    a factor's extensions keep its phase.  Level n sorts the windows of
+    (n - 1)W letters at each phase of the images of the legal words of n
+    letters, and of n - 1 letters padded with a block no image holds.  The
+    longest common prefix of two windows of different phases is that of
+    some adjacent such pair; once the longest over all levels is shorter
+    than (n - 1)W, it is D - 1."""
     width = morphism.uniform_width
-    for case, context in (("context-pair", (e, c)), ("context-pair", (c, d)),
-                          ("context-triple", (e, c, d))):
-        reason = _forbids(source, bytes(context), classes)
-        if reason is not None:
-            return EmbeddingCase(e, d, case, f"source forbids {reason}")
-
-    # v·image(ab)·w = image(ecd) leaves v = image(e)[:W-o] hanging on the
-    # left and w = image(d)[W-o:] on the right; both are nonempty for any
-    # inclusion, so the trivial case cannot arise here.
-    v = morphism.image(e)[:width - offset]
-    w = morphism.image(d)[width - offset:]
-    k_right = _framed(morphism, prefix=w)
-    k_left = _framed(morphism, suffix=v)
-
-    left = right = None
-    if depth >= 2:
-        left = _forced_case(source, classes, k_left, (a, b), "left")
-        right = _forced_case(source, classes, k_right, (a, b), "right")
-    # The certificate records the first case that applies, in this order:
-    # the one-letter-offcut forced cases, the missing pullbacks, then the
-    # general forced cases.
-    if offset == 1 and left is not None:
-        return EmbeddingCase(e, d, "left-pullback-forced", left)
-    if width - offset == 1 and right is not None:
-        return EmbeddingCase(e, d, "right-pullback-forced", right)
-    if not k_right:
-        return EmbeddingCase(e, d, "no-right-pullback",
-                             f"{word_to_text(w)} is not a prefix of any image")
-    if not k_left:
-        return EmbeddingCase(e, d, "no-left-pullback",
-                             f"{word_to_text(v)} is not a suffix of any image")
-    if left is not None:
-        return EmbeddingCase(e, d, "left-pullback-forced-general", left)
-    if right is not None:
-        return EmbeddingCase(e, d, "right-pullback-forced-general", right)
-    return EmbeddingCase(e, d, "open", "no case applies")
-
-
-def _forced_case(source, classes, candidates, pair, side) -> str | None:
-    """Every pullback candidate must make the extended triple illegal."""
-    if not candidates:
-        return None
-    reasons = []
-    for k in candidates:
-        triple = bytes([k, *pair] if side == "left" else [*pair, k])
-        reason = _forbids(source, triple, classes)
-        if reason is None:
-            return None
-        reasons.append(reason)
-    return f"forced {side} letter in {{{','.join(str(k) for k in candidates)}}}: " \
-           + "; ".join(reasons)
+    pad = np.full((1, width), morphism.target_size, np.uint16)
+    images = np.concatenate([morphism.table, pad])
+    letters = classes or tuple(range(morphism.source_size))
+    level = np.zeros((1, 0), np.uint8)  # the empty word
+    longest = 0
+    for n in range(1, _SYNC_BLOCKS + 2):
+        padded = np.column_stack([level, np.full(len(level), len(images) - 1)])
+        grown = [words for words, _ in walk_legal(spec, n, level, letters)
+                 if words.shape[1] == n] if len(level) else []
+        level = np.concatenate(grown) if grown else padded[:0]
+        span = (n - 1) * width
+        if not span:
+            continue
+        blocks = images[np.concatenate([level, padded])].reshape(
+            len(level) + len(padded), n * width)
+        windows = np.concatenate([blocks[:, i:i + span] for i in range(width)])
+        phases = np.arange(width).repeat(len(blocks))
+        order = np.argsort(np.ascontiguousarray(windows).view(
+            f"V{windows.itemsize * span}").ravel())
+        windows, phases = windows[order], phases[order]
+        pairs = phases[1:] != phases[:-1]
+        differ = windows[1:][pairs] != windows[:-1][pairs]
+        common = np.where(differ.any(axis=1), differ.argmax(axis=1), span)
+        longest = max(longest, int(common.max(initial=0)))
+        if longest < span:
+            return longest + 1
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -524,6 +465,18 @@ def refute_interchange(evidence: GapEvidence) -> Refutation:
 # ---------------------------------------------------------------------------
 # Bounded case and certificates.
 
+def _bounded_length(width: int, root_cap: int, target: AvoidanceSpec) -> int:
+    """The most source letters whose image a target violation of root at
+    most root_cap needs: a square, a cube up to the longest root the target
+    checks cubes at, or the longest forbidden factor.  A factor of f letters
+    from any phase needs ceil((f - 1)/W) + 1 blocks."""
+    cube = max((root_cap if top is None else min(root_cap, top)
+                for kind, _, _, top, _ in target.repetition_rules
+                if kind == "cube"), default=0)
+    longest = max(3 * cube, *map(len, target.forbidden), 1)
+    return max((2 * root_cap) // width + 2, -(-(longest - 1) // width) + 1)
+
+
 def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
                        target: AvoidanceSpec, root_cap: int,
                        classes: tuple[int, ...] | None = None
@@ -531,10 +484,11 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     """Check images of every legal source word long enough to contain any
     target violation of root at most root_cap.
 
-    Longer roots are what the inclusion and interchange analysis covers, so
-    they are not reported here; letters and forbidden factors are checked in
-    full.  An image violation survives every extension, so a word whose image
-    violates is reported and its extensions are not visited.
+    Longer roots are what the synchronization-delay argument covers (see
+    `verify_square_transfer`), so they are not reported here; letters and
+    forbidden factors are checked in full, however long.  An image
+    violation survives every extension, so a word whose image violates is
+    reported and its extensions are not visited.
 
     The source words come from the legal-word walker, which carries their
     images' runs too.  A word's parent has a clean image, which is a prefix
@@ -549,7 +503,7 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
                          " nonempty images")
     if root_cap < 0:
         raise ValueError("root_cap must be >= 0")
-    max_len = (2 * root_cap) // width + 2
+    max_len = _bounded_length(width, root_cap, target)
     counts = [0] * (max_len + 1)
     violations: list[tuple[bytes, Violation]] = []
     letters = classes or tuple(range(morphism.source_size))
@@ -571,33 +525,51 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
                              tuple(violations))
 
 
+def _allows_squares_from(spec: AvoidanceSpec, root: int) -> bool:
+    """Whether the spec allows a square of some root of `root` or more."""
+    if spec.square_min_root is not None:
+        return spec.square_min_root > root
+    return spec.square_whitelist is None or any(
+        len(square) >= 2 * root for square in spec.square_whitelist)
+
+
 class TransferCertificate(Record):
     """Everything checked while verifying one transfer statement."""
 
     name: str
     width: int
-    depth: int
+    sync_delay: int | None
     root_cap: int
     scope: str
     source: AvoidanceSpec
     target: AvoidanceSpec
     classes: tuple[int, ...] | None
     bounded: BoundedCaseReport
-    inclusions: tuple[tuple[InclusionWitness, Refutation], ...]
     interchanges: tuple[tuple[InterchangeWitness, Refutation], ...]
     gap_evidence: tuple[GapEvidence, ...]
 
     @property
     def residual(self) -> tuple[str, ...]:
-        """What is left open: roots above the cap, bounded-case violations,
-        then every row that is not refuted."""
-        cap, full = self.root_cap, 2 * self.width
-        return (*([f"root cap {cap} is below 2W = {full}:"
-                   f" roots {cap + 1}..{full} unchecked"] if cap < full else []),
+        """What is left open: a long-root argument that does not apply (no
+        delay D, a cap below max(2W, D - 1), or a scope that allows squares
+        of root ceil(D/W) or more), bounded-case violations, then every
+        interchange row that is not refuted."""
+        width, delay, cap = self.width, self.sync_delay, self.root_cap
+        if delay is None:
+            argument = [f"no synchronization delay up to 8W ="
+                        f" {_SYNC_BLOCKS * width}: roots above {cap}"
+                        f" unchecked"]
+        else:
+            top, least = max(2 * width, delay - 1), -(-delay // width)
+            argument = [f"root cap {cap} is below max(2W, D - 1) = {top}:"
+                        f" roots {cap + 1}..{top} unchecked"
+                        ] if cap < top else []
+            if _allows_squares_from(self.source, least):
+                argument.append(f"scope allows squares of root {least} or"
+                                f" more")
+        return (*argument,
                 *(f"bounded case: image of {word_to_text(w)} has"
                   f" {v.describe()}" for w, v in self.bounded.violations),
-                *(f"inclusion ({w.a},{w.b})->{w.c}@{w.offset} unresolved"
-                  for w, r in self.inclusions if not r.ok),
                 *(f"interchange ({w.a},{w.b},{w.c}) unresolved"
                   for w, r in self.interchanges if not r.ok))
 
@@ -608,14 +580,8 @@ class TransferCertificate(Record):
     def to_dict(self) -> dict:
         return {
             **super().to_dict(),
-            "source": format_spec(self.source),
-            "target": format_spec(self.target),
-            "bounded": self.bounded.to_dict(),
-            "inclusions": [{"witness": w.to_dict(), **r.to_dict()}
-                           for w, r in self.inclusions],
             "interchanges": [{"witness": w.to_dict(), **r.to_dict()}
                              for w, r in self.interchanges],
-            "gap_evidence": [e.to_dict() for e in self.gap_evidence],
             "residual": list(self.residual),
             "complete": self.complete,
         }
@@ -623,41 +589,65 @@ class TransferCertificate(Record):
 
 def verify_square_transfer(morphism: Morphism | Substitution,
                            source: AvoidanceSpec, target: AvoidanceSpec,
-                           depth: int = 2, root_cap: int | None = None,
+                           root_cap: int | None = None,
                            fixed_point: FixedPoint | None = None,
                            name: str = "") -> TransferCertificate:
     """Verify that images of source-legal words satisfy the target spec.
 
+    Roots below the synchronization delay D (`sync_delay`) go to the bounded
+    case, at the root cap max(2W, D - 1) by default; a smaller cap leaves
+    the roots above it open.  Longer roots need no enumeration:
+
+    Take a square uu in h(w), w in scope, with root r >= D.  Both copies of
+    u have the one phase of u, so W divides r; write r = kW and call the
+    phase i.  h is uniform and injective on letters, so the whole blocks of
+    the two copies agree, and w holds a z b z c with |z| = k - 1.  If
+    i = 0, then a = b and w holds the square (a z)(a z).  If i > 0, then
+    h(b) = h(c)[:i] + h(a)[i:].  With a = b or b = c, w holds a square of
+    root k (a = c would make h(b) = h(a)).  Otherwise this is the
+    interchange row (c, a, b) of `find_interchanges`, and w holds its gap
+    pattern a..b..c with gap k - 1.  So no image holds a square, nor a
+    cube, of root D or more when the scope forbids squares of root
+    ceil(D/W) or more and every interchange pattern is ruled out; the
+    residual names whichever of these fails, and the cap stays 2W by
+    default where one does.  With letter classes the same holds of the
+    class word, which the source spec constrains.  Inclusion rows take no
+    part: an inclusion only shows that D > W.
+
     A substitution is verified by flattening alternate images to fresh
     letters that share their original letter's legality class (see
-    `Substitution.to_annotated`).  The root cap defaults to 2W; a smaller one
-    cannot give a complete certificate, because the roots between it and 2W
-    are checked nowhere.  With `fixed_point`, the scope is its source-legal
-    factors: every channel asks its spec (`_fixed_point_spec`).  An inclusion
-    on a pair the source forbids threatens nothing, so its row is dropped.
+    `Substitution.to_annotated`).  With `fixed_point`, the scope is its
+    source-legal factors: every channel asks its spec (`_fixed_point_spec`),
+    which forbids its non-factors as long as the delay's walk and the
+    bounded case read.
     """
     classes = None
     if isinstance(morphism, Substitution):
         morphism, classes = morphism.to_annotated()
     width = morphism.uniform_width
-    if width is None:
-        raise ValueError("transfer verification needs a uniform morphism")
+    if not width:
+        raise ValueError("transfer verification needs a uniform morphism"
+                         " with nonempty images")
     if not morphism.injective_on_letters:
         raise ValueError("transfer verification needs distinct images")
     letters = max(classes) + 1 if classes else morphism.source_size
     if source.alphabet_size > letters:
         raise ValueError(f"the source spec has {source.alphabet_size} letters"
                          f" but only {letters} have an image")
-    cap = 2 * width if root_cap is None else root_cap
-    spec, scope = source, "spec"
+    spec, scope, walked = source, "spec", _SYNC_BLOCKS + 1
     if fixed_point is not None:
-        spec, scope = _fixed_point_spec(source, fixed_point, min(
-            _SCOPE_LENGTH, max(3, 2 * cap // width + 2))), "fixed-point"
+        spec, scope = (_fixed_point_spec(source, fixed_point, walked),
+                       "fixed-point")
+    delay = sync_delay(morphism, spec, classes)
+    cap = root_cap
+    if cap is None:  # a cap past 2W pays only where the argument can close
+        cap = 2 * width if delay is None or _allows_squares_from(
+            source, -(-delay // width)) else max(2 * width, delay - 1)
+    length = _bounded_length(width, cap, target)
+    if fixed_point is not None and length > walked:
+        spec = _fixed_point_spec(source, fixed_point,
+                                 min(_SCOPE_LENGTH, length))
     bounded = bounded_case_check(morphism, spec, target, cap, classes)
-    inclusions = tuple(
-        (w, r) for w in find_inclusions(morphism)
-        if (r := refute_inclusion(morphism, w, spec, depth, classes)).method
-        != "pair-illegal")
     cls = classes or tuple(range(morphism.source_size))
     interchanges = [(w, GapPattern(cls[w.b], cls[w.c], cls[w.a]))
                     for w in find_interchanges(morphism, classes)]
@@ -665,9 +655,8 @@ def verify_square_transfer(morphism: Morphism | Substitution,
     evidence = {p: prove_gap_pattern_absence(p, spec, fixed_point)
                 for p in patterns}
     return TransferCertificate(
-        name=name, width=width, depth=depth, root_cap=cap, scope=scope,
-        source=source, target=target, classes=classes,
-        bounded=bounded, inclusions=inclusions,
+        name=name, width=width, sync_delay=delay, root_cap=cap, scope=scope,
+        source=source, target=target, classes=classes, bounded=bounded,
         interchanges=tuple((w, refute_interchange(evidence[p]))
                            for w, p in interchanges),
         gap_evidence=tuple(evidence[p] for p in patterns))

@@ -151,13 +151,23 @@ class Record:
                              **changes})
 
     def to_dict(self) -> dict:
-        """The fields in order, words and gap patterns as text and tuples
-        as lists."""
-        return {name: (word_to_text(value) if isinstance(value, bytes)
-                       else value.text() if isinstance(value, GapPattern)
-                       else list(value) if isinstance(value, tuple)
-                       else value)
+        """The fields in order, as JSON takes them: see `_plain`."""
+        return {name: _plain(value)
                 for name, value in zip(self._fields, self._key(self))}
+
+
+def _plain(value):
+    """A field value as JSON takes it: words, gap patterns and specs as text
+    (`format_spec`), records as their dicts, tuples as lists, and a set of
+    words as a list sorted by length, then word."""
+    if isinstance(value, frozenset):
+        value = tuple(sorted(value, key=lambda w: (len(w), w)))
+    return (word_to_text(value) if isinstance(value, bytes)
+            else value.text() if isinstance(value, GapPattern)
+            else format_spec(value) if isinstance(value, AvoidanceSpec)
+            else value.to_dict() if isinstance(value, Record)
+            else [_plain(item) for item in value] if isinstance(value, tuple)
+            else value)
 
 
 def perfect_shuffle(even: bytes, odd: bytes) -> bytes:

@@ -38,7 +38,6 @@ DATA_CHECKSUMS = {
     "pu_source.txt": "2e32d5227d26b2e958e3b8a1f169d0f9f7d7c6f77e1e6ef76737c7278f380cef",
     "squarefree4.txt": "5e3beb8209733443b8c6ddccdf819b00c2bb61dd3cffa648bd285315e3733d1f",
     "reference_prefixes.json": "bdb9862125dcc84808701e5f4d42bfd0bf69ecfc7245f4e832a2ac5efba57a6d",
-    "shuffle_coder_cases.json": "e4a423ac7d5f95c982c233cd5acb7ed100c5de5982149fdd18b6c1eb7c570b70",
 }
 
 
@@ -58,7 +57,6 @@ def test_registry_covers_every_declared_name(registry):
     assert set(registry.reference_prefixes) >= {
         "dekking_core_50", "dekking_binary_60", "shuffle_base_27",
         "shuffle_even_18", "shuffle_odd_18"}
-    assert len(registry.coder_case_atlas) == 24
 
 
 def test_registry_round_trips(registry):
@@ -127,14 +125,6 @@ def test_reference_prefixes_nest(registry):
                                 ("shuffle_even_18", "shuffle_even_2000"),
                                 ("shuffle_odd_18", "shuffle_odd_2000")):
         assert refs[long_key].startswith(refs[short_key])
-
-
-def test_atlas_rows_are_well_formed(registry):
-    for row in registry.coder_case_atlas:
-        assert row["coder"] in ("pu_g1", "pu_g2")
-        assert 0 <= row["a"] < 4 and 0 <= row["b"] < 4 and 0 <= row["c"] < 4
-        assert row["offset"] in (1, 2)
-        assert isinstance(row["method"], str)
 
 
 def test_with_image_letter(registry):

@@ -1,13 +1,19 @@
 """Records: every result type the package exports is an immutable `Record`
 that behaves as a frozen dataclass did, field by field."""
 
+import json
 import pickle
 
 import numpy as np
 import pytest
 
 import wordavoid
-from wordavoid import AvoidanceSpec, GapPattern, Morphism, Substitution
+from wordavoid import (AvoidanceSpec, GapPattern, MinimalForbiddenSet,
+                       Morphism, Substitution, build_automaton,
+                       count_avoiding, exhaust_max_length, find_inclusions,
+                       format_spec, growth_rate, lower_bound_family,
+                       minimal_forbidden, run_scenario, satisfies_spec,
+                       verify_square_transfer, word_from_text, word_to_text)
 from wordavoid.words import Record
 
 RECORDS = sorted((value for value in vars(wordavoid).values()
@@ -36,7 +42,7 @@ def sample(cls) -> dict:
 
 
 def test_every_exported_result_type_is_a_record():
-    assert len(RECORDS) == 20
+    assert len(RECORDS) == 19
     assert {cls.__module__ for cls in RECORDS} == {
         "wordavoid.words", "wordavoid.morphisms", "wordavoid.verify",
         "wordavoid.counting", "wordavoid.scenarios"}
@@ -94,6 +100,43 @@ def test_records_behave_as_frozen_dataclasses(cls):
         record.replace(unknown=0)
 
     assert pickle.loads(pickle.dumps(record)) == record
+
+
+def built_records(registry):
+    """One record of each exported type, as the package builds it."""
+    reg = registry
+    cert = verify_square_transfer(reg.dekking_g, reg.dekking_g_source,
+                                  reg.dekking_binary, name="coder")
+    broken = verify_square_transfer(reg.pu_h, reg.pu_source, reg.ejs2.replace(
+        alphabet_size=4))
+    (witness, refutation), = cert.interchanges
+    check = satisfies_spec(b"\0\0", reg.squarefree4)
+    minimal = minimal_forbidden(reg.ejs2, 6)
+    report = run_scenario("dekking-forbidden-motivation", reg,
+                          prefix_length=2000)
+    return [reg.fs_g_source, reg.pu_h, reg.dekking_sub, GapPattern(0, 1, 3),
+            check, check.violation, cert, cert.bounded, broken.bounded,
+            witness, refutation, cert.gap_evidence[0],
+            find_inclusions(reg.dekking_h)[0],
+            count_avoiding(reg.ejs2, 4), minimal,
+            growth_rate(build_automaton(minimal)),
+            exhaust_max_length(reg.ejs2, 30),
+            lower_bound_family(reg.dekking_sub, reg.dekking_g,
+                               word_from_text("0123"), reg.dekking_binary),
+            report, report.checks[0]]
+
+
+def test_every_exported_record_serializes_to_json(registry):
+    """`to_dict` renders specs as spec text and sets of words as sorted
+    texts, so every record's dict is JSON as it stands."""
+    records = built_records(registry)
+    assert {type(r) for r in records} == set(RECORDS)
+    for record in records:
+        json.dumps(record.to_dict())
+    minimal = next(r for r in records if isinstance(r, MinimalForbiddenSet))
+    assert minimal.to_dict()["spec"] == format_spec(registry.ejs2)
+    assert minimal.to_dict()["words"] == [
+        word_to_text(w) for w in minimal.ordered()]
 
 
 def test_record_repr_is_pinned():

@@ -36,42 +36,22 @@ def test_scenario_passes(name, registry):
     assert "PASS" in report.digest()
 
 
-def test_pu_lemmas_refutes_each_coder_inclusion_once(registry, monkeypatch):
-    """The case table reads the coder certificates: 16 inclusions a coder,
-    the 12 rows kept and 4 on forbidden pairs, each refuted once."""
-    calls = []
-    refute = verify.refute_inclusion
-
-    def counted(*args, **kwargs):
-        calls.append(args[1])
-        return refute(*args, **kwargs)
-
-    for module in (verify, scenarios):
-        monkeypatch.setattr(module, "refute_inclusion", counted,
-                            raising=False)
-    assert run_scenario("pu-lemmas", registry, prefix_length=REDUCED).ok
-    assert len(calls) == 32
-
-
 @pytest.mark.parametrize("name, failing", [
-    ("dekking-verify", {"core", "coder", "substitution"}),
-    ("fs-verify", {"core", "coder", "substitution"}),
+    ("dekking-verify", {"coder"}),
+    ("fs-verify", {"substitution"}),
     ("pu-lemmas", {"coder g1", "coder g2"}),
 ])
 def test_certificate_checks_compare_the_pinned_rows(registry, monkeypatch,
                                                     name, failing):
-    """Complete certificates whose inclusion rows were dropped fail every
-    check that pins those rows, the case table too."""
+    """Complete certificates whose interchange rows were dropped fail every
+    check that pins those rows."""
     real = verify.verify_square_transfer
     monkeypatch.setattr(scenarios, "verify_square_transfer",
                         lambda *args, **kwargs: real(*args, **kwargs).replace(
-                            inclusions=()))
+                            interchanges=()))
     report = run_scenario(name, registry, prefix_length=REDUCED)
     failed = {c.name for c in report.checks if not c.ok}
-    expected = {f"{label} transfer certificate" for label in failing}
-    if name == "pu-lemmas":
-        expected.add("coder inclusion case table")
-    assert failed == expected
+    assert failed == {f"{label} transfer certificate" for label in failing}
     if name == "dekking-verify":
         assert report.checks[0].detail.endswith("49 words at length 5")
 

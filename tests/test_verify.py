@@ -5,17 +5,18 @@ The expected inventories below were frozen from brute-force enumeration
 regressions in either the finders or the refuters surface as diffs here.
 """
 
+import itertools
 import time
 
 import numpy as np
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, example, given, seed, settings
 from hypothesis import strategies as st
 
 from wordavoid import (AvoidanceSpec, BoundedCaseReport, GapPattern, Morphism,
                        Substitution, bounded_case_check, find_inclusions,
                        find_interchanges, prove_gap_pattern_absence,
-                       refute_inclusion, satisfies_spec,
+                       refute_inclusion, satisfies_spec, sync_delay,
                        verify_square_transfer, walk_legal, word_from_text,
                        word_to_text)
 from wordavoid import counting, verify, words
@@ -80,47 +81,51 @@ def test_core_inclusions_and_refutation(registry):
 
 
 def source_allows_pair(source, witness):
-    """Whether an inclusion sits on a pair the source allows, the rows a
-    certificate's `inclusions` keeps."""
+    """Whether an inclusion sits on a pair the source allows."""
     return satisfies_spec(bytes((witness.a, witness.b)), source).ok
 
 
-def dropped_inclusions(morphism, source, cert):
-    """The keys of the inclusions that `cert` leaves out, in scan order,
-    after checking that each sits on a pair `refute_inclusion` calls
-    illegal and that the kept rows keep their scan order."""
+def inclusion_rows(morphism, source):
+    """The inclusions on pairs the source allows, in scan order, each with
+    how `refute_inclusion` screens it; the rows on the other pairs are
+    checked to be the ones it calls illegal."""
     classes = None
     if isinstance(morphism, Substitution):
         morphism, classes = morphism.to_annotated()
-    kept = [w for w, _ in cert.inclusions]
-    found = find_inclusions(morphism)
-    assert kept == [w for w in found if w in kept]
-    dropped = [w for w in found if w not in kept]
-    for wit in dropped:
-        ref = refute_inclusion(morphism, wit, source, classes=classes)
-        assert ref.method == "pair-illegal"
-    return [(w.a, w.b, w.c, w.offset) for w in dropped]
+    rows = [(w, refute_inclusion(morphism, w, source, classes=classes))
+            for w in find_inclusions(morphism)]
+    cls = classes or tuple(range(morphism.source_size))
+    for w, r in rows:
+        pair = bytes((cls[w.a], cls[w.b]))
+        assert (r.method == "pair-illegal") == (
+            not satisfies_spec(pair, source).ok)
+    return [(w, r) for w, r in rows if r.method != "pair-illegal"]
+
+
+def dropped_inclusions(morphism, source):
+    """The keys of the inclusions on pairs the source forbids, in scan
+    order."""
+    kept = [w for w, _ in inclusion_rows(morphism, source)]
+    if isinstance(morphism, Substitution):
+        morphism = morphism.to_annotated()[0]
+    return [(w.a, w.b, w.c, w.offset) for w in find_inclusions(morphism)
+            if w not in kept]
 
 
 def test_coder_inclusion_inventory_shrinks_under_source_filter(registry):
     found = find_inclusions(registry.dekking_g)
-    cert = verify_square_transfer(registry.dekking_g,
-                                  registry.dekking_g_source,
-                                  registry.dekking_binary,
-                                  fixed_point=(registry.dekking_h, 0))
     assert len([w for w in found if w.a != w.b]) == 6
-    filtered = [w for w, _ in cert.inclusions]
+    rows = inclusion_rows(registry.dekking_g, registry.dekking_g_source)
+    filtered = [w for w, _ in rows]
     assert filtered == [w for w in found
                         if source_allows_pair(registry.dekking_g_source, w)]
     keys = [(w.a, w.b, w.c, w.offset) for w in filtered]
     assert keys == [(0, 1, 3, 3), (1, 0, 2, 2), (2, 3, 1, 4)]
     affixes = [(word_to_text(w.t), word_to_text(w.u)) for w in filtered]
     assert affixes == [("010", "110"), ("01", "0011"), ("0110", "10")]
-    assert [r.method for _, r in cert.inclusions] == [
-        "no-right-extension"] * 3
+    assert [r.method for _, r in rows] == ["no-right-extension"] * 3
     # the rows left out sit on pairs the source already forbids
-    dropped = dropped_inclusions(registry.dekking_g,
-                                 registry.dekking_g_source, cert)
+    dropped = dropped_inclusions(registry.dekking_g, registry.dekking_g_source)
     assert set(dropped) == {(0, 0, 3, 3), (1, 1, 2, 2), (2, 2, 1, 4),
                             (3, 3, 0, 3), (1, 2, 2, 2), (1, 3, 2, 2),
                             (3, 2, 0, 3)}
@@ -130,28 +135,24 @@ def test_an_equal_pair_the_source_allows_is_an_inclusion():
     """00 is legal when the source forbids nothing, so the row on it
     stays."""
     m = Morphism(2, 2, (word_from_text("01"), word_from_text("10")))
-    cert = verify_square_transfer(m, AvoidanceSpec(2), AvoidanceSpec(2))
-    rows = [(w.a, w.b, w.c, w.offset) for w, _ in cert.inclusions]
+    rows = [(w.a, w.b, w.c, w.offset)
+            for w, _ in inclusion_rows(m, AvoidanceSpec(2))]
     assert (0, 0, 1, 1) in rows
-    assert dropped_inclusions(m, AvoidanceSpec(2), cert) == []
+    assert dropped_inclusions(m, AvoidanceSpec(2)) == []
 
 
-def test_each_certificate_scans_the_inclusions_once(registry, monkeypatch):
+def test_a_certificate_reads_no_inclusion(registry, monkeypatch):
+    """The long roots rest on the synchronization delay, so a certificate
+    neither scans nor refutes an inclusion."""
     calls = []
-
-    def counted(*args, scan=verify.find_inclusions):
-        calls.append(args)
-        return scan(*args)
-
-    monkeypatch.setattr(verify, "find_inclusions", counted)
+    for name in ("find_inclusions", "refute_inclusion"):
+        monkeypatch.setattr(verify, name,
+                            lambda *args, name=name: calls.append(name))
     cert = verify_square_transfer(registry.dekking_sub,
                                   registry.dekking_h_source,
                                   registry.squarefree4)
-    # the rows come from one scan of the annotated morphism
-    assert len(calls) == 1
-    assert cert.inclusions
-    assert dropped_inclusions(registry.dekking_sub,
-                              registry.dekking_h_source, cert)
+    assert cert.complete and calls == []
+    assert "inclusions" not in cert.to_dict()
 
 
 def test_coder_interchange_witness(registry):
@@ -263,8 +264,7 @@ def test_repetitive_fixed_point_is_scanned_in_seconds():
         Morphism(4, 2, images("11110", "11001", "01110", "00011")),
         AvoidanceSpec(4, square_whitelist=(), cubefree=True),
         AvoidanceSpec(2, forbidden=images("100", "00"), cubefree=True),
-        depth=1, fixed_point=(Morphism(4, 4, images("01", "02", "22", "13")),
-                              0))
+        fixed_point=(Morphism(4, 4, images("01", "02", "22", "13")), 0))
     elapsed = time.perf_counter() - start
     assert not cert.complete
     assert [e.to_dict() for e in cert.gap_evidence] == [
@@ -309,13 +309,15 @@ def test_core_certificate(registry):
                                   registry.dekking_h_source,
                                   registry.squarefree4, name="core")
     assert cert.complete
-    assert cert.root_cap == 20
+    assert (cert.sync_delay, cert.root_cap) == (12, 20)
     assert cert.bounded.max_source_length == 6
     assert cert.bounded.legal_counts == (0, 4, 8, 17, 28, 49, 82)
     assert not cert.bounded.violations
-    assert len(cert.inclusions) == 1 and not cert.interchanges
-    assert dropped_inclusions(registry.dekking_h, registry.dekking_h_source,
-                              cert) == []
+    assert not cert.interchanges
+    assert len(inclusion_rows(registry.dekking_h,
+                              registry.dekking_h_source)) == 1
+    assert dropped_inclusions(registry.dekking_h,
+                              registry.dekking_h_source) == []
 
 
 def test_coder_certificate(registry):
@@ -325,15 +327,13 @@ def test_coder_certificate(registry):
                                   fixed_point=(registry.dekking_h, 0),
                                   name="coder")
     assert cert.complete
-    assert cert.root_cap == 12
+    assert (cert.sync_delay, cert.root_cap) == (9, 12)
     assert cert.bounded.legal_counts == (0, 4, 8, 14, 20, 28, 34)
-    assert len(cert.inclusions) == 3
     assert len(cert.interchanges) == 1
-    assert dropped_inclusions(registry.dekking_g, registry.dekking_g_source,
-                              cert) == [(0, 0, 3, 3), (1, 1, 2, 2),
-                                        (1, 2, 2, 2), (1, 3, 2, 2),
-                                        (2, 2, 1, 4), (3, 2, 0, 3),
-                                        (3, 3, 0, 3)]
+    assert dropped_inclusions(registry.dekking_g,
+                              registry.dekking_g_source) == [
+        (0, 0, 3, 3), (1, 1, 2, 2), (1, 2, 2, 2), (1, 3, 2, 2), (2, 2, 1, 4),
+        (3, 2, 0, 3), (3, 3, 0, 3)]
     assert [e.kind for e in cert.gap_evidence] == ["descent"]
 
 
@@ -342,15 +342,16 @@ def test_substitution_certificate(registry):
                                   registry.dekking_h_source,
                                   registry.squarefree4, name="sub")
     assert cert.complete
+    assert cert.sync_delay == 14
     assert cert.classes == (0, 1, 2, 3, 1)
     assert cert.bounded.legal_counts == (0, 5, 11, 28, 51, 103, 197)
-    rows = [((w.a, w.b, w.c, w.offset), r.method)
-            for w, r in cert.inclusions]
+    rows = [((w.a, w.b, w.c, w.offset), r.method) for w, r in inclusion_rows(
+        registry.dekking_sub, registry.dekking_h_source)]
     assert rows == [((3, 1, 2, 6), "no-right-extension"),
                     ((3, 4, 2, 6), "no-left-extension")]
-    assert dropped_inclusions(registry.dekking_sub, registry.dekking_h_source,
-                              cert) == [(2, 2, 4, 4), (4, 1, 2, 6),
-                                        (4, 4, 2, 6)]
+    assert dropped_inclusions(registry.dekking_sub,
+                              registry.dekking_h_source) == [
+        (2, 2, 4, 4), (4, 1, 2, 6), (4, 4, 2, 6)]
     assert not cert.interchanges
 
 
@@ -372,30 +373,28 @@ def test_fs_core_certificate(registry):
                                   AvoidanceSpec(5, square_min_root=1),
                                   name="fs core")
     assert cert.complete
-    assert cert.root_cap == 48
+    assert (cert.sync_delay, cert.root_cap) == (31, 48)
     assert cert.bounded.legal_counts == (0, 5, 13, 35, 83, 202, 478)
-    rows = [(w.a, w.b, w.c, w.offset, word_to_text(w.t), word_to_text(w.u))
-            for w, _ in cert.inclusions]
-    assert rows == [(3, 2, 0, 13, "0123212343234", "01232101234")]
-    assert cert.inclusions[0][1].method == "no-left-extension"
+    [(w, r)] = inclusion_rows(registry.fs_h, registry.fs_h_source)
+    assert (w.a, w.b, w.c, w.offset, word_to_text(w.t), word_to_text(w.u)) \
+        == (3, 2, 0, 13, "0123212343234", "01232101234")
+    assert r.method == "no-left-extension"
     assert not cert.interchanges
 
 
+# Rows whose pair the source allows and whose affixes both extend stay
+# open: no certificate reads them.
 FS_CODER_ROWS = [
-    ((0, 1, 3, 2), "embeddings",
-     ((4, 3, "context-pair"), (4, 4, "context-triple"))),
-    ((0, 2, 0, 5), "pair-illegal", ()),
-    ((1, 0, 4, 2), "embeddings",
-     ((3, 3, "left-pullback-forced-general"), (3, 4, "context-pair"))),
-    ((1, 2, 0, 5), "no-left-extension", ()),
-    ((2, 1, 4, 1), "no-right-extension", ()),
-    ((2, 3, 4, 1), "no-right-extension", ()),
-    ((2, 4, 4, 1), "pair-illegal", ()),
-    ((3, 2, 0, 5), "no-left-extension", ()),
-    ((3, 4, 1, 4), "embeddings",
-     ((0, 0, "context-triple"), (1, 0, "context-pair"))),
-    ((4, 3, 0, 4), "embeddings",
-     ((0, 1, "context-pair"), (1, 1, "right-pullback-forced-general"))),
+    ((0, 1, 3, 2), "open"),
+    ((0, 2, 0, 5), "pair-illegal"),
+    ((1, 0, 4, 2), "open"),
+    ((1, 2, 0, 5), "no-left-extension"),
+    ((2, 1, 4, 1), "no-right-extension"),
+    ((2, 3, 4, 1), "no-right-extension"),
+    ((2, 4, 4, 1), "pair-illegal"),
+    ((3, 2, 0, 5), "no-left-extension"),
+    ((3, 4, 1, 4), "open"),
+    ((4, 3, 0, 4), "open"),
 ]
 
 
@@ -405,19 +404,9 @@ def test_fs_coder_rows_and_methods(registry):
     table = []
     for wit in sorted(rows, key=lambda w: (w.a, w.b, w.c, w.offset)):
         ref = refute_inclusion(registry.fs_g, wit, registry.fs_g_source)
-        table.append(((wit.a, wit.b, wit.c, wit.offset), ref.method,
-                      tuple((e.pred, e.succ, e.case) for e in ref.embeddings)))
+        table.append(((wit.a, wit.b, wit.c, wit.offset), ref.method))
+        assert ref.ok == (ref.method != "open")
     assert table == FS_CODER_ROWS
-
-
-def test_fs_coder_depth_gates_the_pullback_cases(registry):
-    wit = next(w for w in find_inclusions(registry.fs_g)
-               if (w.a, w.b, w.c, w.offset) == (4, 3, 0, 4))
-    shallow = refute_inclusion(registry.fs_g, wit, registry.fs_g_source,
-                               depth=1)
-    assert not shallow.ok
-    deep = refute_inclusion(registry.fs_g, wit, registry.fs_g_source, depth=2)
-    assert deep.ok
 
 
 def test_fs_coder_certificate(registry):
@@ -426,8 +415,10 @@ def test_fs_coder_certificate(registry):
                                   fixed_point=(registry.fs_h, 0),
                                   name="fs coder")
     assert cert.complete
-    assert cert.bounded.legal_counts == (0, 5, 9, 14, 19, 24, 31)
-    assert len(cert.inclusions) == 8  # source filter drops two illegal pairs
+    assert (cert.sync_delay, cert.root_cap) == (19, 18)
+    assert cert.bounded.legal_counts == (0, 5, 9, 14, 19, 24, 31, 38, 45)
+    # the source filter drops two illegal pairs
+    assert len(inclusion_rows(registry.fs_g, registry.fs_g_source)) == 8
     assert not cert.interchanges
 
 
@@ -444,11 +435,12 @@ def test_fs_substitution_certificate(registry):
                                   registry.fs_g_source, name="fs sub")
     assert cert.complete
     assert cert.classes == (0, 1, 2, 3, 4, 0)
+    assert cert.sync_delay == 31
     assert cert.bounded.legal_counts == (0, 6, 12, 19, 28, 46, 72)
     rows = [((w.a, w.b, w.c, w.offset), r.method)
-            for w, r in cert.inclusions]
+            for w, r in inclusion_rows(sub, registry.fs_h_target)]
     assert rows == [((3, 2, 0, 13), "no-left-extension")]
-    assert dropped_inclusions(sub, registry.fs_h_target, cert) == [
+    assert dropped_inclusions(sub, registry.fs_h_target) == [
         (0, 0, 2, 11), (2, 2, 0, 13), (2, 5, 0, 13), (3, 5, 0, 13)]
     triples = [(w.a, w.b, w.c) for w, _ in cert.interchanges]
     assert triples == [(2, 1, 5), (2, 4, 5), (5, 3, 2)]
@@ -469,7 +461,7 @@ def test_shuffle_core_has_no_obstructions(registry):
     cert = verify_square_transfer(registry.pu_h, registry.pu_source,
                                   registry.squarefree4, name="shuffle core")
     assert cert.complete
-    assert not cert.inclusions and not cert.interchanges
+    assert cert.sync_delay == 2 and not cert.interchanges
 
 
 def test_shuffle_coders_certificates(registry):
@@ -478,7 +470,8 @@ def test_shuffle_coders_certificates(registry):
                                       registry.pu_binary,
                                       fixed_point=(registry.pu_h, 0))
         assert cert.complete
-        assert len(cert.inclusions) == 12
+        assert (cert.sync_delay, cert.root_cap) == (9, 8)
+        assert len(inclusion_rows(coder, registry.pu_source)) == 12
         triples = tuple((w.a, w.b, w.c) for w, _ in cert.interchanges)
         assert triples == ((0, 3, 2), (1, 2, 3), (2, 1, 0), (3, 0, 1))
         assert all(e.kind == "descent" and e.complete
@@ -537,7 +530,9 @@ def test_fixed_point_bounded_case_walks_its_legal_factors(registry, coder,
     cert = verify_square_transfer(getattr(registry, coder), spec,
                                   getattr(registry, target), root_cap=cap,
                                   fixed_point=(getattr(registry, core), 0))
-    assert cert.complete and not cert.bounded.violations
+    assert not cert.bounded.violations
+    assert cert.complete == (
+        cert.root_cap >= max(2 * cert.width, cert.sync_delay - 1))
     prefix = fixed_point_prefix(getattr(registry, core), 0, 20_000)
     for k, count in enumerate(cert.bounded.legal_counts[1:], start=1):
         factors = {prefix[i:i + k] for i in range(len(prefix) - k + 1)}
@@ -584,9 +579,10 @@ def test_bounded_case_matches_brute_force(morphism, data):
     source = data.draw(specs(alphabet))
     target = data.draw(specs(morphism.target_size, 2 * width + 3))
     caps = [cap for cap in (1, width, 2 * width, 2 * width + 3)
-            if morphism.source_size ** ((2 * cap) // width + 2) <= 4096]
+            if morphism.source_size ** bounded_reach(width, cap, target)
+            <= 4096]
     cap = data.draw(st.sampled_from(caps))
-    max_len = (2 * cap) // width + 2
+    max_len = bounded_reach(width, cap, target)
 
     def project(word):
         return word if classes is None else bytes(classes[x] for x in word)
@@ -609,12 +605,33 @@ def test_bounded_case_matches_brute_force(morphism, data):
         for w in kept if not clean(w))
 
 
+def bounded_reach(width, cap, target):
+    """The source letters whose images hold, from any phase, every target
+    violation of root at most cap: a square of root cap (one block more
+    where W divides 2 cap), a cube of a root the target checks cubes at,
+    up to cap, and each forbidden factor."""
+    if target.square_min_root is not None:
+        cube_top = target.square_min_root - 1
+    elif target.square_whitelist is not None:
+        cube_top = max((len(s) // 2 for s in target.square_whitelist),
+                       default=0)
+    else:
+        cube_top = cap
+    spans = [len(f) for f in target.forbidden]
+    if target.cubefree:
+        spans.append(3 * min(cap, cube_top))
+    return max([(2 * cap) // width + 2]
+               + [next(n for n in itertools.count(1)
+                       if width - 1 + span <= n * width) for span in spans])
+
+
 def dfs_bounded_case(morphism, source, target, root_cap, classes=None):
     """The bounded case as one word-by-word walk in lexicographic preorder:
     an extension is legal when its projection passes `suffix_legal`, each
     legal word's image is checked whole, and a violation prunes the word's
-    extensions."""
-    max_len = (2 * root_cap) // morphism.uniform_width + 2
+    extensions.  The words reach every violation of root at most root_cap
+    (`bounded_reach`)."""
+    max_len = bounded_reach(morphism.uniform_width, root_cap, target)
     counts = [0] * (max_len + 1)
     violations = []
     letters = classes or tuple(range(morphism.source_size))
@@ -763,17 +780,18 @@ def test_root_cap_below_twice_the_width_is_never_complete(cap):
 
 
 def test_root_cap_of_one_width_hides_a_long_square():
-    """With the cap at W the bounded case misses a root-5 square, which the
-    inclusion and interchange channels do not cover either."""
+    """With the cap at W the bounded case misses a root-5 square, below the
+    synchronization delay 7, so the residual names the roots left out."""
     m = Morphism(3, 2, tuple(word_from_text(t) for t in ("000", "101", "111")))
     source = AvoidanceSpec(3, square_min_root=1)
     target = AvoidanceSpec(2, square_min_root=3)
     image = m.apply(word_from_text("2120"))
     assert satisfies_spec(image, target).violation.root_length == 5
     capped = verify_square_transfer(m, source, target, root_cap=3)
+    assert capped.sync_delay == 7
     assert not capped.bounded.violations
-    assert capped.residual == ("root cap 3 is below 2W = 6: roots 4..6"
-                               " unchecked",)
+    assert capped.residual == ("root cap 3 is below max(2W, D - 1) = 6:"
+                               " roots 4..6 unchecked",)
     assert not verify_square_transfer(m, source, target).complete
 
 
@@ -785,15 +803,16 @@ def test_source_letters_without_an_image_are_rejected():
                                AvoidanceSpec(2, square_min_root=3))
 
 
-# The known false COMPLETEs: images, target alphabet, target min-root, a
-# squarefree source word whose image holds a square of root 2W + 1, and where.
+# Statements the verifier once called COMPLETE at the cap 2W: images, target
+# alphabet, target min-root, a squarefree source word whose image holds a
+# square of root 2W + 1, where, and the synchronization delay D.
 FALSE_COMPLETE = [
-    ("01 00 12 22", 3, 4, "323103123", (7, 5)),
-    ("0000 1010 0110 1111", 2, 8, "20302", (1, 9)),
-    ("1101 0000 1010", 2, 9, "02101", (2, 9)),
-    ("0000 1101 1010", 2, 9, "12010", (2, 9)),
-    ("11 12 00 20", 3, 5, "012032", (1, 5)),
-    ("22 10 00 21", 3, 5, "032012", (1, 5)),
+    ("01 00 12 22", 3, 4, "323103123", (7, 5), 6),
+    ("0000 1010 0110 1111", 2, 8, "20302", (1, 9), 10),
+    ("1101 0000 1010", 2, 9, "02101", (2, 9), 11),
+    ("0000 1101 1010", 2, 9, "12010", (2, 9), 11),
+    ("11 12 00 20", 3, 5, "012032", (1, 5), 6),
+    ("22 10 00 21", 3, 5, "032012", (1, 5), 6),
 ]
 
 
@@ -805,7 +824,8 @@ def _false_complete_case(images, target_size, min_root):
 
 
 @pytest.mark.parametrize("images,target_size,min_root,text,where",
-                         FALSE_COMPLETE, ids=[r[0] for r in FALSE_COMPLETE])
+                         [r[:5] for r in FALSE_COMPLETE],
+                         ids=[r[0] for r in FALSE_COMPLETE])
 def test_false_complete_rows_break_the_target(images, target_size, min_root,
                                               text, where):
     m, source, target = _false_complete_case(images, target_size, min_root)
@@ -816,32 +836,39 @@ def test_false_complete_rows_break_the_target(images, target_size, min_root,
     assert where[1] == 2 * m.uniform_width + 1
 
 
-@pytest.mark.xfail(strict=True, reason="the long-root argument claims a"
-                   " root-(2W+1) square the bounded case does not check")
-@pytest.mark.parametrize("images,target_size,min_root",
-                         [r[:3] for r in FALSE_COMPLETE],
-                         ids=[r[0] for r in FALSE_COMPLETE])
-def test_default_cap_misses_a_root_past_twice_the_width(images, target_size,
-                                                        min_root):
+def assert_refuted_below_the_delay(images, target_size, min_root, delay):
+    """At the default cap max(2W, D - 1) the bounded case reaches the
+    missed root, so only counterexamples are left open."""
     m, source, target = _false_complete_case(images, target_size, min_root)
     cert = verify_square_transfer(m, source, target)
-    assert cert.root_cap == 2 * m.uniform_width
+    assert cert.sync_delay == delay
+    assert cert.root_cap == max(2 * m.uniform_width, delay - 1)
     assert not cert.complete
+    assert cert.bounded.violations
+    assert all(line.startswith("bounded case: ") for line in cert.residual)
 
 
-# False COMPLETEs whose missed square is longer than 2W + 1: images, target
-# alphabet, target min-root, a squarefree source word and where its image
-# breaks the target.
+@pytest.mark.parametrize("images,target_size,min_root,delay",
+                         [r[:3] + r[5:] for r in FALSE_COMPLETE],
+                         ids=[r[0] for r in FALSE_COMPLETE])
+def test_default_cap_reaches_a_root_past_twice_the_width(images, target_size,
+                                                         min_root, delay):
+    assert_refuted_below_the_delay(images, target_size, min_root, delay)
+
+
+# The same for missed squares longer than 2W + 1: images, target alphabet,
+# target min-root, a squarefree source word, where its image breaks the
+# target, and D.
 FALSE_COMPLETE_LONG = [
-    ("210 022 101 121", 3, 8, "103120", (2, 8)),
-    ("1111 1000 1010 0011", 2, 10, "323123210", (15, 10)),
-    ("0000 0111 1010 1101", 2, 11, "323130120", (14, 11)),
-    ("1110 0000 0100 1001", 2, 13, "32130120", (5, 13)),
+    ("210 022 101 121", 3, 8, "103120", (2, 8), 9),
+    ("1111 1000 1010 0011", 2, 10, "323123210", (15, 10), 13),
+    ("0000 0111 1010 1101", 2, 11, "323130120", (14, 11), 14),
+    ("1110 0000 0100 1001", 2, 13, "32130120", (5, 13), 14),
 ]
 
 
 @pytest.mark.parametrize("images,target_size,min_root,text,where",
-                         FALSE_COMPLETE_LONG,
+                         [r[:5] for r in FALSE_COMPLETE_LONG],
                          ids=[r[0] for r in FALSE_COMPLETE_LONG])
 def test_long_false_complete_rows_break_the_target(images, target_size,
                                                    min_root, text, where):
@@ -853,17 +880,57 @@ def test_long_false_complete_rows_break_the_target(images, target_size,
     assert where[1] > 2 * m.uniform_width + 1
 
 
-@pytest.mark.xfail(strict=True, reason="the long-root argument claims a"
-                   " square of root above 2W + 1 the bounded case does not"
-                   " check")
-@pytest.mark.parametrize("images,target_size,min_root",
-                         [r[:3] for r in FALSE_COMPLETE_LONG],
+@pytest.mark.parametrize("images,target_size,min_root,delay",
+                         [r[:3] + r[5:] for r in FALSE_COMPLETE_LONG],
                          ids=[r[0] for r in FALSE_COMPLETE_LONG])
-def test_default_cap_misses_a_long_root(images, target_size, min_root):
-    m, source, target = _false_complete_case(images, target_size, min_root)
-    cert = verify_square_transfer(m, source, target)
-    assert cert.root_cap == 2 * m.uniform_width
+def test_default_cap_reaches_a_long_root(images, target_size, min_root,
+                                         delay):
+    assert_refuted_below_the_delay(images, target_size, min_root, delay)
+
+
+def test_bounded_case_reads_a_forbidden_factor_longer_than_its_squares(
+        registry):
+    """0123020 is a pu_source-legal prefix of the PU core's fixed point, and
+    its 21-letter image is the target's one forbidden factor: the bounded
+    case walks words long enough to hold it from any phase, 8 letters."""
+    word = word_from_text("0123020")
+    assert satisfies_spec(word, registry.pu_source).ok
+    target = registry.squarefree4.replace(
+        forbidden=(registry.pu_h.apply(word),))
+    cert = verify_square_transfer(registry.pu_h, registry.pu_source, target)
+    assert cert.bounded.max_source_length == 8
+    assert word in [w for w, _ in cert.bounded.violations]
     assert not cert.complete
+
+
+def naive_sync_delay(morphism, spec, top):
+    """The least length l <= top at which the factors of l letters of the
+    images of the legal words of l // W + 2 letters each start at one
+    position mod W, by sets of (factor, phase); None when there is none."""
+    width = morphism.uniform_width
+    for length in range(1, top + 1):
+        phases = {}
+        for level in naive_legal_words(spec, length // width + 2):
+            for word in level:
+                image = morphism.apply(word)
+                for i in range(min(width, len(image) - length + 1)):
+                    phases.setdefault(image[i:i + length], set()).add(i)
+        if all(len(found) == 1 for found in phases.values()):
+            return length
+    return None
+
+
+@given(uniform_morphisms(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_sync_delay_matches_the_definition(morphism, data):
+    """Up to 3W, checked on small sources: the walk's answer is the least
+    length with one phase a factor, or lies above 3W."""
+    assume(morphism.injective_on_letters and morphism.source_size <= 3)
+    source = data.draw(specs(morphism.source_size, 2))
+    top = 3 * morphism.uniform_width
+    delay = sync_delay(morphism, source)
+    assert naive_sync_delay(morphism, source, top) == (
+        delay if delay is not None and delay <= top else None)
 
 
 def test_bounded_case_rejects_nonuniform():
@@ -920,3 +987,101 @@ def test_module_caches_stay_bounded(registry):
         info = cache.cache_info()
         assert info.misses > info.maxsize
         assert info.currsize <= info.maxsize
+
+
+# ---------------------------------------------------------------------------
+# Soundness against brute force.
+
+@st.composite
+def transfer_statements(draw):
+    """A random transfer statement: a uniform morphism of width 2 or 3 on 3
+    or 4 letters, in some draws a substitution with a second image for one
+    letter; a squarefree source, maybe with forbidden factors, or on 3
+    letters a min-root 2 or whitelist source; a target with a min-root up
+    to 5W, cubefree in some draws and with one forbidden factor cut from an
+    image in some."""
+    width = draw(st.integers(2, 3))
+    size = draw(st.integers(3, 4))
+    target_size = draw(st.integers(2, 3))
+    letter = st.integers(0, size - 1)
+    policy = draw(st.sampled_from(("squarefree", "min-root", "whitelist")
+                                  if size == 3 else ("squarefree",)))
+    extra = int(policy == "squarefree" and draw(st.booleans()))
+    block = st.lists(st.integers(0, target_size - 1), min_size=width,
+                     max_size=width).map(bytes)
+    images = draw(st.lists(block, min_size=size + extra,
+                           max_size=size + extra, unique=True))
+    if extra:
+        sets = [(image,) for image in images[:size]]
+        twice = draw(letter)
+        sets[twice] += (images[size],)
+        morphism = Substitution(size, target_size, tuple(sets))
+    else:
+        morphism = Morphism(size, target_size, tuple(images))
+    if policy == "whitelist":
+        roots = draw(st.lists(letter.map(lambda a: bytes((a,))), max_size=2))
+        squares = {"square_whitelist": tuple(r + r for r in roots)}
+    else:
+        squares = {"square_min_root": 1 if policy == "squarefree" else 2}
+    factors = st.lists(letter, min_size=2, max_size=3).map(bytes)
+    source = AvoidanceSpec(size, tuple(draw(st.lists(factors, max_size=2))),
+                           **squares)
+    cut = ()
+    if draw(st.booleans()):
+        image = b"".join(images[x] for x in draw(st.lists(
+            letter, min_size=3, max_size=3)))
+        n = draw(st.integers(width + 1, 3 * width))
+        at = draw(st.integers(0, len(image) - n))
+        cut = (image[at:at + n],)
+    target = AvoidanceSpec(target_size, cut,
+                           square_min_root=draw(st.integers(1, 5 * width)),
+                           cubefree=draw(st.booleans()))
+    return morphism, source, target
+
+
+def assert_complete_means_sound(statement):
+    """A COMPLETE certificate holds on every source-legal word of up to 8
+    letters: each of its images passes the naive target check.  Statements
+    with no delay up to 5W are left out, which keeps the bounded case
+    small; they are not COMPLETE below that anyway."""
+    morphism, source, target = statement
+    flat, classes = (morphism.to_annotated()
+                     if isinstance(morphism, Substitution)
+                     else (morphism, None))
+    delay = sync_delay(flat, source, classes)
+    assume(delay is not None and delay <= 5 * flat.uniform_width)
+    if not verify_square_transfer(morphism, source, target).complete:
+        return
+    images = (morphism.iter_images if isinstance(morphism, Substitution)
+              else lambda word: (morphism.apply(word),))
+    for level in naive_legal_words(source, 8):
+        for word in level:
+            for image in images(word):
+                assert naive_satisfies(image, target), word_to_text(word)
+
+
+def with_false_completes(test):
+    """Run the known false COMPLETEs of a cap of 2W first: each breaks its
+    target on a word of at most 8 letters."""
+    for images, target_size, min_root, *_ in (FALSE_COMPLETE
+                                              + FALSE_COMPLETE_LONG):
+        test = example(_false_complete_case(images, target_size,
+                                            min_root))(test)
+    return test
+
+
+@seed(29)
+@given(transfer_statements())
+@settings(max_examples=30, deadline=None)
+@with_false_completes
+def test_complete_certificates_hold_by_brute_force(statement):
+    assert_complete_means_sound(statement)
+
+
+@pytest.mark.slow
+@seed(2029)
+@given(transfer_statements())
+@settings(max_examples=300, deadline=None)
+@with_false_completes
+def test_complete_certificates_hold_by_brute_force_at_length(statement):
+    assert_complete_means_sound(statement)
