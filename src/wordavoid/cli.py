@@ -191,7 +191,7 @@ def _render_certificate(cert) -> str:
         lines.append(f"    ({w.a},{w.b},{w.c}) split {w.split}  {r.method}")
     for ev in cert.gap_evidence:
         p = ev.pattern
-        state = "complete" if ev.complete else "empirical"
+        state = "complete" if ev.complete else "open"
         lines.append(f"  gap pattern {p.first}.{p.middle}.{p.last}:"
                      f" {ev.kind} ({state})")
     if cert.residual:

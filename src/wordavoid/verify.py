@@ -18,7 +18,7 @@ certificate reads them.
 
 Every question of the form "can this short word occur?" goes to one oracle,
 `_forbids`.  A fixed point enters as a spec that forbids its short
-non-factors too; only block descent and the empirical scan read it itself.
+non-factors too; only block descent reads it itself, by its exact factors.
 
 A `TransferCertificate` holds D, the bounded case and the interchange rows
 with their refutations; it is complete when its residual, read off those,
@@ -32,19 +32,17 @@ from functools import lru_cache
 import numpy as np
 
 from .counting import walk_legal
-from .morphisms import Morphism, Substitution, fixed_point_prefix
+from .morphisms import Morphism, Substitution
 from .words import (AvoidanceSpec, ColumnStep, GapPattern, Record,
-                    Violation, gap_first_and_count,
-                    satisfies_spec, word_to_text)
+                    Violation, satisfies_spec, word_to_text)
 
 FixedPoint = tuple[Morphism, int]
 
 # Gap-pattern evidence: block descent checks gaps below this many letters
-# against the exact factors, the exhaustive search walks gaps up to this
-# many letters, and the empirical scan reads this long a fixed-point prefix.
+# against the exact factors, and the exhaustive search walks gaps up to this
+# many letters.
 _DESCENT_BASE = 12
 _EXHAUST_GAP = 8
-_SCAN_LENGTH = 100_000
 # The synchronization delay is sought up to this many widths, over words of
 # at most one block more.
 _SYNC_BLOCKS = 8
@@ -181,8 +179,8 @@ class Refutation(Record):
 class GapEvidence(Record):
     """Why a pattern first..middle..last with equal gaps cannot occur.
 
-    kind is one of follower, descent, exhaustive, scan, present;
-    only complete evidence makes a certificate complete.
+    kind is one of follower, descent, exhaustive; only complete evidence
+    makes a certificate complete.
     """
 
     pattern: GapPattern
@@ -280,6 +278,22 @@ def refute_inclusion(morphism: Morphism, witness: InclusionWitness,
     return Refutation("open", "both affixes extend to images")
 
 
+def _checked_width(morphism: Morphism, source: AvoidanceSpec,
+                   classes: tuple[int, ...] | None) -> int:
+    """The width of a uniform morphism with nonempty images whose letters,
+    or their classes, cover the source alphabet; ValueError otherwise."""
+    width = morphism.uniform_width
+    if not width:
+        raise ValueError("the verifier needs a uniform morphism with"
+                         " nonempty images")
+    covered = set(classes or range(morphism.source_size)).intersection(
+        range(source.alphabet_size))
+    if len(covered) < source.alphabet_size:
+        raise ValueError(f"the source spec has {source.alphabet_size} letters"
+                         f" but only {len(covered)} have an image")
+    return width
+
+
 def sync_delay(morphism: Morphism, spec: AvoidanceSpec,
                classes: tuple[int, ...] | None = None) -> int | None:
     """The synchronization delay D: the least length such that every factor
@@ -291,15 +305,14 @@ def sync_delay(morphism: Morphism, spec: AvoidanceSpec,
     longest common prefix of two windows of different phases is that of
     some adjacent such pair; once the longest over all levels is shorter
     than (n - 1)W, it is D - 1."""
-    width = morphism.uniform_width
+    width = _checked_width(morphism, spec, classes)
     pad = np.full((1, width), morphism.target_size, np.uint16)
     images = np.concatenate([morphism.table, pad])
-    letters = classes or tuple(range(morphism.source_size))
     level = np.zeros((1, 0), np.uint8)  # the empty word
     longest = 0
     for n in range(1, _SYNC_BLOCKS + 2):
         padded = np.column_stack([level, np.full(len(level), len(images) - 1)])
-        grown = [words for words, _ in walk_legal(spec, n, level, letters)
+        grown = [words for words, _ in walk_legal(spec, n, level, classes)
                  if words.shape[1] == n] if len(level) else []
         level = np.concatenate(grown) if grown else padded[:0]
         span = (n - 1) * width
@@ -414,10 +427,10 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
     """Best available evidence that the pattern cannot occur.
 
     Tries, in order: the follower argument, block descent over the fixed
-    point, a bounded exhaustive search (complete only when every branch dies
-    early), and finally an empirical scan of a fixed point prefix.  The
-    other rungs ask only the spec: a fixed point's spec (`_fixed_point_spec`)
-    makes them speak of its factors.
+    point's exact factors, and a bounded exhaustive search, which is
+    complete only when every branch dies early.  The other rungs ask only
+    the spec: a fixed point's spec (`_fixed_point_spec`) makes them speak
+    of its factors.
     """
     # The follower argument: no gap fits when first-middle-last is illegal
     # and no letter may follow both the middle letter and the first.
@@ -437,22 +450,13 @@ def prove_gap_pattern_absence(pattern: GapPattern, spec: AvoidanceSpec,
     if _exhaustive_viability(pattern, spec, _EXHAUST_GAP):
         return GapEvidence(pattern, "exhaustive", True,
                            f"every branch dies within gap {_EXHAUST_GAP}")
-    if fixed_point is not None:
-        prefix = fixed_point_prefix(*fixed_point, _SCAN_LENGTH)
-        hit, _ = gap_first_and_count(prefix, pattern)
-        if hit is not None:
-            pos, gap = hit
-            return GapEvidence(pattern, "present", False,
-                               f"occurs at position {pos} with gap {gap}")
-        return GapEvidence(pattern, "scan", False,
-                           f"absent from the first {len(prefix)} letters")
     return GapEvidence(pattern, "exhaustive", False,
                        f"only gaps <= {_EXHAUST_GAP} checked")
 
 
 def refute_interchange(evidence: GapEvidence) -> Refutation:
     """An interchange forces its gap pattern b..c..a in the source word, so
-    a proof that the pattern is absent refutes it; empirical evidence
+    a proof that the pattern is absent refutes it; incomplete evidence
     leaves it open, and the row says which evidence that was."""
     pattern = evidence.pattern.text()
     if evidence.complete:
@@ -497,18 +501,14 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     exactly the violating images, each checked whole by `satisfies_spec`
     for the reported violation.  The violations are sorted by source word.
     """
-    width = morphism.uniform_width
-    if not width:
-        raise ValueError("bounded case needs a uniform morphism with"
-                         " nonempty images")
+    width = _checked_width(morphism, source, classes)
     if root_cap < 0:
         raise ValueError("root_cap must be >= 0")
     max_len = _bounded_length(width, root_cap, target)
     counts = [0] * (max_len + 1)
     violations: list[tuple[bytes, Violation]] = []
-    letters = classes or tuple(range(morphism.source_size))
     image = (morphism.table, ColumnStep(target, max_len * width, root_cap))
-    for words, failed in walk_legal(source, max_len, classes=letters,
+    for words, failed in walk_legal(source, max_len, classes=classes,
                                     image=image):
         counts[words.shape[1]] += len(words)
         for word in failed:
@@ -526,11 +526,10 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
 
 
 def _allows_squares_from(spec: AvoidanceSpec, root: int) -> bool:
-    """Whether the spec allows a square of some root of `root` or more."""
-    if spec.square_min_root is not None:
-        return spec.square_min_root > root
-    return spec.square_whitelist is None or any(
-        len(square) >= 2 * root for square in spec.square_whitelist)
+    """Whether the spec's square rule allows a square of root >= `root`."""
+    return all(kind != "square" or lo > root
+               or any(len(square) >= 2 * root for square in allowed)
+               for kind, _, lo, _, allowed in spec.repetition_rules)
 
 
 class TransferCertificate(Record):
@@ -624,16 +623,9 @@ def verify_square_transfer(morphism: Morphism | Substitution,
     classes = None
     if isinstance(morphism, Substitution):
         morphism, classes = morphism.to_annotated()
-    width = morphism.uniform_width
-    if not width:
-        raise ValueError("transfer verification needs a uniform morphism"
-                         " with nonempty images")
+    width = _checked_width(morphism, source, classes)
     if not morphism.injective_on_letters:
         raise ValueError("transfer verification needs distinct images")
-    letters = max(classes) + 1 if classes else morphism.source_size
-    if source.alphabet_size > letters:
-        raise ValueError(f"the source spec has {source.alphabet_size} letters"
-                         f" but only {letters} have an image")
     spec, scope, walked = source, "spec", _SYNC_BLOCKS + 1
     if fixed_point is not None:
         spec, scope = (_fixed_point_spec(source, fixed_point, walked),

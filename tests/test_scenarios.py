@@ -56,6 +56,46 @@ def test_certificate_checks_compare_the_pinned_rows(registry, monkeypatch,
         assert report.checks[0].detail.endswith("49 words at length 5")
 
 
+GAP_CHECKS = ["gap pattern {}.{}.{} absent".format(*pattern.letters())
+              for pattern in scenarios._GAP_PATTERNS]
+
+
+@pytest.mark.parametrize("coder", scenarios._SHUFFLE_CODERS)
+def test_pu_gap_checks_read_both_coders_evidence(registry, monkeypatch,
+                                                  coder):
+    """A gap check fails alone when one coder certificate, still complete,
+    holds incomplete evidence for its pattern."""
+    real = verify.verify_square_transfer
+    for pattern, check in zip(scenarios._GAP_PATTERNS, GAP_CHECKS):
+
+        def weakened(*args, pattern=pattern, **kwargs):
+            cert = real(*args, **kwargs)
+            if kwargs["name"] != coder:
+                return cert
+            return cert.replace(gap_evidence=tuple(
+                e.replace(complete=False) if e.pattern == pattern else e
+                for e in cert.gap_evidence))
+
+        monkeypatch.setattr(scenarios, "verify_square_transfer", weakened)
+        report = run_scenario("pu-lemmas", registry, prefix_length=REDUCED)
+        assert [c.name for c in report.checks if not c.ok] == [check]
+
+
+def test_pu_gap_checks_fail_when_a_coder_certificate_raises(registry,
+                                                            monkeypatch):
+    real = verify.verify_square_transfer
+
+    def broken(*args, **kwargs):
+        if kwargs["name"] == "pu_g2":
+            raise RuntimeError("no certificate")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(scenarios, "verify_square_transfer", broken)
+    report = run_scenario("pu-lemmas", registry, prefix_length=REDUCED)
+    assert [c.name for c in report.checks if not c.ok] == [
+        "coder g2 transfer certificate", *GAP_CHECKS]
+
+
 def test_unknown_scenario_is_rejected(registry):
     with pytest.raises(ValueError, match="unknown scenario"):
         run_scenario("definitely-not-a-scenario", registry)

@@ -203,3 +203,33 @@ def test_importing_the_package_leaves_dataclasses_unloaded():
     proc = subprocess.run([sys.executable, "-I", "-c", script],
                           capture_output=True, text=True, timeout=60)
     assert proc.stdout.split() == [wordavoid.__file__, "False"], proc.stderr
+
+
+# What reads a prefix of a fixed point: its generators and the gap scanners.
+PREFIX_READERS = ("fixed_point_prefix", "FixedPointStream",
+                  "gap_first_and_count", "gap_occurrences")
+
+
+def prefix_reader_uses(source: str, filename: str) -> list[tuple[str, int]]:
+    """(file, line) for each import of a prefix reader, or attribute read
+    of one through its module."""
+    return [(filename, node.lineno) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom)
+            and any(alias.name in PREFIX_READERS for alias in node.names)
+            or isinstance(node, ast.Attribute)
+            and node.attr in PREFIX_READERS]
+
+
+def test_the_verifier_reads_no_fixed_point_prefix():
+    """Gap evidence comes from proofs on exact factors or from a bounded
+    walk, so the verifier needs no prefix of a fixed point."""
+    sample = ("from .morphisms import Morphism, fixed_point_prefix\n"
+              "from .words import (GapPattern,\n"
+              "                    gap_first_and_count)\n"
+              "from . import morphisms\n"
+              "stream = morphisms.FixedPointStream\n"
+              "from .words import satisfies_spec\n")
+    assert prefix_reader_uses(sample, "m.py") == [("m.py", 1), ("m.py", 2),
+                                                  ("m.py", 5)]
+    verify = SRC / "verify.py"
+    assert prefix_reader_uses(verify.read_text(), verify.name) == []

@@ -20,7 +20,7 @@ from wordavoid import (AvoidanceSpec, BoundedCaseReport, GapPattern, Morphism,
                        verify_square_transfer, walk_legal, word_from_text,
                        word_to_text)
 from wordavoid import counting, verify, words
-from wordavoid.morphisms import _stream, fixed_point_prefix
+from wordavoid.morphisms import FixedPointStream, _stream, fixed_point_prefix
 from wordavoid.verify import _exhaustive_viability, exact_factors
 from wordavoid.words import suffix_legal
 
@@ -230,16 +230,18 @@ def test_realizable_gap_pattern_is_found():
 
 @pytest.mark.parametrize("pattern, spec, on_fixed_point, verdict", [
     (GapPattern(0, 1, 1), AvoidanceSpec(4), True, ("follower", True)),
-    (GapPattern(0, 0, 0), AvoidanceSpec(4), True, ("scan", False)),
+    (GapPattern(0, 0, 0), AvoidanceSpec(4), True, ("exhaustive", False)),
     (GapPattern(0, 0, 0),
      AvoidanceSpec(2, (word_from_text("00"),), square_min_root=2), False,
      ("exhaustive", True)),
-], ids=["follower", "scan", "exhaustive"])
+], ids=["follower", "open", "exhaustive"])
 def test_gap_evidence_rungs_hold_by_brute_force(registry, pattern, spec,
                                                 on_fixed_point, verdict):
     """A complete verdict holds on every short legal word of the spec, and
     with a Dekking fixed point also on a prefix of it.  With a fixed point
-    the rungs ask its spec, as a fixed-point certificate does."""
+    the rungs ask its spec, as a fixed-point certificate does; 000 over the
+    Dekking fixed point has no proof and no rung reads a prefix, so it
+    stays open."""
     fixed_point = (registry.dekking_h, 0) if on_fixed_point else None
     if on_fixed_point:
         spec = verify._fixed_point_spec(spec, fixed_point, 3)
@@ -253,12 +255,17 @@ def test_gap_evidence_rungs_hold_by_brute_force(registry, pattern, spec,
     assert not any(naive_gap_occurrences(w, pattern) for w in words)
 
 
-def test_repetitive_fixed_point_is_scanned_in_seconds():
-    """2 -> 22 fills the fixed point with long one-letter runs, which the
-    gap scan of its 100,000-letter prefix once took about 90 s over."""
+def test_repetitive_fixed_point_is_certified_without_a_prefix(monkeypatch):
+    """2 -> 22 fills the fixed point with long one-letter runs, which a gap
+    scan of its 100,000-letter prefix once took seconds over.  No rung reads
+    a prefix now, so pattern 201 stays open on its exhaustive search."""
     def images(*texts):
         return tuple(word_from_text(t) for t in texts)
 
+    def no_prefix(*args):
+        raise AssertionError("the verifier read a fixed-point prefix")
+
+    monkeypatch.setattr(FixedPointStream, "prefix", no_prefix)
     start = time.perf_counter()
     cert = verify_square_transfer(
         Morphism(4, 2, images("11110", "11001", "01110", "00011")),
@@ -271,14 +278,18 @@ def test_repetitive_fixed_point_is_scanned_in_seconds():
         {"pattern": "023", "kind": "follower", "complete": True,
          "detail": "023 illegal; followers of 2 are {0} and none may"
                    " follow 0"},
-        {"pattern": "201", "kind": "present", "complete": False,
-         "detail": "occurs at position 3 with gap 0"}]
+        {"pattern": "201", "kind": "exhaustive", "complete": False,
+         "detail": "only gaps <= 8 checked"}]
     assert [(w.a, w.b, w.c, r.detail) for w, r in cert.interchanges] == [
-        (1, 2, 0, "pattern 201 not ruled out: present, occurs at position 3"
-                  " with gap 0"),
+        (1, 2, 0, "pattern 201 not ruled out: exhaustive, only gaps <= 8"
+                  " checked"),
         (3, 0, 2, "pattern 023 ruled out by follower")]
-    assert cert.residual[-1] == "interchange (1,2,0) unresolved"
-    assert elapsed < 15
+    assert cert.residual == (
+        "bounded case: image of 0 has cube of root 1 at 0: 111",
+        "bounded case: image of 1 has forbidden at 1: 100",
+        "bounded case: image of 2 has cube of root 1 at 1: 111",
+        "interchange (1,2,0) unresolved")
+    assert elapsed < 1
 
 
 @pytest.mark.parametrize("budget", [1, 1 << 20])
@@ -561,6 +572,18 @@ def test_bounded_case_counts_agree_with_certificate(registry):
     assert not report.violations
 
 
+@st.composite
+def letter_classes(draw, size):
+    """(alphabet, classes): the morphism's own letters, or in some draws 2 or
+    3 classes that each hold a letter."""
+    if not draw(st.booleans()):
+        return size, None
+    alphabet = draw(st.integers(2, min(3, size)))
+    extra = draw(st.lists(st.integers(0, alphabet - 1),
+                          min_size=size - alphabet, max_size=size - alphabet))
+    return alphabet, tuple(draw(st.permutations([*range(alphabet), *extra])))
+
+
 @given(uniform_morphisms(), st.data())
 @settings(max_examples=150, deadline=None)
 def test_bounded_case_matches_brute_force(morphism, data):
@@ -569,13 +592,7 @@ def test_bounded_case_matches_brute_force(morphism, data):
     clean; the kept words with a dirty image are the violations, in
     lexicographic preorder."""
     width = morphism.uniform_width
-    if data.draw(st.booleans()):
-        alphabet = data.draw(st.integers(2, 3))
-        classes = tuple(data.draw(st.lists(
-            st.integers(0, alphabet - 1), min_size=morphism.source_size,
-            max_size=morphism.source_size)))
-    else:
-        alphabet, classes = morphism.source_size, None
+    alphabet, classes = data.draw(letter_classes(morphism.source_size))
     source = data.draw(specs(alphabet))
     target = data.draw(specs(morphism.target_size, 2 * width + 3))
     caps = [cap for cap in (1, width, 2 * width, 2 * width + 3)
@@ -688,13 +705,7 @@ def block_targets(draw, morphism, cap):
 @settings(max_examples=100, deadline=None)
 def test_bounded_case_matches_the_walk_across_blocks(morphism, data):
     width = morphism.uniform_width
-    if data.draw(st.booleans()):
-        alphabet = data.draw(st.integers(2, 3))
-        classes = tuple(data.draw(st.lists(
-            st.integers(0, alphabet - 1), min_size=morphism.source_size,
-            max_size=morphism.source_size)))
-    else:
-        alphabet, classes = morphism.source_size, None
+    alphabet, classes = data.draw(letter_classes(morphism.source_size))
     caps = [cap for cap in (1, width, 2 * width, 2 * width + 3)
             if morphism.source_size ** ((2 * cap) // width + 2) <= 4096]
     cap = data.draw(st.sampled_from(caps))
@@ -801,6 +812,66 @@ def test_source_letters_without_an_image_are_rejected():
     with pytest.raises(ValueError, match="only 2 have an image"):
         verify_square_transfer(m, AvoidanceSpec(3, square_min_root=1),
                                AvoidanceSpec(2, square_min_root=3))
+
+
+def test_sync_delay_rejects_a_ragged_morphism():
+    with pytest.raises(ValueError, match="uniform morphism"):
+        sync_delay(Morphism(2, 2, (b"\x00", b"\x00\x01")), AvoidanceSpec(2))
+
+
+def test_sync_delay_rejects_empty_images():
+    with pytest.raises(ValueError, match="nonempty images"):
+        sync_delay(Morphism(2, 2, (b"", b"")), AvoidanceSpec(2))
+
+
+def test_delay_and_bounded_case_reject_source_letters_without_an_image():
+    """Both would walk the binary words only and skip letter 2, or with the
+    classes (0, 2) skip letter 1."""
+    m = Morphism(2, 2, (word_from_text("01"), word_from_text("10")))
+    source = AvoidanceSpec(3, square_min_root=1)
+    target = AvoidanceSpec(2, square_min_root=2)
+    for classes in (None, (0, 2)):
+        with pytest.raises(ValueError, match="only 2 have an image"):
+            bounded_case_check(m, source, target, 4, classes)
+        with pytest.raises(ValueError, match="only 2 have an image"):
+            sync_delay(m, source, classes)
+
+
+def allows_squares_from_fields(spec, root):
+    """Whether the spec allows a square of some root of `root` or more, read
+    off its fields."""
+    if spec.square_min_root is not None:
+        return spec.square_min_root > root
+    return spec.square_whitelist is None or any(
+        len(square) >= 2 * root for square in spec.square_whitelist)
+
+
+@st.composite
+def square_policies(draw):
+    """A spec on 2 or 3 letters with a min-root, a whitelist (in some draws
+    holding every letter's square) or no square rule."""
+    size = draw(st.integers(2, 3))
+    policy = draw(st.sampled_from(("min-root", "whitelist", "letters",
+                                   "none")))
+    if policy == "min-root":
+        return AvoidanceSpec(size, square_min_root=draw(st.integers(1, 4)))
+    if policy == "none":
+        return AvoidanceSpec(size, cubefree=draw(st.booleans()))
+    roots = draw(st.lists(st.lists(st.integers(0, size - 1), min_size=1,
+                                   max_size=3).map(bytes), max_size=3))
+    if policy == "letters":
+        roots += [bytes((a,)) for a in range(size)]
+    return AvoidanceSpec(size, square_whitelist=tuple(
+        dict.fromkeys(r + r for r in roots)))
+
+
+@given(square_policies(), st.integers(1, 5))
+@settings(max_examples=200, deadline=None)
+@example(AvoidanceSpec(2, square_whitelist=(b"\x00\x00", b"\x01\x01")), 1)
+@example(AvoidanceSpec(2, square_whitelist=(b"\x00\x00", b"\x01\x01")), 2)
+def test_allowed_squares_come_from_the_repetition_rules(spec, root):
+    assert verify._allows_squares_from(spec, root) == (
+        allows_squares_from_fields(spec, root))
 
 
 # Statements the verifier once called COMPLETE at the cap 2W: images, target
@@ -999,7 +1070,9 @@ def transfer_statements(draw):
     letter; a squarefree source, maybe with forbidden factors, or on 3
     letters a min-root 2 or whitelist source; a target with a min-root up
     to 5W, cubefree in some draws and with one forbidden factor cut from an
-    image in some."""
+    image in some.  In some draws the statement speaks of a fixed point:
+    that of a prolongable, injective endomorphism of width 2 or 3 on the
+    source alphabet, at 0."""
     width = draw(st.integers(2, 3))
     size = draw(st.integers(3, 4))
     target_size = draw(st.integers(2, 3))
@@ -1036,28 +1109,58 @@ def transfer_statements(draw):
     target = AvoidanceSpec(target_size, cut,
                            square_min_root=draw(st.integers(1, 5 * width)),
                            cubefree=draw(st.booleans()))
-    return morphism, source, target
+    fixed_point = None
+    if draw(st.booleans()):
+        span = draw(st.integers(2, 3))
+        core = st.lists(letter, min_size=span, max_size=span).map(bytes)
+        first = b"\x00" + draw(core)[1:]
+        rest = draw(st.lists(core.filter(lambda image: image != first),
+                             min_size=size - 1, max_size=size - 1,
+                             unique=True))
+        fixed_point = (Morphism(size, size, (first, *rest)), 0)
+    return morphism, source, target, fixed_point
+
+
+# The fixed-point prefix that a sound certificate is checked on.
+_FUZZ_PREFIX = 1000
 
 
 def assert_complete_means_sound(statement):
     """A COMPLETE certificate holds on every source-legal word of up to 8
-    letters: each of its images passes the naive target check.  Statements
-    with no delay up to 5W are left out, which keeps the bounded case
-    small; they are not COMPLETE below that anyway."""
-    morphism, source, target = statement
-    flat, classes = (morphism.to_annotated()
-                     if isinstance(morphism, Substitution)
-                     else (morphism, None))
-    delay = sync_delay(flat, source, classes)
-    assume(delay is not None and delay <= 5 * flat.uniform_width)
-    if not verify_square_transfer(morphism, source, target).complete:
+    letters in its scope: each of its images passes the naive target check.
+    Over a fixed point, that scope is checked on the factors of a prefix,
+    which no pattern that block descent rules out may occur in either.
+    Spec-scope statements with no delay up to 5W are left out, which keeps
+    the bounded case small; they are not COMPLETE below that anyway.  Over
+    a fixed point the bounded case walks only its few factors."""
+    morphism, source, target, fixed_point = statement
+    if fixed_point is None:
+        flat, classes = (morphism.to_annotated()
+                         if isinstance(morphism, Substitution)
+                         else (morphism, None))
+        delay = sync_delay(flat, source, classes)
+        assume(delay is not None and delay <= 5 * flat.uniform_width)
+    cert = verify_square_transfer(morphism, source, target,
+                                  fixed_point=fixed_point)
+    if fixed_point is not None:
+        prefix = fixed_point_prefix(*fixed_point, _FUZZ_PREFIX)
+        for evidence in cert.gap_evidence:
+            if evidence.kind == "descent":
+                assert not naive_gap_occurrences(prefix, evidence.pattern)
+    if not cert.complete:
         return
+    if fixed_point is None:
+        words = [word for level in naive_legal_words(source, 8)
+                 for word in level]
+    else:
+        words = [word for word in {prefix[i:i + n] for n in range(1, 9)
+                                   for i in range(len(prefix) - n + 1)}
+                 if naive_satisfies(word, source)]
     images = (morphism.iter_images if isinstance(morphism, Substitution)
               else lambda word: (morphism.apply(word),))
-    for level in naive_legal_words(source, 8):
-        for word in level:
-            for image in images(word):
-                assert naive_satisfies(image, target), word_to_text(word)
+    for word in words:
+        for image in images(word):
+            assert naive_satisfies(image, target), word_to_text(word)
 
 
 def with_false_completes(test):
@@ -1065,14 +1168,35 @@ def with_false_completes(test):
     target on a word of at most 8 letters."""
     for images, target_size, min_root, *_ in (FALSE_COMPLETE
                                               + FALSE_COMPLETE_LONG):
-        test = example(_false_complete_case(images, target_size,
-                                            min_root))(test)
+        test = example((*_false_complete_case(images, target_size,
+                                              min_root), None))(test)
     return test
+
+
+def _texts(*texts):
+    return tuple(word_from_text(t) for t in texts)
+
+
+# The fixed point of 0 -> 01, 1 -> 20, 2 -> 00 starts 012, the coder's
+# interchange pattern with gap 0, so block descent must leave it open.
+PATTERN_IN_FIXED_POINT = (
+    Morphism(3, 2, _texts("000", "100", "101")),
+    AvoidanceSpec(3, square_min_root=1), AvoidanceSpec(2, square_min_root=1),
+    (Morphism(3, 3, _texts("01", "20", "00")), 0))
+# COMPLETE over the fixed point of 0 -> 01, 1 -> 20, 2 -> 00, 3 -> 10, with
+# two of its gap patterns ruled out by block descent.
+COMPLETE_OVER_FIXED_POINT = (
+    Substitution(4, 2, (_texts("000"), _texts("001"), _texts("010", "101"),
+                        _texts("011"))),
+    AvoidanceSpec(4, square_min_root=1), AvoidanceSpec(2, square_min_root=3),
+    (Morphism(4, 4, _texts("01", "20", "00", "10")), 0))
 
 
 @seed(29)
 @given(transfer_statements())
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=50, deadline=None)
+@example(PATTERN_IN_FIXED_POINT)
+@example(COMPLETE_OVER_FIXED_POINT)
 @with_false_completes
 def test_complete_certificates_hold_by_brute_force(statement):
     assert_complete_means_sound(statement)
@@ -1081,7 +1205,9 @@ def test_complete_certificates_hold_by_brute_force(statement):
 @pytest.mark.slow
 @seed(2029)
 @given(transfer_statements())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=500, deadline=None)
+@example(PATTERN_IN_FIXED_POINT)
+@example(COMPLETE_OVER_FIXED_POINT)
 @with_false_completes
 def test_complete_certificates_hold_by_brute_force_at_length(statement):
     assert_complete_means_sound(statement)
