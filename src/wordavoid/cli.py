@@ -370,7 +370,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True)
     p.add_argument("--denominator", type=_int_at_least(1), default=None)
     p.add_argument("--cap", type=_int_at_least(0), default=1 << 16)
-    p.add_argument("--samples", type=_int_at_least(1), default=64)
+    # About 1 ms a sample on a long family; at most the default --cap.
+    p.add_argument("--samples", type=_int_at_least(1, 1 << 16), default=64)
     p.add_argument("--seed", type=int, default=0)
     fmt(p, "json")
     p.set_defaults(run=_cmd_family)

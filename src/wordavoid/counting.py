@@ -3,19 +3,19 @@
 Every search over legal words goes through one walker, `walk_legal`: it
 extends a chunk of words of one length by every letter at once and carries,
 per word, the runs of equal letters at each shift that end at its last
-letter, so one `ColumnStep` of the extensions decides which die: the new
-letter is the only place a fresh violation can end.  The same step says
-which of the dead are minimal forbidden words, since every constraint (a
-forbidden factor, a forbidden square, a cube) is a factor and legality is
-closed under taking factors.  Counting tallies the chunks' rows,
-exhaustion looks for the longest word, minimality collects the minimal
-extensions, and the verifier's bounded case has the walker carry its words'
-image runs too, so a second step of each extension's last image block
-decides which images fail.  Minimal forbidden words (both one-letter
-truncations legal) feed an Aho-Corasick factor automaton whose live part
-counts and bounds the language; its Perron root comes from power iteration
-over the live edge list, standing in for the symbolic characteristic
-polynomials.
+letter, so one `ColumnStep.fold` of the extensions' new letter decides
+which die: it is the only place a fresh violation can end.  The same fold
+says which of the dead are minimal forbidden words (every violation the
+whole word), since every constraint (a forbidden factor, a forbidden
+square, a cube) is a factor and legality is closed under taking factors.
+Counting tallies the chunks' rows, exhaustion looks for the longest word,
+minimality collects the minimal extensions, and the verifier's bounded
+case has the walker carry its words' image runs too, so the same call on
+each extension's last image block decides which images fail.  Minimal
+forbidden words (both one-letter truncations legal) feed an Aho-Corasick
+factor automaton whose live part counts and bounds the language; its
+Perron root comes from power iteration over the live edge list, standing
+in for the symbolic characteristic polynomials.
 """
 
 from __future__ import annotations
@@ -68,11 +68,12 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
     and a `ColumnStep` of a target spec, the legal extensions whose image
     fails; then only words whose image passes (the prefixes' must) are
     walked.  A chunk is stored column by column with each word's runs (and
-    its image's, only with an image), folded once from the prefixes, so one
-    step of the extensions (and W of their last image block) decides which
-    die.  Nothing extends a word of max_len letters, so the deepest level
-    gathers only its surviving words and yields them at once, without runs.
-    A chunk of k-letter words has at most
+    its image's, only with an image), folded once from the prefixes.  One
+    `ColumnStep.fold` of a level's new letter (and of its new image block)
+    from the parents' runs, broadcast over the letters, decides which die.
+    Nothing extends a word of max_len letters, so the deepest level gathers
+    only its surviving words and yields them at once, without runs.  A
+    chunk of k-letter words has at most
     `_chunk_rows((k + 1) * alphabet * (1 + W))` rows (W = 0 without an
     image), so at most about max_len x alphabet x `_SCREEN_BYTES` is live.
     With `classes`, the letters are 0..len(classes)-1 and letter x is
@@ -88,8 +89,9 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
     def project(cols):
         return cols if table is None else table[cols]
 
-    def imaged(cols):  # the image of a 2-D batch, column by column
-        return images[cols].transpose(0, 2, 1).reshape(-1, cols.shape[1])
+    def imaged(cols):  # the image of a batch, column by column
+        return np.moveaxis(images[cols], -1, 1).reshape(
+            (len(cols) * width,) + cols.shape[1:])
 
     def chunks(live, batch, *runs):
         # Each piece gathers its words and runs, so that no pending piece
@@ -120,21 +122,21 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
         ext[:k] = cols[:, None]
         ext[k] = letters[:, None]
         cols = ext[:k, 0]  # lets the popped chunk go
-        runs, bad, dead = step(project(ext), runs[:, None])
-        ext = ext.reshape(k + 1, -1)
+        runs, whole, part = step.fold(project(ext), k, k, runs[:, None])
+        bad, dead = whole | part, whole & ~part
         if image_runs:  # step the last image block from its runs
-            image_runs[0], failed = target.fold(
-                imaged(ext), k * width, k * width,
-                np.tile(image_runs[0], size))
-            dead, bad = failed & ~bad, failed | bad
+            image_runs[0], whole, part = target.fold(
+                imaged(ext), k * width, k * width, image_runs[0][:, None])
+            dead, bad = (whole | part) & ~bad, whole | part | bad
+        ext = ext.reshape(k + 1, -1)
         yield cols.T, ext[:, dead].T
         live = (~bad).nonzero()[0]
         if k + 1 == max_len:  # the deepest level's words carry no runs
             del runs, image_runs
             yield from leaves(live, ext)
         else:
-            runs = runs.reshape(len(runs), ext.shape[1])
-            stack += chunks(live, ext, runs, *image_runs)
+            stack += chunks(live, ext, *(r.reshape(len(r), ext.shape[1])
+                                         for r in (runs, *image_runs)))
             del ext, runs, image_runs
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -77,8 +77,7 @@ class FixedPointStream:
 
     Each request applies the morphism to as many not yet expanded letters of
     an internal buffer as it needs, so successive prefixes cost amortized
-    linear time.  `fixed_point_prefix` keeps the `_STREAMS_KEPT` most recently
-    used streams; use it unless you need to hold the stream itself.
+    linear time.
     """
 
     def __init__(self, morphism: Morphism, seed: int):
@@ -92,6 +91,8 @@ class FixedPointStream:
         self._expanded = 1  # letters of the buffer already pushed through
 
     def prefix(self, length: int) -> bytes:
+        if length < 0:
+            raise ValueError("prefix length must be >= 0")
         width = self.morphism.uniform_width or 1
         while len(self._buf) < length:
             if self._expanded >= len(self._buf):
@@ -103,18 +104,9 @@ class FixedPointStream:
         return bytes(self._buf[:length])
 
 
-# A full scenario run reads four fixed points.
-_STREAMS_KEPT = 16
-
-
-@lru_cache(maxsize=_STREAMS_KEPT)
-def _stream(morphism: Morphism, seed: int) -> FixedPointStream:
-    return FixedPointStream(morphism, seed)
-
-
 def fixed_point_prefix(morphism: Morphism, seed: int, length: int) -> bytes:
     """First `length` letters of the fixed point starting at `seed`."""
-    return _stream(morphism, seed).prefix(length)
+    return FixedPointStream(morphism, seed).prefix(length)
 
 
 class Substitution(Record):

@@ -50,6 +50,9 @@ _SYNC_BLOCKS = 8
 # longest factors block descent reads below width 14.  A longer bounded case
 # walks a superset of the factors, which is sound.
 _SCOPE_LENGTH = 25
+# The bounded case stops once it has walked this many source words; the
+# largest packaged walk is 15,862.
+_BOUNDED_WORDS = 100_000
 
 
 def _forbids(spec: AvoidanceSpec, word: bytes,
@@ -492,7 +495,9 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
     `verify_square_transfer`), so they are not reported here; letters and
     forbidden factors are checked in full, however long.  An image
     violation survives every extension, so a word whose image violates is
-    reported and its extensions are not visited.
+    reported and its extensions are not visited.  The walk stops once it
+    has checked `_BOUNDED_WORDS` source words, and the certificate's
+    residual then names that budget.
 
     The source words come from the legal-word walker, which carries their
     images' runs too.  A word's parent has a clean image, which is a prefix
@@ -519,6 +524,8 @@ def bounded_case_check(morphism: Morphism, source: AvoidanceSpec,
                 raise AssertionError("the target step flagged the clean"
                                      f" image of {word.tobytes()!r}")
             violations.append((word.tobytes(), found))
+        if sum(counts[1:]) >= _BOUNDED_WORDS:
+            break
     counts[0] = 0  # the empty word's image holds nothing to check
     violations.sort(key=lambda item: item[0])
     return BoundedCaseReport(max_len, sum(counts), tuple(counts),
@@ -551,8 +558,9 @@ class TransferCertificate(Record):
     def residual(self) -> tuple[str, ...]:
         """What is left open: a long-root argument that does not apply (no
         delay D, a cap below max(2W, D - 1), or a scope that allows squares
-        of root ceil(D/W) or more), bounded-case violations, then every
-        interchange row that is not refuted."""
+        of root ceil(D/W) or more), a bounded case stopped at its budget of
+        source words, bounded-case violations, then every interchange row
+        that is not refuted."""
         width, delay, cap = self.width, self.sync_delay, self.root_cap
         if delay is None:
             argument = [f"no synchronization delay up to 8W ="
@@ -566,6 +574,9 @@ class TransferCertificate(Record):
             if _allows_squares_from(self.source, least):
                 argument.append(f"scope allows squares of root {least} or"
                                 f" more")
+        if self.bounded.words_checked >= _BOUNDED_WORDS:
+            argument.append(f"bounded case stopped at its budget of"
+                            f" {_BOUNDED_WORDS} source words")
         return (*argument,
                 *(f"bounded case: image of {word_to_text(w)} has"
                   f" {v.describe()}" for w, v in self.bounded.violations),

@@ -19,14 +19,15 @@ patterns from one stream; `gap_first_and_count` counts one without listing.
 Worst-case output size is quadratic on highly repetitive input, which the
 intended avoidance words never are.
 
-Batches of words grown one letter at a time (the legal-word walk and its
-words' images) are checked by `ColumnStep`, which carries for each shift
-the run of equal letters that ends at the last column and decides from it
-alone whether a forbidden power ends there.
+Batches of words grown column by column (the legal-word walk and its
+words' images) are checked by `ColumnStep.fold`, which carries for each
+shift the run of equal letters that ends at the last column and decides
+from it alone whether a forbidden power ends there.
 """
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 from operator import attrgetter
 
@@ -566,6 +567,8 @@ class AvoidanceSpec(Record):
             raise ValueError("choose one square policy")
         if self.square_min_root is not None and self.square_min_root < 1:
             raise ValueError("square_min_root must be >= 1")
+        if b"" in self.forbidden:
+            raise ValueError("a forbidden word must not be empty")
         for w in self.square_whitelist or ():
             h = len(w) // 2
             if len(w) == 0 or len(w) % 2 or w[:h] != w[h:]:
@@ -648,14 +651,15 @@ def _power_starts(arr: np.ndarray, power: int, d: int, allowed: frozenset,
 
 
 class ColumnStep:
-    """What a spec forbids to end at one new column of a batch of words.
+    """What a spec forbids to end at the new columns of a batch of words.
 
     A batch is stored column by column: cols[j] holds letter j of every
-    word.  Its runs at a column hold, for each shift d = 1..D with D =
-    min(column, top), the length of the run of word[j] == word[j - d] that
-    ends there; runs[D - d] holds shift d, in the order of the letters
-    compared.  A power of root d ends at the column exactly when its run is
-    at least (power - 1)·d.  `thresholds` holds, per root, the least such
+    word, over one axis or more; `fold`, the one driver, steps any columns
+    from the runs before them.  Its runs at a column hold, for each shift
+    d = 1..D with D = min(column, top), the length of the run of word[j] ==
+    word[j - d] that ends there; runs[D - d] holds shift d, in the order of
+    the letters compared.  A power of root d ends at the column exactly
+    when its run is at least (power - 1)·d.  `thresholds` holds, per root, the least such
     length over the rules without an allowed word of that power's length,
     or the dtype's largest value, which no run reaches; the powers that
     have one are in `allowed` as (root, power, words).  A violation that
@@ -747,37 +751,28 @@ class ColumnStep:
                 found[_starts(cols, factor, first, last).any(axis=0)] = True
         return whole, part
 
-    def __call__(self, cols: np.ndarray, runs: np.ndarray):
-        """The runs at the last column of `cols`, and two flat masks over its
-        words: `bad`, a violation ends at that column, and `minimal`, one
-        does and each that does is the whole word, so that the word without
-        its first letter is legal when the word without its last one is."""
-        runs = self.advance(cols, runs)
-        n = len(cols)
-        flat = cols.reshape(n, -1)
-        whole, part = self.powers(flat, runs.reshape(len(runs), flat.shape[1]))
-        whole_factor, part_factor = self.factors(flat, n - 1)
-        part |= part_factor
-        whole |= whole_factor
-        minimal = whole > part  # whole and not part
-        whole |= part  # now every violation
-        return runs, whole, minimal
-
     def fold(self, cols: np.ndarray, first: int, new: int,
              runs: np.ndarray | None = None):
-        """Step a 2-D batch through columns first..n-1 from `runs`, its runs
-        at column first - 1 (empty by default, as at column 0): the runs at
-        the last column, and the mask of words with a violation ending at
-        column `new` or later, for `new` at least `first`."""
+        """Step a batch through columns first..n-1 from `runs`, its runs at
+        column first - 1, which broadcast against its other axes (none by
+        default, as at column 0).  Returns the runs at the last column and
+        two flat masks over the words, of the violations that end at column
+        `new` or later, for `new` at least `first`: `whole`, one spans the
+        whole word, and `part`, one is shorter.  A power that ends before
+        the last column is shorter than the word."""
+        n, size = len(cols), math.prod(cols.shape[1:])
+        flat = cols.reshape(n, size)  # n or size may be 0, so no -1
         if runs is None:
-            runs = np.zeros((0, cols.shape[1]), self.dtype)
-        flagged = np.logical_or(*self.factors(cols, new))
-        for j in range(first, len(cols)):
+            runs = np.zeros((0,) + cols.shape[1:], self.dtype)
+        whole, part = self.factors(flat, new)
+        for j in range(first, n):
             runs = self.advance(cols[:j + 1], runs)
             if j >= new:
-                for found in self.powers(cols[:j + 1], runs):
-                    flagged |= found
-        return runs, flagged
+                ends, shorter = self.powers(flat[:j + 1],
+                                            runs.reshape(len(runs), size))
+                (whole if j == n - 1 else part)[ends] = True
+                part |= shorter
+        return runs, whole, part
 
 
 def suffix_legal(word: bytes, spec: AvoidanceSpec) -> bool:
@@ -788,7 +783,8 @@ def suffix_legal(word: bytes, spec: AvoidanceSpec) -> bool:
     one-row `ColumnStep.fold`.
     """
     cols = np.frombuffer(word, dtype=np.uint8).reshape(len(word), 1)
-    return not ColumnStep(spec, len(word)).fold(cols, 0, len(word) - 1)[1][0]
+    _, whole, part = ColumnStep(spec, len(word)).fold(cols, 0, len(word) - 1)
+    return not (whole | part)[0]
 
 
 def parse_spec(text: str) -> AvoidanceSpec:

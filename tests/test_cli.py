@@ -306,6 +306,7 @@ def test_config_line_is_pinned(capsys):
     (("generate", "--morphism", "dekking_h", "--length", "10000001"),
      "--length"),
     (("growth", "--forbidden", "README.md", "--tol", "inf"), "--tol"),
+    (FAMILY + ("--samples", "65537"), "--samples"),
 ])
 def test_unusable_numeric_flags_are_usage_errors(capsys, argv, flag):
     """Out-of-range values, the size caps among them, are rejected before

@@ -120,6 +120,13 @@ def test_stream_of_an_erasing_morphism_is_finite():
         stream.prefix(3)
 
 
+def test_negative_prefix_length_is_rejected():
+    """A negative length would slice letters off the end of the buffer."""
+    thue_morse = Morphism(2, 2, (b"\x00\x01", b"\x01\x00"))
+    with pytest.raises(ValueError, match="length"):
+        fixed_point_prefix(thue_morse, 0, -3)
+
+
 def test_stream_matches_one_shot_prefix(registry):
     stream = FixedPointStream(registry.dekking_h, 0)
     assert stream.prefix(7) == fixed_point_prefix(registry.dekking_h, 0, 7)

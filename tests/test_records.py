@@ -171,9 +171,11 @@ def test_pickling_keeps_a_computed_cached_property():
     (lambda: Substitution(2, 2, ((b"\0",),)), "one image set per source"),
     (lambda: Substitution(1, 2, ((),)), "at least one image"),
     (lambda: Substitution(1, 2, ((b"\2",),)), "outside target alphabet"),
+    # the whole-word checker and the walker read an empty factor apart
+    (lambda: AvoidanceSpec(2, forbidden=(b"",)), "must not be empty"),
 ], ids=["alphabet", "two-policies", "min-root", "whitelist", "spec-replace",
         "images", "morphism-target", "morphism-replace", "image-sets",
-        "empty-set", "substitution-target"])
+        "empty-set", "substitution-target", "empty-forbidden"])
 def test_post_init_checks_raise_value_error(build, message):
     with pytest.raises(ValueError, match=message):
         build()

@@ -5,7 +5,9 @@ function ignores, which a caller may think it honors.  Names starting with
 an underscore are deliberate throwaways.  Nor does the package read the
 environment: every setting it honors is a parameter or a flag.  Nor does
 it import `dataclasses`: records share `words.Record`'s methods, so
-defining one compiles no code at import.
+defining one compiles no code at import.  Nor does `ColumnStep` have a
+driver beside `fold`, nor does any module copy an array with `np.tile`
+where it could broadcast.
 """
 
 import ast
@@ -190,6 +192,37 @@ def test_no_module_imports_dataclasses():
     found = []
     for path in sorted(SRC.glob("*.py")):
         found += dataclass_imports(path.read_text(), path.name)
+    assert found == []
+
+
+def second_drivers(source: str, filename: str) -> list[tuple[str, int]]:
+    """(file, line) for each `__call__` that `ColumnStep` defines beside
+    `fold`, and each call of a function named `tile`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and node.name == "ColumnStep":
+            found += [(filename, item.lineno) for item in node.body
+                      if isinstance(item, ast.FunctionDef)
+                      and item.name == "__call__"]
+        elif isinstance(node, ast.Call) and (
+                getattr(node.func, "attr", None) == "tile"
+                or getattr(node.func, "id", None) == "tile"):
+            found.append((filename, node.lineno))
+    return found
+
+
+def test_the_column_step_has_one_driver():
+    sample = ("class ColumnStep:\n"
+              "    def fold(self): pass\n"
+              "    def __call__(self): pass\n"
+              "class Other:\n"
+              "    def __call__(self): pass\n"
+              "runs = np.tile(runs, 3)\n"
+              "runs = np.broadcast_to(runs, (3, 2))\n")
+    assert second_drivers(sample, "m.py") == [("m.py", 3), ("m.py", 6)]
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        found += second_drivers(path.read_text(), path.name)
     assert found == []
 
 

@@ -20,7 +20,7 @@ from wordavoid import (AvoidanceSpec, BoundedCaseReport, GapPattern, Morphism,
                        verify_square_transfer, walk_legal, word_from_text,
                        word_to_text)
 from wordavoid import counting, verify, words
-from wordavoid.morphisms import FixedPointStream, _stream, fixed_point_prefix
+from wordavoid.morphisms import FixedPointStream, fixed_point_prefix
 from wordavoid.verify import _exhaustive_viability, exact_factors
 from wordavoid.words import suffix_legal
 
@@ -743,8 +743,8 @@ def test_bounded_case_refuses_a_flagged_clean_image(registry, monkeypatch):
 
     class FlagsEveryImage(words.ColumnStep):
         def fold(self, cols, first, new, runs=None):
-            runs, flagged = super().fold(cols, first, new, runs)
-            return runs, np.ones_like(flagged)
+            runs, whole, part = super().fold(cols, first, new, runs)
+            return runs, np.ones_like(whole), part
 
     monkeypatch.setattr(verify, "ColumnStep", FlagsEveryImage)
     with pytest.raises(AssertionError, match="clean image"):
@@ -775,6 +775,35 @@ def test_bounded_case_rejects_negative_root_cap(registry):
     with pytest.raises(ValueError):
         bounded_case_check(registry.dekking_h, registry.dekking_h_source,
                            registry.squarefree4, -1)
+
+
+def test_bounded_case_stops_at_its_budget(registry, monkeypatch):
+    """A walk that reaches its budget of source words stops there, and the
+    certificate names the budget, so a stopped walk is never complete."""
+    case = (registry.dekking_h, registry.dekking_h_source,
+            registry.squarefree4)
+    assert verify_square_transfer(*case).bounded.words_checked == 188
+    monkeypatch.setattr(verify, "_BOUNDED_WORDS", 100)
+    cert = verify_square_transfer(*case)
+    assert 100 <= cert.bounded.words_checked < 188
+    assert not cert.complete
+    assert cert.residual == (
+        "bounded case stopped at its budget of 100 source words",)
+
+
+@pytest.mark.slow
+def test_a_walk_without_bound_stops_at_the_budget():
+    """D = 14 and cap 13 here: the full bounded case walks millions of
+    source words, so the budget stops it and the residual says so."""
+    m = Morphism(4, 3, tuple(word_from_text(t)
+                             for t in ("11", "22", "01", "20")))
+    cert = verify_square_transfer(m, AvoidanceSpec(4, square_min_root=2),
+                                  AvoidanceSpec(3, square_min_root=2))
+    assert (cert.sync_delay, cert.root_cap) == (14, 13)
+    assert cert.bounded.words_checked >= verify._BOUNDED_WORDS
+    assert not cert.complete
+    assert cert.residual[0].startswith(
+        f"bounded case stopped at its budget of {verify._BOUNDED_WORDS}")
 
 
 # 0 -> 0010, 1 -> 0111: every image holds the square 00.
@@ -1043,21 +1072,17 @@ def test_exact_factors_need_a_fixed_point(registry):
 
 
 def test_module_caches_stay_bounded(registry):
-    """Enough distinct fixed points to fill every module cache past its
-    bound; each keeps at most maxsize entries."""
-    caches = (_stream, exact_factors)
-    for cache in caches:
-        cache.cache_clear()
+    """Enough distinct fixed points to fill the module's factor cache past
+    its bound; it keeps at most maxsize entries."""
+    exact_factors.cache_clear()
     variants = {with_image_letter(registry.dekking_h, 1, position, letter)
                 for position in range(10) for letter in range(4)}
     for morphism in variants:
-        fixed_point_prefix(morphism, 0, 100)
         for length in range(1, 12):
             exact_factors(morphism, 0, length)
-    for cache in caches:
-        info = cache.cache_info()
-        assert info.misses > info.maxsize
-        assert info.currsize <= info.maxsize
+    info = exact_factors.cache_info()
+    assert info.misses > info.maxsize
+    assert info.currsize <= info.maxsize
 
 
 # ---------------------------------------------------------------------------

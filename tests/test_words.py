@@ -283,7 +283,8 @@ def test_whitelist_reports_the_least_unlisted_square(case, cut, starts):
     v = check.violation
     assert (v and (v.position, v.root_length)) == min(unlisted, default=None)
     cols = np.frombuffer(word, dtype=np.uint8).reshape(len(word), 1)
-    flagged = words.ColumnStep(spec, len(word)).fold(cols, 0, 0)[1]
+    _, whole, part = words.ColumnStep(spec, len(word)).fold(cols, 0, 0)
+    flagged = whole | part
     assert bool(flagged[0]) == (not check.ok)
 
 
@@ -467,7 +468,8 @@ def test_screen_flags_exactly_the_rows_that_break_the_spec(batch):
     for new in range(n):
         legal = [r for r in rows if naive_satisfies(r[:new], spec, max_root)]
         if legal:
-            flagged = step.fold(as_cols(legal), 0, new)[1]
+            _, whole, part = step.fold(as_cols(legal), 0, new)
+            flagged = whole | part
             assert flagged.tolist() == [broken[r] for r in legal], new
 
 
@@ -487,9 +489,10 @@ def rows_of(text):
 @settings(max_examples=150, deadline=None)
 def test_one_step_decides_bad_and_minimal(batch):
     """On a batch's rows and on each of its one-letter truncations, one
-    call of the step, from the runs at the column before, flags as `bad`
-    exactly the rows legal without their last letter that break the spec,
-    and as `minimal` those of them that are legal without their first."""
+    fold of the last column, from the runs at the column before, flags as
+    `bad` (`whole | part`) exactly the rows legal without their last letter
+    that break the spec, and as `minimal` (`whole & ~part`) those of them
+    that are legal without their first."""
     spec, max_root, rows = batch
     step = words.ColumnStep(spec, len(rows[0]), max_root)
 
@@ -502,7 +505,9 @@ def test_one_step_decides_bad_and_minimal(batch):
             continue
         cols = as_cols(batch_rows)
         before = step.fold(cols[:-1], 0, len(cols) - 1)[0]
-        _, bad, minimal = step(cols, before)
+        _, whole, part = step.fold(cols, len(cols) - 1, len(cols) - 1,
+                                   before)
+        bad, minimal = whole | part, whole & ~part
         assert bad.tolist() == [not legal(r) for r in batch_rows]
         assert minimal.tolist() == [not legal(r) and legal(r[1:])
                                     for r in batch_rows]
@@ -520,11 +525,38 @@ def test_fold_resumes_from_its_own_runs(batch, data):
     new = data.draw(st.integers(0, n - 1))
     step = words.ColumnStep(spec, n, max_root)
     cols = as_cols(rows)
-    runs, flagged = step.fold(cols, 0, new)
-    head_runs, head = step.fold(cols[:cut], 0, new)
-    tail_runs, tail = step.fold(cols, cut, max(new, cut), head_runs)
+    runs, *flagged = step.fold(cols, 0, new)
+    head_runs, *head = step.fold(cols[:cut], 0, new)
+    tail_runs, *tail = step.fold(cols, cut, max(new, cut), head_runs)
+    flagged, head, tail = (np.logical_or(*masks)
+                           for masks in (flagged, head, tail))
     assert np.array_equal(tail_runs, runs)
     assert (head | tail).tolist() == flagged.tolist()
+
+
+@given(batches())
+@example((AvoidanceSpec(2, square_min_root=2), None, rows_of("01011")))
+@settings(max_examples=100, deadline=None)
+def test_fold_counts_a_power_before_the_last_column_as_part(batch):
+    """For every column `new` and the rows legal before it, a fold from
+    column 0 puts in `part` exactly the rows whose one-letter truncations
+    are not both legal, so a power that ends before the last column is
+    never `whole`, and `whole & ~part` marks the minimal forbidden rows."""
+    spec, max_root, rows = batch
+    n = len(rows[0])
+    step = words.ColumnStep(spec, n, max_root)
+
+    def legal(row):
+        return naive_satisfies(row, spec, max_root)
+
+    shorter = {r: not (legal(r[1:]) and legal(r[:-1])) for r in rows}
+    for new in range(n):
+        kept = [r for r in rows if legal(r[:new])]
+        if kept:
+            _, whole, part = step.fold(as_cols(kept), 0, new)
+            assert part.tolist() == [shorter[r] for r in kept], new
+            assert (whole & ~part).tolist() == [
+                not legal(r) and not shorter[r] for r in kept], new
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=range(len(SPECS)))
