@@ -24,10 +24,14 @@ def main() -> int:
 
     for label, spec in jobs:
         print(f"== {label}")
+        # The deepest set first: its walk also serves the shallower sets
+        # and a count table no deeper.
+        sets = {max_len: minimal_forbidden(spec, max_len)
+                for max_len in sorted(args.max_len, reverse=True)}
         table = count_avoiding(spec, args.n_max)
         print("   counts:", ", ".join(str(c) for c in table.counts))
         for max_len in args.max_len:
-            derived = minimal_forbidden(spec, max_len)
+            derived = sets[max_len]
             estimate = growth_rate(build_automaton(derived))
             print(f"   L={max_len}: {len(derived.words)} minimal forbidden"
                   f" words, {estimate.states} live states,"

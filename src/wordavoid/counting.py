@@ -8,14 +8,18 @@ which die: it is the only place a fresh violation can end.  The same fold
 says which of the dead are minimal forbidden words (every violation the
 whole word), since every constraint (a forbidden factor, a forbidden
 square, a cube) is a factor and legality is closed under taking factors.
-Counting tallies the chunks' rows, exhaustion looks for the longest word,
-minimality collects the minimal extensions, and the verifier's bounded
-case has the walker carry its words' image runs too, so the same call on
-each extension's last image block decides which images fail.  Minimal
-forbidden words (both one-letter truncations legal) feed an Aho-Corasick
-factor automaton whose live part counts and bounds the language; its
-Perron root comes from power iteration over the live edge list, standing
-in for the symbolic characteristic polynomials.
+Counting and minimality share one recorded walk per spec, kept for the
+last `_WALKS_KEPT` specs walked: it tallies the chunks' rows and collects
+the minimal extensions, and a count table or minimal set no deeper than
+the spec's kept walk is sliced from it, which pays only when one process
+asks for both views of a spec, the deeper first.  Exhaustion looks for
+the longest word, and the verifier's bounded case has the walker carry
+its words' image runs too, so the same call on each extension's last
+image block decides which images fail.  Minimal forbidden words (both
+one-letter truncations legal) feed an Aho-Corasick factor automaton whose
+live part counts and bounds the language; its Perron root comes from power
+iteration over the live edge list, standing in for the symbolic
+characteristic polynomials.
 """
 
 from __future__ import annotations
@@ -140,14 +144,44 @@ def walk_legal(spec: AvoidanceSpec, max_len: int,
             del ext, runs, image_runs
 
 
+# Specs whose deepest walk is kept, the most recently walked last.
+_WALKS_KEPT = 8
+_walks: dict[AvoidanceSpec, tuple[tuple[int, ...], frozenset[bytes]]] = {}
+
+
+def _recorded_walk(spec: AvoidanceSpec, depth: int
+                   ) -> tuple[tuple[int, ...], frozenset[bytes]]:
+    """The number of legal words of each length and the minimal forbidden
+    words, from one walk of at least `depth` letters.
+
+    A walk to N letters holds both views of the language truncated at N:
+    its words count it, and its dead extensions, of at most N letters, are
+    its minimal forbidden words.  The deepest walk of each of the last
+    `_WALKS_KEPT` specs walked is kept, so a query no deeper reads it and
+    a deeper one walks again and replaces it.
+    """
+    kept = _walks.get(spec)
+    if kept is not None and len(kept[0]) > depth:
+        return kept
+    counts = [0] * (depth + 1)
+    found = set()
+    for words, dead in walk_legal(spec, depth):
+        counts[words.shape[1]] += len(words)
+        data, width = dead.tobytes(), dead.shape[1]
+        found.update(data[i:i + width] for i in range(0, len(data), width))
+    _walks.pop(spec, None)
+    if len(_walks) == _WALKS_KEPT:
+        del _walks[next(iter(_walks))]
+    kept = _walks[spec] = (tuple(counts), frozenset(found))
+    return kept
+
+
 def count_avoiding(spec: AvoidanceSpec, n_max: int) -> CountTable:
-    """Count legal words of each length 0..n_max by one pruned walk."""
+    """Count legal words of each length 0..n_max by one pruned walk, or
+    from a kept walk at least as deep."""
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    counts = [0] * (n_max + 1)
-    for words, _ in walk_legal(spec, n_max):
-        counts[words.shape[1]] += len(words)
-    return CountTable(spec, tuple(counts))
+    return CountTable(spec, _recorded_walk(spec, n_max)[0][:n_max + 1])
 
 
 class MinimalForbiddenSet(Record):
@@ -171,14 +205,15 @@ def minimal_forbidden(spec: AvoidanceSpec, max_length: int) -> MinimalForbiddenS
     Every proper factor of a candidate is a factor of one of its two
     truncations, so legality of both truncations is the whole minimality
     condition.  Legality is closed under taking factors, so the walker's
-    minimal extensions of legal words are exactly these words.
+    minimal extensions of legal words are exactly these words.  They come
+    from the same walk as `count_avoiding`'s, kept or walked anew.
     """
     if max_length < 1:
         raise ValueError("max_length must be >= 1")
-    found = set()
-    for _, minimal in walk_legal(spec, max_length):
-        found.update(row.tobytes() for row in minimal)
-    return MinimalForbiddenSet(spec, max_length, frozenset(found))
+    counts, found = _recorded_walk(spec, max_length)
+    if len(counts) > max_length + 1:
+        found = frozenset(w for w in found if len(w) <= max_length)
+    return MinimalForbiddenSet(spec, max_length, found)
 
 
 class FactorAutomaton:

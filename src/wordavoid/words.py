@@ -561,6 +561,10 @@ class AvoidanceSpec(Record):
     cubefree: bool = False
 
     def __post_init__(self):
+        # Lists become tuples, so a spec hashes and equals its tuple twin.
+        for name in ("forbidden", "square_whitelist"):
+            if isinstance(getattr(self, name), list):
+                self.__dict__[name] = tuple(getattr(self, name))
         if not 1 <= self.alphabet_size <= 256:
             raise ValueError("alphabet_size must be 1..256: letters are bytes")
         if self.square_min_root is not None and self.square_whitelist is not None:

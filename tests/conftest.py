@@ -15,12 +15,19 @@ from hypothesis import strategies as st
 
 import wordavoid
 from wordavoid import (AvoidanceSpec, Morphism, ParseError, Substitution,
-                       load_registry, word_to_text)
+                       counting, load_registry, word_to_text)
 
 
 @pytest.fixture(scope="session")
 def registry():
     return load_registry()
+
+
+@pytest.fixture(autouse=True)
+def forget_walks():
+    """Each test starts with no kept walk, so a test that counts or lists
+    minimal words walks, whatever the tests before it asked for."""
+    counting._walks.clear()
 
 
 def run_script(script: str) -> subprocess.CompletedProcess:

@@ -91,16 +91,60 @@ def small_specs(draw):
     return spec, draw(st.integers(1, 10 if alphabet == 2 else 6))
 
 
+def naive_minimal(spec, max_length):
+    """Illegal words of at most max_length letters whose one-letter
+    truncations are both legal, by checking every word."""
+    legal = {w: naive_satisfies(w, spec)
+             for n in range(max_length + 1)
+             for w in all_words(spec.alphabet_size, n)}
+    return {w for w, ok in legal.items()
+            if not ok and legal[w[1:]] and legal[w[:-1]]}
+
+
 @given(small_specs())
 @settings(max_examples=60, deadline=None)
 def test_minimal_forbidden_matches_brute_force(case):
     spec, max_length = case
-    legal = {w: naive_satisfies(w, spec)
-             for n in range(max_length + 1)
-             for w in all_words(spec.alphabet_size, n)}
-    expected = {w for w, ok in legal.items()
-                if not ok and legal[w[1:]] and legal[w[:-1]]}
-    assert minimal_forbidden(spec, max_length).words == expected
+    assert minimal_forbidden(spec, max_length).words == naive_minimal(
+        spec, max_length)
+
+
+def test_count_then_minimal_set_walk_once(registry):
+    """A minimal set no deeper than a count table just made is read from
+    that table's walk."""
+    spec = registry.dekking_binary
+    with patch.object(counting, "walk_legal",
+                      wraps=counting.walk_legal) as walk:
+        table = count_avoiding(spec, 36)
+        derived = minimal_forbidden(spec, 30)
+    assert walk.call_count == 1
+    counting._walks.clear()
+    assert derived == minimal_forbidden(spec, 30)
+    assert table.counts[:31] == count_avoiding(spec, 30).counts
+
+
+@given(small_specs(), st.data())
+@settings(max_examples=40, deadline=None)
+def test_kept_walks_answer_as_the_oracles(case, data):
+    """Count tables and minimal sets at two lengths, asked for in either
+    order and each view first, so that some are read from a deeper kept
+    walk and some walk deeper and replace it, equal the brute-force
+    answers."""
+    spec, deepest = case
+    lengths = [deepest, data.draw(st.integers(1, deepest))]
+    counts = [len(words) for words in naive_legal_words(spec, deepest)]
+    minimal = naive_minimal(spec, deepest)
+    for first, second in ((count_avoiding, minimal_forbidden),
+                          (minimal_forbidden, count_avoiding)):
+        for order in (lengths, lengths[::-1]):
+            counting._walks.clear()
+            for call, n in zip((first, second, first, second),
+                               order + order[::-1]):
+                if call is count_avoiding:
+                    assert call(spec, n).counts == tuple(counts[:n + 1])
+                else:
+                    assert call(spec, n).words == {
+                        w for w in minimal if len(w) <= n}
 
 
 def as_rows(words, length):
@@ -208,6 +252,7 @@ def test_walk_is_the_same_in_small_chunks(registry, monkeypatch, rows):
         assert sizes.get(n, rows) == rows
         assert all(size <= counting._chunk_rows((k + 1) * spec.alphabet_size)
                    for k, size in sizes.items())
+        counting._walks.clear()  # the call walks in small chunks
         assert call(spec, n) == result
 
 

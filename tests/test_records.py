@@ -139,6 +139,19 @@ def test_every_exported_record_serializes_to_json(registry):
         word_to_text(w) for w in minimal.ordered()]
 
 
+def test_a_spec_built_from_lists_is_its_tuple_twin():
+    """List fields become tuples, so a spec from lists hashes, as the kept
+    walks of `counting` need, and equals the spec built from tuples."""
+    word = b"\x00\x01\x01"
+    listed = AvoidanceSpec(2, [word], square_min_root=3)
+    assert listed == AvoidanceSpec(2, (word,), square_min_root=3)
+    assert hash(listed) == hash(AvoidanceSpec(2, (word,), square_min_root=3))
+    whitelisted = AvoidanceSpec(2, square_whitelist=[b"\0\0", b"\1\1"])
+    assert whitelisted.square_whitelist == (b"\0\0", b"\1\1")
+    assert hash(whitelisted) == hash(AvoidanceSpec(
+        2, square_whitelist=(b"\0\0", b"\1\1")))
+
+
 def test_record_repr_is_pinned():
     assert repr(GapPattern(0, 1, 3)) == "GapPattern(first=0, middle=1, last=3)"
     assert repr(AvoidanceSpec(2, square_min_root=2)) == (

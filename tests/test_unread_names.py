@@ -7,7 +7,8 @@ environment: every setting it honors is a parameter or a flag.  Nor does
 it import `dataclasses`: records share `words.Record`'s methods, so
 defining one compiles no code at import.  Nor does `ColumnStep` have a
 driver beside `fold`, nor does any module copy an array with `np.tile`
-where it could broadcast.
+where it could broadcast.  Nor do count tables and minimal sets walk but
+through their one shared consumer of `walk_legal`.
 """
 
 import ast
@@ -224,6 +225,40 @@ def test_the_column_step_has_one_driver():
     for path in sorted(SRC.glob("*.py")):
         found += second_drivers(path.read_text(), path.name)
     assert found == []
+
+
+# The functions that walk through the shared consumer, and its name.
+SHARED_WALKERS = ("count_avoiding", "minimal_forbidden")
+SHARED_CONSUMER = "_recorded_walk"
+
+
+def unshared_walks(source: str) -> list[str]:
+    """The shared walkers that name `walk_legal` or call no shared
+    consumer, and the consumer itself if it calls no `walk_legal`."""
+    names = {node.name: {name.id for name in ast.walk(node)
+                         if isinstance(name, ast.Name)}
+             for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)}
+    found = [name for name in SHARED_WALKERS
+             if name not in names or "walk_legal" in names[name]
+             or SHARED_CONSUMER not in names[name]]
+    if "walk_legal" not in names.get(SHARED_CONSUMER, ()):
+        found.append(SHARED_CONSUMER)
+    return found
+
+
+def test_counts_and_minimal_sets_walk_through_one_consumer():
+    sample = ("def _recorded_walk(spec, n):\n"
+              "    return walk_legal(spec, n)\n"
+              "def count_avoiding(spec, n):\n"
+              "    return _recorded_walk(spec, n)\n"
+              "def minimal_forbidden(spec, n):\n"
+              "    _recorded_walk(spec, n)\n"
+              "    return walk_legal(spec, n)\n")
+    assert unshared_walks(sample) == ["minimal_forbidden"]
+    assert unshared_walks("def count_avoiding(spec, n): pass\n") == [
+        "count_avoiding", "minimal_forbidden", SHARED_CONSUMER]
+    assert unshared_walks((SRC / "counting.py").read_text()) == []
 
 
 def test_importing_the_package_leaves_dataclasses_unloaded():

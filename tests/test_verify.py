@@ -1085,6 +1085,16 @@ def test_module_caches_stay_bounded(registry):
     assert info.currsize <= info.maxsize
 
 
+def test_kept_walks_stay_bounded():
+    """Counting more specs than the counting module keeps walks of leaves
+    it at its bound, with the specs walked last."""
+    specs = [AvoidanceSpec(2, square_min_root=root)
+             for root in range(1, counting._WALKS_KEPT + 5)]
+    for spec in specs:
+        counting.count_avoiding(spec, 6)
+    assert list(counting._walks) == specs[-counting._WALKS_KEPT:]
+
+
 # ---------------------------------------------------------------------------
 # Soundness against brute force.
 
