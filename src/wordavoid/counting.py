@@ -16,10 +16,11 @@ asks for both views of a spec, the deeper first.  Exhaustion looks for
 the longest word, and the verifier's bounded case has the walker carry
 its words' image runs too, so the same call on each extension's last
 image block decides which images fail.  Minimal forbidden words (both
-one-letter truncations legal) feed an Aho-Corasick factor automaton whose
-live part counts and bounds the language; its Perron root comes from power
-iteration over the live edge list, standing in for the symbolic
-characteristic polynomials.
+one-letter truncations legal) feed an Aho-Corasick factor automaton, held
+as arrays and built one trie depth at a time, whose live part counts and
+bounds the language; its Perron root comes from power iteration over a
+table of each live state's successors in ascending order, standing in for
+the symbolic characteristic polynomials.
 """
 
 from __future__ import annotations
@@ -221,93 +222,99 @@ class FactorAutomaton:
 
     States are the trie nodes of the forbidden words, numbered as the
     words, shortest first, add them; a state is dead once any forbidden
-    word has been completed.  Each node is one row of a successor per
-    letter, -1 where the trie has no child, and a breadth-first pass fills
-    those from the Aho-Corasick failure state's row.  A forbidden word with
-    a letter outside the alphabet can never occur and adds no state.
-    Words avoiding the whole set correspond to paths from the root through
-    live states.
+    word has been completed.  `transitions` is a (states, letters) array of
+    successors and `dead` a boolean array.  The trie leaves -1 where a node
+    has no child, and one pass per trie depth fills a level's rows from its
+    Aho-Corasick failure states' rows, shallower and so already complete,
+    by one gather and one `np.where`.  A forbidden word with a letter
+    outside the alphabet can never occur and adds no state.  Words avoiding
+    the whole set correspond to paths from the root through live states.
     """
 
     def __init__(self, alphabet_size: int, forbidden: frozenset[bytes]):
         if not 1 <= alphabet_size <= 256:
             raise ValueError("alphabet_size must be 1..256: letters are bytes")
         self.alphabet_size = alphabet_size
-        goto = [[-1] * alphabet_size]
-        dead = [False]
+        child: dict[int, int] = {}  # node * alphabet_size + letter -> child
+        ends = []
         for word in sorted(forbidden, key=lambda w: (len(w), w)):
-            if max(word, default=0) >= alphabet_size:
-                continue
-            node = 0
-            for letter in word:
-                if goto[node][letter] < 0:
-                    goto[node][letter] = len(goto)
-                    goto.append([-1] * alphabet_size)
-                    dead.append(False)
-                node = goto[node][letter]
-            dead[node] = True
+            if max(word, default=0) < alphabet_size:
+                node = 0
+                for letter in word:
+                    node = child.setdefault(node * alphabet_size + letter,
+                                            len(child) + 1)
+                ends.append(node)
+        size = len(child) + 1
+        goto = np.full((size, alphabet_size), -1, dtype=np.intp)
+        goto.flat[list(child)] = list(child.values())
+        dead = np.zeros(size, dtype=bool)
+        dead[ends] = True
 
-        fail = [0] * len(goto)
-        queue = [child for child in goto[0] if child >= 0]
-        goto[0] = [max(child, 0) for child in goto[0]]
-        for node in queue:  # the queue grows as the pass reaches each level
-            dead[node] = dead[node] or dead[fail[node]]
-            row, back = goto[node], goto[fail[node]]
-            for letter, child in enumerate(row):
-                if child < 0:
-                    row[letter] = back[letter]
-                else:
-                    fail[child] = back[letter]
-                    queue.append(child)
+        nodes = goto[0][goto[0] >= 0]  # one trie depth, with their failures
+        fails = np.zeros(len(nodes), dtype=np.intp)
+        np.maximum(goto[0], 0, out=goto[0])
+        while len(nodes):
+            dead[nodes] |= dead[fails]
+            rows, back = goto[nodes], goto[fails]
+            kids = rows >= 0
+            goto[nodes] = np.where(kids, rows, back)
+            nodes, fails = rows[kids], back[kids]
 
-        self.transitions = tuple(tuple(row) for row in goto)
-        self.dead = tuple(dead)
-        self.live_states = sum(1 for d in dead if not d)
+        self.transitions = goto
+        self.dead = dead
+        self.live_states = size - int(np.count_nonzero(dead))
 
     def count_words(self, n_max: int) -> tuple[int, ...]:
         """Exact path counts through live states, one per length."""
-        weight = {0: 1} if not self.dead[0] else {}
+        rows, dead = self.transitions.tolist(), self.dead.tolist()
+        weight = {0: 1} if not dead[0] else {}
         counts = [sum(weight.values())]
         for _ in range(n_max):
             nxt: dict[int, int] = {}
             for state, w in weight.items():
-                for letter in range(self.alphabet_size):
-                    succ = self.transitions[state][letter]
-                    if not self.dead[succ]:
+                for succ in rows[state]:
+                    if not dead[succ]:
                         nxt[succ] = nxt.get(succ, 0) + w
             weight = nxt
             counts.append(sum(weight.values()))
         return tuple(counts)
 
-    def _live_edges(self) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
-        """Live states and their edges as (source, target) index arrays.
+    def _live_successors(self) -> tuple[np.ndarray, np.ndarray]:
+        """The live states, and their successors as a (ranks, n) table.
 
-        Indices are positions in the live-state tuple.  There is one edge per
-        letter, so a pair may repeat; sources ascend, and targets ascend
-        within a source.
+        Column i holds live state i's successors, one per letter, as
+        positions among the n live states, with n in place of a dead one;
+        they ascend down the column, pads last, and rows of pads only are
+        dropped.  A bitonic network of `np.minimum`/`np.maximum` passes
+        over whole rows orders the columns, about log2(letters)**2 / 2
+        passes with no numpy sort.
         """
-        live: list[int] = []
-        index = [-1] * len(self.dead)  # a dead state's stays -1
-        for s, dead in enumerate(self.dead):
-            if not dead:
-                index[s] = len(live)
-                live.append(s)
-        sources: list[int] = []
-        targets: list[int] = []
-        for i, s in enumerate(live):
-            succs = sorted([index[t] for t in self.transitions[s]
-                            if index[t] >= 0])
-            sources += [i] * len(succs)
-            targets += succs
-        return (tuple(live), np.array(sources, dtype=np.intp),
-                np.array(targets, dtype=np.intp))
+        live = np.flatnonzero(~self.dead)
+        n = len(live)
+        index = np.where(self.dead, n, np.cumsum(~self.dead) - 1)
+        width = 1 << (self.alphabet_size - 1).bit_length()
+        table = np.full((width, n), n)
+        table[:self.alphabet_size] = index[self.transitions[live]].T
+        size = 2
+        while size <= width:  # sorted runs of size / 2 merge into size:
+            gap = size // 2  # mirrored pairs first, then half-cleaners
+            while gap:
+                pairs = table.reshape(width // (2 * gap), 2, gap, n)
+                low = pairs[:, 0]
+                high = pairs[:, 1, ::-1] if gap == size // 2 else pairs[:, 1]
+                least = np.minimum(low, high)
+                np.maximum(low, high, out=high)
+                low[...] = least
+                gap //= 2
+            size *= 2
+        return live, table[:(table < n).any(axis=1).sum()]
 
     def transition_matrix(self) -> tuple[np.ndarray, tuple[int, ...]]:
         """Adjacency counts between live states, with the state relabeling."""
-        live, sources, targets = self._live_edges()
-        matrix = np.zeros((len(live), len(live)))
-        np.add.at(matrix, (sources, targets), 1.0)
-        return matrix, live
+        live, table = self._live_successors()
+        matrix = np.zeros((len(live), len(live) + 1))  # pads in the last
+        np.add.at(matrix, (np.arange(len(live)), table), 1.0)
+        return matrix[:, :-1], tuple(live.tolist())
 
 
 def build_automaton(forbidden_set: MinimalForbiddenSet) -> FactorAutomaton:
@@ -330,30 +337,35 @@ def growth_rate(automaton: FactorAutomaton, tol: float = 1e-9,
     Iteration runs on M + I, whose spectrum is the shifted one but which is
     aperiodic whenever the live part is nonempty, so the Rayleigh quotient
     settles even on periodic languages; (M + I)v >= v for the nonnegative
-    iterates, so their norm never vanishes.  The product walks the live edge
-    list instead of a dense matrix, one unbuffered add per step: each row
-    starts from its identity term, then adds its successors in ascending
-    order, the order a dense row product takes.  The product that gives one
+    iterates, so their norm never vanishes.  The product reads the live
+    successor table instead of a dense matrix: each step copies the iterate
+    and adds one gathered row of it per successor rank, padded with 0.0
+    where a successor is dead, so each entry starts from its identity term
+    and adds its successors in ascending order, the order a dense row
+    product takes (adding 0.0 changes nothing).  The product that gives one
     step's Rayleigh quotient is the next step's iterate.
 
     A live part without a cycle (a finite language) has Perron root 0, which
     the iterates of M + I approach only about as 1/k in k steps.  So once n
     steps (n live states) pass without convergence, one Kahn pass over the
-    edge list looks for a cycle, and without one the estimate is 0.0 with
+    live edges looks for a cycle, and without one the estimate is 0.0 with
     residual 0.0 at once.  A run that converges sooner makes no pass.
     """
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    live, sources, targets = automaton._live_edges()
+    live, table = automaton._live_successors()
     n = len(live)
-    if n == 0 or len(sources) == 0:
+    if len(table) == 0:  # no live edge, or no live state
         return GrowthEstimate(0.0, n, 0, 0.0)
+    padded = np.zeros(n + 1)
 
     def shifted(vec: np.ndarray) -> np.ndarray:
         out = vec.copy()
-        np.add.at(out, sources, vec[targets])  # in edge order
+        padded[:n] = vec
+        for rank_row in table:
+            out += padded[rank_row]
         return out
 
     vec = np.full(n, 1.0 / math.sqrt(n))
@@ -366,17 +378,18 @@ def growth_rate(automaton: FactorAutomaton, tol: float = 1e-9,
         residual = abs(rayleigh - previous)
         if residual < tol:
             return GrowthEstimate(rayleigh - 1.0, n, iteration, residual)
-        if iteration == n and _acyclic(sources, targets, n):
+        if iteration == n and _acyclic(table, n):
             return GrowthEstimate(0.0, n, iteration, 0.0)
         previous = rayleigh
     return GrowthEstimate(previous - 1.0, n, max_iterations, residual)
 
 
-def _acyclic(sources: np.ndarray, targets: np.ndarray, n: int) -> bool:
-    """Whether the edges among n states close no cycle, by Kahn's algorithm
-    in rounds: each drops the edges out of the states that no edge left
-    enters.  A round that drops none leaves a cycle, since every source of
-    an edge left is entered by another."""
+def _acyclic(table: np.ndarray, n: int) -> bool:
+    """Whether the edges of a successor table over n states close no cycle,
+    by Kahn's algorithm in rounds: each drops the edges out of the states
+    that no edge left enters.  A round that drops none leaves a cycle,
+    since every source of an edge left is entered by another."""
+    sources, targets = np.nonzero(table < n)[1], table[table < n]
     while len(sources):
         keep = (np.bincount(targets, minlength=n) > 0)[sources]
         if keep.all():

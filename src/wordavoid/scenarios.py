@@ -361,10 +361,12 @@ def _scenario_pu_lemmas(reg: InstanceRegistry, prefix_length: int
 def _scenario_counting(reg: InstanceRegistry, prefix_length: int
                        ) -> ScenarioReport:
     col = _Collector()
+    derived_length = 20  # counted this deep too: one walk serves both
 
     def tables():
-        got_g = count_avoiding(reg.dekking_binary, len(G_TABLE) - 1).counts
-        got_h = count_avoiding(reg.fs_binary, len(H_TABLE) - 1).counts
+        got_g = count_avoiding(reg.dekking_binary, derived_length).counts
+        got_h = count_avoiding(reg.fs_binary, derived_length).counts
+        got_g, got_h = got_g[:len(G_TABLE)], got_h[:len(H_TABLE)]
         col.artifacts["dekking_counts"] = list(got_g)
         col.artifacts["fs_counts"] = list(got_h)
         if got_g != G_TABLE:
@@ -390,7 +392,7 @@ def _scenario_counting(reg: InstanceRegistry, prefix_length: int
                                     ("fs", reg.fs_binary, 1.135)):
 
         def body(label=label, spec=spec, target_eig=target_eig):
-            derived = minimal_forbidden(spec, 20)
+            derived = minimal_forbidden(spec, derived_length)
             est = growth_rate(build_automaton(derived))
             col.artifacts[f"{label}_growth"] = est.to_dict()
             col.artifacts[f"{label}_minimal_size"] = len(derived.words)

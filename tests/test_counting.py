@@ -1,6 +1,7 @@
 """Counting, minimal forbidden words, growth rates, families, exhaustion."""
 
 import math
+import random
 from itertools import islice
 from unittest.mock import patch
 
@@ -10,10 +11,10 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from wordavoid import (AvoidanceSpec, ExhaustReport, FactorAutomaton,
-                       build_automaton, count_avoiding, exhaust_max_length,
-                       fixed_point_prefix, growth_rate, lower_bound_family,
-                       minimal_forbidden, satisfies_spec, walk_legal,
-                       word_from_text, word_to_text)
+                       GrowthEstimate, build_automaton, count_avoiding,
+                       exhaust_max_length, fixed_point_prefix, growth_rate,
+                       lower_bound_family, minimal_forbidden, satisfies_spec,
+                       walk_legal, word_from_text, word_to_text)
 from wordavoid import counting
 from wordavoid.words import ColumnStep
 from wordavoid.scenarios import G_TABLE, H_TABLE, MINIMAL_SET_SIZES
@@ -466,7 +467,8 @@ def test_growth_is_zero_exactly_when_the_live_part_is_acyclic(case):
 
 
 def test_counting_runs_no_numpy_sort(registry, monkeypatch):
-    """Counting sorts in Python: the first numpy sort of a process maps
+    """Counting sorts in Python, and orders live successors by a network
+    of minimum and maximum passes: the first numpy sort of a process maps
     0.14-0.39 MB of kernels, more than a counting run's peak memory may
     grow."""
     def refuse(*args, **kwargs):
@@ -479,6 +481,11 @@ def test_counting_runs_no_numpy_sort(registry, monkeypatch):
         spec = getattr(registry, name)
         count_avoiding(spec, length)
         growth_rate(build_automaton(minimal_forbidden(spec, length)))
+    # The widest alphabet, whose successors take the longest network.
+    rng = random.Random(0)
+    growth_rate(FactorAutomaton(256, frozenset(
+        bytes(rng.randrange(256) for _ in range(rng.randint(2, 4)))
+        for _ in range(300))))
 
 
 def test_growth_matches_dense_iteration_on_derived_sets(registry):
@@ -493,6 +500,118 @@ def test_growth_matches_dense_iteration_on_edge_cases():
     periodic = assert_same_growth(FactorAutomaton(
         2, frozenset({word_from_text("00"), word_from_text("11")})))
     assert periodic.eigenvalue == pytest.approx(1.0, abs=1e-6)
+
+
+def naive_automaton(alphabet_size, forbidden):
+    """(transitions, dead) of the factor automaton by its definition.
+
+    A state is a prefix of a forbidden word over the alphabet, numbered in
+    the order the words, shortest first and then lexicographic, create
+    them.  The successor of p by a is the longest suffix of p + a that is
+    a state, and p is dead when some suffix of p is forbidden.
+    """
+    words = sorted((w for w in forbidden if all(c < alphabet_size for c in w)),
+                   key=lambda w: (len(w), w))
+    states = [b""]
+    for word in words:
+        states += [word[:end] for end in range(1, len(word) + 1)
+                   if word[:end] not in states]
+
+    def successor(p, a):
+        q = p + bytes([a])
+        return next(states.index(q[i:]) for i in range(len(q) + 1)
+                    if q[i:] in states)
+
+    transitions = [[successor(p, a) for a in range(alphabet_size)]
+                   for p in states]
+    dead = [any(p[i:] in forbidden for i in range(len(p) + 1))
+            for p in states]
+    return transitions, dead
+
+
+# Alphabets of 1 to 9 letters, so the successor network pads the letters to
+# 1, 2, 4, 8 and 16 ranks; words may hold letters past the alphabet, and a
+# set need not be minimal.
+WIDE_SETS = st.integers(1, 9).flatmap(lambda k: st.tuples(
+    st.just(k),
+    st.frozensets(st.lists(st.integers(0, k), min_size=1,
+                           max_size=5).map(bytes), max_size=8)))
+
+
+@given(WIDE_SETS)
+@example((3, frozenset()))
+@example((2, frozenset({b"", b"\1\0"})))
+@example((9, frozenset({b"\3", b"\3\1", bytes([9, 1]), b"\1\2\1"})))
+@settings(max_examples=150, deadline=None)
+def test_automaton_matches_its_definition(case):
+    alphabet, forbidden = case
+    auto = FactorAutomaton(alphabet, forbidden)
+    transitions, dead = naive_automaton(alphabet, forbidden)
+    assert auto.transitions.tolist() == transitions
+    assert auto.dead.tolist() == dead
+    assert auto.live_states == dead.count(False)
+    # Each live state's live successors, ascending, then pads of n.
+    live = [s for s, d in enumerate(dead) if not d]
+    n = len(live)
+    succs = [sorted(live.index(t) for t in transitions[s] if not dead[t])
+             for s in live]
+    ranks = max(map(len, succs), default=0)
+    got_live, table = auto._live_successors()
+    assert got_live.tolist() == live
+    assert table.shape == (ranks, n)
+    assert table.T.tolist() == [row + [n] * (ranks - len(row))
+                                for row in succs]
+
+
+def edge_list_growth(automaton, tol=1e-9, max_iterations=3000):
+    """Power iteration as `growth_rate` runs it, with the product summed over
+    an edge list by one unbuffered `np.add.at`: each entry takes its
+    identity term, then its live successors in ascending order."""
+    dead = automaton.dead.tolist()
+    live = [s for s, d in enumerate(dead) if not d]
+    edges = [(i, live.index(t)) for i, s in enumerate(live)
+             for t in sorted(automaton.transitions[s].tolist())
+             if not dead[t]]
+    n = len(live)
+    if not edges:
+        return GrowthEstimate(0.0, n, 0, 0.0)
+    sources, targets = np.array(edges).T
+
+    def shifted(vec):
+        out = vec.copy()
+        np.add.at(out, sources, vec[targets])
+        return out
+
+    vec = np.full(n, 1.0 / math.sqrt(n))
+    nxt = shifted(vec)
+    previous = 0.0
+    for iteration in range(1, max_iterations + 1):
+        vec = nxt / math.sqrt(nxt @ nxt)
+        nxt = shifted(vec)
+        rayleigh = float(vec @ nxt)
+        residual = abs(rayleigh - previous)
+        if residual < tol:
+            return GrowthEstimate(rayleigh - 1.0, n, iteration, residual)
+        if iteration == n and not naive_has_cycle(automaton):
+            return GrowthEstimate(0.0, n, iteration, 0.0)
+        previous = rayleigh
+    return GrowthEstimate(previous - 1.0, n, max_iterations, residual)
+
+
+@given(WIDE_SETS)
+@settings(max_examples=80, deadline=None)
+def test_growth_is_the_edge_list_iteration_bit_for_bit(case):
+    """Adding a gathered row per successor rank, 0.0 for a dead successor,
+    sums in the edge list's order, so every field is the same float."""
+    alphabet, forbidden = case
+    auto = FactorAutomaton(alphabet, forbidden)
+    assert growth_rate(auto, max_iterations=3000) == edge_list_growth(auto)
+
+
+def test_derived_growth_is_the_edge_list_iteration_bit_for_bit(registry):
+    for spec in (registry.dekking_binary, registry.fs_binary):
+        auto = build_automaton(minimal_forbidden(spec, 20))
+        assert growth_rate(auto, max_iterations=3000) == edge_list_growth(auto)
 
 
 def test_transition_matrix_counts_live_edges():
@@ -510,8 +629,10 @@ def test_a_word_past_the_alphabet_adds_no_state():
     for extra in ("2", "02", "021", "20", "9"):
         auto = FactorAutomaton(2, frozenset({word_from_text("00"),
                                              word_from_text(extra)}))
-        assert (auto.transitions, auto.dead, auto.live_states) == (
-            plain.transitions, plain.dead, plain.live_states), extra
+        assert (auto.transitions.tolist(), auto.dead.tolist(),
+                auto.live_states) == (plain.transitions.tolist(),
+                                      plain.dead.tolist(),
+                                      plain.live_states), extra
         assert auto.count_words(8) == plain.count_words(8)
 
 

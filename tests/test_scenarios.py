@@ -3,10 +3,11 @@ single-symbol corruption of a registry morphism is caught by some check."""
 
 import json
 import random
+from unittest.mock import patch
 
 import pytest
 
-from wordavoid import SCENARIOS, run_scenario, scenarios, verify
+from wordavoid import SCENARIOS, counting, run_scenario, scenarios, verify
 from wordavoid.instances import MORPHISM_NAMES
 
 from conftest import with_image_letter
@@ -34,6 +35,17 @@ def test_scenario_passes(name, registry):
     assert report.ok, failed
     assert report.checks
     assert "PASS" in report.digest()
+
+
+def test_counting_scenario_walks_each_spec_once(registry):
+    """The count tables are sliced from the depth-20 walks that the derived
+    sets read, so the scenario walks Dekking and Fraenkel-Simpson once each
+    and the golden two-letter set to its length 3."""
+    with patch.object(counting, "walk_legal",
+                      wraps=counting.walk_legal) as walk:
+        report = run_scenario("counting", registry)
+    assert report.ok
+    assert [call.args[1] for call in walk.call_args_list] == [20, 20, 3]
 
 
 @pytest.mark.parametrize("name, failing", [

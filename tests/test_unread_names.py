@@ -8,7 +8,8 @@ it import `dataclasses`: records share `words.Record`'s methods, so
 defining one compiles no code at import.  Nor does `ColumnStep` have a
 driver beside `fold`, nor does any module copy an array with `np.tile`
 where it could broadcast.  Nor do count tables and minimal sets walk but
-through their one shared consumer of `walk_legal`.
+through their one shared consumer of `walk_legal`.  Nor does a growth step
+scatter with `np.add.at`.
 """
 
 import ast
@@ -301,3 +302,26 @@ def test_the_verifier_reads_no_fixed_point_prefix():
                                                   ("m.py", 5)]
     verify = SRC / "verify.py"
     assert prefix_reader_uses(verify.read_text(), verify.name) == []
+
+
+def add_at_calls(source: str, function: str) -> list[int]:
+    """Lines of the `np.add.at` calls in a module-level function, its nested
+    functions included."""
+    top = next(node for node in ast.parse(source).body
+               if isinstance(node, ast.FunctionDef) and node.name == function)
+    return [node.lineno for node in ast.walk(top)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute) and node.func.attr == "at"
+            and getattr(node.func.value, "attr", None) == "add"]
+
+
+def test_growth_steps_gather_without_a_scatter():
+    sample = ("def growth_rate(a, v):\n"
+              "    def shifted(v):\n"
+              "        np.add.at(v, a, v[a])\n"
+              "    return shifted\n"
+              "def transition_matrix(m, a):\n"
+              "    np.add.at(m, a, 1.0)\n")
+    assert add_at_calls(sample, "growth_rate") == [3]
+    assert add_at_calls(sample, "transition_matrix") == [6]
+    assert add_at_calls((SRC / "counting.py").read_text(), "growth_rate") == []
